@@ -105,6 +105,14 @@ def _load(path, role):
         _fail(EXIT_BAD_INPUT, f"{role}: {exc}")
 
 
+def _load_image(path, role):
+    # weight grids may be empty (a 1xM image has no vertical arcs); images may not
+    arr = _load(path, role)
+    if arr.size == 0:
+        _fail(EXIT_BAD_INPUT, f"{role}: empty grid of shape {arr.shape}")
+    return arr
+
+
 def _emit_json(payload, path):
     text = json.dumps(payload, indent=2, sort_keys=True)
     if path:
@@ -115,7 +123,7 @@ def _emit_json(payload, path):
 
 
 def _cmd_unwrap(args):
-    x = wrap_to_principal(_load(args.input, "input"), 0.0)
+    x = wrap_to_principal(_load_image(args.input, "input"), 0.0)
     n, m = x.shape
     weights = None
     if (args.cv is None) != (args.ch is None):
@@ -202,8 +210,8 @@ def _cmd_synth(args):
 
 
 def _cmd_error(args):
-    est = _load(args.estimate, "estimate")
-    truth = _load(args.truth, "truth")
+    est = _load_image(args.estimate, "estimate")
+    truth = _load_image(args.truth, "truth")
     if est.shape != truth.shape:
         _fail(EXIT_DIM_MISMATCH, f"shape mismatch: {est.shape} vs {truth.shape}")
     report = shift_error(est, truth)

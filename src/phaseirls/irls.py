@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .objective import (
-    IrlsWeights,
     ModelParams,
     candidate_step,
     eval_h_delta,
@@ -167,13 +166,13 @@ def unwrap(x, c: WeightField | None = None, model: ModelParams | None = None,
     state = SystemVector(np.zeros((n, m)), -g.gv.copy(), -g.gh.copy())
     trace = IrlsTrace()
     m_history = [params.max_iter_cg_start]
-    w_prev: IrlsWeights | None = None
 
     for k in range(params.max_outer_iters):
         w = update_weights(state, c, model.delta)
         delta_rel = None
         if k >= 1:
-            h_old_w = eval_h_delta(state, w_prev, g, c, model)
+            # the last record holds h at this state under the previous weights
+            h_old_w = trace.records[-1].h_delta
             h_new_w = eval_h_delta(state, w, g, c, model)
             # arc-free grids have an identically zero objective; nothing to improve
             delta_rel = 0.0 if h_old_w == 0 else relative_improvement(h_old_w, h_new_w)
@@ -219,6 +218,5 @@ def unwrap(x, c: WeightField | None = None, model: ModelParams | None = None,
             )
         )
         state = accepted
-        w_prev = w
 
     return UnwrapResult(u=state.u, vv=state.vv, vh=state.vh, trace=trace)

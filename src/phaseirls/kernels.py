@@ -1,14 +1,11 @@
-"""Hot inner-loop kernels with a numba backend and a pure-numpy fallback.
+"""Hot inner-loop kernels: first-difference stencils and the block system map.
 
-The solver spends nearly all of its time applying first-difference stencils
-and the block system map inside the conjugate gradient loop.  Both backends
-implement the same functions; the active one is chosen at import time from
-the ``PHASEIRLS_NUMBA`` environment variable ("0" disables numba) and from
-numba availability.  ``select_backend`` rebinds them at runtime, which the
-benchmark and the equivalence tests use to compare the two paths.
+The solver spends nearly all of its time applying these inside the conjugate
+gradient loop.  They are plain numpy expressions.  ``operators`` and ``phase``
+call them as ``kernels.<name>`` attributes, looked up at call time, so a
+caller may rebind a module attribute to wrap a kernel (the traced benchmark
+run does this to time each layer).
 """
-
-import os
 
 import numpy as np
 
@@ -18,185 +15,41 @@ __all__ = [
     "adj_diff_rows",
     "adj_diff_cols",
     "apply_system_blocks",
-    "available_backends",
     "current_backend",
-    "select_backend",
 ]
 
 
-# ---------------------------------------------------------------------------
-# pure numpy implementations
-# ---------------------------------------------------------------------------
-
-def _diff_rows_np(u):
+def diff_rows(u):
     return u[1:, :] - u[:-1, :]
 
 
-def _diff_cols_np(u):
+def diff_cols(u):
     return u[:, 1:] - u[:, :-1]
 
 
-def _adj_diff_rows_np(v):
+def adj_diff_rows(v):
     out = np.zeros((v.shape[0] + 1, v.shape[1]))
     out[:-1, :] -= v
     out[1:, :] += v
     return out
 
 
-def _adj_diff_cols_np(v):
+def adj_diff_cols(v):
     out = np.zeros((v.shape[0], v.shape[1] + 1))
     out[:, :-1] -= v
     out[:, 1:] += v
     return out
 
 
-def _apply_system_blocks_np(u, vv, vh, dv, dh, inv_tau):
-    su = _diff_rows_np(u)
-    ut = _diff_cols_np(u)
-    au = inv_tau * (_adj_diff_rows_np(su - vv) + _adj_diff_cols_np(ut - vh))
+def apply_system_blocks(u, vv, vh, dv, dh, inv_tau):
+    su = diff_rows(u)
+    ut = diff_cols(u)
+    au = inv_tau * (adj_diff_rows(su - vv) + adj_diff_cols(ut - vh))
     avv = dv * vv + inv_tau * (vv - su)
     avh = dh * vh + inv_tau * (vh - ut)
     return au, avv, avh
 
 
-_NUMPY_IMPL = {
-    "diff_rows": _diff_rows_np,
-    "diff_cols": _diff_cols_np,
-    "adj_diff_rows": _adj_diff_rows_np,
-    "adj_diff_cols": _adj_diff_cols_np,
-    "apply_system_blocks": _apply_system_blocks_np,
-}
-
-
-# ---------------------------------------------------------------------------
-# numba implementations (explicit loops, fused where it pays off)
-# ---------------------------------------------------------------------------
-
-_NUMBA_IMPL = None
-
-try:
-    if os.environ.get("PHASEIRLS_NUMBA", "1").lower() not in ("0", "false", "no"):
-        import numba as nb
-    else:
-        nb = None
-except ImportError:  # pragma: no cover - exercised only without numba
-    nb = None
-
-if nb is not None:
-
-    @nb.njit(cache=True)
-    def _diff_rows_nb(u):
-        n, m = u.shape
-        out = np.empty((n - 1, m))
-        for i in range(n - 1):
-            for j in range(m):
-                out[i, j] = u[i + 1, j] - u[i, j]
-        return out
-
-    @nb.njit(cache=True)
-    def _diff_cols_nb(u):
-        n, m = u.shape
-        out = np.empty((n, m - 1))
-        for i in range(n):
-            for j in range(m - 1):
-                out[i, j] = u[i, j + 1] - u[i, j]
-        return out
-
-    @nb.njit(cache=True)
-    def _adj_diff_rows_nb(v):
-        n1, m = v.shape
-        out = np.zeros((n1 + 1, m))
-        for i in range(n1):
-            for j in range(m):
-                out[i, j] -= v[i, j]
-                out[i + 1, j] += v[i, j]
-        return out
-
-    @nb.njit(cache=True)
-    def _adj_diff_cols_nb(v):
-        n, m1 = v.shape
-        out = np.zeros((n, m1 + 1))
-        for i in range(n):
-            for j in range(m1):
-                out[i, j] -= v[i, j]
-                out[i, j + 1] += v[i, j]
-        return out
-
-    @nb.njit(cache=True)
-    def _apply_system_blocks_nb(u, vv, vh, dv, dh, inv_tau):
-        n, m = u.shape
-        su = _diff_rows_nb(u)
-        ut = _diff_cols_nb(u)
-        au = np.zeros((n, m))
-        avv = np.empty((n - 1, m))
-        avh = np.empty((n, m - 1))
-        for i in range(n - 1):
-            for j in range(m):
-                r = su[i, j] - vv[i, j]
-                au[i, j] -= inv_tau * r
-                au[i + 1, j] += inv_tau * r
-                avv[i, j] = dv[i, j] * vv[i, j] + inv_tau * (vv[i, j] - su[i, j])
-        for i in range(n):
-            for j in range(m - 1):
-                r = ut[i, j] - vh[i, j]
-                au[i, j] -= inv_tau * r
-                au[i, j + 1] += inv_tau * r
-                avh[i, j] = dh[i, j] * vh[i, j] + inv_tau * (vh[i, j] - ut[i, j])
-        return au, avv, avh
-
-    _NUMBA_IMPL = {
-        "diff_rows": _diff_rows_nb,
-        "diff_cols": _diff_cols_nb,
-        "adj_diff_rows": _adj_diff_rows_nb,
-        "adj_diff_cols": _adj_diff_cols_nb,
-        "apply_system_blocks": _apply_system_blocks_nb,
-    }
-
-
-def available_backends():
-    backends = ["numpy"]
-    if _NUMBA_IMPL is not None:
-        backends.append("numba")
-    return backends
-
-
-_backend = "numba" if _NUMBA_IMPL is not None else "numpy"
-
-
 def current_backend():
-    return _backend
-
-
-def select_backend(name):
-    """Rebind the kernel functions to the named backend ("numpy" or "numba")."""
-    global _backend, diff_rows, diff_cols, adj_diff_rows, adj_diff_cols
-    global apply_system_blocks
-    if name == "numpy":
-        impl = _NUMPY_IMPL
-    elif name == "numba":
-        if _NUMBA_IMPL is None:
-            raise RuntimeError("numba backend requested but numba is unavailable")
-        impl = _NUMBA_IMPL
-    else:
-        raise ValueError(f"unknown kernel backend: {name!r}")
-    diff_rows = impl["diff_rows"]
-    diff_cols = impl["diff_cols"]
-    adj_diff_rows = impl["adj_diff_rows"]
-    adj_diff_cols = impl["adj_diff_cols"]
-    apply_system_blocks = impl["apply_system_blocks"]
-    _backend = name
-
-
-select_backend(_backend)
-
-
-def warmup():
-    """Trigger jit compilation of every kernel on tiny inputs."""
-    u = np.arange(6.0).reshape(3, 2)
-    v = np.ones((2, 2))
-    h = np.ones((3, 1))
-    diff_rows(u)
-    diff_cols(u)
-    adj_diff_rows(v)
-    adj_diff_cols(h)
-    apply_system_blocks(u, v, h, v, h, 1.0)
+    # kept because the benchmark's environment record stores this name
+    return "numpy"

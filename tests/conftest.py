@@ -1,14 +1,6 @@
 import numpy as np
 import pytest
 
-from phaseirls import kernels
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _warm_kernels():
-    # pay the jit compilation cost once, outside any timed assertion
-    kernels.warmup()
-
 
 @pytest.fixture
 def rng():

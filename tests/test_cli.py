@@ -3,9 +3,11 @@ import json
 import numpy as np
 import pytest
 
+from phaseirls import irls
 from phaseirls.arrayio import load_grid, save_grid
 from phaseirls.cli import main
-from phaseirls.phase import TWO_PI, shift_error
+from phaseirls.operators import SystemVector
+from phaseirls.phase import TWO_PI, shift_error, wrap_to_principal
 from phaseirls.synth import SceneSpec, generate_scene, wrap_scene
 
 
@@ -113,8 +115,6 @@ class TestUnwrapCommand:
     def test_positive_gradient_interval(self, tmp_path):
         # a descending ramp has negative differences, which the two interval
         # conventions wrap to different representatives (-0.3 vs 2*pi - 0.3)
-        from phaseirls.phase import wrap_to_principal
-
         truth = -0.3 * np.arange(24)[:, None] + np.zeros((24, 20))
         wrapped = tmp_path / "wrapped.npy"
         save_grid(wrapped, wrap_to_principal(truth, 0.0))
@@ -129,6 +129,47 @@ class TestUnwrapCommand:
         assert not np.array_equal(load_grid(sym), load_grid(pos))
         # the symmetric convention recovers the descending ramp
         assert shift_error(load_grid(sym), truth).max_abs <= 1e-2
+
+    @pytest.mark.parametrize("shape", [(0, 5), (4, 0)])
+    def test_empty_input_exits_2(self, tmp_path, capsys, shape):
+        empty = tmp_path / "empty.npy"
+        save_grid(empty, np.zeros(shape))
+        out = tmp_path / "o.npy"
+        assert run("unwrap", "--input", empty, "--output", out) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: input: empty grid")
+        assert not out.exists()
+
+    def test_single_row_with_empty_vertical_weights(self, tmp_path):
+        m = 12
+        truth = 0.4 * np.arange(m)[None, :]
+        wrapped = tmp_path / "wrapped.npy"
+        cv = tmp_path / "cv.npy"
+        ch = tmp_path / "ch.npy"
+        save_grid(wrapped, wrap_to_principal(truth, 0.0))
+        save_grid(cv, np.zeros((0, m)))
+        save_grid(ch, np.ones((1, m - 1)))
+        out = tmp_path / "o.npy"
+        assert run(
+            "unwrap", "--input", wrapped, "--output", out, "--cv", cv, "--ch", ch
+        ) == 0
+        u = load_grid(out)
+        assert u.shape == (1, m)
+        assert shift_error(u, truth).max_abs < 1e-10
+
+    def test_solver_breakdown_exits_4(self, tmp_path, capsys, monkeypatch, ramp_files):
+        def non_finite(x, d, tau):
+            n, m = x.shape
+            return SystemVector(
+                np.full((n, m), np.nan), np.zeros((n - 1, m)), np.zeros((n, m - 1))
+            )
+
+        monkeypatch.setattr(irls, "apply_system", non_finite)
+        _, wrapped = ramp_files
+        out = tmp_path / "o.npy"
+        assert run("unwrap", "--input", wrapped, "--output", out) == 4
+        assert capsys.readouterr().err.startswith("error: solver breakdown")
+        assert not out.exists()
 
     def test_uniform_weights_match_explicit_unit_files(self, tmp_path, ramp_files):
         _, wrapped = ramp_files
@@ -165,6 +206,14 @@ class TestErrorCommand:
         save_grid(a, np.zeros((3, 3)))
         save_grid(b, np.zeros((4, 3)))
         assert run("error", "--estimate", a, "--truth", b) == 3
+
+    @pytest.mark.parametrize("shape", [(0, 5), (4, 0)])
+    def test_empty_grid_exits_2(self, tmp_path, capsys, shape):
+        empty = tmp_path / "empty.npy"
+        save_grid(empty, np.zeros(shape))
+        assert run("error", "--estimate", empty, "--truth", empty) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: estimate: empty grid")
 
 
 class TestSpectrumCommand:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from phaseirls import irls
 from phaseirls.irls import IrlsParams, cg_budget_update, relative_improvement, unwrap
 from phaseirls.objective import (
     ModelParams,
@@ -168,6 +169,20 @@ class TestUnwrap:
             # refreshing the weights can only lower the lifted objective
             assert rec.delta_rel >= -1e-12
             assert rec.m_cg >= DEFAULTS.max_iter_cg_start
+
+    def test_objective_evaluations_per_outer_iteration(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(None)
+            return eval_h_delta(*args, **kwargs)
+
+        monkeypatch.setattr(irls, "eval_h_delta", counting)
+        spec = SceneSpec("gaussian-bumps", 32, 32, amplitude=5.0, feature_scale=7.0, seed=3)
+        res = unwrap(wrap_scene(generate_scene(spec)))
+        # stopped by the budget heuristic, so the last pass evaluated only h(w_new)
+        assert len(res.trace) < DEFAULTS.max_outer_iters
+        assert len(calls) <= 4 * len(res.trace)
 
 
 class TestSmallInstanceOptimality:

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from phaseirls import kernels
 from phaseirls.operators import (
     DiagonalWeights,
     SizeLimitExceeded,
@@ -75,31 +74,6 @@ class TestStencils:
     def test_degenerate_single_row(self):
         assert apply_s(np.ones((1, 4))).shape == (0, 4)
         assert apply_s_transpose(np.ones((0, 4))).shape == (1, 4)
-
-
-class TestBackendEquivalence:
-    def test_numpy_and_numba_agree(self, rng):
-        if "numba" not in kernels.available_backends():
-            pytest.skip("numba unavailable")
-        u = rng.standard_normal((9, 7))
-        vv = rng.standard_normal((8, 7))
-        vh = rng.standard_normal((9, 6))
-        dv = rng.uniform(0, 3, (8, 7))
-        dh = rng.uniform(0, 3, (9, 6))
-        previous = kernels.current_backend()
-        try:
-            kernels.select_backend("numba")
-            got_nb = kernels.apply_system_blocks(u, vv, vh, dv, dh, 100.0)
-            streams_nb = [kernels.diff_rows(u), kernels.adj_diff_cols(vh)]
-            kernels.select_backend("numpy")
-            got_np = kernels.apply_system_blocks(u, vv, vh, dv, dh, 100.0)
-            streams_np = [kernels.diff_rows(u), kernels.adj_diff_cols(vh)]
-        finally:
-            kernels.select_backend(previous)
-        for a, b in zip(got_nb, got_np):
-            assert np.allclose(a, b, atol=1e-10)
-        for a, b in zip(streams_nb, streams_np):
-            assert np.array_equal(a, b)
 
 
 class TestApplySystem:
