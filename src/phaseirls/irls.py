@@ -199,11 +199,12 @@ def unwrap(x, c: WeightField | None = None, model: ModelParams | None = None,
         )
         proposal = outcome.x
         cand = candidate_step(state, w, g, c, model, lip)
-        sufficient = eval_h_delta(proposal, w, g, c, model) <= eval_h_delta(
-            cand, w, g, c, model
-        )
+        h_prop = eval_h_delta(proposal, w, g, c, model)
+        h_cand = eval_h_delta(cand, w, g, c, model)
+        sufficient = h_prop <= h_cand
         fallback = not sufficient
         accepted = proposal if sufficient else cand
+        # h only sees differences of u, so centring changes it by round-off alone
         accepted.u -= accepted.u.mean()
 
         trace.append(
@@ -211,7 +212,7 @@ def unwrap(x, c: WeightField | None = None, model: ModelParams | None = None,
                 k=k,
                 m_cg=m_cg,
                 delta_rel=delta_rel,
-                h_delta=eval_h_delta(accepted, w, g, c, model),
+                h_delta=h_prop if sufficient else h_cand,
                 cg_iters=outcome.iterations,
                 sufficient_decrease=sufficient,
                 fallback_used=fallback,

@@ -5,7 +5,9 @@ The u block of the preconditioner is the scaled Kronecker-sum Laplacian
 eigenbases of the two 1-D Neumann second-difference operators, to a diagonal
 division; the single (0, 0) spectral coefficient belonging to the shared
 constant mode is zeroed, which keeps every iterate orthogonal to the
-nullspace.  The slack blocks are plain diagonal divisions.
+nullspace.  The eigenpairs are the closed-form DCT-II cosines (Ghiglia &
+Romero, JOSA A 11(1), 1994), so no eigendecomposition runs.  The slack blocks
+are plain diagonal divisions.
 """
 
 from dataclasses import dataclass
@@ -28,8 +30,10 @@ __all__ = [
 class SpectralCache:
     """Eigenpairs of the two 1-D second-difference (Neumann) operators.
 
-    Eigenvalues are ascending with the leading entry exactly zero (the
-    constant mode); the bases are orthogonal and reconstruct the operators.
+    The bases are the orthonormal DCT-II cosines and the eigenvalues
+    ``4 sin^2(pi k / 2n)``, both in closed form.  Eigenvalues are ascending
+    with the leading entry exactly zero (the constant mode); the bases are
+    orthogonal and reconstruct the operators.
     """
 
     lambda_s: np.ndarray
@@ -48,29 +52,16 @@ class PreconditionerState:
     tau: float
 
 
-def _neumann_stencil(n):
-    lap = np.zeros((n, n))
-    if n == 1:
-        return lap
-    idx = np.arange(n)
-    lap[idx, idx] = 2.0
-    lap[0, 0] = 1.0
-    lap[-1, -1] = 1.0
-    lap[idx[:-1], idx[:-1] + 1] = -1.0
-    lap[idx[:-1] + 1, idx[:-1]] = -1.0
-    return lap
-
-
 def _eig_neumann(n):
-    vals, vecs = np.linalg.eigh(_neumann_stencil(n))
-    # eigh returns ascending values; the constant mode sits first and is
-    # analytically zero, so clamp away the solver's noise floor
-    if abs(vals[0]) > 1e-10:
-        raise RuntimeError(f"expected a zero eigenvalue, got {vals[0]}")
-    if n > 1 and vals[1] <= 1e-10:
-        raise RuntimeError("second-difference operator has a repeated zero eigenvalue")
-    vals = vals.copy()
-    vals[0] = 0.0
+    """Closed-form eigenpairs of the 1-D Neumann second difference (DCT-II).
+
+    ``lam_k = 4 sin^2(pi k / 2n)`` is exactly zero at k = 0 and, unlike
+    ``2 - 2 cos(pi k / n)``, keeps the small eigenvalues accurate to round-off.
+    """
+    k = np.arange(n)
+    vals = 4.0 * np.sin(np.pi * k / (2 * n)) ** 2
+    vecs = np.sqrt(2.0 / n) * np.cos(np.pi * np.outer(np.arange(n) + 0.5, k) / n)
+    vecs[:, 0] = 1.0 / np.sqrt(n)
     return vals, vecs
 
 

@@ -8,6 +8,7 @@ from phaseirls.operators import (
     materialize_dense_preconditioner,
     stack_system,
 )
+from phaseirls.irls import unwrap
 from phaseirls.pcg import project_out_constant
 from phaseirls.preconditioner import (
     apply_preconditioner,
@@ -15,6 +16,7 @@ from phaseirls.preconditioner import (
     build_spectral_cache,
     sylvester_solve,
 )
+from phaseirls.synth import SceneSpec, generate_scene, wrap_scene
 
 from oracles import dense_s, dense_t, random_state
 
@@ -33,7 +35,7 @@ class TestSpectralCache:
         assert cache.lambda_s.tolist() == [0.0]
         assert np.allclose(np.abs(cache.basis_s), [[1.0]])
 
-    @pytest.mark.parametrize("n", [2, 5, 17])
+    @pytest.mark.parametrize("n", [2, 5, 17, 513])
     def test_orthogonality_and_reconstruction(self, n):
         cache = build_spectral_cache(n, 3)
         p = cache.basis_s
@@ -42,12 +44,21 @@ class TestSpectralCache:
         recon = p @ np.diag(cache.lambda_s) @ p.T
         assert np.max(np.abs(recon - sts)) < 1e-10
 
-    @pytest.mark.parametrize("n", [2, 3, 9, 33])
+    @pytest.mark.parametrize("n", [2, 3, 9, 33, 2048])
     def test_exactly_one_zero_eigenvalue(self, n):
         cache = build_spectral_cache(n, 2)
         assert np.sum(cache.lambda_s == 0.0) == 1
         assert np.all(cache.lambda_s[1:] > 1e-10)
         assert np.all(np.diff(cache.lambda_s) > 0)
+
+    def test_unwrap_runs_no_eigendecomposition(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the Neumann eigenpairs are closed-form; eigh must not run")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        spec = SceneSpec("gaussian-bumps", 9, 14, amplitude=4.0, feature_scale=3.0, seed=6)
+        res = unwrap(wrap_scene(generate_scene(spec)))
+        assert res.u.shape == (9, 14)
 
 
 class TestSylvesterSolve:
