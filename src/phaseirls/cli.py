@@ -175,6 +175,8 @@ def _cmd_unwrap(args):
                             "h_delta": rec.h_delta,
                             "cg_iters": rec.cg_iters,
                             "fallback": rec.fallback_used,
+                            "cg_converged": rec.cg_converged,
+                            "cg_rel_residual": rec.cg_rel_residual,
                         }
                     )
                     + "\n"

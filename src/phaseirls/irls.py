@@ -72,6 +72,8 @@ class IterationRecord:
     cg_iters: int
     sufficient_decrease: bool
     fallback_used: bool
+    cg_converged: bool
+    cg_rel_residual: float
 
 
 @dataclass
@@ -101,10 +103,17 @@ class BudgetDecision:
 
 @dataclass(frozen=True)
 class UnwrapResult:
+    """Estimate and slacks (views into one buffer) plus the trace.
+
+    ``stop_reason`` is ``"heuristic"`` when the CG-budget rule stopped the
+    loop and ``"max_outer"`` when ``max_outer_iters`` ran out first.
+    """
+
     u: np.ndarray
     vv: np.ndarray
     vh: np.ndarray
     trace: IrlsTrace
+    stop_reason: str
 
 
 def relative_improvement(h_old_w, h_new_w):
@@ -160,12 +169,19 @@ def unwrap(x, c: WeightField | None = None, model: ModelParams | None = None,
 
     g = wrapped_gradients(arr, gradient_lo)
     b = build_rhs(g, model.tau)
+    b_norm = b.norm()
     cache = build_spectral_cache(n, m)
     lip = lipschitz_constant(c, model)
 
-    state = SystemVector(np.zeros((n, m)), -g.gv.copy(), -g.gh.copy())
+    state = SystemVector.zeros(n, m)
+    np.negative(g.gv, out=state.vv)
+    np.negative(g.gh, out=state.vh)
+    # the CG scratch vectors, overwritten by every system and preconditioner apply
+    ap = SystemVector.zeros(n, m)
+    z = SystemVector.zeros(n, m)
     trace = IrlsTrace()
     m_history = [params.max_iter_cg_start]
+    stop_reason = "max_outer"
 
     for k in range(params.max_outer_iters):
         w = update_weights(state, c, model.delta)
@@ -180,6 +196,7 @@ def unwrap(x, c: WeightField | None = None, model: ModelParams | None = None,
             m_prev2 = m_history[k - 2] if k >= 2 else m_prev
             decision = cg_budget_update(delta_rel, m_prev, m_prev2, params)
             if decision.action == "stop":
+                stop_reason = "heuristic"
                 break
             m_cg = decision.m_cg
         else:
@@ -190,22 +207,28 @@ def unwrap(x, c: WeightField | None = None, model: ModelParams | None = None,
         d = DiagonalWeights(dv=c.cv * c.cv / w.wv, dh=c.ch * c.ch / w.wh)
         pc = build_preconditioner(cache, d, model.tau)
         outcome = pcg_solve(
-            apply_a=lambda v: apply_system(v, d, model.tau),
-            apply_m=lambda r: apply_preconditioner(r, pc),
+            apply_a=lambda v: apply_system(v, d, model.tau, out=ap),
+            apply_m=lambda r: apply_preconditioner(r, pc, out=z),
             b=b,
             x0=state,
             max_iters=m_cg,
             rel_tol=params.cg_rel_tol,
         )
         proposal = outcome.x
+        cg_iters = outcome.iterations
+        cg_converged = bool(outcome.converged)
+        cg_rel_residual = outcome.residual_norms[-1] / b_norm if b_norm > 0 else 0.0
+        # drop the solve's residual and this pass's weight grids before the
+        # candidate step and the next pass allocate theirs
+        del outcome, d, pc
         cand = candidate_step(state, w, g, c, model, lip)
         h_prop = eval_h_delta(proposal, w, g, c, model)
         h_cand = eval_h_delta(cand, w, g, c, model)
         sufficient = h_prop <= h_cand
-        fallback = not sufficient
-        accepted = proposal if sufficient else cand
+        state = proposal if sufficient else cand
+        del proposal, cand, w
         # h only sees differences of u, so centring changes it by round-off alone
-        accepted.u -= accepted.u.mean()
+        state.u -= state.u.mean()
 
         trace.append(
             IterationRecord(
@@ -213,11 +236,14 @@ def unwrap(x, c: WeightField | None = None, model: ModelParams | None = None,
                 m_cg=m_cg,
                 delta_rel=delta_rel,
                 h_delta=h_prop if sufficient else h_cand,
-                cg_iters=outcome.iterations,
+                cg_iters=cg_iters,
                 sufficient_decrease=sufficient,
-                fallback_used=fallback,
+                fallback_used=not sufficient,
+                cg_converged=cg_converged,
+                cg_rel_residual=float(cg_rel_residual),
             )
         )
-        state = accepted
 
-    return UnwrapResult(u=state.u, vv=state.vv, vh=state.vh, trace=trace)
+    return UnwrapResult(
+        u=state.u, vv=state.vv, vh=state.vh, trace=trace, stop_reason=stop_reason
+    )

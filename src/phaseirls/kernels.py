@@ -1,10 +1,12 @@
 """Hot inner-loop kernels: first-difference stencils and the block system map.
 
 The solver spends nearly all of its time applying these inside the conjugate
-gradient loop.  They are plain numpy expressions.  ``operators`` and ``phase``
-call them as ``kernels.<name>`` attributes, looked up at call time, so a
-caller may rebind a module attribute to wrap a kernel (the traced benchmark
-run does this to time each layer).
+gradient loop.  They are plain numpy expressions; ``apply_system_blocks``
+writes into output grids the caller provides, and its only grid-sized
+temporaries are the products ``dv * vv`` and ``dh * vh``.  ``operators``
+and ``phase`` call them as ``kernels.<name>`` attributes, looked up at call
+time, so a caller may rebind a module attribute to wrap a kernel (the traced
+benchmark run does this to time each layer).
 """
 
 import numpy as np
@@ -41,12 +43,22 @@ def adj_diff_cols(v):
     return out
 
 
-def apply_system_blocks(u, vv, vh, dv, dh, inv_tau):
-    su = diff_rows(u)
-    ut = diff_cols(u)
-    au = inv_tau * (adj_diff_rows(su - vv) + adj_diff_cols(ut - vh))
-    avv = dv * vv + inv_tau * (vv - su)
-    avh = dh * vh + inv_tau * (vh - ut)
+def apply_system_blocks(u, vv, vh, dv, dh, inv_tau, au, avv, avh):
+    # avv and avh first hold the coupling residuals S u - vv and u T - vh
+    np.subtract(u[1:, :], u[:-1, :], out=avv)
+    avv -= vv
+    np.subtract(u[:, 1:], u[:, :-1], out=avh)
+    avh -= vh
+    au.fill(0.0)
+    au[:-1, :] -= avv
+    au[1:, :] += avv
+    au[:, :-1] -= avh
+    au[:, 1:] += avh
+    au *= inv_tau
+    avv *= -inv_tau
+    avv += dv * vv
+    avh *= -inv_tau
+    avh += dh * vh
     return au, avv, avh
 
 

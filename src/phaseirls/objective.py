@@ -109,20 +109,22 @@ def _gradient(x, w, g, c, p):
     rv = apply_s(x.u) - g.gv - x.vv
     rh = apply_t(x.u) - g.gh - x.vh
     inv_tau = 1.0 / p.tau
-    gu = inv_tau * (apply_s_transpose(rv) + apply_t_transpose(rh))
-    gvv = c.cv * c.cv / w.wv * x.vv - inv_tau * rv
-    gvh = c.ch * c.ch / w.wh * x.vh - inv_tau * rh
-    return SystemVector(gu, gvv, gvh)
+    grad = SystemVector.zeros(*x.shape)
+    np.multiply(inv_tau, apply_s_transpose(rv) + apply_t_transpose(rh), out=grad.u)
+    np.subtract(c.cv * c.cv / w.wv * x.vv, inv_tau * rv, out=grad.vv)
+    np.subtract(c.ch * c.ch / w.wh * x.vh, inv_tau * rh, out=grad.vh)
+    return grad
 
 
 def candidate_step(x, w, g, c, p, lipschitz):
     """Explicit gradient step with stepsize 1/L on the lifted quadratic."""
     if lipschitz <= 0:
         raise ValueError(f"lipschitz constant must be positive, got {lipschitz}")
-    grad = _gradient(x, w, g, c, p)
-    out = x.copy()
-    out.axpy(-1.0 / lipschitz, grad)
-    return out
+    # the step is built inside the gradient's own buffer: x - grad / L
+    step = _gradient(x, w, g, c, p)
+    step.scale(-1.0 / lipschitz)
+    step.add(x)
+    return step
 
 
 def sufficient_decrease_holds(x_new, x_old, w, g, c, p, lipschitz):

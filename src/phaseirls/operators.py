@@ -36,25 +36,46 @@ class SizeLimitExceeded(ValueError):
     """Raised when a dense oracle materialization is requested above guard size."""
 
 
-@dataclass
 class SystemVector:
-    """Triple (u, vv, vh) of grids viewed as one vector of the block system."""
+    """Triple (u, vv, vh) of grids viewed as one vector of the block system.
 
-    u: np.ndarray
-    vv: np.ndarray
-    vh: np.ndarray
+    The vector owns one contiguous float64 buffer ``data``; ``u``, ``vv`` and
+    ``vh`` are reshaped views into it, so the vector algebra is one numpy call
+    on ``data``.  The constructor copies its inputs.
+    """
 
-    def __post_init__(self):
-        n, m = self.u.shape
-        if self.vv.shape != (n - 1, m) or self.vh.shape != (n, m - 1):
+    __slots__ = ("data", "u", "vv", "vh")
+
+    def __init__(self, u, vv, vh):
+        n, m = np.shape(u)
+        if np.shape(vv) != (n - 1, m) or np.shape(vh) != (n, m - 1):
             raise ValueError(
-                f"inconsistent block shapes: u {self.u.shape}, "
-                f"vv {self.vv.shape}, vh {self.vh.shape}"
+                f"inconsistent block shapes: u {np.shape(u)}, "
+                f"vv {np.shape(vv)}, vh {np.shape(vh)}"
             )
+        self._bind(np.empty(_system_dim(n, m)), n, m)
+        self.u[...] = u
+        self.vv[...] = vv
+        self.vh[...] = vh
+
+    def _bind(self, data, n, m):
+        nu = n * m
+        nv = (n - 1) * m
+        self.data = data
+        self.u = data[:nu].reshape(n, m)
+        self.vv = data[nu : nu + nv].reshape(n - 1, m)
+        self.vh = data[nu + nv :].reshape(n, m - 1)
+
+    @classmethod
+    def _wrap(cls, data, n, m):
+        """Vector whose blocks are views into ``data``; nothing is copied."""
+        out = cls.__new__(cls)
+        out._bind(data, n, m)
+        return out
 
     @classmethod
     def zeros(cls, n, m):
-        return cls(np.zeros((n, m)), np.zeros((n - 1, m)), np.zeros((n, m - 1)))
+        return cls._wrap(np.zeros(_system_dim(n, m)), n, m)
 
     @property
     def shape(self):
@@ -62,43 +83,33 @@ class SystemVector:
 
     @property
     def dim(self):
-        return self.u.size + self.vv.size + self.vh.size
+        return self.data.size
 
     def copy(self):
-        return SystemVector(self.u.copy(), self.vv.copy(), self.vh.copy())
+        return SystemVector._wrap(self.data.copy(), *self.shape)
 
     def dot(self, other):
-        return (
-            float(np.vdot(self.u, other.u))
-            + float(np.vdot(self.vv, other.vv))
-            + float(np.vdot(self.vh, other.vh))
-        )
+        return float(np.vdot(self.data, other.data))
 
     def norm(self):
         return np.sqrt(self.dot(self))
 
     def axpy(self, alpha, other):
         """self += alpha * other, in place."""
-        self.u += alpha * other.u
-        self.vv += alpha * other.vv
-        self.vh += alpha * other.vh
+        self.data += alpha * other.data
 
     def scale(self, beta):
-        self.u *= beta
-        self.vv *= beta
-        self.vh *= beta
+        self.data *= beta
 
     def add(self, other):
-        self.u += other.u
-        self.vv += other.vv
-        self.vh += other.vh
+        self.data += other.data
 
     def is_finite(self):
-        return bool(
-            np.all(np.isfinite(self.u))
-            and np.all(np.isfinite(self.vv))
-            and np.all(np.isfinite(self.vh))
-        )
+        return bool(np.isfinite(self.data).all())
+
+
+def _system_dim(n, m):
+    return n * m + (n - 1) * m + n * (m - 1)
 
 
 @dataclass(frozen=True)
@@ -135,10 +146,11 @@ def apply_t_transpose(v):
     return kernels.adj_diff_cols(v)
 
 
-def apply_system(x, d, tau):
+def apply_system(x, d, tau, out=None):
     """Apply the symmetric PSD block map of the weighted least squares system.
 
-    Returns the triple
+    Writes into ``out`` (a new vector when omitted) and returns it; ``out``
+    must not alias ``x``.  The result is the triple
 
       (1/tau) * (StS u + u TTt - St vv - vh Tt)
       dv * vv + (1/tau) * (vv - S u)
@@ -149,8 +161,12 @@ def apply_system(x, d, tau):
     """
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
-    au, avv, avh = kernels.apply_system_blocks(x.u, x.vv, x.vh, d.dv, d.dh, 1.0 / tau)
-    return SystemVector(au, avv, avh)
+    if out is None:
+        out = SystemVector.zeros(*x.shape)
+    kernels.apply_system_blocks(
+        x.u, x.vv, x.vh, d.dv, d.dh, 1.0 / tau, out.u, out.vv, out.vh
+    )
+    return out
 
 
 def build_rhs(g: GradientField, tau):
@@ -158,8 +174,11 @@ def build_rhs(g: GradientField, tau):
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
     inv_tau = 1.0 / tau
-    bu = inv_tau * (apply_s_transpose(g.gv) + apply_t_transpose(g.gh))
-    return SystemVector(bu, -inv_tau * g.gv, -inv_tau * g.gh)
+    b = SystemVector.zeros(g.gh.shape[0], g.gv.shape[1])
+    np.multiply(inv_tau, apply_s_transpose(g.gv) + apply_t_transpose(g.gh), out=b.u)
+    np.multiply(-inv_tau, g.gv, out=b.vv)
+    np.multiply(-inv_tau, g.gh, out=b.vh)
+    return b
 
 
 # ---------------------------------------------------------------------------
@@ -245,4 +264,4 @@ def unstack_system(vec, n, m):
     u = vec[:nu].reshape((n, m), order="F")
     vv = vec[nu : nu + nv].reshape((n - 1, m), order="F")
     vh = vec[nu + nv :].reshape((n, m - 1), order="F")
-    return SystemVector(u.copy(), vv.copy(), vh.copy())
+    return SystemVector(u, vv, vh)

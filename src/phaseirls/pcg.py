@@ -51,6 +51,11 @@ def pcg_solve(apply_a, apply_m, b, x0, max_iters, rel_tol):
     ``rel_tol * ||b||`` or after ``max_iters`` matrix applications, whichever
     comes first.  A vanishing curvature p'Ap <= 1e-300 ends the iteration
     with convergence judged from the current residual.
+
+    The vectors returned by ``apply_a`` and ``apply_m`` are used as scratch
+    and overwritten, so both may keep returning one preallocated buffer each
+    (as ``out=`` closures do); a returned vector must not alias the argument.
+    The solve itself allocates only ``x``, ``r`` and ``p``.
     """
     if max_iters < 0:
         raise ValueError("max_iters must be >= 0")
@@ -61,7 +66,7 @@ def pcg_solve(apply_a, apply_m, b, x0, max_iters, rel_tol):
     threshold = rel_tol * b_norm
 
     r = b.copy()
-    r.axpy(-1.0, apply_a(x))
+    r.data -= apply_a(x).data
     res_norms = [r.norm()]
     if not np.isfinite(res_norms[0]):
         raise NumericalBreakdown(0, "initial residual is not finite")
@@ -87,8 +92,11 @@ def pcg_solve(apply_a, apply_m, b, x0, max_iters, rel_tol):
             converged = res_norms[-1] <= threshold
             break
         alpha = rho / pap
-        x.axpy(alpha, p)
-        r.axpy(-alpha, ap)
+        # ap is scratch: r -= alpha ap, then x += alpha p, with axpy's rounding
+        ap.scale(-alpha)
+        r.add(ap)
+        np.multiply(p.data, alpha, out=ap.data)
+        x.add(ap)
         if (it + 1) % REPROJECT_EVERY == 0:
             project_out_constant(r)
         rn = r.norm()

@@ -2,8 +2,8 @@
 
 The u block of the preconditioner is the scaled Kronecker-sum Laplacian
 (1/tau) * (StS Z + Z TTt).  Applying its pseudo-inverse reduces, in the
-eigenbases of the two 1-D Neumann second-difference operators, to a diagonal
-division; the single (0, 0) spectral coefficient belonging to the shared
+eigenbases of the two 1-D Neumann second-difference operators, to a pointwise
+product; the single (0, 0) spectral coefficient belonging to the shared
 constant mode is zeroed, which keeps every iterate orthogonal to the
 nullspace.  The eigenpairs are the closed-form DCT-II cosines (Ghiglia &
 Romero, JOSA A 11(1), 1994), so no eigendecomposition runs.  The slack blocks
@@ -33,13 +33,16 @@ class SpectralCache:
     The bases are the orthonormal DCT-II cosines and the eigenvalues
     ``4 sin^2(pi k / 2n)``, both in closed form.  Eigenvalues are ascending
     with the leading entry exactly zero (the constant mode); the bases are
-    orthogonal and reconstruct the operators.
+    orthogonal and reconstruct the operators.  ``multiplier`` holds
+    ``1 / (lambda_s[i] + lambda_t[j])`` with the constant-mode (0, 0) entry
+    set to zero: the spectral pseudo-inverse of the Kronecker-sum Laplacian.
     """
 
     lambda_s: np.ndarray
     lambda_t: np.ndarray
     basis_s: np.ndarray
     basis_t: np.ndarray
+    multiplier: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -71,24 +74,33 @@ def build_spectral_cache(n, m):
         raise ValueError("grid dimensions must be >= 1")
     lam_s, p_s = _eig_neumann(n)
     lam_t, p_t = _eig_neumann(m)
-    return SpectralCache(lambda_s=lam_s, lambda_t=lam_t, basis_s=p_s, basis_t=p_t)
+    denom = lam_s[:, None] + lam_t[None, :]
+    denom[0, 0] = 1.0
+    mult = 1.0 / denom
+    mult[0, 0] = 0.0
+    return SpectralCache(
+        lambda_s=lam_s, lambda_t=lam_t, basis_s=p_s, basis_t=p_t, multiplier=mult
+    )
 
 
-def sylvester_solve(r, tau, cache):
+def sylvester_solve(r, tau, cache, out=None):
     """Solve StS Z + Z TTt = tau * (r - mean(r)) with mean(Z) = 0.
 
     The transform pair costs two dense matrix products; the spectral system
-    in between is a pointwise division with the constant-mode coefficient
-    pinned to zero (pseudo-inverse of the singular operator).
+    in between is a pointwise product with ``cache.multiplier``, whose zero
+    constant-mode entry makes it the pseudo-inverse of the singular operator.
+    Writes into ``out`` (a new grid when omitted) and returns it.
     """
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
-    rp = cache.basis_s.T @ r @ cache.basis_t
-    denom = cache.lambda_s[:, None] + cache.lambda_t[None, :]
-    zero = denom == 0.0
-    zp = tau * rp / np.where(zero, 1.0, denom)
-    zp[zero] = 0.0
-    return cache.basis_s @ zp @ cache.basis_t.T
+    if out is None:
+        out = np.empty(np.shape(r))
+    tmp = cache.basis_s.T @ r
+    np.matmul(tmp, cache.basis_t, out=out)
+    out *= cache.multiplier
+    out *= tau
+    np.matmul(cache.basis_s, out, out=tmp)
+    return np.matmul(tmp, cache.basis_t.T, out=out)
 
 
 def build_preconditioner(cache, d: DiagonalWeights, tau):
@@ -100,7 +112,15 @@ def build_preconditioner(cache, d: DiagonalWeights, tau):
     )
 
 
-def apply_preconditioner(r: SystemVector, pc: PreconditionerState):
-    """Pseudo-inverse of the block-diagonal preconditioner applied to ``r``."""
-    zu = sylvester_solve(r.u, pc.tau, pc.cache)
-    return SystemVector(zu, r.vv / pc.slack_v, r.vh / pc.slack_h)
+def apply_preconditioner(r: SystemVector, pc: PreconditionerState, out=None):
+    """Pseudo-inverse of the block-diagonal preconditioner applied to ``r``.
+
+    Writes into ``out`` (a new vector when omitted) and returns it; ``out``
+    must not alias ``r``.
+    """
+    if out is None:
+        out = SystemVector.zeros(*r.shape)
+    sylvester_solve(r.u, pc.tau, pc.cache, out=out.u)
+    np.divide(r.vv, pc.slack_v, out=out.vv)
+    np.divide(r.vh, pc.slack_h, out=out.vh)
+    return out

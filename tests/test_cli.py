@@ -62,7 +62,10 @@ class TestUnwrapCommand:
 
         records = [json.loads(line) for line in trace.read_text().splitlines()]
         assert records
-        assert set(records[0]) == {"k", "m_cg", "delta_rel", "h_delta", "cg_iters", "fallback"}
+        assert set(records[0]) == {
+            "k", "m_cg", "delta_rel", "h_delta", "cg_iters", "fallback",
+            "cg_converged", "cg_rel_residual",
+        }
         assert records[0]["k"] == 0
         assert records[0]["delta_rel"] is None
         h = [r["h_delta"] for r in records]
@@ -158,7 +161,7 @@ class TestUnwrapCommand:
         assert shift_error(u, truth).max_abs < 1e-10
 
     def test_solver_breakdown_exits_4(self, tmp_path, capsys, monkeypatch, ramp_files):
-        def non_finite(x, d, tau):
+        def non_finite(x, d, tau, out=None):
             n, m = x.shape
             return SystemVector(
                 np.full((n, m), np.nan), np.zeros((n - 1, m)), np.zeros((n, m - 1))

@@ -12,6 +12,7 @@ from phaseirls.objective import (
     update_weights,
 )
 from phaseirls.operators import SystemVector, unstack_system
+from phaseirls.pcg import pcg_solve
 from phaseirls.phase import (
     TWO_PI,
     WeightField,
@@ -204,6 +205,42 @@ class TestUnwrap:
         final = SystemVector(res.u, res.vv, res.vh)
         want = eval_h_delta(final, update_weights(initial, c, model.delta), g, c, model)
         assert res.trace.records[0].h_delta == pytest.approx(want, rel=1e-12)
+
+
+class TestObservability:
+    def test_budget_heuristic_stop(self):
+        spec = SceneSpec("gaussian-bumps", 32, 32, amplitude=5.0, feature_scale=7.0, seed=3)
+        res = unwrap(wrap_scene(generate_scene(spec)))
+        assert len(res.trace) < DEFAULTS.max_outer_iters
+        assert res.stop_reason == "heuristic"
+
+    def test_outer_cap_stop(self):
+        spec = SceneSpec("gaussian-bumps", 32, 32, amplitude=5.0, feature_scale=7.0, seed=3)
+        res = unwrap(wrap_scene(generate_scene(spec)), params=IrlsParams(max_outer_iters=2))
+        assert len(res.trace) == 2
+        assert res.stop_reason == "max_outer"
+
+    def test_records_carry_each_solve_outcome(self, monkeypatch):
+        solves = []
+
+        def recording(*args, **kwargs):
+            out = pcg_solve(*args, **kwargs)
+            solves.append((out.converged, out.residual_norms[-1] / kwargs["b"].norm()))
+            return out
+
+        monkeypatch.setattr(irls, "pcg_solve", recording)
+        spec = SceneSpec("gaussian-bumps", 24, 31, amplitude=5.0, feature_scale=6.0, seed=4)
+        res = unwrap(add_phase_noise(wrap_scene(generate_scene(spec)), 0.3, seed=5))
+        assert len(solves) == len(res.trace)
+        for rec, (converged, rel) in zip(res.trace.records, solves):
+            assert type(rec.cg_converged) is bool and rec.cg_converged == converged
+            assert rec.cg_rel_residual == rel
+            assert rec.cg_converged == (rel <= DEFAULTS.cg_rel_tol)
+
+    def test_zero_rhs_reports_zero_residual(self):
+        res = unwrap(np.full((5, 6), 1.25))
+        assert all(rec.cg_rel_residual == 0.0 for rec in res.trace.records)
+        assert all(rec.cg_converged for rec in res.trace.records)
 
 
 def _noisy_bumps(rows, cols):

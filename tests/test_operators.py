@@ -189,3 +189,87 @@ class TestStacking:
         assert np.array_equal(back.u, x.u)
         assert np.array_equal(back.vv, x.vv)
         assert np.array_equal(back.vh, x.vh)
+
+
+class TestSystemVectorBuffer:
+    def test_blocks_are_views_into_one_buffer(self, rng):
+        x = random_state(rng, 5, 4)
+        assert x.data.flags.c_contiguous and x.data.dtype == np.float64
+        assert x.data.size == x.dim == 5 * 4 + 4 * 4 + 5 * 3
+        for block in (x.u, x.vv, x.vh):
+            assert np.shares_memory(x.data, block)
+        x.data[:] = 3.0
+        assert np.all(x.u == 3.0) and np.all(x.vv == 3.0) and np.all(x.vh == 3.0)
+
+    def test_constructor_copies_its_inputs(self, rng):
+        u = rng.standard_normal((4, 3))
+        vv = rng.standard_normal((3, 3))
+        vh = rng.standard_normal((4, 2))
+        x = SystemVector(u, vv, vh)
+        want = stack_system(x)
+        u[:] = np.nan
+        vv[:] = np.nan
+        vh[:] = np.nan
+        assert np.array_equal(stack_system(x), want)
+
+    def test_copy_owns_a_new_buffer(self, rng):
+        x = random_state(rng, 3, 5)
+        y = x.copy()
+        assert not np.shares_memory(x.data, y.data)
+        assert np.array_equal(x.data, y.data)
+
+    def test_rejects_inconsistent_blocks(self):
+        with pytest.raises(ValueError):
+            SystemVector(np.zeros((3, 3)), np.zeros((3, 3)), np.zeros((3, 2)))
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (7, 1)])
+    def test_zeros_with_empty_slack_blocks(self, shape):
+        n, m = shape
+        x = SystemVector.zeros(n, m)
+        assert x.u.shape == (n, m)
+        assert x.vv.shape == (n - 1, m)
+        assert x.vh.shape == (n, m - 1)
+        assert x.dim == n * m + (n - 1) * m + n * (m - 1)
+        assert x.norm() == 0.0
+        x.data += 1.0
+        assert x.dot(x) == float(x.dim)
+
+    def test_algebra_matches_blockwise_arithmetic(self, rng):
+        x = random_state(rng, 6, 5)
+        y = random_state(rng, 6, 5)
+        want = np.vdot(x.u, y.u) + np.vdot(x.vv, y.vv) + np.vdot(x.vh, y.vh)
+        assert x.dot(y) == pytest.approx(want, rel=1e-13)
+        z = x.copy()
+        z.axpy(-0.5, y)
+        assert np.array_equal(z.vh, x.vh + (-0.5) * y.vh)
+        z.scale(2.0)
+        z.add(y)
+        assert np.array_equal(z.u, 2.0 * (x.u + (-0.5) * y.u) + y.u)
+        assert z.is_finite()
+        z.vv[0, 0] = np.inf
+        assert not z.is_finite()
+
+
+class TestApplySystemOut:
+    @pytest.mark.parametrize("shape", [(4, 4), (1, 6), (6, 1), (3, 5)])
+    def test_writes_into_out_bit_for_bit(self, rng, shape):
+        n, m = shape
+        d = random_diag(rng, n, m)
+        tau = 0.03
+        x = random_state(rng, n, m)
+        buf = SystemVector.zeros(n, m)
+        buf.data[:] = np.nan  # every entry must be overwritten
+        got = apply_system(x, d, tau, out=buf)
+        assert got is buf
+        assert np.array_equal(got.data, apply_system(x, d, tau).data)
+        want = materialize_dense_system(n, m, d, tau) @ stack_system(x)
+        assert np.max(np.abs(stack_system(got) - want)) < 1e-10
+
+    def test_reused_out_holds_only_the_last_result(self, rng):
+        n, m = 5, 4
+        d = random_diag(rng, n, m)
+        buf = SystemVector.zeros(n, m)
+        apply_system(random_state(rng, n, m), d, 0.1, out=buf)
+        x = random_state(rng, n, m)
+        apply_system(x, d, 0.1, out=buf)
+        assert np.array_equal(buf.data, apply_system(x, d, 0.1).data)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -136,3 +138,41 @@ class TestBreakdown:
             pcg_solve(apply_a, apply_m, b, SystemVector.zeros(n, m), -1, 1e-10)
         with pytest.raises(ValueError):
             pcg_solve(apply_a, apply_m, b, SystemVector.zeros(n, m), 5, -0.1)
+
+
+class TestAllocations:
+    """The CG iteration reuses its vectors: only x, r and p are allocated."""
+
+    n, m = 96, 80
+
+    def _solve_peak(self, rng, max_iters):
+        n, m = self.n, self.m
+        d = random_diagonal_weights(n, m, DELTA, seed=8)
+        b = build_rhs(random_gradients(rng, n, m), TAU)
+        pc = build_preconditioner(build_spectral_cache(n, m), d, TAU)
+        # one scratch vector per map, allocated once, as irls.unwrap does
+        ap = SystemVector.zeros(n, m)
+        z = SystemVector.zeros(n, m)
+        x0 = SystemVector.zeros(n, m)
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            out = pcg_solve(
+                lambda v: apply_system(v, d, TAU, out=ap),
+                lambda r: apply_preconditioner(r, pc, out=z),
+                b, x0, max_iters, 0.0,
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.iterations == max_iters
+        return peak - entry, b.data.nbytes, n * m * 8
+
+    def test_peak_is_three_vectors_and_three_grids(self, rng):
+        peak, vector, grid = self._solve_peak(rng, 20)
+        assert peak <= 3 * vector + 3 * grid, f"peak {peak / grid:.1f} grids"
+
+    def test_peak_does_not_grow_with_iterations(self, rng):
+        short, _, grid = self._solve_peak(rng, 4)
+        long, _, _ = self._solve_peak(rng, 40)
+        assert long <= short + grid, f"{short / grid:.1f} -> {long / grid:.1f} grids"

@@ -178,6 +178,45 @@ class TestApplyPreconditioner:
             assert mx.dot(x) >= -1e-10 * x.dot(x)
 
 
+class TestOutArguments:
+    @pytest.mark.parametrize("shape", [(4, 4), (1, 6), (6, 1), (3, 5)])
+    def test_apply_preconditioner_writes_into_out(self, rng, shape):
+        n, m = shape
+        tau = 1e-2
+        d = random_diag(rng, n, m)
+        pc = build_preconditioner(build_spectral_cache(n, m), d, tau)
+        r = random_state(rng, n, m)
+        buf = SystemVector.zeros(n, m)
+        buf.data[:] = np.nan  # every entry must be overwritten
+        got = apply_preconditioner(r, pc, out=buf)
+        assert got is buf
+        assert np.array_equal(got.data, apply_preconditioner(r, pc).data)
+        want = np.linalg.pinv(materialize_dense_preconditioner(n, m, d, tau)) @ stack_system(r)
+        assert np.max(np.abs(stack_system(got) - want)) <= 1e-10 * max(1.0, np.abs(want).max())
+
+    @pytest.mark.parametrize("shape", [(4, 4), (1, 6), (6, 1), (3, 5)])
+    def test_sylvester_solve_writes_into_out(self, rng, shape):
+        n, m = shape
+        tau = 0.37
+        cache = build_spectral_cache(n, m)
+        r = rng.standard_normal((n, m))
+        buf = np.full((n, m), np.nan)
+        got = sylvester_solve(r, tau, cache, out=buf)
+        assert got is buf
+        assert np.array_equal(got, sylvester_solve(r, tau, cache))
+        sts = dense_s(n).T @ dense_s(n)
+        ttt = dense_t(m) @ dense_t(m).T
+        kron_sum = np.kron(np.eye(m), sts) + np.kron(ttt, np.eye(n))
+        want = (np.linalg.pinv(kron_sum) @ (tau * r.ravel(order="F"))).reshape((n, m), order="F")
+        assert np.max(np.abs(got - want)) < 1e-10
+
+    def test_multiplier_pins_the_constant_mode(self):
+        cache = build_spectral_cache(5, 3)
+        assert cache.multiplier[0, 0] == 0.0
+        denom = cache.lambda_s[:, None] + cache.lambda_t[None, :]
+        assert np.array_equal(cache.multiplier.ravel()[1:], 1.0 / denom.ravel()[1:])
+
+
 class TestProjection:
     def test_idempotent(self, rng):
         x = random_state(rng, 6, 6)
