@@ -1,12 +1,14 @@
-"""Hot inner-loop kernels: first-difference stencils and the block system map.
+"""Hot inner-loop kernels: first-difference stencils and the two system maps.
 
-The solver spends nearly all of its time applying these inside the conjugate
-gradient loop.  They are plain numpy expressions; ``apply_system_blocks``
-writes into output grids the caller provides, and its only grid-sized
-temporaries are the products ``dv * vv`` and ``dh * vh``.  ``operators``
-and ``phase`` call them as ``kernels.<name>`` attributes, looked up at call
-time, so a caller may rebind a module attribute to wrap a kernel (the traced
-benchmark run does this to time each layer).
+The conjugate gradient loop applies ``weighted_laplacian``, the map of the
+reduced system in u, once per iteration; ``apply_system_blocks`` is the map
+of the full (u, vv, vh) block system.  They are plain numpy expressions
+writing into output grids the caller provides: ``adj_diffs`` and
+``weighted_laplacian`` allocate nothing, and the only grid-sized temporaries
+of ``apply_system_blocks`` are the products ``dv * vv`` and ``dh * vh``.
+``operators`` and ``phase`` call them as ``kernels.<name>`` attributes,
+looked up at call time, so a caller may rebind a module attribute to wrap a
+kernel (the traced benchmark run does this to time each layer).
 """
 
 import numpy as np
@@ -17,6 +19,8 @@ __all__ = [
     "adj_diff_rows",
     "adj_diff_cols",
     "apply_system_blocks",
+    "adj_diffs",
+    "weighted_laplacian",
     "current_backend",
 ]
 
@@ -60,6 +64,26 @@ def apply_system_blocks(u, vv, vh, dv, dh, inv_tau, au, avv, avh):
     avh *= -inv_tau
     avh += dh * vh
     return au, avv, avh
+
+
+def adj_diffs(fv, fh, out):
+    """out = St fv + fh Tt, the adjoint of both difference maps, in place."""
+    np.negative(fv, out=out[:-1, :])
+    out[-1, :] = 0.0
+    out[1:, :] += fv
+    out[:, :-1] -= fh
+    out[:, 1:] += fh
+    return out
+
+
+def weighted_laplacian(u, wv, wh, fv, fh, out):
+    """out = St (wv * S u) + (wh * u T) Tt; fv and fh are arc-shaped scratch."""
+    # fv and fh hold the weighted arc differences, then flow back to the pixels
+    np.subtract(u[1:, :], u[:-1, :], out=fv)
+    fv *= wv
+    np.subtract(u[:, 1:], u[:, :-1], out=fh)
+    fh *= wh
+    return adj_diffs(fv, fh, out)
 
 
 def current_backend():

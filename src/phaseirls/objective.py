@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import SystemVector, apply_s, apply_s_transpose, apply_t, apply_t_transpose
+from .operators import DiagonalWeights, SystemVector, apply_s, apply_system, apply_t, build_rhs
 
 __all__ = [
     "ModelParams",
@@ -105,23 +105,16 @@ def lipschitz_constant(c, p):
     return 12.0 / p.tau + c.max_weight**2 / p.delta
 
 
-def _gradient(x, w, g, c, p):
-    rv = apply_s(x.u) - g.gv - x.vv
-    rh = apply_t(x.u) - g.gh - x.vh
-    inv_tau = 1.0 / p.tau
-    grad = SystemVector.zeros(*x.shape)
-    np.multiply(inv_tau, apply_s_transpose(rv) + apply_t_transpose(rh), out=grad.u)
-    np.subtract(c.cv * c.cv / w.wv * x.vv, inv_tau * rv, out=grad.vv)
-    np.subtract(c.ch * c.ch / w.wh * x.vh, inv_tau * rh, out=grad.vh)
-    return grad
-
-
 def candidate_step(x, w, g, c, p, lipschitz):
     """Explicit gradient step with stepsize 1/L on the lifted quadratic."""
     if lipschitz <= 0:
         raise ValueError(f"lipschitz constant must be positive, got {lipschitz}")
-    # the step is built inside the gradient's own buffer: x - grad / L
-    step = _gradient(x, w, g, c, p)
+    # the lifted quadratic's gradient is the block system's residual A x - b
+    # with d = c^2 / w; the step x - grad / L is built inside its buffer
+    d = DiagonalWeights(c.cv * c.cv / w.wv, c.ch * c.ch / w.wh)
+    step = apply_system(x, d, p.tau)
+    del d
+    step.data -= build_rhs(g, p.tau).data
     step.scale(-1.0 / lipschitz)
     step.add(x)
     return step

@@ -1,9 +1,20 @@
-"""Matrix-free difference operators and the block system map.
+"""Matrix-free difference operators, the block system map and its reduction.
 
 The unknown is kept in matrix layout as a triple (u, vv, vh) of grids; the
-system map and its building blocks never materialize a matrix.  Dense
-materializations exist only as small-instance test oracles and follow the
-column-stacking vec() convention, so ``vec(X) = X.ravel(order="F")``.
+system map and its building blocks never materialize a matrix.  For fixed
+diagonal weights d each slack has a closed-form minimizer given u,
+``vv = (S u - gv) / (1 + tau dv)`` and likewise vh, so the block system
+reduces to the weighted Poisson problem in u alone
+
+  St (Wv * S u) + (Wh * u T) Tt = St (Wv * gv) + (Wh * gh) Tt,
+  W = d / (1 + tau d) = c^2 / (w + tau c^2) <= 1/tau,
+
+the classical weighted least squares unwrapping system (Ghiglia & Romero,
+JOSA A 11(1), 1994).  The solver runs its conjugate gradient on this system;
+the block map stays as the paper's formulation and as the gradient of the
+safeguard step.  Dense materializations exist only as small-instance test
+oracles and follow the column-stacking vec() convention, so
+``vec(X) = X.ravel(order="F")``.
 """
 
 from dataclasses import dataclass
@@ -23,6 +34,10 @@ __all__ = [
     "apply_t_transpose",
     "apply_system",
     "build_rhs",
+    "reduced_weights",
+    "apply_reduced_system",
+    "build_reduced_rhs",
+    "recover_slacks",
     "materialize_dense_system",
     "materialize_dense_preconditioner",
     "stack_system",
@@ -67,15 +82,17 @@ class SystemVector:
         self.vh = data[nu + nv :].reshape(n, m - 1)
 
     @classmethod
-    def _wrap(cls, data, n, m):
-        """Vector whose blocks are views into ``data``; nothing is copied."""
+    def from_buffer(cls, data, n, m):
+        """Vector whose blocks are views into the flat ``data``; nothing is copied."""
+        if data.shape != (_system_dim(n, m),):
+            raise ValueError(f"buffer of shape {data.shape} does not fit an ({n}, {m}) grid")
         out = cls.__new__(cls)
         out._bind(data, n, m)
         return out
 
     @classmethod
     def zeros(cls, n, m):
-        return cls._wrap(np.zeros(_system_dim(n, m)), n, m)
+        return cls.from_buffer(np.zeros(_system_dim(n, m)), n, m)
 
     @property
     def shape(self):
@@ -86,7 +103,7 @@ class SystemVector:
         return self.data.size
 
     def copy(self):
-        return SystemVector._wrap(self.data.copy(), *self.shape)
+        return SystemVector.from_buffer(self.data.copy(), *self.shape)
 
     def dot(self, other):
         return float(np.vdot(self.data, other.data))
@@ -175,10 +192,81 @@ def build_rhs(g: GradientField, tau):
         raise ValueError(f"tau must be positive, got {tau}")
     inv_tau = 1.0 / tau
     b = SystemVector.zeros(g.gh.shape[0], g.gv.shape[1])
-    np.multiply(inv_tau, apply_s_transpose(g.gv) + apply_t_transpose(g.gh), out=b.u)
+    kernels.adj_diffs(g.gv, g.gh, b.u)
+    b.u *= inv_tau
     np.multiply(-inv_tau, g.gv, out=b.vv)
     np.multiply(-inv_tau, g.gh, out=b.vh)
     return b
+
+
+def reduced_weights(c, w, tau, out=None):
+    """Weights ``c^2 / (w + tau c^2)`` of the reduced system; 0 where c = 0.
+
+    ``c`` holds the arc weights (cv, ch), ``w`` the auxiliary weights (wv, wh).
+    Writes into the DiagonalWeights ``out`` (new grids when omitted).
+    """
+    if tau <= 0:
+        raise ValueError(f"tau must be positive, got {tau}")
+    if out is None:
+        out = DiagonalWeights(np.empty(c.cv.shape), np.empty(c.ch.shape))
+    for cc, ww, o in ((c.cv, w.wv, out.dv), (c.ch, w.wh, out.dh)):
+        np.multiply(cc, cc, out=o)
+        o /= ww + tau * o
+    return out
+
+
+def _flux_scratch(wr, flux):
+    if flux is None:
+        flux = (np.empty(wr.dv.shape), np.empty(wr.dh.shape))
+    return flux
+
+
+def apply_reduced_system(u, wr, out=None, flux=None):
+    """Apply the reduced map ``St (Wv * S u) + (Wh * u T) Tt`` to the grid ``u``.
+
+    ``wr`` holds the reduced weights.  Writes into ``out`` (a new grid when
+    omitted), which must not alias ``u``; ``flux`` is an optional pair of
+    scratch grids shaped like (Wv, Wh).  The map is symmetric PSD and
+    annihilates constants.
+    """
+    if out is None:
+        out = np.empty(np.shape(u))
+    return kernels.weighted_laplacian(u, wr.dv, wr.dh, *_flux_scratch(wr, flux), out)
+
+
+def build_reduced_rhs(g: GradientField, wr, out=None, flux=None):
+    """Right-hand side ``St (Wv * gv) + (Wh * gh) Tt`` of the reduced system.
+
+    Sums to zero, so it is orthogonal to the constant mode.  Writes into
+    ``out`` (a new grid when omitted); ``flux`` is scratch as for
+    ``apply_reduced_system``.
+    """
+    if out is None:
+        out = np.empty((g.gh.shape[0], g.gv.shape[1]))
+    fv, fh = _flux_scratch(wr, flux)
+    np.multiply(wr.dv, g.gv, out=fv)
+    np.multiply(wr.dh, g.gh, out=fh)
+    return kernels.adj_diffs(fv, fh, out)
+
+
+def recover_slacks(u, g: GradientField, wr, tau, out=None):
+    """The triple (u, vv, vh) with each slack at its minimizer given ``u``.
+
+    ``vv = (S u - gv) * (1 - tau Wv)`` and ``vh = (u T - gh) * (1 - tau Wh)``.
+    Writes into the SystemVector ``out`` (a new vector when omitted).
+    """
+    if tau <= 0:
+        raise ValueError(f"tau must be positive, got {tau}")
+    if out is None:
+        out = SystemVector.zeros(*np.shape(u))
+    out.u[...] = u
+    np.subtract(u[1:, :], u[:-1, :], out=out.vv)
+    out.vv -= g.gv
+    out.vv -= tau * wr.dv * out.vv
+    np.subtract(u[:, 1:], u[:, :-1], out=out.vh)
+    out.vh -= g.gh
+    out.vh -= tau * wr.dh * out.vh
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
-"""Preconditioned conjugate gradient over the matrix-free block system.
+"""Preconditioned conjugate gradient over float64 arrays.
 
-The system map is singular with a one-dimensional nullspace (the constant u
-mode) but every right-hand side produced by the solver lies in its range, so
-plain CG theory applies.  The preconditioner shares the nullspace and its
-pseudo-inverse never reintroduces a constant component; as a safety net
-against floating-point drift the residual's u block is re-projected onto the
-mean-zero subspace every ``REPROJECT_EVERY`` iterations.
+The solver runs it on the reduced system in u alone; the tests also run it on
+the full (u, vv, vh) block system through its flat ``SystemVector.data``
+buffers.  Both maps are singular with a one-dimensional nullspace (the
+constant u mode) but every right-hand side produced by the solver lies in
+their range, so plain CG theory applies.  The preconditioners share the
+nullspace and their pseudo-inverses never reintroduce a constant component;
+as a safety net against floating-point drift the residual is passed through
+the caller's constant-mode projection every ``REPROJECT_EVERY`` iterations.
 """
 
 from dataclasses import dataclass, field
@@ -14,7 +16,13 @@ import numpy as np
 
 from .operators import SystemVector
 
-__all__ = ["NumericalBreakdown", "PcgOutcome", "pcg_solve", "project_out_constant"]
+__all__ = [
+    "NumericalBreakdown",
+    "PcgOutcome",
+    "pcg_solve",
+    "project_out_constant",
+    "remove_mean",
+]
 
 REPROJECT_EVERY = 50
 
@@ -31,43 +39,52 @@ class NumericalBreakdown(RuntimeError):
 
 @dataclass
 class PcgOutcome:
-    x: SystemVector
+    x: np.ndarray
     iterations: int
     residual_norms: list = field(default_factory=list)
     converged: bool = False
-    residual: SystemVector | None = None
+    residual: np.ndarray | None = None
+
+
+def remove_mean(a):
+    """Remove the mean of a grid, in place: the reduced system's projection."""
+    a -= a.mean()
+    return a
 
 
 def project_out_constant(x: SystemVector):
     """Remove the constant mode from the u block, in place.  Idempotent."""
-    x.u -= x.u.mean()
+    remove_mean(x.u)
     return x
 
 
-def pcg_solve(apply_a, apply_m, b, x0, max_iters, rel_tol):
+def pcg_solve(apply_a, apply_m, b, x0, max_iters, rel_tol, project):
     """Conjugate gradient on ``apply_a(x) = b`` preconditioned by ``apply_m``.
 
     Stops when the unpreconditioned residual norm drops to
     ``rel_tol * ||b||`` or after ``max_iters`` matrix applications, whichever
     comes first.  A vanishing curvature p'Ap <= 1e-300 ends the iteration
-    with convergence judged from the current residual.
+    with convergence judged from the current residual, and a vanishing
+    preconditioned product r'z = 0 ends it unconverged.
 
-    The vectors returned by ``apply_a`` and ``apply_m`` are used as scratch
-    and overwritten, so both may keep returning one preallocated buffer each
-    (as ``out=`` closures do); a returned vector must not alias the argument.
-    The solve itself allocates only ``x``, ``r`` and ``p``.
+    ``b`` and ``x0`` are float64 arrays of one shape, and the maps take and
+    return arrays of that shape.  ``project(r)`` removes the nullspace
+    component of a residual in place; it runs every ``REPROJECT_EVERY``
+    iterations.  The arrays returned by ``apply_a`` and ``apply_m`` are used
+    as scratch and overwritten, so both may keep returning one preallocated
+    buffer each (as ``out=`` closures do); a returned array must not alias
+    the argument.  The solve itself allocates only ``x``, ``r`` and ``p``.
     """
     if max_iters < 0:
         raise ValueError("max_iters must be >= 0")
     if rel_tol < 0:
         raise ValueError("rel_tol must be >= 0")
-    x = x0.copy()
-    b_norm = b.norm()
-    threshold = rel_tol * b_norm
+    x = np.array(x0, dtype=np.float64)
+    threshold = rel_tol * np.linalg.norm(b)
 
-    r = b.copy()
-    r.data -= apply_a(x).data
-    res_norms = [r.norm()]
+    r = np.array(b, dtype=np.float64)
+    r -= apply_a(x)
+    res_norms = [np.linalg.norm(r)]
     if not np.isfinite(res_norms[0]):
         raise NumericalBreakdown(0, "initial residual is not finite")
     if res_norms[0] <= threshold or max_iters == 0:
@@ -81,11 +98,11 @@ def pcg_solve(apply_a, apply_m, b, x0, max_iters, rel_tol):
 
     z = apply_m(r)
     p = z.copy()
-    rho = r.dot(z)
+    rho = float(np.vdot(r, z))
     converged = False
     for it in range(max_iters):
         ap = apply_a(p)
-        pap = p.dot(ap)
+        pap = float(np.vdot(p, ap))
         if not np.isfinite(pap):
             raise NumericalBreakdown(it, "curvature p'Ap is not finite")
         if pap <= _TINY_CURVATURE:
@@ -93,13 +110,13 @@ def pcg_solve(apply_a, apply_m, b, x0, max_iters, rel_tol):
             break
         alpha = rho / pap
         # ap is scratch: r -= alpha ap, then x += alpha p, with axpy's rounding
-        ap.scale(-alpha)
-        r.add(ap)
-        np.multiply(p.data, alpha, out=ap.data)
-        x.add(ap)
+        ap *= -alpha
+        r += ap
+        np.multiply(p, alpha, out=ap)
+        x += ap
         if (it + 1) % REPROJECT_EVERY == 0:
-            project_out_constant(r)
-        rn = r.norm()
+            project(r)
+        rn = np.linalg.norm(r)
         if not np.isfinite(rn):
             raise NumericalBreakdown(it + 1, "residual norm is not finite")
         res_norms.append(rn)
@@ -107,13 +124,16 @@ def pcg_solve(apply_a, apply_m, b, x0, max_iters, rel_tol):
             converged = True
             break
         z = apply_m(r)
-        rho_next = r.dot(z)
+        rho_next = float(np.vdot(r, z))
         if not np.isfinite(rho_next):
             raise NumericalBreakdown(it + 1, "preconditioned product is not finite")
+        if rho_next == 0.0:
+            # the preconditioned residual vanished: no search direction is left
+            break
         beta = rho_next / rho
         rho = rho_next
-        p.scale(beta)
-        p.add(z)
+        p *= beta
+        p += z
 
     return PcgOutcome(
         x=x,

@@ -1,13 +1,15 @@
-"""Block-diagonal preconditioner with a spectral Sylvester solve on the u block.
+"""Spectral Sylvester solve, and the block-diagonal preconditioner built on it.
 
-The u block of the preconditioner is the scaled Kronecker-sum Laplacian
-(1/tau) * (StS Z + Z TTt).  Applying its pseudo-inverse reduces, in the
-eigenbases of the two 1-D Neumann second-difference operators, to a pointwise
-product; the single (0, 0) spectral coefficient belonging to the shared
-constant mode is zeroed, which keeps every iterate orthogonal to the
-nullspace.  The eigenpairs are the closed-form DCT-II cosines (Ghiglia &
-Romero, JOSA A 11(1), 1994), so no eigendecomposition runs.  The slack blocks
-are plain diagonal divisions.
+``sylvester_solve`` applies the pseudo-inverse of the scaled Kronecker-sum
+Laplacian (1/tau) * (StS Z + Z TTt).  In the eigenbases of the two 1-D
+Neumann second-difference operators this is a pointwise product; the single
+(0, 0) spectral coefficient belonging to the shared constant mode is zeroed,
+which keeps every iterate orthogonal to the nullspace.  The eigenpairs are
+the closed-form DCT-II cosines (Ghiglia & Romero, JOSA A 11(1), 1994), so no
+eigendecomposition runs.  The solver uses it alone as the preconditioner of
+the reduced system in u, whose weights are at most 1/tau.  The
+block-diagonal preconditioner of the full (u, vv, vh) system (the paper's
+formulation) adds plain diagonal divisions for the slack blocks.
 """
 
 from dataclasses import dataclass

@@ -2,12 +2,14 @@
 
 Everything here is deliberately built from first principles (index rules,
 eye-shifts, scalar loops, dense linear algebra) so it shares no code with
-the implementations it checks.
+the implementations it checks.  The one exception is ``pcg_solve_blocks``,
+an adapter that runs the solver's array PCG on the full block system.
 """
 
 import numpy as np
 
 from phaseirls.operators import SystemVector
+from phaseirls.pcg import pcg_solve, project_out_constant
 from phaseirls.phase import GradientField, WeightField
 
 
@@ -153,3 +155,29 @@ def plain_cg_dense(a, b, x0, iters):
         p = r + beta * p
         iterates.append(x.copy())
     return iterates
+
+
+def pcg_solve_blocks(apply_a, apply_m, b, x0, max_iters, rel_tol):
+    """``pcg_solve`` on the full (u, vv, vh) system through its flat buffers.
+
+    The maps take and return SystemVectors, as ``apply_system`` and
+    ``apply_preconditioner`` do; the outcome's ``x`` and ``residual`` come
+    back as SystemVectors viewing PCG's own arrays.
+    """
+    n, m = b.shape
+
+    def view(data):
+        return SystemVector.from_buffer(data, n, m)
+
+    out = pcg_solve(
+        lambda v: apply_a(view(v)).data,
+        lambda r: apply_m(view(r)).data,
+        b.data,
+        x0.data,
+        max_iters=max_iters,
+        rel_tol=rel_tol,
+        project=lambda r: project_out_constant(view(r)),
+    )
+    out.x = view(out.x)
+    out.residual = view(out.residual)
+    return out

@@ -36,7 +36,6 @@ from phaseirls.operators import (
     stack_system,
     unstack_system,
 )
-from phaseirls.pcg import pcg_solve
 from phaseirls.phase import TWO_PI, WeightField, congruent_round, shift_error
 from phaseirls.preconditioner import (
     apply_preconditioner,
@@ -46,7 +45,15 @@ from phaseirls.preconditioner import (
 )
 from phaseirls.synth import SceneSpec, add_phase_noise, generate_scene, wrap_scene
 
-from oracles import dense_s, dense_t, plain_cg_dense, random_gradients, random_state, random_weights
+from oracles import (
+    dense_s,
+    dense_t,
+    pcg_solve_blocks,
+    plain_cg_dense,
+    random_gradients,
+    random_state,
+    random_weights,
+)
 
 
 def _finish(number, ok, t0, limit, detail):
@@ -114,7 +121,7 @@ def test_criterion_03_pcg_matches_dense_minimum_norm():
     a = materialize_dense_system(n, m, d, tau)
     x_star = np.linalg.pinv(a) @ stack_system(b)
     pc = build_preconditioner(build_spectral_cache(n, m), d, tau)
-    out = pcg_solve(
+    out = pcg_solve_blocks(
         lambda v: apply_system(v, d, tau),
         lambda r: apply_preconditioner(r, pc),
         b,
@@ -189,7 +196,7 @@ def test_criterion_06_preconditioned_cg_equivalence():
     tilde = plain_cg_dense(c_star @ a @ c_star, c_star @ stack_system(b), c_sqrt @ stack_system(x0), 10)
     worst = 0.0
     for l in range(min(11, len(tilde))):
-        out = pcg_solve(
+        out = pcg_solve_blocks(
             lambda v: apply_system(v, d, tau),
             lambda r: apply_preconditioner(r, pc),
             b,

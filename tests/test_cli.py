@@ -6,7 +6,6 @@ import pytest
 from phaseirls import irls
 from phaseirls.arrayio import load_grid, save_grid
 from phaseirls.cli import main
-from phaseirls.operators import SystemVector
 from phaseirls.phase import TWO_PI, shift_error, wrap_to_principal
 from phaseirls.synth import SceneSpec, generate_scene, wrap_scene
 
@@ -161,13 +160,10 @@ class TestUnwrapCommand:
         assert shift_error(u, truth).max_abs < 1e-10
 
     def test_solver_breakdown_exits_4(self, tmp_path, capsys, monkeypatch, ramp_files):
-        def non_finite(x, d, tau, out=None):
-            n, m = x.shape
-            return SystemVector(
-                np.full((n, m), np.nan), np.zeros((n - 1, m)), np.zeros((n, m - 1))
-            )
+        def non_finite(u, wr, out=None, flux=None):
+            return np.full(u.shape, np.nan)
 
-        monkeypatch.setattr(irls, "apply_system", non_finite)
+        monkeypatch.setattr(irls, "apply_reduced_system", non_finite)
         _, wrapped = ramp_files
         out = tmp_path / "o.npy"
         assert run("unwrap", "--input", wrapped, "--output", out) == 4

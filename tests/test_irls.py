@@ -178,6 +178,21 @@ class TestUnwrap:
             assert rec.delta_rel >= -1e-12
             assert rec.m_cg >= DEFAULTS.max_iter_cg_start
 
+    def test_zero_weight_cut_splits_the_grid(self):
+        # a row of zero-weight arcs leaves two components, so the reduced map
+        # has a second null direction: the offset between the two halves
+        spec = SceneSpec("gaussian-bumps", 64, 48, amplitude=6.0, feature_scale=10.0, seed=5)
+        truth = generate_scene(spec)
+        c = WeightField.uniform(64, 48)
+        c.cv[30, :] = 0.0
+        res = unwrap(wrap_scene(truth), c)
+        assert np.all(np.isfinite(res.u))
+        assert abs(res.u.sum()) <= 1e-9 * res.u.size
+        h = res.trace.h_values()
+        assert all(nxt <= prev * (1 + 1e-12) for prev, nxt in zip(h, h[1:]))
+        for half in (slice(0, 31), slice(31, 64)):
+            assert shift_error(res.u[half], truth[half]).max_abs <= 1e-4
+
     def test_objective_evaluations_per_outer_iteration(self, monkeypatch):
         calls = []
 
@@ -225,7 +240,7 @@ class TestObservability:
 
         def recording(*args, **kwargs):
             out = pcg_solve(*args, **kwargs)
-            solves.append((out.converged, out.residual_norms[-1] / kwargs["b"].norm()))
+            solves.append((out.converged, out.residual_norms[-1] / np.linalg.norm(kwargs["b"])))
             return out
 
         monkeypatch.setattr(irls, "pcg_solve", recording)

@@ -7,14 +7,20 @@ from phaseirls.operators import (
     SystemVector,
     apply_s,
     apply_s_transpose,
+    apply_reduced_system,
     apply_system,
     apply_t,
     apply_t_transpose,
+    build_reduced_rhs,
     build_rhs,
     materialize_dense_system,
+    recover_slacks,
+    reduced_weights,
     stack_system,
     unstack_system,
 )
+from phaseirls.objective import IrlsWeights
+from phaseirls.phase import WeightField
 
 from oracles import (
     dense_s,
@@ -273,3 +279,81 @@ class TestApplySystemOut:
         x = random_state(rng, n, m)
         apply_system(x, d, 0.1, out=buf)
         assert np.array_equal(buf.data, apply_system(x, d, 0.1).data)
+
+
+def dense_arc_map(n, m):
+    """K = [I_m (x) S; Tt (x) I_n]: all arc differences of vec(u), stacked."""
+    return np.vstack([np.kron(np.eye(m), dense_s(n)), np.kron(dense_t(m).T, np.eye(n))])
+
+
+def with_zero_arcs(rng, wr):
+    """The weights with about a third of the arcs cut (weight exactly zero)."""
+    return DiagonalWeights(
+        np.where(rng.random(wr.dv.shape) < 1 / 3, 0.0, wr.dv),
+        np.where(rng.random(wr.dh.shape) < 1 / 3, 0.0, wr.dh),
+    )
+
+
+class TestReducedSystem:
+    @pytest.mark.parametrize("shape", [(4, 4), (3, 5), (1, 6), (6, 1)])
+    def test_matches_dense_kt_w_k(self, rng, shape):
+        n, m = shape
+        wr = with_zero_arcs(rng, random_diag(rng, n, m))
+        k = dense_arc_map(n, m)
+        kt_w_k = k.T @ np.diag(np.concatenate([vec(wr.dv), vec(wr.dh)])) @ k
+        u = rng.standard_normal((n, m))
+        got = apply_reduced_system(u, wr)
+        assert np.max(np.abs(vec(got) - kt_w_k @ vec(u))) < 1e-12
+        g = random_gradients(rng, n, m)
+        want_rhs = k.T @ np.concatenate([vec(wr.dv * g.gv), vec(wr.dh * g.gh)])
+        assert np.max(np.abs(vec(build_reduced_rhs(g, wr)) - want_rhs)) < 1e-12
+
+    @pytest.mark.parametrize("shape", [(4, 4), (3, 5), (1, 6), (6, 1)])
+    def test_out_is_bit_equal_to_a_new_result(self, rng, shape):
+        n, m = shape
+        wr = with_zero_arcs(rng, random_diag(rng, n, m))
+        u = rng.standard_normal((n, m))
+        g = random_gradients(rng, n, m)
+        # every entry of out and of the scratch must be overwritten
+        buf = np.full((n, m), np.nan)
+        flux = (np.full((n - 1, m), np.nan), np.full((n, m - 1), np.nan))
+        got = apply_reduced_system(u, wr, out=buf, flux=flux)
+        assert got is buf
+        assert np.array_equal(got, apply_reduced_system(u, wr))
+        rhs = np.full((n, m), np.nan)
+        flux = (np.full((n - 1, m), np.nan), np.full((n, m - 1), np.nan))
+        assert build_reduced_rhs(g, wr, out=rhs, flux=flux) is rhs
+        assert np.array_equal(rhs, build_reduced_rhs(g, wr))
+        full = SystemVector.zeros(n, m)
+        full.data[:] = np.nan
+        assert recover_slacks(u, g, wr, 0.03, out=full) is full
+        assert np.array_equal(full.data, recover_slacks(u, g, wr, 0.03).data)
+
+    def test_reduced_weights_are_the_schur_weights(self, rng):
+        n, m, tau = 5, 4, 0.03
+        c = WeightField(rng.uniform(0, 2, (n - 1, m)), rng.uniform(0, 2, (n, m - 1)))
+        c.cv[1, :] = 0.0
+        w = IrlsWeights(rng.uniform(1e-6, 3, (n - 1, m)), rng.uniform(1e-6, 3, (n, m - 1)))
+        out = DiagonalWeights(np.full((n - 1, m), np.nan), np.full((n, m - 1), np.nan))
+        assert reduced_weights(c, w, tau, out=out) is out
+        for cc, ww, got in ((c.cv, w.wv, out.dv), (c.ch, w.wh, out.dh)):
+            d = cc**2 / ww
+            assert np.allclose(got, d / (1 + tau * d), rtol=1e-14, atol=0)
+            assert np.all(got <= 1 / tau)
+        assert np.all(out.dv[1, :] == 0.0)
+
+    def test_recovered_slacks_minimize_the_lifted_penalty(self, rng):
+        # d v + (v - (S u - g)) / tau = 0 at the minimizer, arc by arc
+        n, m, tau = 4, 5, 0.03
+        d = random_diag(rng, n, m)
+        wr = reduced_weights(
+            WeightField.uniform(n, m), IrlsWeights(1 / d.dv, 1 / d.dh), tau
+        )
+        u = rng.standard_normal((n, m))
+        g = random_gradients(rng, n, m)
+        x = recover_slacks(u, g, wr, tau)
+        assert np.array_equal(x.u, u)
+        stationary_v = d.dv * x.vv + (x.vv - (apply_s(u) - g.gv)) / tau
+        stationary_h = d.dh * x.vh + (x.vh - (apply_t(u) - g.gh)) / tau
+        assert np.max(np.abs(stationary_v)) < 1e-10
+        assert np.max(np.abs(stationary_h)) < 1e-10

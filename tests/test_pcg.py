@@ -5,22 +5,29 @@ import pytest
 
 from phaseirls.diagnostics import random_diagonal_weights
 from phaseirls.objective import ModelParams
+from phaseirls.objective import IrlsWeights
 from phaseirls.operators import (
     SystemVector,
+    apply_reduced_system,
     apply_system,
+    build_reduced_rhs,
     build_rhs,
     materialize_dense_system,
+    recover_slacks,
+    reduced_weights,
     stack_system,
     unstack_system,
 )
-from phaseirls.pcg import NumericalBreakdown, pcg_solve
+from phaseirls.pcg import NumericalBreakdown, pcg_solve, remove_mean
+from phaseirls.phase import WeightField
 from phaseirls.preconditioner import (
     apply_preconditioner,
     build_preconditioner,
     build_spectral_cache,
+    sylvester_solve,
 )
 
-from oracles import random_gradients
+from oracles import pcg_solve_blocks, random_gradients
 
 TAU = 1e-2
 DELTA = 1e-6
@@ -41,7 +48,7 @@ class TestPcgBasics:
         n = m = 4
         _, _, apply_a, apply_m = make_problem(rng, n, m)
         b = SystemVector.zeros(n, m)
-        out = pcg_solve(apply_a, apply_m, b, SystemVector.zeros(n, m), 50, 1e-10)
+        out = pcg_solve_blocks(apply_a, apply_m, b, SystemVector.zeros(n, m), 50, 1e-10)
         assert out.iterations == 0
         assert out.converged
         assert out.x.norm() == 0.0
@@ -52,7 +59,7 @@ class TestPcgBasics:
         d, b, apply_a, apply_m = make_problem(rng, n, m, seed=4)
         a = materialize_dense_system(n, m, d, TAU)
         x_star = unstack_system(np.linalg.pinv(a) @ stack_system(b), n, m)
-        out = pcg_solve(apply_a, apply_m, b, x_star, 50, 1e-8)
+        out = pcg_solve_blocks(apply_a, apply_m, b, x_star, 50, 1e-8)
         assert out.iterations == 0
         assert out.converged
         assert out.residual_norms[0] <= 1e-8 * b.norm()
@@ -60,7 +67,7 @@ class TestPcgBasics:
     def test_iteration_count_matches_norm_list(self, rng):
         n = m = 4
         _, b, apply_a, apply_m = make_problem(rng, n, m, seed=7)
-        out = pcg_solve(apply_a, apply_m, b, SystemVector.zeros(n, m), 6, 0.0)
+        out = pcg_solve_blocks(apply_a, apply_m, b, SystemVector.zeros(n, m), 6, 0.0)
         assert out.iterations == len(out.residual_norms) - 1 == 6
 
 
@@ -71,7 +78,7 @@ class TestPcgAgainstDenseOracle:
         a = materialize_dense_system(n, m, d, TAU)
         x_star = np.linalg.pinv(a) @ stack_system(b)
         dim = b.dim
-        out = pcg_solve(apply_a, apply_m, b, SystemVector.zeros(n, m), 3 * dim, 1e-12)
+        out = pcg_solve_blocks(apply_a, apply_m, b, SystemVector.zeros(n, m), 3 * dim, 1e-12)
         got = out.x.copy()
         got.u -= got.u.mean()
         rel = np.linalg.norm(stack_system(got) - x_star) / np.linalg.norm(x_star)
@@ -83,7 +90,7 @@ class TestPcgAgainstDenseOracle:
         _, b, apply_a, apply_m = make_problem(rng, n, m, seed=2)
         x0 = SystemVector.zeros(n, m)
         for l in (1, 5, 12, 25, 50):
-            out = pcg_solve(apply_a, apply_m, b, x0, l, 0.0)
+            out = pcg_solve_blocks(apply_a, apply_m, b, x0, l, 0.0)
             true_res = b.copy()
             true_res.axpy(-1.0, apply_a(out.x))
             drift = true_res.copy()
@@ -98,11 +105,36 @@ class TestPcgAgainstDenseOracle:
         x0 = SystemVector.zeros(n, m)
         energies = []
         for l in range(0, 15):
-            out = pcg_solve(apply_a, apply_m, b, x0, l, 0.0)
+            out = pcg_solve_blocks(apply_a, apply_m, b, x0, l, 0.0)
             e = stack_system(out.x) - x_star
             energies.append(float(e @ a @ e))
         for prev, nxt in zip(energies, energies[1:]):
             assert nxt <= prev * (1 + 1e-10) + 1e-14
+
+
+class TestReducedSolve:
+    def test_reduced_solution_with_its_slacks_is_the_full_minimum_norm_solution(self, rng):
+        n = m = 8
+        d = random_diagonal_weights(n, m, DELTA, seed=12)
+        g = random_gradients(rng, n, m)
+        b = build_rhs(g, TAU)
+        x_star = np.linalg.pinv(materialize_dense_system(n, m, d, TAU)) @ stack_system(b)
+        # c = 1 and w = 1/d give the reduced weights d / (1 + tau d)
+        wr = reduced_weights(WeightField.uniform(n, m), IrlsWeights(1 / d.dv, 1 / d.dh), TAU)
+        cache = build_spectral_cache(n, m)
+        out = pcg_solve(
+            lambda v: apply_reduced_system(v, wr),
+            lambda r: sylvester_solve(r, TAU, cache),
+            build_reduced_rhs(g, wr),
+            np.zeros((n, m)),
+            max_iters=3 * n * m,
+            rel_tol=1e-12,
+            project=remove_mean,
+        )
+        assert out.converged
+        got = recover_slacks(remove_mean(out.x), g, wr, TAU)
+        rel = np.linalg.norm(stack_system(got) - x_star) / np.linalg.norm(x_star)
+        assert rel < 1e-6
 
 
 class TestPreconditioningHelps:
@@ -111,8 +143,8 @@ class TestPreconditioningHelps:
         d, b, apply_a, apply_m = make_problem(rng, n, m, seed=33)
         x0 = SystemVector.zeros(n, m)
         tol = 1e-6
-        pre = pcg_solve(apply_a, apply_m, b, x0, 5000, tol)
-        ident = pcg_solve(apply_a, lambda r: r.copy(), b, x0, 5000, tol)
+        pre = pcg_solve_blocks(apply_a, apply_m, b, x0, 5000, tol)
+        ident = pcg_solve_blocks(apply_a, lambda r: r.copy(), b, x0, 5000, tol)
         assert pre.converged
         assert pre.iterations < ident.iterations
 
@@ -128,16 +160,32 @@ class TestBreakdown:
             return out
 
         with pytest.raises(NumericalBreakdown) as err:
-            pcg_solve(bad_apply, apply_m, b, SystemVector.zeros(n, m), 10, 1e-10)
+            pcg_solve_blocks(bad_apply, apply_m, b, SystemVector.zeros(n, m), 10, 1e-10)
         assert err.value.iteration == 0
+
+    def test_vanishing_preconditioned_residual_stops_without_division(self):
+        # r'z = 0 with z != 0: the step length is 0 and beta would be 0/0
+        b = np.array([1.0, 0.0])
+        out = pcg_solve(
+            lambda v: v.copy(),
+            lambda r: np.array([-r[1], r[0]]),
+            b,
+            np.zeros(2),
+            max_iters=10,
+            rel_tol=1e-10,
+            project=lambda r: r,
+        )
+        assert out.iterations == 1
+        assert not out.converged
+        assert np.array_equal(out.x, np.zeros(2))
 
     def test_validates_arguments(self, rng):
         n = m = 3
         _, b, apply_a, apply_m = make_problem(rng, n, m)
         with pytest.raises(ValueError):
-            pcg_solve(apply_a, apply_m, b, SystemVector.zeros(n, m), -1, 1e-10)
+            pcg_solve_blocks(apply_a, apply_m, b, SystemVector.zeros(n, m), -1, 1e-10)
         with pytest.raises(ValueError):
-            pcg_solve(apply_a, apply_m, b, SystemVector.zeros(n, m), 5, -0.1)
+            pcg_solve_blocks(apply_a, apply_m, b, SystemVector.zeros(n, m), 5, -0.1)
 
 
 class TestAllocations:
@@ -157,7 +205,7 @@ class TestAllocations:
         tracemalloc.start()
         try:
             entry = tracemalloc.get_traced_memory()[0]
-            out = pcg_solve(
+            out = pcg_solve_blocks(
                 lambda v: apply_system(v, d, TAU, out=ap),
                 lambda r: apply_preconditioner(r, pc, out=z),
                 b, x0, max_iters, 0.0,
