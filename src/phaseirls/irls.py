@@ -36,7 +36,7 @@ from .operators import (
     recover_slacks,
     reduced_weights,
 )
-from .pcg import pcg_solve, remove_mean
+from .pcg import pcg_solve
 from .phase import WeightField, validate_wrapped, wrapped_gradients
 from .preconditioner import build_spectral_cache
 
@@ -178,7 +178,8 @@ def unwrap(x, c: WeightField | None = None, model: ModelParams | None = None,
     if params is None:
         params = IrlsParams()
     if c is None:
-        c = WeightField.uniform(n, m)
+        # read-only views of one scalar: uniform weights that hold no grids
+        c = WeightField(np.broadcast_to(1.0, (n - 1, m)), np.broadcast_to(1.0, (n, m - 1)))
     if c.cv.shape != (n - 1, m) or c.ch.shape != (n, m - 1):
         raise ValueError(
             f"weight shapes {c.cv.shape}/{c.ch.shape} do not match grid {arr.shape}"
@@ -200,7 +201,8 @@ def unwrap(x, c: WeightField | None = None, model: ModelParams | None = None,
     ap = np.empty((n, m))
     z = np.empty((n, m))
     trace = IrlsTrace()
-    m_history = [params.max_iter_cg_start]
+    # the CG budgets of the last two outer iterations
+    m_cg = m_prev = params.max_iter_cg_start
     stop_reason = "max_outer"
 
     for k in range(params.max_outer_iters):
@@ -212,17 +214,11 @@ def unwrap(x, c: WeightField | None = None, model: ModelParams | None = None,
             h_new_w = eval_h_delta(state, w, g, c, model)
             # arc-free grids have an identically zero objective; nothing to improve
             delta_rel = 0.0 if h_old_w == 0 else relative_improvement(h_old_w, h_new_w)
-            m_prev = m_history[k - 1]
-            m_prev2 = m_history[k - 2] if k >= 2 else m_prev
-            decision = cg_budget_update(delta_rel, m_prev, m_prev2, params)
+            decision = cg_budget_update(delta_rel, m_cg, m_prev, params)
             if decision.action == "stop":
                 stop_reason = "heuristic"
                 break
-            m_cg = decision.m_cg
-        else:
-            m_cg = m_history[0]
-        if k >= 1:
-            m_history.append(m_cg)
+            m_prev, m_cg = m_cg, decision.m_cg
 
         reduced_weights(c, w, tau, out=wr)
         build_reduced_rhs(g, wr, out=rhs, flux=flux)
@@ -234,7 +230,6 @@ def unwrap(x, c: WeightField | None = None, model: ModelParams | None = None,
             x0=state.u,
             max_iters=m_cg,
             rel_tol=params.cg_rel_tol,
-            project=remove_mean,
         )
         cg_iters = outcome.iterations
         cg_converged = bool(outcome.converged)

@@ -2,8 +2,9 @@
 
 The conjugate gradient loop applies ``weighted_laplacian``, the map of the
 reduced system in u, once per iteration; ``apply_system_blocks`` is the map
-of the full (u, vv, vh) block system.  They are plain numpy expressions
-writing into output grids the caller provides: ``adj_diffs`` and
+of the full (u, vv, vh) block system.  Both are built from the in-place arc
+stencil pair, ``diffs`` (S u and u T) and its adjoint ``adj_diffs``, and
+write into output grids the caller provides: ``diffs``, ``adj_diffs`` and
 ``weighted_laplacian`` allocate nothing, and the only grid-sized temporaries
 of ``apply_system_blocks`` are the products ``dv * vv`` and ``dh * vh``.
 ``operators`` and ``phase`` call them as ``kernels.<name>`` attributes,
@@ -19,6 +20,7 @@ __all__ = [
     "adj_diff_rows",
     "adj_diff_cols",
     "apply_system_blocks",
+    "diffs",
     "adj_diffs",
     "weighted_laplacian",
     "current_backend",
@@ -49,21 +51,23 @@ def adj_diff_cols(v):
 
 def apply_system_blocks(u, vv, vh, dv, dh, inv_tau, au, avv, avh):
     # avv and avh first hold the coupling residuals S u - vv and u T - vh
-    np.subtract(u[1:, :], u[:-1, :], out=avv)
+    diffs(u, avv, avh)
     avv -= vv
-    np.subtract(u[:, 1:], u[:, :-1], out=avh)
     avh -= vh
-    au.fill(0.0)
-    au[:-1, :] -= avv
-    au[1:, :] += avv
-    au[:, :-1] -= avh
-    au[:, 1:] += avh
+    adj_diffs(avv, avh, au)
     au *= inv_tau
     avv *= -inv_tau
     avv += dv * vv
     avh *= -inv_tau
     avh += dh * vh
     return au, avv, avh
+
+
+def diffs(u, fv, fh):
+    """fv = S u and fh = u T, both difference maps, in place."""
+    np.subtract(u[1:, :], u[:-1, :], out=fv)
+    np.subtract(u[:, 1:], u[:, :-1], out=fh)
+    return fv, fh
 
 
 def adj_diffs(fv, fh, out):
@@ -79,9 +83,8 @@ def adj_diffs(fv, fh, out):
 def weighted_laplacian(u, wv, wh, fv, fh, out):
     """out = St (wv * S u) + (wh * u T) Tt; fv and fh are arc-shaped scratch."""
     # fv and fh hold the weighted arc differences, then flow back to the pixels
-    np.subtract(u[1:, :], u[:-1, :], out=fv)
+    diffs(u, fv, fh)
     fv *= wv
-    np.subtract(u[:, 1:], u[:, :-1], out=fh)
     fh *= wh
     return adj_diffs(fv, fh, out)
 

@@ -260,12 +260,10 @@ def recover_slacks(u, g: GradientField, wr, tau, out=None):
     if out is None:
         out = SystemVector.zeros(*np.shape(u))
     out.u[...] = u
-    np.subtract(u[1:, :], u[:-1, :], out=out.vv)
-    out.vv -= g.gv
-    out.vv -= tau * wr.dv * out.vv
-    np.subtract(u[:, 1:], u[:, :-1], out=out.vh)
-    out.vh -= g.gh
-    out.vh -= tau * wr.dh * out.vh
+    kernels.diffs(u, out.vv, out.vh)
+    for v, gg, ww in ((out.vv, g.gv, wr.dv), (out.vh, g.gh, wr.dh)):
+        v -= gg
+        v -= tau * ww * v
     return out
 
 

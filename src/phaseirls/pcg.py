@@ -4,27 +4,21 @@ The solver runs it on the reduced system in u alone; the tests also run it on
 the full (u, vv, vh) block system through its flat ``SystemVector.data``
 buffers.  Both maps are singular with a one-dimensional nullspace (the
 constant u mode) but every right-hand side produced by the solver lies in
-their range, so plain CG theory applies.  The preconditioners share the
-nullspace and their pseudo-inverses never reintroduce a constant component;
-as a safety net against floating-point drift the residual is passed through
-the caller's constant-mode projection every ``REPROJECT_EVERY`` iterations.
+their range, so plain CG theory applies.  The constant mode is the
+preconditioner's job alone: the Sylvester pseudo-inverse zeroes it in every
+apply, so the search directions never gain a constant component and the
+solve needs no projection of its own.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .operators import SystemVector
-
 __all__ = [
     "NumericalBreakdown",
     "PcgOutcome",
     "pcg_solve",
-    "project_out_constant",
-    "remove_mean",
 ]
-
-REPROJECT_EVERY = 50
 
 _TINY_CURVATURE = 1e-300
 
@@ -46,19 +40,7 @@ class PcgOutcome:
     residual: np.ndarray | None = None
 
 
-def remove_mean(a):
-    """Remove the mean of a grid, in place: the reduced system's projection."""
-    a -= a.mean()
-    return a
-
-
-def project_out_constant(x: SystemVector):
-    """Remove the constant mode from the u block, in place.  Idempotent."""
-    remove_mean(x.u)
-    return x
-
-
-def pcg_solve(apply_a, apply_m, b, x0, max_iters, rel_tol, project):
+def pcg_solve(apply_a, apply_m, b, x0, max_iters, rel_tol):
     """Conjugate gradient on ``apply_a(x) = b`` preconditioned by ``apply_m``.
 
     Stops when the unpreconditioned residual norm drops to
@@ -68,12 +50,10 @@ def pcg_solve(apply_a, apply_m, b, x0, max_iters, rel_tol, project):
     preconditioned product r'z = 0 ends it unconverged.
 
     ``b`` and ``x0`` are float64 arrays of one shape, and the maps take and
-    return arrays of that shape.  ``project(r)`` removes the nullspace
-    component of a residual in place; it runs every ``REPROJECT_EVERY``
-    iterations.  The arrays returned by ``apply_a`` and ``apply_m`` are used
-    as scratch and overwritten, so both may keep returning one preallocated
-    buffer each (as ``out=`` closures do); a returned array must not alias
-    the argument.  The solve itself allocates only ``x``, ``r`` and ``p``.
+    return arrays of that shape.  The arrays returned by ``apply_a`` and
+    ``apply_m`` are used as scratch and overwritten, so both may keep
+    returning one preallocated buffer each (as ``out=`` closures do); a
+    returned array must not alias the argument.  The solve itself allocates only ``x``, ``r`` and ``p``.
     """
     if max_iters < 0:
         raise ValueError("max_iters must be >= 0")
@@ -114,8 +94,6 @@ def pcg_solve(apply_a, apply_m, b, x0, max_iters, rel_tol, project):
         r += ap
         np.multiply(p, alpha, out=ap)
         x += ap
-        if (it + 1) % REPROJECT_EVERY == 0:
-            project(r)
         rn = np.linalg.norm(r)
         if not np.isfinite(rn):
             raise NumericalBreakdown(it + 1, "residual norm is not finite")

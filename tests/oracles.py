@@ -9,7 +9,7 @@ an adapter that runs the solver's array PCG on the full block system.
 import numpy as np
 
 from phaseirls.operators import SystemVector
-from phaseirls.pcg import pcg_solve, project_out_constant
+from phaseirls.pcg import pcg_solve
 from phaseirls.phase import GradientField, WeightField
 
 
@@ -28,6 +28,11 @@ def dense_t(m):
             elif i == j:
                 t[i, j] = -1.0
     return t
+
+
+def dense_arc_map(n, m):
+    """K = [I_m (x) S; Tt (x) I_n]: all arc differences of vec(u), stacked."""
+    return np.vstack([np.kron(np.eye(m), dense_s(n)), np.kron(dense_t(m).T, np.eye(n))])
 
 
 def vec(a):
@@ -176,7 +181,6 @@ def pcg_solve_blocks(apply_a, apply_m, b, x0, max_iters, rel_tol):
         x0.data,
         max_iters=max_iters,
         rel_tol=rel_tol,
-        project=lambda r: project_out_constant(view(r)),
     )
     out.x = view(out.x)
     out.residual = view(out.residual)

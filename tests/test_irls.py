@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -192,6 +194,33 @@ class TestUnwrap:
         assert all(nxt <= prev * (1 + 1e-12) for prev, nxt in zip(h, h[1:]))
         for half in (slice(0, 31), slice(31, 64)):
             assert shift_error(res.u[half], truth[half]).max_abs <= 1e-4
+
+    def test_default_weights_equal_explicit_uniform_weights(self):
+        spec = SceneSpec("gaussian-bumps", 24, 31, amplitude=5.0, feature_scale=6.0, seed=4)
+        x = add_phase_noise(wrap_scene(generate_scene(spec)), 0.3, seed=5)
+        got = unwrap(x)
+        want = unwrap(x, WeightField.uniform(*x.shape))
+        for a, b in ((got.u, want.u), (got.vv, want.vv), (got.vh, want.vh)):
+            assert a.tobytes() == b.tobytes()
+        assert got.trace.records == want.trace.records
+
+    def test_default_weights_hold_no_grids(self):
+        spec = SceneSpec("gaussian-bumps", 160, 120, amplitude=6.0, feature_scale=14.0, seed=3)
+        x = wrap_scene(generate_scene(spec))
+        params = IrlsParams(max_outer_iters=2)
+        c = WeightField.uniform(*x.shape)
+
+        def peak(*args):
+            tracemalloc.start()
+            try:
+                unwrap(x, *args, params=params)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        grid = x.nbytes
+        default, prebuilt = peak(), peak(c)
+        assert default <= prebuilt + grid // 2, f"{(default - prebuilt) / grid:.2f} grids above"
 
     def test_objective_evaluations_per_outer_iteration(self, monkeypatch):
         calls = []

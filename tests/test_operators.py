@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from phaseirls import kernels
 from phaseirls.operators import (
     DiagonalWeights,
     SizeLimitExceeded,
@@ -23,6 +24,7 @@ from phaseirls.objective import IrlsWeights
 from phaseirls.phase import WeightField
 
 from oracles import (
+    dense_arc_map,
     dense_s,
     dense_system_entrywise,
     dense_t,
@@ -80,6 +82,20 @@ class TestStencils:
     def test_degenerate_single_row(self):
         assert apply_s(np.ones((1, 4))).shape == (0, 4)
         assert apply_s_transpose(np.ones((0, 4))).shape == (1, 4)
+
+    @pytest.mark.parametrize("shape", [(4, 4), (1, 6), (6, 1)])
+    def test_in_place_diffs_are_bit_equal_to_the_stencils(self, rng, shape):
+        n, m = shape
+        u = rng.standard_normal((n, m))
+        # every entry of both outputs must be overwritten
+        fv = np.full((n - 1, m), np.nan)
+        fh = np.full((n, m - 1), np.nan)
+        got_v, got_h = kernels.diffs(u, fv, fh)
+        assert got_v is fv and got_h is fh
+        assert np.array_equal(fv, kernels.diff_rows(u))
+        assert np.array_equal(fh, kernels.diff_cols(u))
+        assert np.array_equal(fv, dense_s(n) @ u)
+        assert np.array_equal(fh, u @ dense_t(m))
 
 
 class TestApplySystem:
@@ -279,11 +295,6 @@ class TestApplySystemOut:
         x = random_state(rng, n, m)
         apply_system(x, d, 0.1, out=buf)
         assert np.array_equal(buf.data, apply_system(x, d, 0.1).data)
-
-
-def dense_arc_map(n, m):
-    """K = [I_m (x) S; Tt (x) I_n]: all arc differences of vec(u), stacked."""
-    return np.vstack([np.kron(np.eye(m), dense_s(n)), np.kron(dense_t(m).T, np.eye(n))])
 
 
 def with_zero_arcs(rng, wr):

@@ -7,6 +7,7 @@ from phaseirls.diagnostics import random_diagonal_weights
 from phaseirls.objective import ModelParams
 from phaseirls.objective import IrlsWeights
 from phaseirls.operators import (
+    DiagonalWeights,
     SystemVector,
     apply_reduced_system,
     apply_system,
@@ -18,7 +19,7 @@ from phaseirls.operators import (
     stack_system,
     unstack_system,
 )
-from phaseirls.pcg import NumericalBreakdown, pcg_solve, remove_mean
+from phaseirls.pcg import NumericalBreakdown, pcg_solve
 from phaseirls.phase import WeightField
 from phaseirls.preconditioner import (
     apply_preconditioner,
@@ -27,7 +28,7 @@ from phaseirls.preconditioner import (
     sylvester_solve,
 )
 
-from oracles import pcg_solve_blocks, random_gradients
+from oracles import dense_arc_map, pcg_solve_blocks, random_gradients, vec
 
 TAU = 1e-2
 DELTA = 1e-6
@@ -129,12 +130,38 @@ class TestReducedSolve:
             np.zeros((n, m)),
             max_iters=3 * n * m,
             rel_tol=1e-12,
-            project=remove_mean,
         )
         assert out.converged
-        got = recover_slacks(remove_mean(out.x), g, wr, TAU)
+        got = recover_slacks(out.x - out.x.mean(), g, wr, TAU)
         rel = np.linalg.norm(stack_system(got) - x_star) / np.linalg.norm(x_star)
         assert rel < 1e-6
+
+    def test_long_solve_needs_no_projection(self, rng):
+        # reduced weights spread over three decades below 1/tau make the
+        # Sylvester-preconditioned solve take a few hundred iterations; the
+        # preconditioner's zeroed constant mode alone keeps x mean-zero
+        n, m = 32, 24
+        wr = DiagonalWeights(
+            10 ** rng.uniform(-1, 2, (n - 1, m)), 10 ** rng.uniform(-1, 2, (n, m - 1))
+        )
+        b = build_reduced_rhs(random_gradients(rng, n, m), wr)
+        cache = build_spectral_cache(n, m)
+        out = pcg_solve(
+            lambda v: apply_reduced_system(v, wr),
+            lambda r: sylvester_solve(r, TAU, cache),
+            b,
+            np.zeros((n, m)),
+            max_iters=400,
+            rel_tol=1e-13,
+        )
+        assert out.converged
+        assert out.iterations > 50
+        k = dense_arc_map(n, m)
+        kt_w_k = k.T @ np.diag(np.concatenate([vec(wr.dv), vec(wr.dh)])) @ k
+        x_star = np.linalg.pinv(kt_w_k) @ vec(b)
+        got = vec(out.x - out.x.mean())
+        assert np.linalg.norm(got - x_star) / np.linalg.norm(x_star) < 1e-9
+        assert abs(out.x.mean()) <= 1e-12 * np.abs(out.x).max()
 
 
 class TestPreconditioningHelps:
@@ -173,7 +200,6 @@ class TestBreakdown:
             np.zeros(2),
             max_iters=10,
             rel_tol=1e-10,
-            project=lambda r: r,
         )
         assert out.iterations == 1
         assert not out.converged

@@ -9,7 +9,6 @@ from phaseirls.operators import (
     stack_system,
 )
 from phaseirls.irls import unwrap
-from phaseirls.pcg import project_out_constant
 from phaseirls.preconditioner import (
     apply_preconditioner,
     build_preconditioner,
@@ -215,12 +214,3 @@ class TestOutArguments:
         assert cache.multiplier[0, 0] == 0.0
         denom = cache.lambda_s[:, None] + cache.lambda_t[None, :]
         assert np.array_equal(cache.multiplier.ravel()[1:], 1.0 / denom.ravel()[1:])
-
-
-class TestProjection:
-    def test_idempotent(self, rng):
-        x = random_state(rng, 6, 6)
-        once = project_out_constant(x.copy())
-        twice = project_out_constant(once.copy())
-        assert np.allclose(once.u, twice.u, atol=1e-15)
-        assert abs(once.u.mean()) < 1e-14
