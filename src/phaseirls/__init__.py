@@ -16,11 +16,7 @@ from .objective import (
 from .operators import (
     DiagonalWeights,
     SystemVector,
-    apply_s,
-    apply_s_transpose,
     apply_system,
-    apply_t,
-    apply_t_transpose,
     build_rhs,
     materialize_dense_system,
 )

@@ -2,9 +2,9 @@
 
 The interchange format is the plain NPY v1.0 layout written by numpy: magic
 bytes 0x93 "NUMPY", version (1, 0), a header dict with a little-endian float
-descriptor ("<f8" or "<f4"), fortran_order False, and the (N, M) shape,
-followed by the row-major payload.  Loading validates that the file holds a
-finite 2-D real float array.
+descriptor, fortran_order False, and the (N, M) shape, followed by the
+row-major payload.  Grids are written as "<f8"; loading also accepts "<f4"
+and validates that the file holds a finite 2-D real float array.
 """
 
 import numpy as np
@@ -34,11 +34,9 @@ def load_grid(path):
     return out
 
 
-def save_grid(path, arr, dtype="<f8"):
-    """Write a 2-D grid as NPY v1.0 with the given little-endian float dtype."""
-    if dtype not in ("<f8", "<f4"):
-        raise ValueError(f"dtype must be '<f8' or '<f4', got {dtype!r}")
-    data = np.ascontiguousarray(np.asarray(arr), dtype=np.dtype(dtype))
+def save_grid(path, arr):
+    """Write a 2-D grid as NPY v1.0 little-endian float64 ("<f8")."""
+    data = np.ascontiguousarray(arr, dtype="<f8")
     if data.ndim != 2:
         raise ValueError(f"expected a 2-D array, got shape {data.shape}")
     # write through a handle so np.save cannot append a .npy suffix

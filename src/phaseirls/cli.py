@@ -1,13 +1,14 @@
 """Command-line interface: unwrap, synth, error, and spectrum subcommands.
 
-Exit codes: 0 success, 2 malformed input file, 3 dimension mismatch between
-grids, 4 numerical breakdown.  Diagnostics go to stderr; requested outputs
-are NPY grids or JSON files.
+Exit codes: 0 success, 2 malformed input file or unwritable output path,
+3 dimension mismatch between grids, 4 numerical breakdown.  Diagnostics go
+to stderr; requested outputs are NPY grids or JSON files.
 """
 
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -33,6 +34,14 @@ class _CliError(Exception):
 
 def _fail(code, message):
     raise _CliError(code, message)
+
+
+@contextmanager
+def _writing(path):
+    try:
+        yield
+    except OSError as exc:
+        _fail(EXIT_BAD_INPUT, f"cannot write {path}: {exc.strerror or exc}")
 
 
 def _build_parser():
@@ -116,7 +125,7 @@ def _load_image(path, role):
 def _emit_json(payload, path):
     text = json.dumps(payload, indent=2, sort_keys=True)
     if path:
-        with open(path, "w", encoding="utf-8") as fh:
+        with _writing(path), open(path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     else:
         print(text)
@@ -161,10 +170,11 @@ def _cmd_unwrap(args):
     out = result.u
     if args.congruent:
         out = congruent_round(out, x)
-    save_grid(args.output, out)
+    with _writing(args.output):
+        save_grid(args.output, out)
 
     if args.trace:
-        with open(args.trace, "w", encoding="utf-8") as fh:
+        with _writing(args.trace), open(args.trace, "w", encoding="utf-8") as fh:
             for rec in result.trace.records:
                 fh.write(
                     json.dumps(
@@ -202,12 +212,14 @@ def _cmd_synth(args):
         _fail(EXIT_BAD_INPUT, f"invalid scene spec: {exc}")
     truth = generate_scene(spec)
     if args.out_truth:
-        save_grid(args.out_truth, truth)
+        with _writing(args.out_truth):
+            save_grid(args.out_truth, truth)
     if args.wrap and args.out_wrapped:
         wrapped = wrap_scene(truth)
         if args.noise_sigma > 0:
             wrapped = add_phase_noise(wrapped, args.noise_sigma, args.seed + 1)
-        save_grid(args.out_wrapped, wrapped)
+        with _writing(args.out_wrapped):
+            save_grid(args.out_wrapped, wrapped)
     return EXIT_OK
 
 

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import DiagonalWeights, SystemVector, apply_s, apply_system, apply_t, build_rhs
+from . import kernels
+from .operators import DiagonalWeights, SystemVector, apply_system, build_rhs
 
 __all__ = [
     "ModelParams",
@@ -50,8 +51,8 @@ class IrlsWeights:
 
 
 def _penalty_terms(x: SystemVector, g, tau):
-    rv = apply_s(x.u) - g.gv - x.vv
-    rh = apply_t(x.u) - g.gh - x.vh
+    rv = kernels.diff_rows(x.u) - g.gv - x.vv
+    rh = kernels.diff_cols(x.u) - g.gh - x.vh
     return (float(np.vdot(rv, rv)) + float(np.vdot(rh, rh))) / (2.0 * tau)
 
 
@@ -115,8 +116,8 @@ def candidate_step(x, w, g, c, p, lipschitz):
     step = apply_system(x, d, p.tau)
     del d
     step.data -= build_rhs(g, p.tau).data
-    step.scale(-1.0 / lipschitz)
-    step.add(x)
+    step.data *= -1.0 / lipschitz
+    step.data += x.data
     return step
 
 

@@ -1,8 +1,9 @@
-"""Matrix-free difference operators, the block system map and its reduction.
+"""The block system map, its reduction, and their dense test oracles.
 
-The unknown is kept in matrix layout as a triple (u, vv, vh) of grids; the
-system map and its building blocks never materialize a matrix.  For fixed
-diagonal weights d each slack has a closed-form minimizer given u,
+The unknown is kept in matrix layout as a triple (u, vv, vh) of grids, one
+``SystemVector``; the system map and its building blocks never materialize a
+matrix, and the difference maps S and T are the ``kernels`` stencils.  For
+fixed diagonal weights d each slack has a closed-form minimizer given u,
 ``vv = (S u - gv) / (1 + tau dv)`` and likewise vh, so the block system
 reduces to the weighted Poisson problem in u alone
 
@@ -28,10 +29,6 @@ __all__ = [
     "SizeLimitExceeded",
     "SystemVector",
     "DiagonalWeights",
-    "apply_s",
-    "apply_s_transpose",
-    "apply_t",
-    "apply_t_transpose",
     "apply_system",
     "build_rhs",
     "reduced_weights",
@@ -55,8 +52,8 @@ class SystemVector:
     """Triple (u, vv, vh) of grids viewed as one vector of the block system.
 
     The vector owns one contiguous float64 buffer ``data``; ``u``, ``vv`` and
-    ``vh`` are reshaped views into it, so the vector algebra is one numpy call
-    on ``data``.  The constructor copies its inputs.
+    ``vh`` are reshaped views into it, so vector algebra is plain numpy on
+    ``data``.  The constructor copies its inputs.
     """
 
     __slots__ = ("data", "u", "vv", "vh")
@@ -98,31 +95,8 @@ class SystemVector:
     def shape(self):
         return self.u.shape
 
-    @property
-    def dim(self):
-        return self.data.size
-
     def copy(self):
         return SystemVector.from_buffer(self.data.copy(), *self.shape)
-
-    def dot(self, other):
-        return float(np.vdot(self.data, other.data))
-
-    def norm(self):
-        return np.sqrt(self.dot(self))
-
-    def axpy(self, alpha, other):
-        """self += alpha * other, in place."""
-        self.data += alpha * other.data
-
-    def scale(self, beta):
-        self.data *= beta
-
-    def add(self, other):
-        self.data += other.data
-
-    def is_finite(self):
-        return bool(np.isfinite(self.data).all())
 
 
 def _system_dim(n, m):
@@ -141,26 +115,6 @@ class DiagonalWeights:
             raise ValueError(
                 f"inconsistent diagonal shapes {self.dv.shape} / {self.dh.shape}"
             )
-
-
-def apply_s(u):
-    """Forward row differences: out[i, j] = u[i+1, j] - u[i, j]."""
-    return kernels.diff_rows(u)
-
-
-def apply_s_transpose(v):
-    """Adjoint of row differences, mapping (N-1, M) back to (N, M)."""
-    return kernels.adj_diff_rows(v)
-
-
-def apply_t(u):
-    """Forward column differences: out[i, j] = u[i, j+1] - u[i, j]."""
-    return kernels.diff_cols(u)
-
-
-def apply_t_transpose(v):
-    """Adjoint of column differences, mapping (N, M-1) back to (N, M)."""
-    return kernels.adj_diff_cols(v)
 
 
 def apply_system(x, d, tau, out=None):

@@ -89,7 +89,7 @@ def pcg_solve(apply_a, apply_m, b, x0, max_iters, rel_tol):
             converged = res_norms[-1] <= threshold
             break
         alpha = rho / pap
-        # ap is scratch: r -= alpha ap, then x += alpha p, with axpy's rounding
+        # ap is scratch: r -= alpha ap, then x += alpha p, each product rounded before the add
         ap *= -alpha
         r += ap
         np.multiply(p, alpha, out=ap)

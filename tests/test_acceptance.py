@@ -126,13 +126,13 @@ def test_criterion_03_pcg_matches_dense_minimum_norm():
         lambda r: apply_preconditioner(r, pc),
         b,
         SystemVector.zeros(n, m),
-        max_iters=3 * b.dim,
+        max_iters=3 * b.data.size,
         rel_tol=1e-12,
     )
     got = out.x.copy()
     got.u -= got.u.mean()
     rel = np.linalg.norm(stack_system(got) - x_star) / np.linalg.norm(x_star)
-    ok = rel < 1e-6 and out.iterations <= 3 * b.dim
+    ok = rel < 1e-6 and out.iterations <= 3 * b.data.size
     _finish(3, ok, t0, 10.0, f"relative error {rel:.2e} in {out.iterations} iterations")
 
 
@@ -312,16 +312,16 @@ def test_criterion_11_gradient_checks():
         )
         stepped = candidate_step(x, w, g, c, p, lip)
         grad = x.copy()
-        grad.axpy(-1.0, stepped)
-        grad.scale(lip)
+        grad.data -= stepped.data
+        grad.data *= lip
         e = random_state(rng, n, m)
-        e.scale(1.0 / e.norm())
+        e.data *= 1.0 / np.linalg.norm(e.data)
         plus = x.copy()
-        plus.axpy(eps, e)
+        plus.data += eps * e.data
         minus = x.copy()
-        minus.axpy(-eps, e)
+        minus.data -= eps * e.data
         fd = (eval_h_delta(plus, w, g, c, p) - eval_h_delta(minus, w, g, c, p)) / (2 * eps)
-        ref = grad.dot(e)
+        ref = np.vdot(grad.data, e.data)
         if abs(fd - ref) > 1e-5 * max(1.0, abs(ref)):
             grad_ok = False
     hessian_ok = True

@@ -6,6 +6,7 @@ import pytest
 from phaseirls import irls
 from phaseirls.arrayio import load_grid, save_grid
 from phaseirls.cli import main
+from phaseirls.irls import MAX_CG_ITERS
 from phaseirls.phase import TWO_PI, shift_error, wrap_to_principal
 from phaseirls.synth import SceneSpec, generate_scene, wrap_scene
 
@@ -170,6 +171,15 @@ class TestUnwrapCommand:
         assert capsys.readouterr().err.startswith("error: solver breakdown")
         assert not out.exists()
 
+    def test_start_budget_above_cap_exits_2(self, tmp_path, capsys, ramp_files):
+        _, wrapped = ramp_files
+        out = tmp_path / "o.npy"
+        assert run("unwrap", "--input", wrapped, "--output", out, "--cg-start", 20000) == 2
+        err = capsys.readouterr().err.splitlines()
+        # names the field --cg-start sets, and its upper bound
+        assert len(err) == 1 and "max_iter_cg_start" in err[0] and str(MAX_CG_ITERS) in err[0]
+        assert not out.exists()
+
     def test_uniform_weights_match_explicit_unit_files(self, tmp_path, ramp_files):
         _, wrapped = ramp_files
         x = load_grid(wrapped)
@@ -229,6 +239,31 @@ class TestSpectrumCommand:
 
     def test_oversize_request_exits_2(self, tmp_path):
         assert run("spectrum", "--n", 64, "--m", 64) == 2
+
+
+# every output flag of every command; BAD is a path in a directory that does not exist
+UNWRITABLE_OUTPUTS = {
+    "unwrap-output": ("unwrap", "--input", "WRAPPED", "--output", "BAD"),
+    "unwrap-trace": ("unwrap", "--input", "WRAPPED", "--output", "OK", "--trace", "BAD"),
+    "synth-out-truth": ("synth", "--kind", "ramp", "--rows", 4, "--cols", 5, "--out-truth", "BAD"),
+    "synth-out-wrapped": (
+        "synth", "--kind", "ramp", "--rows", 4, "--cols", 5, "--wrap", "--out-wrapped", "BAD",
+    ),
+    "error-json-out": ("error", "--estimate", "TRUTH", "--truth", "TRUTH", "--json-out", "BAD"),
+    "spectrum-json-out": ("spectrum", "--n", 4, "--m", 4, "--json-out", "BAD"),
+}
+
+
+@pytest.mark.parametrize("target", sorted(UNWRITABLE_OUTPUTS))
+def test_unwritable_output_exits_2(tmp_path, capsys, ramp_files, target):
+    truth, wrapped = ramp_files
+    bad = tmp_path / "missing" / "out"
+    paths = {"WRAPPED": wrapped, "TRUTH": truth, "OK": tmp_path / "o.npy", "BAD": bad}
+    assert run(*(paths.get(a, a) for a in UNWRITABLE_OUTPUTS[target])) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: cannot write {bad}: ")
 
 
 class TestEndToEnd:

@@ -4,16 +4,25 @@ import numpy as np
 import pytest
 
 from phaseirls import irls
-from phaseirls.irls import IrlsParams, cg_budget_update, relative_improvement, unwrap
+from phaseirls.irls import (
+    CG_REL_TOL,
+    MAX_CG_ITERS,
+    IrlsParams,
+    cg_budget_update,
+    relative_improvement,
+    unwrap,
+)
 from phaseirls.objective import (
     ModelParams,
     arc_count,
+    candidate_step,
     eval_f,
     eval_f_delta,
     eval_h_delta,
+    lipschitz_constant,
     update_weights,
 )
-from phaseirls.operators import SystemVector, unstack_system
+from phaseirls.operators import SystemVector, recover_slacks, unstack_system
 from phaseirls.pcg import pcg_solve
 from phaseirls.phase import (
     TWO_PI,
@@ -54,19 +63,22 @@ class TestBudgetRules:
         assert decision.m_cg == 9
 
     def test_grow_clamps_to_cap(self):
-        params = IrlsParams(max_cg_iters_cap=12)
-        decision = cg_budget_update(1e-4, 8, 8, params)
+        decision = cg_budget_update(1e-4, MAX_CG_ITERS - 1, MAX_CG_ITERS - 1, DEFAULTS)
         assert decision.action == "grow"
-        assert decision.m_cg == 12
+        assert decision.m_cg == MAX_CG_ITERS
 
     def test_stop_at_cap(self):
-        params = IrlsParams(max_cg_iters_cap=8, max_iter_cg_start=8)
-        decision = cg_budget_update(1e-4, 8, 8, params)
+        decision = cg_budget_update(1e-4, MAX_CG_ITERS, MAX_CG_ITERS, DEFAULTS)
         assert decision.action == "stop"
 
     def test_rejects_bad_budget(self):
         with pytest.raises(ValueError):
             cg_budget_update(1e-4, 0, 0, DEFAULTS)
+
+    def test_start_budget_above_cap_is_rejected(self):
+        IrlsParams(max_iter_cg_start=MAX_CG_ITERS)
+        with pytest.raises(ValueError, match="max_iter_cg_start"):
+            IrlsParams(max_iter_cg_start=MAX_CG_ITERS + 1)
 
 
 class TestRelativeImprovement:
@@ -250,6 +262,38 @@ class TestUnwrap:
         want = eval_h_delta(final, update_weights(initial, c, model.delta), g, c, model)
         assert res.trace.records[0].h_delta == pytest.approx(want, rel=1e-12)
 
+    def test_spoiled_proposal_falls_back_to_the_gradient_step(self, monkeypatch):
+        # a proposal far from the minimizer loses to the explicit gradient
+        # step, which unwrap must then take in its place
+        def spoiled(u, *args, **kwargs):
+            out = recover_slacks(u, *args, **kwargs)
+            out.u += 10 * np.cos(np.arange(out.u.size)).reshape(out.u.shape)
+            return out
+
+        monkeypatch.setattr(irls, "recover_slacks", spoiled)
+        spec = SceneSpec("gaussian-bumps", 24, 31, amplitude=5.0, feature_scale=6.0, seed=4)
+        x = add_phase_noise(wrap_scene(generate_scene(spec)), 0.3, seed=5)
+        model = ModelParams()
+        c = WeightField.uniform(*x.shape)
+        res = unwrap(x, c, model, IrlsParams(max_outer_iters=1))
+        rec = res.trace.records[0]
+        assert rec.fallback_used and not rec.sufficient_decrease
+
+        g = wrapped_gradients(x)
+        initial = SystemVector(np.zeros(x.shape), -g.gv, -g.gh)
+        w = update_weights(initial, c, model.delta)
+        cand = candidate_step(initial, w, g, c, model, lipschitz_constant(c, model))
+        assert rec.h_delta == eval_h_delta(cand, w, g, c, model)
+        cand.u -= cand.u.mean()
+        for got, want in ((res.u, cand.u), (res.vv, cand.vv), (res.vh, cand.vh)):
+            assert got.tobytes() == want.tobytes()
+
+        longer = unwrap(x, c, model, IrlsParams(max_outer_iters=3))
+        assert all(r.fallback_used for r in longer.trace.records)
+        h = longer.trace.h_values()
+        assert len(h) >= 2
+        assert all(nxt <= prev * (1 + 1e-12) for prev, nxt in zip(h, h[1:]))
+
 
 class TestObservability:
     def test_budget_heuristic_stop(self):
@@ -279,7 +323,7 @@ class TestObservability:
         for rec, (converged, rel) in zip(res.trace.records, solves):
             assert type(rec.cg_converged) is bool and rec.cg_converged == converged
             assert rec.cg_rel_residual == rel
-            assert rec.cg_converged == (rel <= DEFAULTS.cg_rel_tol)
+            assert rec.cg_converged == (rel <= CG_REL_TOL)
 
     def test_zero_rhs_reports_zero_residual(self):
         res = unwrap(np.full((5, 6), 1.25))
