@@ -6,7 +6,9 @@ to stderr; requested outputs are NPY grids or JSON files.
 """
 
 import argparse
+import errno
 import json
+import os
 import sys
 from contextlib import contextmanager
 
@@ -42,6 +44,15 @@ def _writing(path):
         yield
     except OSError as exc:
         _fail(EXIT_BAD_INPUT, f"cannot write {path}: {exc.strerror or exc}")
+
+
+def _check_writable(path):
+    """Fail now, not after the solve, when ``path``'s directory is missing or read-only."""
+    parent = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(parent):
+        _fail(EXIT_BAD_INPUT, f"cannot write {path}: {os.strerror(errno.ENOENT)}")
+    if not os.access(parent, os.W_OK):
+        _fail(EXIT_BAD_INPUT, f"cannot write {path}: {os.strerror(errno.EACCES)}")
 
 
 def _build_parser():
@@ -160,6 +171,10 @@ def _cmd_unwrap(args):
         )
     except ValueError as exc:
         _fail(EXIT_BAD_INPUT, f"invalid parameters: {exc}")
+
+    for path in (args.output, args.trace):
+        if path:
+            _check_writable(path)
 
     lo = -np.pi if args.gradient_interval == "symmetric" else 0.0
     try:

@@ -9,10 +9,18 @@ spectral Sylvester solve; the proposal is u with its optimal slacks.  The
 proposal is accepted only if it does at least as well as one explicit
 gradient step on the lifted objective (falling back to that step otherwise,
 which makes the sufficient-decrease condition hold at every accepted
-iterate).  The CG budget and overall stopping follow the
-relative-improvement heuristic: keep the budget while weight updates still
-help, stop when they stall right after a budget increase, and otherwise grow
-the budget geometrically.
+iterate).  That candidate step needs only the current state, so it and its
+objective value are formed before the solve, and the proposal is then written
+over the state.  The loop holds two system vectors (state and candidate)
+and one scratch vector, all allocated at set-up; after that its only
+grid-sized allocations are the PCG solve's own and the two transient
+products inside the block-system apply of the gradient step.  Under
+refreshed weights the objective of the state is sum(w) plus its coupling
+penalty, so each outer iteration evaluates the lifted objective twice, for
+the candidate and for the proposal.  The CG budget and overall stopping
+follow the relative-improvement heuristic: keep the budget while weight
+updates still help, stop when they stall right after a budget increase, and
+otherwise grow the budget geometrically.
 """
 
 import math
@@ -22,9 +30,11 @@ import numpy as np
 
 from . import preconditioner
 from .objective import (
+    IrlsWeights,
     ModelParams,
     candidate_step,
     eval_h_delta,
+    eval_h_delta_refreshed,
     lipschitz_constant,
     update_weights,
 )
@@ -186,15 +196,20 @@ def unwrap(x, c: WeightField | None = None, model: ModelParams | None = None,
     lip = lipschitz_constant(c, model)
     tau = model.tau
 
+    # every grid of the outer loop, allocated once.  The scratch vector's slack
+    # blocks hold the candidate's d = c^2/w and then the reduced weights; its u
+    # block holds the candidate's b and then the CG map's output.  flux is the
+    # scratch of every evaluation and map apply.
     state = SystemVector.zeros(n, m)
     np.negative(g.gv, out=state.vv)
     np.negative(g.gh, out=state.vh)
-    # the reduced system's weights, right-hand side and scratch, rewritten
-    # in place every outer iteration and by every map apply
-    wr = DiagonalWeights(np.empty((n - 1, m)), np.empty((n, m - 1)))
+    cand = SystemVector.zeros(n, m)
+    w = IrlsWeights(np.empty((n - 1, m)), np.empty((n, m - 1)))
+    work = SystemVector.zeros(n, m)
+    wr = DiagonalWeights(work.vv, work.vh)
+    ap = work.u
     flux = (np.empty((n - 1, m)), np.empty((n, m - 1)))
     rhs = np.empty((n, m))
-    ap = np.empty((n, m))
     z = np.empty((n, m))
     trace = IrlsTrace()
     # the CG budgets of the last two outer iterations
@@ -202,12 +217,13 @@ def unwrap(x, c: WeightField | None = None, model: ModelParams | None = None,
     stop_reason = "max_outer"
 
     for k in range(params.max_outer_iters):
-        w = update_weights(state, c, model.delta)
+        update_weights(state, c, model.delta, out=w)
         delta_rel = None
         if k >= 1:
-            # the last record holds h at this state under the previous weights
+            # the last record holds h at this state under the previous weights;
+            # under the refreshed ones h is sum(w) plus the coupling penalty
             h_old_w = trace.records[-1].h_delta
-            h_new_w = eval_h_delta(state, w, g, c, model)
+            h_new_w = eval_h_delta_refreshed(state, w, g, model, scratch=flux)
             # arc-free grids have an identically zero objective; nothing to improve
             delta_rel = 0.0 if h_old_w == 0 else relative_improvement(h_old_w, h_new_w)
             decision = cg_budget_update(delta_rel, m_cg, m_prev, params)
@@ -216,7 +232,12 @@ def unwrap(x, c: WeightField | None = None, model: ModelParams | None = None,
                 break
             m_prev, m_cg = m_cg, decision.m_cg
 
-        reduced_weights(c, w, tau, out=wr)
+        # the candidate needs only the state, so it is formed before the solve
+        # takes over the scratch vector
+        candidate_step(state, w, g, c, model, lip, out=cand, scratch=work)
+        h_cand = eval_h_delta(cand, w, g, c, model, scratch=flux)
+
+        reduced_weights(c, w, tau, out=wr, flux=flux)
         build_reduced_rhs(g, wr, out=rhs, flux=flux)
         rhs_norm = np.linalg.norm(rhs)
         outcome = pcg_solve(
@@ -230,15 +251,14 @@ def unwrap(x, c: WeightField | None = None, model: ModelParams | None = None,
         cg_iters = outcome.iterations
         cg_converged = bool(outcome.converged)
         cg_rel_residual = outcome.residual_norms[-1] / rhs_norm if rhs_norm > 0 else 0.0
-        proposal = recover_slacks(outcome.x, g, wr, tau)
-        # drop the solve's iterate and residual before the candidate step allocates
+        # the proposal is written over the state, which nothing needs any more
+        recover_slacks(outcome.x, g, wr, tau, out=state, flux=flux)
+        # free the solve's iterate and residual before the next solve allocates its own
         del outcome
-        cand = candidate_step(state, w, g, c, model, lip)
-        h_prop = eval_h_delta(proposal, w, g, c, model)
-        h_cand = eval_h_delta(cand, w, g, c, model)
+        h_prop = eval_h_delta(state, w, g, c, model, scratch=flux)
         sufficient = h_prop <= h_cand
-        state = proposal if sufficient else cand
-        del proposal, cand, w
+        if not sufficient:
+            state, cand = cand, state
         # h only sees differences of u, so centring changes it by round-off alone
         state.u -= state.u.mean()
 

@@ -140,32 +140,20 @@ def apply_system(x, d, tau, out=None):
     return out
 
 
-def build_rhs(g: GradientField, tau):
-    """Right-hand side of the system; orthogonal to the constant-u mode."""
-    if tau <= 0:
-        raise ValueError(f"tau must be positive, got {tau}")
-    inv_tau = 1.0 / tau
-    b = SystemVector.zeros(g.gh.shape[0], g.gv.shape[1])
-    kernels.adj_diffs(g.gv, g.gh, b.u)
-    b.u *= inv_tau
-    np.multiply(-inv_tau, g.gv, out=b.vv)
-    np.multiply(-inv_tau, g.gh, out=b.vh)
-    return b
+def build_rhs(g: GradientField, tau, out=None):
+    """Right-hand side of the system; orthogonal to the constant-u mode.
 
-
-def reduced_weights(c, w, tau, out=None):
-    """Weights ``c^2 / (w + tau c^2)`` of the reduced system; 0 where c = 0.
-
-    ``c`` holds the arc weights (cv, ch), ``w`` the auxiliary weights (wv, wh).
-    Writes into the DiagonalWeights ``out`` (new grids when omitted).
+    Writes into the SystemVector ``out`` (a new vector when omitted).
     """
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
+    inv_tau = 1.0 / tau
     if out is None:
-        out = DiagonalWeights(np.empty(c.cv.shape), np.empty(c.ch.shape))
-    for cc, ww, o in ((c.cv, w.wv, out.dv), (c.ch, w.wh, out.dh)):
-        np.multiply(cc, cc, out=o)
-        o /= ww + tau * o
+        out = SystemVector.zeros(g.gh.shape[0], g.gv.shape[1])
+    kernels.adj_diffs(g.gv, g.gh, out.u)
+    out.u *= inv_tau
+    np.multiply(-inv_tau, g.gv, out=out.vv)
+    np.multiply(-inv_tau, g.gh, out=out.vh)
     return out
 
 
@@ -173,6 +161,27 @@ def _flux_scratch(wr, flux):
     if flux is None:
         flux = (np.empty(wr.dv.shape), np.empty(wr.dh.shape))
     return flux
+
+
+def reduced_weights(c, w, tau, out=None, flux=None):
+    """Weights ``c^2 / (w + tau c^2)`` of the reduced system; 0 where c = 0.
+
+    ``c`` holds the arc weights (cv, ch), ``w`` the auxiliary weights (wv, wh).
+    Writes into the DiagonalWeights ``out`` (new grids when omitted); ``flux``
+    is scratch as for ``apply_reduced_system``.
+    """
+    if tau <= 0:
+        raise ValueError(f"tau must be positive, got {tau}")
+    if out is None:
+        out = DiagonalWeights(np.empty(c.cv.shape), np.empty(c.ch.shape))
+    flux = _flux_scratch(out, flux)
+    for cc, ww, o, f in zip((c.cv, c.ch), (w.wv, w.wh), (out.dv, out.dh), flux):
+        np.multiply(cc, cc, out=o)
+        # f = w + tau c^2, the denominator
+        np.multiply(o, tau, out=f)
+        f += ww
+        o /= f
+    return out
 
 
 def apply_reduced_system(u, wr, out=None, flux=None):
@@ -203,11 +212,12 @@ def build_reduced_rhs(g: GradientField, wr, out=None, flux=None):
     return kernels.adj_diffs(fv, fh, out)
 
 
-def recover_slacks(u, g: GradientField, wr, tau, out=None):
+def recover_slacks(u, g: GradientField, wr, tau, out=None, flux=None):
     """The triple (u, vv, vh) with each slack at its minimizer given ``u``.
 
     ``vv = (S u - gv) * (1 - tau Wv)`` and ``vh = (u T - gh) * (1 - tau Wh)``.
-    Writes into the SystemVector ``out`` (a new vector when omitted).
+    Writes into the SystemVector ``out`` (a new vector when omitted); ``flux``
+    is scratch as for ``apply_reduced_system``.
     """
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
@@ -215,9 +225,13 @@ def recover_slacks(u, g: GradientField, wr, tau, out=None):
         out = SystemVector.zeros(*np.shape(u))
     out.u[...] = u
     kernels.diffs(u, out.vv, out.vh)
-    for v, gg, ww in ((out.vv, g.gv, wr.dv), (out.vh, g.gh, wr.dh)):
+    flux = _flux_scratch(wr, flux)
+    for v, gg, ww, f in zip((out.vv, out.vh), (g.gv, g.gh), (wr.dv, wr.dh), flux):
         v -= gg
-        v -= tau * ww * v
+        # v -= tau W v, the product formed in the scratch
+        np.multiply(ww, tau, out=f)
+        f *= v
+        v -= f
     return out
 
 

@@ -2,15 +2,20 @@
 
 Everything here is deliberately built from first principles (index rules,
 eye-shifts, scalar loops, dense linear algebra) so it shares no code with
-the implementations it checks.  The one exception is ``pcg_solve_blocks``,
-an adapter that runs the solver's array PCG on the full block system.
+the implementations it checks.  The exceptions are ``pcg_solve_blocks``, an
+adapter that runs the solver's array PCG on the full block system, and the
+outer-loop replays at the end, which rerun ``unwrap`` to recover the states
+it held.
 """
 
 import numpy as np
 
+from phaseirls import irls
+from phaseirls.irls import IrlsParams, unwrap
+from phaseirls.objective import candidate_step, eval_h_delta, lipschitz_constant, update_weights
 from phaseirls.operators import SystemVector
 from phaseirls.pcg import pcg_solve
-from phaseirls.phase import GradientField, WeightField
+from phaseirls.phase import GradientField, WeightField, wrapped_gradients
 
 
 def dense_s(n):
@@ -185,3 +190,48 @@ def pcg_solve_blocks(apply_a, apply_m, b, x0, max_iters, rel_tol):
     out.x = view(out.x)
     out.residual = view(out.residual)
     return out
+
+
+def outer_states(x, c, model, count):
+    """The gradients of ``x`` and the states of ``unwrap`` at its first ``count`` outer iterations.
+
+    The state at the start of iteration k is the result of a run capped at k outer
+    iterations, and at k = 0 the initial state (0, -gv, -gh).
+    """
+    g = wrapped_gradients(x)
+    states = [SystemVector(np.zeros(x.shape), -g.gv, -g.gh)]
+    for k in range(1, count):
+        res = unwrap(x, c, model, IrlsParams(max_outer_iters=k))
+        states.append(SystemVector(res.u, res.vv, res.vh))
+    return g, states
+
+
+def safeguard_bound_holds(x, records, c, model):
+    """Whether each record's h is at most that of the gradient step from its state.
+
+    Record k must satisfy h_delta <= h(candidate_step(S_k, w_k), w_k) with
+    w_k = update_weights(S_k), up to a relative 1e-12.
+    """
+    g, states = outer_states(x, c, model, len(records))
+    lip = lipschitz_constant(c, model)
+    for rec, state in zip(records, states):
+        w = update_weights(state, c, model.delta)
+        bound = eval_h_delta(candidate_step(state, w, g, c, model, lip), w, g, c, model)
+        if not rec.h_delta <= bound * (1 + 1e-12):
+            return False
+    return True
+
+
+def spoil_proposals(monkeypatch):
+    """Move every proposal of ``unwrap`` far from the minimizer.
+
+    Each spoiled proposal then loses to the gradient step.
+    """
+    recover = irls.recover_slacks
+
+    def spoiled(u, *args, **kwargs):
+        out = recover(u, *args, **kwargs)
+        out.u += 10 * np.cos(np.arange(out.u.size)).reshape(out.u.shape)
+        return out
+
+    monkeypatch.setattr(irls, "recover_slacks", spoiled)

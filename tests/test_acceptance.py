@@ -53,6 +53,8 @@ from oracles import (
     random_gradients,
     random_state,
     random_weights,
+    safeguard_bound_holds,
+    spoil_proposals,
 )
 
 
@@ -209,11 +211,15 @@ def test_criterion_06_preconditioned_cg_equivalence():
     _finish(6, worst <= 1e-8, t0, 5.0, f"max iterate mismatch {worst:.2e} over 10 iterations")
 
 
-def test_criterion_07_descent_and_safeguard():
+def test_criterion_07_descent_and_safeguard(monkeypatch):
     t0 = time.time()
     monotone = True
     safeguarded = True
+    bounded = True
     fallbacks = 0
+    c = WeightField.uniform(64, 64)
+    model = ModelParams()
+    scenes = []
     for seed in range(20):
         spec = SceneSpec("gaussian-bumps", 64, 64, amplitude=6.0, feature_scale=10.0, seed=seed)
         x = add_phase_noise(wrap_scene(generate_scene(spec)), 0.3, seed + 1000)
@@ -222,9 +228,20 @@ def test_criterion_07_descent_and_safeguard():
         monotone &= all(b <= a * (1 + 1e-12) for a, b in zip(h, h[1:]))
         safeguarded &= all(r.sufficient_decrease or r.fallback_used for r in res.trace.records)
         fallbacks += res.trace.fallback_count()
+        if seed < 3:
+            # every record does at least as well as the gradient step from its state
+            bounded &= safeguard_bound_holds(x, res.trace.records, c, model)
+            scenes.append(x)
+    # the proposals above all beat the gradient step; spoiled ones must lose to it
+    spoil_proposals(monkeypatch)
+    for x in scenes:
+        res = unwrap(x)
+        bounded &= safeguard_bound_holds(x, res.trace.records, c, model)
+        safeguarded &= all(r.fallback_used for r in res.trace.records)
     _finish(
-        7, monotone and safeguarded, t0, 120.0,
-        f"20 scenes: monotone={monotone}, safeguard={safeguarded}, fallbacks={fallbacks}",
+        7, monotone and safeguarded and bounded, t0, 120.0,
+        f"20 scenes: monotone={monotone}, safeguard={safeguarded}, fallbacks={fallbacks}, "
+        f"bounded by the gradient step on 3 scenes, plain and spoiled: {bounded}",
     )
 
 

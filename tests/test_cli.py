@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from phaseirls import irls
+from phaseirls import cli, irls
 from phaseirls.arrayio import load_grid, save_grid
 from phaseirls.cli import main
 from phaseirls.irls import MAX_CG_ITERS
@@ -284,3 +284,19 @@ class TestEndToEnd:
         payload = json.loads(report.read_text())
         assert payload["max_abs"] <= 1e-2
         assert payload["congruent_fraction"] >= 0.999
+
+
+@pytest.mark.parametrize("flag", ["--output", "--trace"])
+def test_unwritable_destination_fails_before_the_solve(
+    tmp_path, capsys, monkeypatch, ramp_files, flag
+):
+    def never(*args, **kwargs):
+        raise AssertionError("unwrap ran although the output cannot be written")
+
+    monkeypatch.setattr(cli, "unwrap", never)
+    _, wrapped = ramp_files
+    bad = tmp_path / "missing" / "out"
+    paths = {"--output": tmp_path / "o.npy", "--trace": tmp_path / "t.jsonl", flag: bad}
+    assert run("unwrap", "--input", wrapped, *(a for kv in paths.items() for a in kv)) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {bad}: ")
+    assert not any(p.exists() for p in paths.values())

@@ -22,7 +22,7 @@ from phaseirls.objective import (
     lipschitz_constant,
     update_weights,
 )
-from phaseirls.operators import SystemVector, recover_slacks, unstack_system
+from phaseirls.operators import SystemVector, unstack_system
 from phaseirls.pcg import pcg_solve
 from phaseirls.phase import (
     TWO_PI,
@@ -38,9 +38,12 @@ from oracles import (
     dense_s,
     dense_system_entrywise,
     dense_t,
+    outer_states,
     random_gradients,
     random_state,
     random_weights,
+    safeguard_bound_holds,
+    spoil_proposals,
     vec,
 )
 
@@ -135,15 +138,23 @@ class TestUnwrap:
         assert np.max(np.abs(offset - k)) < 1e-9
         assert np.ptp(k) == 0.0
 
-    def test_monotone_descent_and_safeguard(self, rng):
+    def test_monotone_descent_and_safeguard(self, monkeypatch):
         spec = SceneSpec("gaussian-bumps", 32, 32, amplitude=5.0, feature_scale=7.0, seed=3)
         x = wrap_scene(generate_scene(spec))
+        c = WeightField.uniform(*x.shape)
+        model = ModelParams()
         res = unwrap(x)
         h = res.trace.h_values()
         assert len(h) >= 2
         for prev, nxt in zip(h, h[1:]):
             assert nxt <= prev * (1 + 1e-12)
         assert all(r.sufficient_decrease or r.fallback_used for r in res.trace.records)
+        assert safeguard_bound_holds(x, res.trace.records, c, model)
+        # spoiled proposals lose to the gradient step, which bounds every record all the same
+        spoil_proposals(monkeypatch)
+        spoiled = unwrap(x)
+        assert all(r.fallback_used for r in spoiled.trace.records)
+        assert safeguard_bound_holds(x, spoiled.trace.records, c, model)
 
     def test_mean_zero_output(self, rng):
         spec = SceneSpec("gaussian-bumps", 24, 31, amplitude=4.0, feature_scale=6.0, seed=9)
@@ -246,7 +257,35 @@ class TestUnwrap:
         res = unwrap(wrap_scene(generate_scene(spec)))
         # stopped by the budget heuristic, so the last pass evaluated only h(w_new)
         assert len(res.trace) < DEFAULTS.max_outer_iters
-        assert len(calls) <= 3 * len(res.trace)
+        # the candidate and the proposal; h at the state under refreshed weights is sum(w) + penalty
+        assert len(calls) <= 2 * len(res.trace)
+
+    def test_delta_rel_is_the_refresh_gain_at_each_state(self):
+        spec = SceneSpec("gaussian-bumps", 24, 31, amplitude=5.0, feature_scale=6.0, seed=4)
+        x = add_phase_noise(wrap_scene(generate_scene(spec)), 0.3, seed=5)
+        c = WeightField.uniform(*x.shape)
+        model = ModelParams()
+        records = unwrap(x).trace.records
+        assert len(records) >= 3
+        g, states = outer_states(x, c, model, len(records))
+        for k in range(1, len(records)):
+            w = update_weights(states[k], c, model.delta)
+            want = relative_improvement(
+                records[k - 1].h_delta, eval_h_delta(states[k], w, g, c, model)
+            )
+            assert records[k].delta_rel == pytest.approx(want, rel=0, abs=1e-12)
+
+    def test_outer_loop_peak_memory(self):
+        # the loop's buffers are allocated once; the peak is the PCG solve's
+        spec = SceneSpec("gaussian-bumps", 256, 256, amplitude=10.0, feature_scale=28.0, seed=1)
+        x = add_phase_noise(wrap_scene(generate_scene(spec)), 0.3, seed=1001)
+        tracemalloc.start()
+        try:
+            unwrap(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 25 * x.nbytes, f"peak of {peak / x.nbytes:.2f} grids"
 
     def test_recorded_objective_is_that_of_the_accepted_iterate(self):
         # the record reuses h from the acceptance test, evaluated before u is
@@ -265,12 +304,7 @@ class TestUnwrap:
     def test_spoiled_proposal_falls_back_to_the_gradient_step(self, monkeypatch):
         # a proposal far from the minimizer loses to the explicit gradient
         # step, which unwrap must then take in its place
-        def spoiled(u, *args, **kwargs):
-            out = recover_slacks(u, *args, **kwargs)
-            out.u += 10 * np.cos(np.arange(out.u.size)).reshape(out.u.shape)
-            return out
-
-        monkeypatch.setattr(irls, "recover_slacks", spoiled)
+        spoil_proposals(monkeypatch)
         spec = SceneSpec("gaussian-bumps", 24, 31, amplitude=5.0, feature_scale=6.0, seed=4)
         x = add_phase_noise(wrap_scene(generate_scene(spec)), 0.3, seed=5)
         model = ModelParams()

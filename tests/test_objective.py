@@ -10,6 +10,7 @@ from phaseirls.objective import (
     eval_f,
     eval_f_delta,
     eval_h_delta,
+    eval_h_delta_refreshed,
     lipschitz_constant,
     sufficient_decrease_holds,
     update_weights,
@@ -17,6 +18,8 @@ from phaseirls.objective import (
 from phaseirls.operators import (
     DiagonalWeights,
     SystemVector,
+    apply_system,
+    build_rhs,
     materialize_dense_system,
     stack_system,
     unstack_system,
@@ -132,6 +135,77 @@ class TestEvalHDelta:
         w = IrlsWeights(0.1 * np.ones((n - 1, m)), np.ones((n, m - 1)))
         with pytest.raises(ValueError):
             eval_h_delta(x, w, zero_gradients(n, m), WeightField.uniform(n, m), p)
+
+
+class TestEvalHDeltaRefreshed:
+    def test_is_f_delta_and_h_at_refreshed_weights(self, rng):
+        n, m = 6, 7
+        p = ModelParams(tau=0.05, delta=1e-3)
+        for _ in range(20):
+            x = random_state(rng, n, m)
+            g = random_gradients(rng, n, m)
+            c = random_weights(rng, n, m)
+            w = update_weights(x, c, p.delta)
+            got = eval_h_delta_refreshed(x, w, g, p)
+            assert got == eval_f_delta(x, g, c, p)
+            assert got == pytest.approx(eval_h_delta(x, w, g, c, p), rel=1e-14)
+
+
+def nan_pair(n, m):
+    return np.full((n - 1, m), np.nan), np.full((n, m - 1), np.nan)
+
+
+def nan_vector(n, m):
+    out = SystemVector.zeros(n, m)
+    out.data[:] = np.nan
+    return out
+
+
+def weights_with_cut_arcs(rng, n, m):
+    """Random arc weights with about a third of the arcs at weight zero."""
+    c = random_weights(rng, n, m)
+    return WeightField(
+        np.where(rng.random(c.cv.shape) < 1 / 3, 0.0, c.cv),
+        np.where(rng.random(c.ch.shape) < 1 / 3, 0.0, c.ch),
+    )
+
+
+class TestReusedBuffers:
+    """``out=`` and ``scratch=`` give the allocating forms' bits, whatever the buffers held."""
+
+    @pytest.mark.parametrize("shape", [(4, 4), (1, 6), (6, 1), (3, 5)])
+    def test_bit_equal_to_the_allocating_forms(self, rng, shape):
+        n, m = shape
+        p = ModelParams(tau=0.05, delta=1e-3)
+        c = weights_with_cut_arcs(rng, n, m)
+        g = random_gradients(rng, n, m)
+        x = random_state(rng, n, m)
+        d2 = p.delta * p.delta
+
+        w = IrlsWeights(*nan_pair(n, m))
+        assert update_weights(x, c, p.delta, out=w) is w
+        fresh = update_weights(x, c, p.delta)
+        for got, want, cc, v in ((w.wv, fresh.wv, c.cv, x.vv), (w.wh, fresh.wh, c.ch, x.vh)):
+            assert got.tobytes() == want.tobytes()
+            assert got.tobytes() == np.sqrt((cc * v) ** 2 + d2).tobytes()
+
+        h = eval_h_delta(x, w, g, c, p, scratch=nan_pair(n, m))
+        assert h == eval_h_delta(x, w, g, c, p)
+        assert eval_h_delta_refreshed(x, w, g, p, scratch=nan_pair(n, m)) == (
+            eval_h_delta_refreshed(x, w, g, p)
+        )
+
+        lip = lipschitz_constant(c, p)
+        out, scratch = nan_vector(n, m), nan_vector(n, m)
+        assert candidate_step(x, w, g, c, p, lip, out=out, scratch=scratch) is out
+        assert out.data.tobytes() == candidate_step(x, w, g, c, p, lip).data.tobytes()
+        # the step as it was first written: x - (A x - b) / L with new grids throughout
+        d = DiagonalWeights(c.cv * c.cv / w.wv, c.ch * c.ch / w.wh)
+        want = apply_system(x, d, p.tau)
+        want.data -= build_rhs(g, p.tau).data
+        want.data *= -1.0 / lip
+        want.data += x.data
+        assert out.data.tobytes() == want.data.tobytes()
 
 
 class TestUpdateWeights:

@@ -321,8 +321,19 @@ class TestReducedSystem:
         assert np.array_equal(rhs, build_reduced_rhs(g, wr))
         full = SystemVector.zeros(n, m)
         full.data[:] = np.nan
-        assert recover_slacks(u, g, wr, 0.03, out=full) is full
-        assert np.array_equal(full.data, recover_slacks(u, g, wr, 0.03).data)
+        flux = (np.full((n - 1, m), np.nan), np.full((n, m - 1), np.nan))
+        assert recover_slacks(u, g, wr, 0.03, out=full, flux=flux) is full
+        assert full.data.tobytes() == recover_slacks(u, g, wr, 0.03).data.tobytes()
+        # the slacks as first written, each temporary a new grid
+        for v, diff, gg, ww in ((full.vv, kernels.diff_rows(u), g.gv, wr.dv),
+                                (full.vh, kernels.diff_cols(u), g.gh, wr.dh)):
+            want = diff - gg
+            want -= 0.03 * ww * want
+            assert v.tobytes() == want.tobytes()
+        b = SystemVector.zeros(n, m)
+        b.data[:] = np.nan
+        assert build_rhs(g, 0.03, out=b) is b
+        assert b.data.tobytes() == build_rhs(g, 0.03).data.tobytes()
 
     def test_reduced_weights_are_the_schur_weights(self, rng):
         n, m, tau = 5, 4, 0.03
@@ -330,8 +341,12 @@ class TestReducedSystem:
         c.cv[1, :] = 0.0
         w = IrlsWeights(rng.uniform(1e-6, 3, (n - 1, m)), rng.uniform(1e-6, 3, (n, m - 1)))
         out = DiagonalWeights(np.full((n - 1, m), np.nan), np.full((n, m - 1), np.nan))
-        assert reduced_weights(c, w, tau, out=out) is out
+        flux = (np.full((n - 1, m), np.nan), np.full((n, m - 1), np.nan))
+        assert reduced_weights(c, w, tau, out=out, flux=flux) is out
         for cc, ww, got in ((c.cv, w.wv, out.dv), (c.ch, w.wh, out.dh)):
+            first = cc * cc  # the weights as first written, the denominator a new grid
+            first /= ww + tau * first
+            assert got.tobytes() == first.tobytes()
             d = cc**2 / ww
             assert np.allclose(got, d / (1 + tau * d), rtol=1e-14, atol=0)
             assert np.all(got <= 1 / tau)
