@@ -10,7 +10,6 @@ from .objective import (
     eval_f_delta,
     eval_h_delta,
     lipschitz_constant,
-    sufficient_decrease_holds,
     update_weights,
 )
 from .operators import (
@@ -25,7 +24,6 @@ from .phase import (
     ErrorReport,
     GradientField,
     WeightField,
-    center_mean_zero,
     congruent_round,
     shift_error,
     wrap_to_principal,

@@ -17,7 +17,7 @@ import numpy as np
 from .arrayio import ArrayFileError, load_grid, save_grid
 from .diagnostics import conditioning_report
 from .irls import IrlsParams, unwrap
-from .objective import ModelParams
+from .objective import ModelParams, lipschitz_constant
 from .pcg import NumericalBreakdown
 from .phase import WeightField, congruent_round, shift_error, wrap_to_principal
 from .synth import SceneSpec, add_phase_noise, generate_scene, wrap_scene
@@ -67,12 +67,12 @@ def _build_parser():
     p_unwrap.add_argument("--output", required=True, help="unwrapped output NPY file")
     p_unwrap.add_argument("--cv", help="vertical arc weights, shape (N-1, M)")
     p_unwrap.add_argument("--ch", help="horizontal arc weights, shape (N, M-1)")
-    p_unwrap.add_argument("--tau", type=float, default=1e-2)
-    p_unwrap.add_argument("--delta", type=float, default=1e-6)
-    p_unwrap.add_argument("--max-outer", type=int, default=100)
-    p_unwrap.add_argument("--cg-start", type=int, default=5)
-    p_unwrap.add_argument("--eps-tol", type=float, default=1e-3)
-    p_unwrap.add_argument("--cg-growth", type=float, default=1.7)
+    p_unwrap.add_argument("--tau", type=float, default=ModelParams.tau)
+    p_unwrap.add_argument("--delta", type=float, default=ModelParams.delta)
+    p_unwrap.add_argument("--max-outer", type=int, default=IrlsParams.max_outer_iters)
+    p_unwrap.add_argument("--cg-start", type=int, default=IrlsParams.max_iter_cg_start)
+    p_unwrap.add_argument("--eps-tol", type=float, default=IrlsParams.rel_improvement_tol)
+    p_unwrap.add_argument("--cg-growth", type=float, default=IrlsParams.cg_growth_factor)
     p_unwrap.add_argument("--trace", help="write per-iteration records as JSON lines")
     p_unwrap.add_argument(
         "--congruent",
@@ -110,8 +110,8 @@ def _build_parser():
     p_spec = sub.add_parser("spectrum", help="conditioning study of the dense system")
     p_spec.add_argument("--n", type=int, required=True)
     p_spec.add_argument("--m", type=int, required=True)
-    p_spec.add_argument("--delta", type=float, default=1e-6)
-    p_spec.add_argument("--tau", type=float, default=1e-2)
+    p_spec.add_argument("--delta", type=float, default=ModelParams.delta)
+    p_spec.add_argument("--tau", type=float, default=ModelParams.tau)
     p_spec.add_argument("--seed", type=int, default=0)
     p_spec.add_argument("--json-out", help="write the report JSON here instead of stdout")
 
@@ -142,6 +142,24 @@ def _emit_json(payload, path):
         print(text)
 
 
+def _solver_params(args, weights):
+    """``unwrap``'s model and loop parameters from the flags; exit 2 when out of range."""
+    try:
+        model = ModelParams(tau=args.tau, delta=args.delta)
+        params = IrlsParams(
+            max_iter_cg_start=args.cg_start,
+            rel_improvement_tol=args.eps_tol,
+            cg_growth_factor=args.cg_growth,
+            max_outer_iters=args.max_outer,
+        )
+        if weights is not None:
+            # unwrap needs a finite c_max^2/delta; uniform weights always have one
+            lipschitz_constant(weights, model)
+    except ValueError as exc:
+        _fail(EXIT_BAD_INPUT, f"invalid parameters: {exc}")
+    return model, params
+
+
 def _cmd_unwrap(args):
     x = wrap_to_principal(_load_image(args.input, "input"), 0.0)
     n, m = x.shape
@@ -161,17 +179,7 @@ def _cmd_unwrap(args):
         except ValueError as exc:
             _fail(EXIT_BAD_INPUT, f"invalid weights: {exc}")
 
-    try:
-        model = ModelParams(tau=args.tau, delta=args.delta)
-        params = IrlsParams(
-            max_iter_cg_start=args.cg_start,
-            rel_improvement_tol=args.eps_tol,
-            cg_growth_factor=args.cg_growth,
-            max_outer_iters=args.max_outer,
-        )
-    except ValueError as exc:
-        _fail(EXIT_BAD_INPUT, f"invalid parameters: {exc}")
-
+    model, params = _solver_params(args, weights)
     for path in (args.output, args.trace):
         if path:
             _check_writable(path)

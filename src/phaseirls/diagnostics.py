@@ -72,14 +72,6 @@ def split_pseudo_sqrt(matrix):
     return (vecs[:, keep] / np.sqrt(gam[keep])) @ vecs[:, keep].T
 
 
-def split_sqrt(matrix):
-    """C with eigenvalues gamma_i^(1/2), the zero mode dropped."""
-    gam, vecs = np.linalg.eigh(matrix)
-    cutoff = _NULL_THRESHOLD * max(gam.max(), 1.0)
-    keep = gam > cutoff
-    return (vecs[:, keep] * np.sqrt(gam[keep])) @ vecs[:, keep].T
-
-
 def random_diagonal_weights(n, m, delta, seed):
     """Diagonal weight grids with entries uniform in (0, 1/delta]."""
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))

@@ -12,9 +12,11 @@ which makes the sufficient-decrease condition hold at every accepted
 iterate).  That candidate step needs only the current state, so it and its
 objective value are formed before the solve, and the proposal is then written
 over the state.  The loop holds two system vectors (state and candidate)
-and one scratch vector, all allocated at set-up; after that its only
-grid-sized allocations are the PCG solve's own and the two transient
-products inside the block-system apply of the gradient step.  Under
+and one scratch vector, all allocated at set-up.  PCG iterates in the
+state's u and the right-hand side grid, so after set-up the loop's only
+grid-sized allocations are the solve's search direction, one transform
+temporary per Sylvester apply and the two transient products inside the
+block-system apply of the gradient step.  Under
 refreshed weights the objective of the state is sum(w) plus its coupling
 penalty, so each outer iteration evaluates the lifted objective twice, for
 the candidate and for the proposal.  The CG budget and overall stopping
@@ -80,10 +82,10 @@ class IrlsParams:
     def __post_init__(self):
         if not 1 <= self.max_iter_cg_start <= MAX_CG_ITERS:
             raise ValueError(f"max_iter_cg_start must lie in [1, {MAX_CG_ITERS}]")
-        if self.rel_improvement_tol <= 0:
-            raise ValueError("rel_improvement_tol must be positive")
-        if self.cg_growth_factor <= 1:
-            raise ValueError("cg_growth_factor must exceed 1")
+        if not 0 < self.rel_improvement_tol < math.inf:
+            raise ValueError("rel_improvement_tol must be positive and finite")
+        if not 1 < self.cg_growth_factor < math.inf:
+            raise ValueError("cg_growth_factor must exceed 1 and be finite")
         if self.max_outer_iters < 1:
             raise ValueError("max_outer_iters must be >= 1")
 
@@ -156,8 +158,8 @@ def cg_budget_update(delta_rel, m_prev, m_prev2, params: IrlsParams):
         return BudgetDecision("keep", m_prev)
     if m_prev != m_prev2 or m_prev >= MAX_CG_ITERS:
         return BudgetDecision("stop", m_prev)
-    grown = math.ceil(params.cg_growth_factor * m_prev)
-    return BudgetDecision("grow", min(grown, MAX_CG_ITERS))
+    # capped before the ceiling, so a huge factor cannot overflow to inf
+    return BudgetDecision("grow", math.ceil(min(params.cg_growth_factor * m_prev, MAX_CG_ITERS)))
 
 
 def unwrap(x, c: WeightField | None = None, model: ModelParams | None = None,
@@ -192,8 +194,8 @@ def unwrap(x, c: WeightField | None = None, model: ModelParams | None = None,
             f"weight shapes {c.cv.shape}/{c.ch.shape} do not match grid {(n, m)}"
         )
 
-    cache = build_spectral_cache(n, m)
     lip = lipschitz_constant(c, model)
+    cache = build_spectral_cache(n, m)
     tau = model.tau
 
     # every grid of the outer loop, allocated once.  The scratch vector's slack
@@ -240,21 +242,21 @@ def unwrap(x, c: WeightField | None = None, model: ModelParams | None = None,
         reduced_weights(c, w, tau, out=wr, flux=flux)
         build_reduced_rhs(g, wr, out=rhs, flux=flux)
         rhs_norm = np.linalg.norm(rhs)
+        # the solve warm-starts from the state's u and iterates in it; the
+        # state is not needed any more, and rhs ends as the residual
         outcome = pcg_solve(
             apply_a=lambda v: apply_reduced_system(v, wr, out=ap, flux=flux),
             apply_m=lambda r: preconditioner.sylvester_solve(r, tau, cache, out=z),
             b=rhs,
-            x0=state.u,
+            x=state.u,
             max_iters=m_cg,
             rel_tol=CG_REL_TOL,
         )
         cg_iters = outcome.iterations
         cg_converged = bool(outcome.converged)
         cg_rel_residual = outcome.residual_norms[-1] / rhs_norm if rhs_norm > 0 else 0.0
-        # the proposal is written over the state, which nothing needs any more
-        recover_slacks(outcome.x, g, wr, tau, out=state, flux=flux)
-        # free the solve's iterate and residual before the next solve allocates its own
-        del outcome
+        # the proposal: u from the solve with its optimal slacks
+        recover_slacks(state.u, g, wr, tau, out=state, flux=flux)
         h_prop = eval_h_delta(state, w, g, c, model, scratch=flux)
         sufficient = h_prop <= h_cand
         if not sufficient:

@@ -17,12 +17,13 @@ form.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels
-from .operators import DiagonalWeights, SystemVector, apply_system, build_rhs
+from .operators import DiagonalWeights, SystemVector, apply_system, arc_scratch, build_rhs
 
 __all__ = [
     "ModelParams",
@@ -34,7 +35,6 @@ __all__ = [
     "update_weights",
     "lipschitz_constant",
     "candidate_step",
-    "sufficient_decrease_holds",
 ]
 
 
@@ -48,8 +48,11 @@ class ModelParams:
     def __post_init__(self):
         if not (self.tau > 0 and math.isfinite(self.tau)):
             raise ValueError(f"tau must be positive and finite, got {self.tau}")
-        if not (self.delta > 0 and math.isfinite(self.delta)):
-            raise ValueError(f"delta must be positive and finite, got {self.delta}")
+        # every weight and objective evaluation squares delta
+        if not (self.delta > 0 and sys.float_info.min <= self.delta * self.delta < math.inf):
+            raise ValueError(
+                f"delta must be positive with a finite, normal square, got {self.delta}"
+            )
 
 
 @dataclass(frozen=True)
@@ -60,15 +63,9 @@ class IrlsWeights:
     wh: np.ndarray
 
 
-def _arc_scratch(x, scratch):
-    if scratch is None:
-        scratch = (np.empty(x.vv.shape), np.empty(x.vh.shape))
-    return scratch
-
-
 def _penalty_terms(x: SystemVector, g, tau, scratch=None):
     # the coupling residuals S u - gv - vv and u T - gh - vh, formed in the scratch pair
-    rv, rh = kernels.diffs(x.u, *_arc_scratch(x, scratch))
+    rv, rh = kernels.diffs(x.u, *arc_scratch(scratch, x.vv, x.vh))
     rv -= g.gv
     rv -= x.vv
     rh -= g.gh
@@ -82,11 +79,6 @@ def _smoothed_squares(cc, v, d2, out):
     np.square(out, out=out)
     out += d2
     return out
-
-
-def arc_count(n, m):
-    """Number of arcs of an (n, m) grid: (n-1)*m + n*(m-1)."""
-    return (n - 1) * m + n * (m - 1)
 
 
 def eval_f(x, g, c, p):
@@ -112,7 +104,7 @@ def eval_h_delta(x, w, g, c, p, scratch=None):
     half_delta = 0.5 * p.delta
     if (w.wv.size and w.wv.min() < half_delta) or (w.wh.size and w.wh.min() < half_delta):
         raise ValueError("auxiliary weights must be >= delta/2")
-    scratch = _arc_scratch(x, scratch)
+    scratch = arc_scratch(scratch, x.vv, x.vh)
     d2 = p.delta * p.delta
     h = 0.0
     for cc, v, ww, s in zip((c.cv, c.ch), (x.vv, x.vh), (w.wv, w.wh), scratch):
@@ -151,8 +143,16 @@ def update_weights(x, c, delta, out=None):
 
 
 def lipschitz_constant(c, p):
-    """Upper bound 12/tau + c_max^2/delta on the lifted quadratic's curvature."""
-    return 12.0 / p.tau + c.max_weight**2 / p.delta
+    """Upper bound 12/tau + c_max^2/delta on the lifted quadratic's curvature.
+
+    Raises ValueError when c_max^2/delta is not a finite float.
+    """
+    cmax = c.max_weight
+    # a product overflows to inf where cmax**2 would raise OverflowError
+    stiffness = cmax * cmax / p.delta
+    if not math.isfinite(stiffness):
+        raise ValueError(f"c_max^2/delta must be finite, got c_max = {cmax}, delta = {p.delta}")
+    return 12.0 / p.tau + stiffness
 
 
 def candidate_step(x, w, g, c, p, lipschitz, out=None, scratch=None):
@@ -180,9 +180,3 @@ def candidate_step(x, w, g, c, p, lipschitz, out=None, scratch=None):
     out.data *= -1.0 / lipschitz
     out.data += x.data
     return out
-
-
-def sufficient_decrease_holds(x_new, x_old, w, g, c, p, lipschitz):
-    """Check that ``x_new`` does at least as well as one explicit gradient step."""
-    cand = candidate_step(x_old, w, g, c, p, lipschitz)
-    return eval_h_delta(x_new, w, g, c, p) <= eval_h_delta(cand, w, g, c, p)

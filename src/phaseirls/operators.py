@@ -35,10 +35,9 @@ __all__ = [
     "apply_reduced_system",
     "build_reduced_rhs",
     "recover_slacks",
+    "arc_scratch",
     "materialize_dense_system",
     "materialize_dense_preconditioner",
-    "stack_system",
-    "unstack_system",
 ]
 
 DENSE_CELL_LIMIT = 4096
@@ -157,10 +156,11 @@ def build_rhs(g: GradientField, tau, out=None):
     return out
 
 
-def _flux_scratch(wr, flux):
-    if flux is None:
-        flux = (np.empty(wr.dv.shape), np.empty(wr.dh.shape))
-    return flux
+def arc_scratch(pair, av, ah):
+    """``pair``, or when it is None a new pair of grids shaped like ``av`` and ``ah``."""
+    if pair is None:
+        pair = (np.empty(av.shape), np.empty(ah.shape))
+    return pair
 
 
 def reduced_weights(c, w, tau, out=None, flux=None):
@@ -174,7 +174,7 @@ def reduced_weights(c, w, tau, out=None, flux=None):
         raise ValueError(f"tau must be positive, got {tau}")
     if out is None:
         out = DiagonalWeights(np.empty(c.cv.shape), np.empty(c.ch.shape))
-    flux = _flux_scratch(out, flux)
+    flux = arc_scratch(flux, out.dv, out.dh)
     for cc, ww, o, f in zip((c.cv, c.ch), (w.wv, w.wh), (out.dv, out.dh), flux):
         np.multiply(cc, cc, out=o)
         # f = w + tau c^2, the denominator
@@ -194,7 +194,7 @@ def apply_reduced_system(u, wr, out=None, flux=None):
     """
     if out is None:
         out = np.empty(np.shape(u))
-    return kernels.weighted_laplacian(u, wr.dv, wr.dh, *_flux_scratch(wr, flux), out)
+    return kernels.weighted_laplacian(u, wr.dv, wr.dh, *arc_scratch(flux, wr.dv, wr.dh), out)
 
 
 def build_reduced_rhs(g: GradientField, wr, out=None, flux=None):
@@ -206,7 +206,7 @@ def build_reduced_rhs(g: GradientField, wr, out=None, flux=None):
     """
     if out is None:
         out = np.empty((g.gh.shape[0], g.gv.shape[1]))
-    fv, fh = _flux_scratch(wr, flux)
+    fv, fh = arc_scratch(flux, wr.dv, wr.dh)
     np.multiply(wr.dv, g.gv, out=fv)
     np.multiply(wr.dh, g.gh, out=fh)
     return kernels.adj_diffs(fv, fh, out)
@@ -225,7 +225,7 @@ def recover_slacks(u, g: GradientField, wr, tau, out=None, flux=None):
         out = SystemVector.zeros(*np.shape(u))
     out.u[...] = u
     kernels.diffs(u, out.vv, out.vh)
-    flux = _flux_scratch(wr, flux)
+    flux = arc_scratch(flux, wr.dv, wr.dh)
     for v, gg, ww, f in zip((out.vv, out.vh), (g.gv, g.gh), (wr.dv, wr.dh), flux):
         v -= gg
         # v -= tau W v, the product formed in the scratch
@@ -302,20 +302,3 @@ def materialize_dense_preconditioner(n, m, d, tau):
     )
     out[n * m + nv :, n * m + nv :] = np.diag(d.dh.ravel(order="F") + inv_tau)
     return out
-
-
-def stack_system(x: SystemVector):
-    """Column-stack (u, vv, vh) into one flat vector matching the dense layout."""
-    return np.concatenate(
-        [x.u.ravel(order="F"), x.vv.ravel(order="F"), x.vh.ravel(order="F")]
-    )
-
-
-def unstack_system(vec, n, m):
-    """Inverse of stack_system for an (n, m) grid."""
-    nu = n * m
-    nv = (n - 1) * m
-    u = vec[:nu].reshape((n, m), order="F")
-    vv = vec[nu : nu + nv].reshape((n - 1, m), order="F")
-    vh = vec[nu + nv :].reshape((n, m - 1), order="F")
-    return SystemVector(u, vv, vh)

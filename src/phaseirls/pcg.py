@@ -7,7 +7,9 @@ constant u mode) but every right-hand side produced by the solver lies in
 their range, so plain CG theory applies.  The constant mode is the
 preconditioner's job alone: the Sylvester pseudo-inverse zeroes it in every
 apply, so the search directions never gain a constant component and the
-solve needs no projection of its own.
+solve needs no projection of its own.  The iteration runs in the caller's
+iterate and right-hand side arrays, so each solve allocates one grid, its
+search direction.
 """
 
 from dataclasses import dataclass, field
@@ -33,14 +35,12 @@ class NumericalBreakdown(RuntimeError):
 
 @dataclass
 class PcgOutcome:
-    x: np.ndarray
     iterations: int
     residual_norms: list = field(default_factory=list)
     converged: bool = False
-    residual: np.ndarray | None = None
 
 
-def pcg_solve(apply_a, apply_m, b, x0, max_iters, rel_tol):
+def pcg_solve(apply_a, apply_m, b, x, max_iters, rel_tol):
     """Conjugate gradient on ``apply_a(x) = b`` preconditioned by ``apply_m``.
 
     Stops when the unpreconditioned residual norm drops to
@@ -49,31 +49,29 @@ def pcg_solve(apply_a, apply_m, b, x0, max_iters, rel_tol):
     with convergence judged from the current residual, and a vanishing
     preconditioned product r'z = 0 ends it unconverged.
 
-    ``b`` and ``x0`` are float64 arrays of one shape, and the maps take and
-    return arrays of that shape.  The arrays returned by ``apply_a`` and
-    ``apply_m`` are used as scratch and overwritten, so both may keep
-    returning one preallocated buffer each (as ``out=`` closures do); a
-    returned array must not alias the argument.  The solve itself allocates only ``x``, ``r`` and ``p``.
+    ``b`` and ``x`` are float64 arrays of one shape, and neither aliases the
+    other.  The iteration runs in them: ``x`` holds the starting iterate and
+    ends as the last iterate, and ``b`` ends as the recurrence residual,
+    whose norm is ``residual_norms[-1]``.  The maps take and return arrays of
+    that shape.  The arrays returned by ``apply_a`` and ``apply_m`` are used
+    as scratch and overwritten, so both may keep returning one preallocated
+    buffer each (as ``out=`` closures do); a returned array must not alias
+    the argument.  The solve itself allocates only the search direction.
     """
     if max_iters < 0:
         raise ValueError("max_iters must be >= 0")
     if rel_tol < 0:
         raise ValueError("rel_tol must be >= 0")
-    x = np.array(x0, dtype=np.float64)
     threshold = rel_tol * np.linalg.norm(b)
 
-    r = np.array(b, dtype=np.float64)
+    r = b  # the residual overwrites b
     r -= apply_a(x)
     res_norms = [np.linalg.norm(r)]
     if not np.isfinite(res_norms[0]):
         raise NumericalBreakdown(0, "initial residual is not finite")
     if res_norms[0] <= threshold or max_iters == 0:
         return PcgOutcome(
-            x=x,
-            iterations=0,
-            residual_norms=res_norms,
-            converged=res_norms[0] <= threshold,
-            residual=r,
+            iterations=0, residual_norms=res_norms, converged=res_norms[0] <= threshold
         )
 
     z = apply_m(r)
@@ -114,9 +112,5 @@ def pcg_solve(apply_a, apply_m, b, x0, max_iters, rel_tol):
         p += z
 
     return PcgOutcome(
-        x=x,
-        iterations=len(res_norms) - 1,
-        residual_norms=res_norms,
-        converged=converged,
-        residual=r,
+        iterations=len(res_norms) - 1, residual_norms=res_norms, converged=converged
     )

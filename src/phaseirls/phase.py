@@ -24,7 +24,6 @@ __all__ = [
     "wrapped_gradients",
     "shift_error",
     "congruent_round",
-    "center_mean_zero",
     "as_phase_grid",
     "validate_wrapped",
 ]
@@ -140,8 +139,8 @@ def wrap_to_principal(x, lo=-np.pi):
 def wrapped_gradients(x, lo=-np.pi):
     """Principal-interval neighbor differences of a wrapped grid."""
     arr = validate_wrapped(x)
-    gv = kernels.diff_rows(arr)
-    gh = kernels.diff_cols(arr)
+    n, m = arr.shape
+    gv, gh = kernels.diffs(arr, np.empty((n - 1, m)), np.empty((n, m - 1)))
     if gv.size:
         gv = wrap_to_principal(gv, lo)
     if gh.size:
@@ -182,9 +181,3 @@ def congruent_round(u, x):
     if ua.shape != xa.shape:
         raise ValueError(f"dimension mismatch: {ua.shape} vs {xa.shape}")
     return xa + TWO_PI * np.rint((ua - xa) / TWO_PI)
-
-
-def center_mean_zero(u):
-    """Subtract the grid mean."""
-    ua = as_phase_grid(u)
-    return ua - ua.mean()

@@ -3,9 +3,10 @@
 Everything here is deliberately built from first principles (index rules,
 eye-shifts, scalar loops, dense linear algebra) so it shares no code with
 the implementations it checks.  The exceptions are ``pcg_solve_blocks``, an
-adapter that runs the solver's array PCG on the full block system, and the
-outer-loop replays at the end, which rerun ``unwrap`` to recover the states
-it held.
+adapter that runs the solver's array PCG on the full block system,
+``sufficient_decrease_holds``, which compares against the solver's own
+gradient step, and the outer-loop replays at the end, which rerun ``unwrap``
+to recover the states it held.
 """
 
 import numpy as np
@@ -43,6 +44,33 @@ def dense_arc_map(n, m):
 def vec(a):
     """Column-stacking vectorization."""
     return np.asarray(a).ravel(order="F")
+
+
+def stack_system(x: SystemVector):
+    """Column-stack (u, vv, vh) into one flat vector matching the dense layout."""
+    return np.concatenate([vec(x.u), vec(x.vv), vec(x.vh)])
+
+
+def unstack_system(flat, n, m):
+    """Inverse of ``stack_system`` for an (n, m) grid."""
+    nu = n * m
+    nv = (n - 1) * m
+    u = flat[:nu].reshape((n, m), order="F")
+    vv = flat[nu : nu + nv].reshape((n - 1, m), order="F")
+    vh = flat[nu + nv :].reshape((n, m - 1), order="F")
+    return SystemVector(u, vv, vh)
+
+
+def arc_count(n, m):
+    """Number of arcs of an (n, m) grid: (n-1)*m + n*(m-1)."""
+    return (n - 1) * m + n * (m - 1)
+
+
+def split_sqrt(matrix):
+    """C with eigenvalues gamma_i^(1/2), the zero mode dropped (relative cutoff 1e-10)."""
+    gam, vecs = np.linalg.eigh(matrix)
+    keep = gam > 1e-10 * max(gam.max(), 1.0)
+    return (vecs[:, keep] * np.sqrt(gam[keep])) @ vecs[:, keep].T
 
 
 def dense_system_entrywise(n, m, d, tau):
@@ -171,24 +199,25 @@ def pcg_solve_blocks(apply_a, apply_m, b, x0, max_iters, rel_tol):
     """``pcg_solve`` on the full (u, vv, vh) system through its flat buffers.
 
     The maps take and return SystemVectors, as ``apply_system`` and
-    ``apply_preconditioner`` do; the outcome's ``x`` and ``residual`` come
-    back as SystemVectors viewing PCG's own arrays.
+    ``apply_preconditioner`` do.  PCG runs in copies of ``b`` and ``x0``, so
+    both stay as given; the outcome gains ``x`` and ``residual``, the
+    SystemVectors of those copies after the solve.
     """
     n, m = b.shape
 
     def view(data):
         return SystemVector.from_buffer(data, n, m)
 
+    x, res = x0.copy(), b.copy()
     out = pcg_solve(
         lambda v: apply_a(view(v)).data,
         lambda r: apply_m(view(r)).data,
-        b.data,
-        x0.data,
+        res.data,
+        x.data,
         max_iters=max_iters,
         rel_tol=rel_tol,
     )
-    out.x = view(out.x)
-    out.residual = view(out.residual)
+    out.x, out.residual = x, res
     return out
 
 
@@ -204,6 +233,12 @@ def outer_states(x, c, model, count):
         res = unwrap(x, c, model, IrlsParams(max_outer_iters=k))
         states.append(SystemVector(res.u, res.vv, res.vh))
     return g, states
+
+
+def sufficient_decrease_holds(x_new, x_old, w, g, c, p, lipschitz):
+    """Check that ``x_new`` does at least as well as one explicit gradient step."""
+    cand = candidate_step(x_old, w, g, c, p, lipschitz)
+    return eval_h_delta(x_new, w, g, c, p) <= eval_h_delta(cand, w, g, c, p)
 
 
 def safeguard_bound_holds(x, records, c, model):

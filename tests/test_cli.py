@@ -6,7 +6,8 @@ import pytest
 from phaseirls import cli, irls
 from phaseirls.arrayio import load_grid, save_grid
 from phaseirls.cli import main
-from phaseirls.irls import MAX_CG_ITERS
+from phaseirls.irls import MAX_CG_ITERS, IrlsParams
+from phaseirls.objective import ModelParams
 from phaseirls.phase import TWO_PI, shift_error, wrap_to_principal
 from phaseirls.synth import SceneSpec, generate_scene, wrap_scene
 
@@ -195,6 +196,76 @@ class TestUnwrapCommand:
             "unwrap", "--input", wrapped, "--output", explicit, "--cv", cv, "--ch", ch
         ) == 0
         assert implicit.read_bytes() == explicit.read_bytes()
+
+
+def test_defaults_are_the_dataclass_defaults():
+    parser = cli._build_parser()
+    args = parser.parse_args(["unwrap", "--input", "i.npy", "--output", "o.npy"])
+    assert cli._solver_params(args, None) == (ModelParams(), IrlsParams())
+    args = parser.parse_args(["spectrum", "--n", "4", "--m", "4"])
+    assert (args.tau, args.delta) == (ModelParams().tau, ModelParams().delta)
+
+
+# flags whose values the solver cannot run with; each stops before the solve
+OUT_OF_RANGE = {
+    "delta-underflow": ("--delta", 1e-300),
+    "delta-overflow": ("--delta", 1e300),
+    "cg-growth-nan": ("--cg-growth", "nan"),
+    "cg-growth-inf": ("--cg-growth", "inf"),
+    "eps-tol-nan": ("--eps-tol", "nan"),
+    "weights-1e154": ("WEIGHTS", 1e154),
+    "weights-1e155": ("WEIGHTS", 1e155),
+}
+
+
+@pytest.fixture
+def small_wrapped(tmp_path):
+    spec = SceneSpec("gaussian-bumps", 16, 16, amplitude=5.0, feature_scale=4.0, seed=2)
+    path = tmp_path / "wrapped.npy"
+    save_grid(path, wrap_scene(generate_scene(spec)))
+    return path
+
+
+def _weight_flags(tmp_path, value, n=16, m=16):
+    cv = tmp_path / "cv.npy"
+    ch = tmp_path / "ch.npy"
+    save_grid(cv, np.full((n - 1, m), value))
+    save_grid(ch, np.full((n, m - 1), value))
+    return ("--cv", cv, "--ch", ch)
+
+
+@pytest.mark.parametrize("case", sorted(OUT_OF_RANGE))
+def test_out_of_range_parameters_exit_2_before_the_solve(
+    tmp_path, capsys, monkeypatch, small_wrapped, case
+):
+    def never(*args, **kwargs):
+        raise AssertionError("unwrap ran with out-of-range parameters")
+
+    monkeypatch.setattr(cli, "unwrap", never)
+    flag, value = OUT_OF_RANGE[case]
+    extra = _weight_flags(tmp_path, value) if flag == "WEIGHTS" else (flag, value)
+    out = tmp_path / "o.npy"
+    assert run("unwrap", "--input", small_wrapped, "--output", out, *extra) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: invalid parameters: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [("--delta", 1e-150), ("--delta", 1e150), ("--cg-growth", 1e308), ("WEIGHTS", 1e150)],
+)
+def test_extreme_accepted_parameters_run(tmp_path, small_wrapped, extra):
+    if extra[0] == "WEIGHTS":
+        extra = _weight_flags(tmp_path, extra[1])
+    out = tmp_path / "o.npy"
+    trace = tmp_path / "t.jsonl"
+    assert run("unwrap", "--input", small_wrapped, "--output", out, "--trace", trace, *extra) == 0
+    assert np.all(np.isfinite(load_grid(out)))
+    h = [json.loads(line)["h_delta"] for line in trace.read_text().splitlines()]
+    assert h and all(np.isfinite(h))
 
 
 class TestErrorCommand:

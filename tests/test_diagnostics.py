@@ -6,9 +6,10 @@ from phaseirls.diagnostics import (
     positive_eigenvalues,
     random_diagonal_weights,
     split_pseudo_sqrt,
-    split_sqrt,
 )
 from phaseirls.operators import SizeLimitExceeded, materialize_dense_system
+
+from oracles import split_sqrt
 
 
 class TestConditioningReport:

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -14,7 +15,6 @@ from phaseirls.irls import (
 )
 from phaseirls.objective import (
     ModelParams,
-    arc_count,
     candidate_step,
     eval_f,
     eval_f_delta,
@@ -22,7 +22,7 @@ from phaseirls.objective import (
     lipschitz_constant,
     update_weights,
 )
-from phaseirls.operators import SystemVector, unstack_system
+from phaseirls.operators import SystemVector
 from phaseirls.pcg import pcg_solve
 from phaseirls.phase import (
     TWO_PI,
@@ -35,6 +35,7 @@ from phaseirls.phase import (
 from phaseirls.synth import SceneSpec, add_phase_noise, generate_scene, wrap_scene
 
 from oracles import (
+    arc_count,
     dense_s,
     dense_system_entrywise,
     dense_t,
@@ -44,6 +45,7 @@ from oracles import (
     random_weights,
     safeguard_bound_holds,
     spoil_proposals,
+    unstack_system,
     vec,
 )
 
@@ -69,6 +71,20 @@ class TestBudgetRules:
         decision = cg_budget_update(1e-4, MAX_CG_ITERS - 1, MAX_CG_ITERS - 1, DEFAULTS)
         assert decision.action == "grow"
         assert decision.m_cg == MAX_CG_ITERS
+
+    @pytest.mark.parametrize(
+        "factor, grown", [(1.7, 9), (3.0, 15), (1e4, MAX_CG_ITERS), (1e308, MAX_CG_ITERS)]
+    )
+    def test_any_finite_factor_grows_within_the_cap(self, factor, grown):
+        decision = cg_budget_update(1e-4, 5, 5, IrlsParams(cg_growth_factor=factor))
+        assert decision.action == "grow"
+        assert decision.m_cg == grown
+
+    @pytest.mark.parametrize("field", ["rel_improvement_tol", "cg_growth_factor"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_non_finite_controls(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            IrlsParams(**{field: value})
 
     def test_stop_at_cap(self):
         decision = cg_budget_update(1e-4, MAX_CG_ITERS, MAX_CG_ITERS, DEFAULTS)
@@ -173,6 +189,25 @@ class TestUnwrap:
         bad = WeightField.uniform(5, 5)
         with pytest.raises(ValueError):
             unwrap(x, bad)
+
+    @pytest.mark.parametrize("weight", [1e154, 1e155])
+    def test_rejects_weights_whose_curvature_bound_is_not_finite(self, weight):
+        x = wrap_to_principal(np.zeros((16, 16)), 0.0)
+        c = WeightField(np.full((15, 16), weight), np.full((16, 15), weight))
+        with pytest.raises(ValueError, match="c_max"):
+            unwrap(x, c)
+
+    @pytest.mark.parametrize(
+        "model, weight",
+        [(ModelParams(delta=1e-150), 1.0), (ModelParams(delta=1e150), 1.0), (ModelParams(), 1e150)],
+    )
+    def test_extreme_accepted_parameters_give_finite_objectives(self, model, weight):
+        spec = SceneSpec("gaussian-bumps", 16, 16, amplitude=5.0, feature_scale=4.0, seed=2)
+        x = add_phase_noise(wrap_scene(generate_scene(spec)), 0.3, seed=3)
+        c = WeightField(np.full((15, 16), weight), np.full((16, 15), weight))
+        res = unwrap(x, c, model)
+        assert all(math.isfinite(h) for h in res.trace.h_values())
+        assert np.all(np.isfinite(res.u))
 
     def test_rejects_unwrapped_input(self):
         with pytest.raises(ValueError):
@@ -287,6 +322,20 @@ class TestUnwrap:
             tracemalloc.stop()
         assert peak <= 25 * x.nbytes, f"peak of {peak / x.nbytes:.2f} grids"
 
+    def test_solve_runs_in_the_loop_buffers(self):
+        # PCG iterates in the state's u and the right-hand side grid, so the
+        # peak is the loop's buffers plus the search direction and one
+        # Sylvester transform temporary
+        spec = SceneSpec("gaussian-bumps", 256, 256, amplitude=10.0, feature_scale=28.0, seed=1)
+        x = add_phase_noise(wrap_scene(generate_scene(spec)), 0.3, seed=7)
+        tracemalloc.start()
+        try:
+            unwrap(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 23 * x.nbytes, f"peak of {peak / x.nbytes:.2f} grids"
+
     def test_recorded_objective_is_that_of_the_accepted_iterate(self):
         # the record reuses h from the acceptance test, evaluated before u is
         # mean-centred; centring moves h by round-off only
@@ -346,8 +395,10 @@ class TestObservability:
         solves = []
 
         def recording(*args, **kwargs):
+            # the solve overwrites b with its residual, so its norm is taken first
+            b_norm = np.linalg.norm(kwargs["b"])
             out = pcg_solve(*args, **kwargs)
-            solves.append((out.converged, out.residual_norms[-1] / np.linalg.norm(kwargs["b"])))
+            solves.append((out.converged, out.residual_norms[-1] / b_norm))
             return out
 
         monkeypatch.setattr(irls, "pcg_solve", recording)

@@ -5,14 +5,12 @@ from phaseirls import kernels
 from phaseirls.objective import (
     IrlsWeights,
     ModelParams,
-    arc_count,
     candidate_step,
     eval_f,
     eval_f_delta,
     eval_h_delta,
     eval_h_delta_refreshed,
     lipschitz_constant,
-    sufficient_decrease_holds,
     update_weights,
 )
 from phaseirls.operators import (
@@ -21,12 +19,19 @@ from phaseirls.operators import (
     apply_system,
     build_rhs,
     materialize_dense_system,
-    stack_system,
-    unstack_system,
 )
 from phaseirls.phase import GradientField, WeightField
 
-from oracles import objective_scalar_loops, random_gradients, random_state, random_weights
+from oracles import (
+    arc_count,
+    objective_scalar_loops,
+    random_gradients,
+    random_state,
+    random_weights,
+    stack_system,
+    sufficient_decrease_holds,
+    unstack_system,
+)
 
 
 def zero_gradients(n, m):
@@ -251,6 +256,13 @@ class TestLipschitzConstant:
         c = WeightField(np.zeros((2, 3)), ch)
         assert lipschitz_constant(c, p) == pytest.approx(12.0 / 0.25, rel=1e-12)
 
+    @pytest.mark.parametrize("cmax", [1e154, 1e155])
+    def test_rejects_a_bound_that_is_not_finite(self, cmax):
+        # c_max^2/delta overflows: to inf at 1e154, past the float range at 1e155
+        c = WeightField(np.full((2, 3), cmax), np.ones((3, 2)))
+        with pytest.raises(ValueError, match="c_max"):
+            lipschitz_constant(c, ModelParams())
+
     def test_dominates_dense_hessian(self, rng):
         p = ModelParams(tau=1e-2, delta=1e-4)
         for n, m in [(4, 4), (8, 8), (5, 8)]:
@@ -374,3 +386,13 @@ class TestModelParams:
             ModelParams(tau=0.0)
         with pytest.raises(ValueError):
             ModelParams(delta=-1.0)
+
+    @pytest.mark.parametrize("delta", [1e-300, 1e-162, 1e-155, 1e155, 1e300])
+    def test_rejects_delta_whose_square_is_not_normal_and_finite(self, delta):
+        # delta^2 underflows to a subnormal or zero, or overflows to inf
+        with pytest.raises(ValueError, match="delta"):
+            ModelParams(delta=delta)
+
+    @pytest.mark.parametrize("delta", [1e-150, 1e150])
+    def test_accepts_delta_with_a_normal_finite_square(self, delta):
+        assert ModelParams(delta=delta).delta == delta

@@ -13,8 +13,6 @@ from phaseirls.operators import (
     materialize_dense_system,
     recover_slacks,
     reduced_weights,
-    stack_system,
-    unstack_system,
 )
 from phaseirls.objective import IrlsWeights
 from phaseirls.phase import WeightField
@@ -26,6 +24,8 @@ from oracles import (
     dense_t,
     random_gradients,
     random_state,
+    stack_system,
+    unstack_system,
     vec,
 )
 

@@ -16,8 +16,6 @@ from phaseirls.operators import (
     materialize_dense_system,
     recover_slacks,
     reduced_weights,
-    stack_system,
-    unstack_system,
 )
 from phaseirls.pcg import NumericalBreakdown, pcg_solve
 from phaseirls.phase import WeightField
@@ -28,7 +26,14 @@ from phaseirls.preconditioner import (
     sylvester_solve,
 )
 
-from oracles import dense_arc_map, pcg_solve_blocks, random_gradients, vec
+from oracles import (
+    dense_arc_map,
+    pcg_solve_blocks,
+    random_gradients,
+    stack_system,
+    unstack_system,
+    vec,
+)
 
 TAU = 1e-2
 DELTA = 1e-6
@@ -121,16 +126,17 @@ class TestReducedSolve:
         # c = 1 and w = 1/d give the reduced weights d / (1 + tau d)
         wr = reduced_weights(WeightField.uniform(n, m), IrlsWeights(1 / d.dv, 1 / d.dh), TAU)
         cache = build_spectral_cache(n, m)
+        x = np.zeros((n, m))
         out = pcg_solve(
             lambda v: apply_reduced_system(v, wr),
             lambda r: sylvester_solve(r, TAU, cache),
             build_reduced_rhs(g, wr),
-            np.zeros((n, m)),
+            x,
             max_iters=3 * n * m,
             rel_tol=1e-12,
         )
         assert out.converged
-        got = recover_slacks(out.x - out.x.mean(), g, wr, TAU)
+        got = recover_slacks(x - x.mean(), g, wr, TAU)
         rel = np.linalg.norm(stack_system(got) - x_star) / np.linalg.norm(x_star)
         assert rel < 1e-6
 
@@ -144,11 +150,12 @@ class TestReducedSolve:
         )
         b = build_reduced_rhs(random_gradients(rng, n, m), wr)
         cache = build_spectral_cache(n, m)
+        x = np.zeros((n, m))
         out = pcg_solve(
             lambda v: apply_reduced_system(v, wr),
             lambda r: sylvester_solve(r, TAU, cache),
-            b,
-            np.zeros((n, m)),
+            b.copy(),
+            x,
             max_iters=400,
             rel_tol=1e-13,
         )
@@ -157,9 +164,33 @@ class TestReducedSolve:
         k = dense_arc_map(n, m)
         kt_w_k = k.T @ np.diag(np.concatenate([vec(wr.dv), vec(wr.dh)])) @ k
         x_star = np.linalg.pinv(kt_w_k) @ vec(b)
-        got = vec(out.x - out.x.mean())
+        got = vec(x - x.mean())
         assert np.linalg.norm(got - x_star) / np.linalg.norm(x_star) < 1e-9
-        assert abs(out.x.mean()) <= 1e-12 * np.abs(out.x).max()
+        assert abs(x.mean()) <= 1e-12 * np.abs(x).max()
+
+
+class TestInPlace:
+    def test_x_ends_as_the_iterate_and_b_as_the_residual(self, rng):
+        n, m = 12, 10
+        wr = DiagonalWeights(rng.uniform(0.5, 2.0, (n - 1, m)), rng.uniform(0.5, 2.0, (n, m - 1)))
+        rhs = build_reduced_rhs(random_gradients(rng, n, m), wr)
+        b = rhs.copy()
+        x = np.zeros((n, m))
+        cache = build_spectral_cache(n, m)
+        out = pcg_solve(
+            lambda v: apply_reduced_system(v, wr),
+            lambda r: sylvester_solve(r, TAU, cache),
+            b,
+            x,
+            max_iters=8,
+            rel_tol=0.0,
+        )
+        assert out.iterations == 8
+        assert np.linalg.norm(b) == out.residual_norms[-1]
+        # b is the recurrence residual of the iterate left in x
+        drift = rhs - apply_reduced_system(x, wr) - b
+        assert np.linalg.norm(drift) <= 1e-10 * np.linalg.norm(rhs)
+        assert np.linalg.norm(b) < 1e-2 * np.linalg.norm(rhs)
 
 
 class TestPreconditioningHelps:
@@ -191,17 +222,18 @@ class TestBreakdown:
     def test_vanishing_preconditioned_residual_stops_without_division(self):
         # r'z = 0 with z != 0: the step length is 0 and beta would be 0/0
         b = np.array([1.0, 0.0])
+        x = np.zeros(2)
         out = pcg_solve(
             lambda v: v.copy(),
             lambda r: np.array([-r[1], r[0]]),
             b,
-            np.zeros(2),
+            x,
             max_iters=10,
             rel_tol=1e-10,
         )
         assert out.iterations == 1
         assert not out.converged
-        assert np.array_equal(out.x, np.zeros(2))
+        assert np.array_equal(x, np.zeros(2))
 
     def test_validates_arguments(self, rng):
         n = m = 3
@@ -213,7 +245,7 @@ class TestBreakdown:
 
 
 class TestAllocations:
-    """The CG iteration reuses its vectors: only x, r and p are allocated."""
+    """The CG iteration reuses its vectors: it allocates only the search direction."""
 
     n, m = 96, 80
 
@@ -243,6 +275,31 @@ class TestAllocations:
     def test_peak_is_three_vectors_and_three_grids(self, rng):
         peak, vector, grid = self._solve_peak(rng, 20)
         assert peak <= 3 * vector + 3 * grid, f"peak {peak / grid:.1f} grids"
+
+    def test_solve_allocates_one_grid(self, rng):
+        # maps that write into preallocated grids, so the peak is PCG's own
+        n, m = 256, 256
+        wr = DiagonalWeights(rng.uniform(0.5, 2.0, (n - 1, m)), rng.uniform(0.5, 2.0, (n, m - 1)))
+        b = build_reduced_rhs(random_gradients(rng, n, m), wr)
+        x = np.zeros((n, m))
+        ap, z = np.empty((n, m)), np.empty((n, m))
+        flux = (np.empty((n - 1, m)), np.empty((n, m - 1)))
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            out = pcg_solve(
+                lambda v: apply_reduced_system(v, wr, out=ap, flux=flux),
+                lambda r: np.multiply(r, 0.5, out=z),
+                b, x, 20, 0.0,
+            )
+            peak = tracemalloc.get_traced_memory()[1] - entry
+        finally:
+            tracemalloc.stop()
+        assert out.iterations == 20
+        grid = n * m * 8
+        # the search direction, plus numpy's fixed-size ufunc buffers (8192
+        # elements per operand) for the strided column stencils
+        assert peak <= grid + 2**18, f"peak {peak / grid:.2f} grids"
 
     def test_peak_does_not_grow_with_iterations(self, rng):
         short, _, grid = self._solve_peak(rng, 4)

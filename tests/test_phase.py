@@ -4,7 +4,6 @@ import pytest
 from phaseirls.phase import (
     TWO_PI,
     WeightField,
-    center_mean_zero,
     congruent_round,
     shift_error,
     wrap_to_principal,
@@ -144,20 +143,6 @@ class TestCongruentRound:
         x = rng.uniform(0, TWO_PI, (8, 8))
         cycles = (congruent_round(u, x) - x) / TWO_PI
         assert np.max(np.abs(cycles - np.rint(cycles))) < 1e-12
-
-
-class TestCenterMeanZero:
-    def test_constant_grid(self):
-        assert np.allclose(center_mean_zero(3.7 * np.ones((4, 5))), 0.0)
-
-    def test_idempotent(self, rng):
-        u = rng.standard_normal((6, 6))
-        once = center_mean_zero(u)
-        assert np.allclose(center_mean_zero(once), once, atol=1e-15)
-
-    def test_sum_small(self, rng):
-        u = 100 * rng.standard_normal((30, 40))
-        assert abs(center_mean_zero(u).sum()) <= 1e-9 * u.size
 
 
 class TestWeightField:

@@ -6,7 +6,6 @@ from phaseirls.operators import (
     SystemVector,
     apply_system,
     materialize_dense_preconditioner,
-    stack_system,
 )
 from phaseirls.irls import unwrap
 from phaseirls.preconditioner import (
@@ -17,7 +16,7 @@ from phaseirls.preconditioner import (
 )
 from phaseirls.synth import SceneSpec, generate_scene, wrap_scene
 
-from oracles import dense_s, dense_t, random_state
+from oracles import dense_s, dense_t, random_state, stack_system
 
 
 class TestSpectralCache:
