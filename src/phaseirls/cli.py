@@ -142,10 +142,18 @@ def _emit_json(payload, path):
         print(text)
 
 
+def _model_params(args):
+    """``ModelParams`` from ``--tau`` and ``--delta``; exit 2 when out of range."""
+    try:
+        return ModelParams(tau=args.tau, delta=args.delta)
+    except ValueError as exc:
+        _fail(EXIT_BAD_INPUT, f"invalid parameters: {exc}")
+
+
 def _solver_params(args, weights):
     """``unwrap``'s model and loop parameters from the flags; exit 2 when out of range."""
+    model = _model_params(args)
     try:
-        model = ModelParams(tau=args.tau, delta=args.delta)
         params = IrlsParams(
             max_iter_cg_start=args.cg_start,
             rel_improvement_tol=args.eps_tol,
@@ -222,6 +230,10 @@ def _cmd_synth(args):
         _fail(EXIT_BAD_INPUT, "nothing to do: pass --out-truth and/or --out-wrapped")
     if args.out_wrapped and not args.wrap:
         _fail(EXIT_BAD_INPUT, "--out-wrapped requires --wrap")
+    for path in (args.out_truth, args.out_wrapped):
+        if path:
+            _check_writable(path)
+    # both grids are made before the first write, so a bad input writes nothing
     try:
         spec = SceneSpec(
             kind=args.kind,
@@ -231,18 +243,16 @@ def _cmd_synth(args):
             feature_scale=args.scale,
             seed=args.seed,
         )
+        truth = generate_scene(spec)
+        wrapped = None
+        if args.out_wrapped:
+            wrapped = add_phase_noise(wrap_scene(truth), args.noise_sigma, args.seed + 1)
     except ValueError as exc:
         _fail(EXIT_BAD_INPUT, f"invalid scene spec: {exc}")
-    truth = generate_scene(spec)
-    if args.out_truth:
-        with _writing(args.out_truth):
-            save_grid(args.out_truth, truth)
-    if args.wrap and args.out_wrapped:
-        wrapped = wrap_scene(truth)
-        if args.noise_sigma > 0:
-            wrapped = add_phase_noise(wrapped, args.noise_sigma, args.seed + 1)
-        with _writing(args.out_wrapped):
-            save_grid(args.out_wrapped, wrapped)
+    for path, grid in ((args.out_truth, truth), (args.out_wrapped, wrapped)):
+        if path:
+            with _writing(path):
+                save_grid(path, grid)
     return EXIT_OK
 
 
@@ -265,8 +275,9 @@ def _cmd_error(args):
 
 
 def _cmd_spectrum(args):
+    model = _model_params(args)
     try:
-        report = conditioning_report(args.n, args.m, args.delta, args.tau, args.seed)
+        report = conditioning_report(args.n, args.m, model.delta, model.tau, args.seed)
     except ValueError as exc:
         _fail(EXIT_BAD_INPUT, f"invalid spectrum request: {exc}")
     _emit_json(report.to_dict(), args.json_out)

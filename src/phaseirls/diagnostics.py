@@ -82,7 +82,17 @@ def random_diagonal_weights(n, m, delta, seed):
 
 
 def conditioning_report(n, m, delta, tau, seed):
-    """Eigenvalue and conditioning comparison of A versus C* A C*."""
+    """Eigenvalue and conditioning comparison of A versus C* A C*.
+
+    Raises ValueError before any dense work for a grid with a side below 1 or
+    without arcs (1 x 1), for a seed outside [0, 2^64), or above the size guard.
+    """
+    if n < 1 or m < 1:
+        raise ValueError(f"grid dimensions must be >= 1, got {n} x {m}")
+    if n == m == 1:
+        raise ValueError("a 1 x 1 grid has no arcs")
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be a nonnegative 64-bit integer, got {seed}")
     if n * m > DIAG_CELL_LIMIT:
         raise SizeLimitExceeded(
             f"conditioning report limited to {DIAG_CELL_LIMIT} cells, got {n * m}"

@@ -4,7 +4,7 @@ Each outer iteration refreshes the closed-form weights and runs a budgeted
 PCG solve on the resulting weighted least squares problem, warm-started from
 the previous estimate.  For fixed weights each slack has a closed-form
 minimizer given u, so the solve runs on the reduced weighted Poisson system
-in u alone (``operators.apply_reduced_system``), preconditioned by the
+in u alone (``kernels.weighted_laplacian``), preconditioned by the
 spectral Sylvester solve; the proposal is u with its optimal slacks.  The
 proposal is accepted only if it does at least as well as one explicit
 gradient step on the lifted objective (falling back to that step otherwise,
@@ -12,7 +12,8 @@ which makes the sufficient-decrease condition hold at every accepted
 iterate).  That candidate step needs only the current state, so it and its
 objective value are formed before the solve, and the proposal is then written
 over the state.  The loop holds two system vectors (state and candidate)
-and one scratch vector, all allocated at set-up.  PCG iterates in the
+and one scratch vector, all allocated at set-up and passed by keyword to
+every collaborator that writes a grid.  PCG iterates in the
 state's u and the right-hand side grid, so after set-up the loop's only
 grid-sized allocations are the solve's search direction, one transform
 temporary per Sylvester apply and the two transient products inside the
@@ -30,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import preconditioner
+from . import kernels, preconditioner
 from .objective import (
     IrlsWeights,
     ModelParams,
@@ -43,7 +44,6 @@ from .objective import (
 from .operators import (
     DiagonalWeights,
     SystemVector,
-    apply_reduced_system,
     build_reduced_rhs,
     recover_slacks,
     reduced_weights,
@@ -245,7 +245,7 @@ def unwrap(x, c: WeightField | None = None, model: ModelParams | None = None,
         # the solve warm-starts from the state's u and iterates in it; the
         # state is not needed any more, and rhs ends as the residual
         outcome = pcg_solve(
-            apply_a=lambda v: apply_reduced_system(v, wr, out=ap, flux=flux),
+            apply_a=lambda v: kernels.weighted_laplacian(v, wr.dv, wr.dh, *flux, ap),
             apply_m=lambda r: preconditioner.sylvester_solve(r, tau, cache, out=z),
             b=rhs,
             x=state.u,

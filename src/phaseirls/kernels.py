@@ -2,15 +2,16 @@
 
 ``diffs`` (S u and u T) and its adjoint ``adj_diffs`` are the one arc stencil
 pair of the package: they write into arc and pixel grids the caller provides
-and allocate no grid-sized array.  The conjugate gradient loop applies
-``weighted_laplacian``, the map of the reduced system in u, once per
-iteration; ``apply_system_blocks`` is the map of the full (u, vv, vh) block
-system.  Both are built from that pair, and the only grid-sized temporaries
-of ``apply_system_blocks`` are the products ``dv * vv`` and ``dh * vh``.
+and allocate no grid-sized array.  The conjugate gradient loop of
+``irls.unwrap`` calls ``weighted_laplacian``, the map of the reduced system
+in u, once per iteration; ``apply_system_blocks`` is the map of the full
+(u, vv, vh) block system.  Both are built from that pair, and the only
+grid-sized temporaries of ``apply_system_blocks`` are the products
+``dv * vv`` and ``dh * vh``.
 ``diff_rows`` (S u), ``diff_cols`` (u T), ``adj_diff_rows`` and
 ``adj_diff_cols`` are allocating forms of the same maps that no module of the
 package calls; the traced benchmark run looks them up by name.
-``operators``, ``objective`` and ``phase`` call the kernels as
+``irls``, ``operators``, ``objective`` and ``phase`` call the kernels as
 ``kernels.<name>`` attributes, looked up at call time, so a caller may rebind
 a module attribute to wrap a kernel (the traced benchmark run does this to
 time each layer).

@@ -11,9 +11,9 @@ The safeguard compares the inner solve's proposal with one explicit gradient
 step on the lifted quadratic.  That candidate needs only the current iterate
 and its weights, so ``irls.unwrap`` forms it and its h before the solve and
 then writes the proposal over the iterate.  ``update_weights``,
-``eval_h_delta`` and ``candidate_step`` take ``out=``/``scratch=`` buffers,
-so that loop reuses its grids; each writes the same bits as its allocating
-form.
+``eval_h_delta`` and ``candidate_step`` write into ``out=``/``scratch=``
+buffers the caller owns, so that loop reuses its grids; only ``eval_f`` and
+``eval_f_delta``, the paper's two objectives, allocate their own.
 """
 
 import math
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .operators import DiagonalWeights, SystemVector, apply_system, arc_scratch, build_rhs
+from .operators import DiagonalWeights, SystemVector, apply_system, build_rhs
 
 __all__ = [
     "ModelParams",
@@ -63,9 +63,9 @@ class IrlsWeights:
     wh: np.ndarray
 
 
-def _penalty_terms(x: SystemVector, g, tau, scratch=None):
+def _penalty_terms(x: SystemVector, g, tau, *, scratch):
     # the coupling residuals S u - gv - vv and u T - gh - vh, formed in the scratch pair
-    rv, rh = kernels.diffs(x.u, *arc_scratch(scratch, x.vv, x.vh))
+    rv, rh = kernels.diffs(x.u, *scratch)
     rv -= g.gv
     rv -= x.vv
     rh -= g.gh
@@ -81,30 +81,34 @@ def _smoothed_squares(cc, v, d2, out):
     return out
 
 
+def _arc_grids(x):
+    """A new pair of grids shaped like (vv, vh)."""
+    return np.empty(x.vv.shape), np.empty(x.vh.shape)
+
+
 def eval_f(x, g, c, p):
     """Weighted l1 objective plus quadratic coupling penalties."""
     l1 = float(np.sum(np.abs(c.cv * x.vv))) + float(np.sum(np.abs(c.ch * x.vh)))
-    return l1 + _penalty_terms(x, g, p.tau)
+    return l1 + _penalty_terms(x, g, p.tau, scratch=_arc_grids(x))
 
 
 def eval_f_delta(x, g, c, p):
     """Smoothed objective: each |c*v| replaced by sqrt((c*v)^2 + delta^2)."""
     # the refreshed weights are those square roots, arc by arc
-    return eval_h_delta_refreshed(x, update_weights(x, c, p.delta), g, p)
+    w = update_weights(x, c, p.delta, out=IrlsWeights(*_arc_grids(x)))
+    return eval_h_delta_refreshed(x, w, g, p, scratch=_arc_grids(x))
 
 
-def eval_h_delta(x, w, g, c, p, scratch=None):
+def eval_h_delta(x, w, g, c, p, *, scratch):
     """Lifted objective with explicit auxiliary weights.
 
     Equals the smoothed objective when ``w = update_weights(x, c, delta)``
-    and upper-bounds it for any feasible ``w``.  ``scratch`` is an optional
-    pair of grids shaped like (vv, vh) that every arc-sized temporary is
-    written into; without it the pair is allocated.
+    and upper-bounds it for any feasible ``w``.  ``scratch`` is a pair of
+    grids shaped like (vv, vh) that every arc-sized temporary is written into.
     """
     half_delta = 0.5 * p.delta
     if (w.wv.size and w.wv.min() < half_delta) or (w.wh.size and w.wh.min() < half_delta):
         raise ValueError("auxiliary weights must be >= delta/2")
-    scratch = arc_scratch(scratch, x.vv, x.vh)
     d2 = p.delta * p.delta
     h = 0.0
     for cc, v, ww, s in zip((c.cv, c.ch), (x.vv, x.vh), (w.wv, w.wh), scratch):
@@ -112,10 +116,10 @@ def eval_h_delta(x, w, g, c, p, scratch=None):
         s /= ww
         s += ww
         h += 0.5 * float(np.sum(s))
-    return h + _penalty_terms(x, g, p.tau, scratch)
+    return h + _penalty_terms(x, g, p.tau, scratch=scratch)
 
 
-def eval_h_delta_refreshed(x, w, g, p, scratch=None):
+def eval_h_delta_refreshed(x, w, g, p, *, scratch):
     """``eval_h_delta`` at the refreshed weights ``w = update_weights(x, c, p.delta)``.
 
     There each arc's lifted term ((c v)^2 + delta^2) / (2 w) + w / 2 is exactly
@@ -124,18 +128,16 @@ def eval_h_delta_refreshed(x, w, g, p, scratch=None):
     must be the refreshed weights of ``x``: nothing here checks it.
     ``scratch`` is as for ``eval_h_delta``.
     """
-    return float(np.sum(w.wv)) + float(np.sum(w.wh)) + _penalty_terms(x, g, p.tau, scratch)
+    return float(np.sum(w.wv)) + float(np.sum(w.wh)) + _penalty_terms(x, g, p.tau, scratch=scratch)
 
 
-def update_weights(x, c, delta, out=None):
+def update_weights(x, c, delta, *, out):
     """Closed-form minimizer of the lifted objective over the weights.
 
-    Writes into the IrlsWeights ``out`` (new grids when omitted) and returns it.
+    Writes into the IrlsWeights ``out`` and returns it.
     """
     if delta <= 0:
         raise ValueError(f"delta must be positive, got {delta}")
-    if out is None:
-        out = IrlsWeights(np.empty(x.vv.shape), np.empty(x.vh.shape))
     d2 = delta * delta
     for cc, v, o in ((c.cv, x.vv, out.wv), (c.ch, x.vh, out.wh)):
         np.sqrt(_smoothed_squares(cc, v, d2, o), out=o)
@@ -155,19 +157,15 @@ def lipschitz_constant(c, p):
     return 12.0 / p.tau + stiffness
 
 
-def candidate_step(x, w, g, c, p, lipschitz, out=None, scratch=None):
+def candidate_step(x, w, g, c, p, lipschitz, *, out, scratch):
     """Explicit gradient step with stepsize 1/L on the lifted quadratic.
 
     Writes the step into the SystemVector ``out`` and uses the SystemVector
-    ``scratch`` for the diagonal weights and the right-hand side; each is
-    allocated when omitted, and neither may alias ``x`` or the other.
+    ``scratch`` for the diagonal weights and the right-hand side; neither may
+    alias ``x`` or the other.
     """
     if lipschitz <= 0:
         raise ValueError(f"lipschitz constant must be positive, got {lipschitz}")
-    if out is None:
-        out = SystemVector.zeros(*x.shape)
-    if scratch is None:
-        scratch = SystemVector.zeros(*x.shape)
     # the lifted quadratic's gradient is the block system's residual A x - b
     # with d = c^2 / w; d fills the slack blocks of the scratch, which then
     # holds b, and the step x - grad / L is built inside out

@@ -11,9 +11,12 @@ reduces to the weighted Poisson problem in u alone
   W = d / (1 + tau d) = c^2 / (w + tau c^2) <= 1/tau,
 
 the classical weighted least squares unwrapping system (Ghiglia & Romero,
-JOSA A 11(1), 1994).  The solver runs its conjugate gradient on this system;
-the block map stays as the paper's formulation and as the gradient of the
-safeguard step.  Dense materializations exist only as small-instance test
+JOSA A 11(1), 1994).  The solver runs its conjugate gradient on this system,
+whose map is ``kernels.weighted_laplacian`` with the weights W; the block map
+stays as the paper's formulation and as the gradient of the safeguard step.
+Each map writes into buffers its caller owns, passed by keyword: ``out`` and,
+for the reduced system, ``flux``, a pair of scratch grids shaped like
+(vv, vh).  Dense materializations exist only as small-instance test
 oracles and follow the column-stacking vec() convention, so
 ``vec(X) = X.ravel(order="F")``.
 """
@@ -32,10 +35,8 @@ __all__ = [
     "apply_system",
     "build_rhs",
     "reduced_weights",
-    "apply_reduced_system",
     "build_reduced_rhs",
     "recover_slacks",
-    "arc_scratch",
     "materialize_dense_system",
     "materialize_dense_preconditioner",
 ]
@@ -116,11 +117,11 @@ class DiagonalWeights:
             )
 
 
-def apply_system(x, d, tau, out=None):
+def apply_system(x, d, tau, *, out):
     """Apply the symmetric PSD block map of the weighted least squares system.
 
-    Writes into ``out`` (a new vector when omitted) and returns it; ``out``
-    must not alias ``x``.  The result is the triple
+    Writes into ``out`` and returns it; ``out`` must not alias ``x``.  The
+    result is the triple
 
       (1/tau) * (StS u + u TTt - St vv - vh Tt)
       dv * vv + (1/tau) * (vv - S u)
@@ -131,24 +132,20 @@ def apply_system(x, d, tau, out=None):
     """
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
-    if out is None:
-        out = SystemVector.zeros(*x.shape)
     kernels.apply_system_blocks(
         x.u, x.vv, x.vh, d.dv, d.dh, 1.0 / tau, out.u, out.vv, out.vh
     )
     return out
 
 
-def build_rhs(g: GradientField, tau, out=None):
+def build_rhs(g: GradientField, tau, *, out):
     """Right-hand side of the system; orthogonal to the constant-u mode.
 
-    Writes into the SystemVector ``out`` (a new vector when omitted).
+    Writes into the SystemVector ``out``.
     """
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
     inv_tau = 1.0 / tau
-    if out is None:
-        out = SystemVector.zeros(g.gh.shape[0], g.gv.shape[1])
     kernels.adj_diffs(g.gv, g.gh, out.u)
     out.u *= inv_tau
     np.multiply(-inv_tau, g.gv, out=out.vv)
@@ -156,25 +153,15 @@ def build_rhs(g: GradientField, tau, out=None):
     return out
 
 
-def arc_scratch(pair, av, ah):
-    """``pair``, or when it is None a new pair of grids shaped like ``av`` and ``ah``."""
-    if pair is None:
-        pair = (np.empty(av.shape), np.empty(ah.shape))
-    return pair
-
-
-def reduced_weights(c, w, tau, out=None, flux=None):
+def reduced_weights(c, w, tau, *, out, flux):
     """Weights ``c^2 / (w + tau c^2)`` of the reduced system; 0 where c = 0.
 
     ``c`` holds the arc weights (cv, ch), ``w`` the auxiliary weights (wv, wh).
-    Writes into the DiagonalWeights ``out`` (new grids when omitted); ``flux``
-    is scratch as for ``apply_reduced_system``.
+    Writes into the DiagonalWeights ``out``; ``flux`` is a pair of scratch
+    grids shaped like (vv, vh).
     """
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
-    if out is None:
-        out = DiagonalWeights(np.empty(c.cv.shape), np.empty(c.ch.shape))
-    flux = arc_scratch(flux, out.dv, out.dh)
     for cc, ww, o, f in zip((c.cv, c.ch), (w.wv, w.wh), (out.dv, out.dh), flux):
         np.multiply(cc, cc, out=o)
         # f = w + tau c^2, the denominator
@@ -184,48 +171,30 @@ def reduced_weights(c, w, tau, out=None, flux=None):
     return out
 
 
-def apply_reduced_system(u, wr, out=None, flux=None):
-    """Apply the reduced map ``St (Wv * S u) + (Wh * u T) Tt`` to the grid ``u``.
-
-    ``wr`` holds the reduced weights.  Writes into ``out`` (a new grid when
-    omitted), which must not alias ``u``; ``flux`` is an optional pair of
-    scratch grids shaped like (Wv, Wh).  The map is symmetric PSD and
-    annihilates constants.
-    """
-    if out is None:
-        out = np.empty(np.shape(u))
-    return kernels.weighted_laplacian(u, wr.dv, wr.dh, *arc_scratch(flux, wr.dv, wr.dh), out)
-
-
-def build_reduced_rhs(g: GradientField, wr, out=None, flux=None):
+def build_reduced_rhs(g: GradientField, wr, *, out, flux):
     """Right-hand side ``St (Wv * gv) + (Wh * gh) Tt`` of the reduced system.
 
-    Sums to zero, so it is orthogonal to the constant mode.  Writes into
-    ``out`` (a new grid when omitted); ``flux`` is scratch as for
-    ``apply_reduced_system``.
+    ``wr`` holds the reduced weights.  The result sums to zero, so it is
+    orthogonal to the constant mode.  Writes into the grid ``out``; ``flux``
+    is scratch as for ``reduced_weights``.
     """
-    if out is None:
-        out = np.empty((g.gh.shape[0], g.gv.shape[1]))
-    fv, fh = arc_scratch(flux, wr.dv, wr.dh)
+    fv, fh = flux
     np.multiply(wr.dv, g.gv, out=fv)
     np.multiply(wr.dh, g.gh, out=fh)
     return kernels.adj_diffs(fv, fh, out)
 
 
-def recover_slacks(u, g: GradientField, wr, tau, out=None, flux=None):
+def recover_slacks(u, g: GradientField, wr, tau, *, out, flux):
     """The triple (u, vv, vh) with each slack at its minimizer given ``u``.
 
     ``vv = (S u - gv) * (1 - tau Wv)`` and ``vh = (u T - gh) * (1 - tau Wh)``.
-    Writes into the SystemVector ``out`` (a new vector when omitted); ``flux``
-    is scratch as for ``apply_reduced_system``.
+    Writes into the SystemVector ``out``; ``flux`` is scratch as for
+    ``reduced_weights``.
     """
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
-    if out is None:
-        out = SystemVector.zeros(*np.shape(u))
     out.u[...] = u
     kernels.diffs(u, out.vv, out.vh)
-    flux = arc_scratch(flux, wr.dv, wr.dh)
     for v, gg, ww, f in zip((out.vv, out.vh), (g.gv, g.gh), (wr.dv, wr.dh), flux):
         v -= gg
         # v -= tau W v, the product formed in the scratch

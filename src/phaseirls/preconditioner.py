@@ -85,18 +85,16 @@ def build_spectral_cache(n, m):
     )
 
 
-def sylvester_solve(r, tau, cache, out=None):
+def sylvester_solve(r, tau, cache, *, out):
     """Solve StS Z + Z TTt = tau * (r - mean(r)) with mean(Z) = 0.
 
     The transform pair costs two dense matrix products; the spectral system
     in between is a pointwise product with ``cache.multiplier``, whose zero
     constant-mode entry makes it the pseudo-inverse of the singular operator.
-    Writes into ``out`` (a new grid when omitted) and returns it.
+    Writes into the grid ``out`` and returns it.
     """
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
-    if out is None:
-        out = np.empty(np.shape(r))
     tmp = cache.basis_s.T @ r
     np.matmul(tmp, cache.basis_t, out=out)
     out *= cache.multiplier
@@ -114,14 +112,12 @@ def build_preconditioner(cache, d: DiagonalWeights, tau):
     )
 
 
-def apply_preconditioner(r: SystemVector, pc: PreconditionerState, out=None):
+def apply_preconditioner(r: SystemVector, pc: PreconditionerState, *, out):
     """Pseudo-inverse of the block-diagonal preconditioner applied to ``r``.
 
-    Writes into ``out`` (a new vector when omitted) and returns it; ``out``
-    must not alias ``r``.
+    Writes into the SystemVector ``out`` and returns it; ``out`` must not
+    alias ``r``.
     """
-    if out is None:
-        out = SystemVector.zeros(*r.shape)
     sylvester_solve(r.u, pc.tau, pc.cache, out=out.u)
     np.divide(r.vv, pc.slack_v, out=out.vv)
     np.divide(r.vh, pc.slack_h, out=out.vh)

@@ -7,6 +7,7 @@ ramps, smooth multi-bump topography that can be kept within the per-arc pi
 budget, and piecewise-constant plateaus whose seam violates it.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +17,9 @@ from .phase import TWO_PI, validate_wrapped, wrap_to_principal
 __all__ = ["SceneSpec", "generate_scene", "wrap_scene", "add_phase_noise"]
 
 SCENE_KINDS = ("ramp", "gaussian-bumps", "plateau-discontinuity")
+
+# Philox takes a 64-bit key
+SEED_LIMIT = 2**64
 
 
 @dataclass(frozen=True)
@@ -32,12 +36,12 @@ class SceneSpec:
             raise ValueError(f"kind must be one of {SCENE_KINDS}, got {self.kind!r}")
         if self.rows < 1 or self.cols < 1:
             raise ValueError("rows and cols must be >= 1")
-        if self.amplitude < 0:
-            raise ValueError("amplitude must be >= 0")
-        if self.feature_scale <= 0:
-            raise ValueError("feature_scale must be positive")
-        if self.seed < 0:
-            raise ValueError("seed must be a nonnegative 64-bit integer")
+        if not 0 <= self.amplitude < math.inf:
+            raise ValueError(f"amplitude must be finite and >= 0, got {self.amplitude}")
+        if not 0 < self.feature_scale < math.inf:
+            raise ValueError(f"feature_scale must be positive and finite, got {self.feature_scale}")
+        if not 0 <= self.seed < SEED_LIMIT:
+            raise ValueError(f"seed must be a nonnegative 64-bit integer, got {self.seed}")
 
 
 def _rng(seed):
@@ -99,11 +103,17 @@ def wrap_scene(u):
 
 
 def add_phase_noise(x, sigma, seed):
-    """Add seeded Gaussian phase noise and re-wrap into [0, 2*pi)."""
+    """Add seeded Gaussian phase noise and re-wrap into [0, 2*pi).
+
+    ``seed`` keys the noise and must be a nonnegative 64-bit integer unless
+    ``sigma`` is 0, when no noise is drawn.
+    """
     arr = validate_wrapped(x)
-    if sigma < 0:
-        raise ValueError("sigma must be >= 0")
+    if not 0 <= sigma < math.inf:
+        raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
     if sigma == 0:
         return arr.copy()
+    if not 0 <= seed < SEED_LIMIT:
+        raise ValueError(f"noise seed must be a nonnegative 64-bit integer, got {seed}")
     noise = sigma * _rng(seed).standard_normal(arr.shape)
     return wrap_to_principal(arr + noise, 0.0)

@@ -3,17 +3,25 @@
 Everything here is deliberately built from first principles (index rules,
 eye-shifts, scalar loops, dense linear algebra) so it shares no code with
 the implementations it checks.  The exceptions are ``pcg_solve_blocks``, an
-adapter that runs the solver's array PCG on the full block system,
-``sufficient_decrease_holds``, which compares against the solver's own
-gradient step, and the outer-loop replays at the end, which rerun ``unwrap``
-to recover the states it held.
+adapter that runs the solver's array PCG on the full block system;
+``weights_of``, ``h_delta_of`` and ``step_of``, which call the solver's
+weight update, lifted objective and gradient step with new buffers;
+``sufficient_decrease_holds``, which compares against that gradient step;
+and the outer-loop replays at the end, which rerun ``unwrap`` to recover the
+states it held.
 """
 
 import numpy as np
 
 from phaseirls import irls
 from phaseirls.irls import IrlsParams, unwrap
-from phaseirls.objective import candidate_step, eval_h_delta, lipschitz_constant, update_weights
+from phaseirls.objective import (
+    IrlsWeights,
+    candidate_step,
+    eval_h_delta,
+    lipschitz_constant,
+    update_weights,
+)
 from phaseirls.operators import SystemVector
 from phaseirls.pcg import pcg_solve
 from phaseirls.phase import GradientField, WeightField, wrapped_gradients
@@ -59,6 +67,36 @@ def unstack_system(flat, n, m):
     vv = flat[nu : nu + nv].reshape((n - 1, m), order="F")
     vh = flat[nu + nv :].reshape((n, m - 1), order="F")
     return SystemVector(u, vv, vh)
+
+
+def arc_grids(n, m, fill=0.0):
+    """A pair of grids shaped like (vv, vh) of an (n, m) grid, every entry ``fill``."""
+    return np.full((n - 1, m), fill), np.full((n, m - 1), fill)
+
+
+def nan_vector(n, m):
+    """A SystemVector of an (n, m) grid with every entry NaN."""
+    out = SystemVector.zeros(n, m)
+    out.data[:] = np.nan
+    return out
+
+
+def weights_of(x, c, delta):
+    """``update_weights`` of ``x`` written into new grids."""
+    return update_weights(x, c, delta, out=IrlsWeights(*arc_grids(*x.shape)))
+
+
+def h_delta_of(x, w, g, c, p):
+    """``eval_h_delta`` with new scratch grids."""
+    return eval_h_delta(x, w, g, c, p, scratch=arc_grids(*x.shape))
+
+
+def step_of(x, w, g, c, p, lipschitz):
+    """``candidate_step`` from ``x`` written into a new vector."""
+    n, m = x.shape
+    return candidate_step(
+        x, w, g, c, p, lipschitz, out=SystemVector.zeros(n, m), scratch=SystemVector.zeros(n, m)
+    )
 
 
 def arc_count(n, m):
@@ -237,8 +275,8 @@ def outer_states(x, c, model, count):
 
 def sufficient_decrease_holds(x_new, x_old, w, g, c, p, lipschitz):
     """Check that ``x_new`` does at least as well as one explicit gradient step."""
-    cand = candidate_step(x_old, w, g, c, p, lipschitz)
-    return eval_h_delta(x_new, w, g, c, p) <= eval_h_delta(cand, w, g, c, p)
+    cand = step_of(x_old, w, g, c, p, lipschitz)
+    return h_delta_of(x_new, w, g, c, p) <= h_delta_of(cand, w, g, c, p)
 
 
 def safeguard_bound_holds(x, records, c, model):
@@ -250,8 +288,8 @@ def safeguard_bound_holds(x, records, c, model):
     g, states = outer_states(x, c, model, len(records))
     lip = lipschitz_constant(c, model)
     for rec, state in zip(records, states):
-        w = update_weights(state, c, model.delta)
-        bound = eval_h_delta(candidate_step(state, w, g, c, model, lip), w, g, c, model)
+        w = weights_of(state, c, model.delta)
+        bound = h_delta_of(step_of(state, w, g, c, model, lip), w, g, c, model)
         if not rec.h_delta <= bound * (1 + 1e-12):
             return False
     return True

@@ -17,12 +17,9 @@ from phaseirls.irls import IrlsParams, cg_budget_update, unwrap
 from phaseirls.objective import (
     IrlsWeights,
     ModelParams,
-    candidate_step,
     eval_f,
     eval_f_delta,
-    eval_h_delta,
     lipschitz_constant,
-    update_weights,
 )
 from phaseirls.operators import (
     DiagonalWeights,
@@ -45,6 +42,7 @@ from oracles import (
     arc_count,
     dense_s,
     dense_t,
+    h_delta_of,
     pcg_solve_blocks,
     plain_cg_dense,
     random_gradients,
@@ -54,6 +52,8 @@ from oracles import (
     spoil_proposals,
     split_sqrt,
     stack_system,
+    step_of,
+    weights_of,
 )
 
 
@@ -92,10 +92,10 @@ def test_criterion_02_alternating_minimization():
     g = random_gradients(rng, n, m)
     c = random_weights(rng, n, m)
     fd = eval_f_delta(x, g, c, p)
-    w_star = update_weights(x, c, p.delta)
-    tight = abs(eval_h_delta(x, w_star, g, c, p) - fd) <= 1e-10 * max(1.0, abs(fd))
+    w_star = weights_of(x, c, p.delta)
+    tight = abs(h_delta_of(x, w_star, g, c, p) - fd) <= 1e-10 * max(1.0, abs(fd))
     dominated = all(
-        eval_h_delta(
+        h_delta_of(
             x,
             IrlsWeights(
                 rng.uniform(p.delta / 2, 4.0, (n - 1, m)),
@@ -118,13 +118,13 @@ def test_criterion_03_pcg_matches_dense_minimum_norm():
     tau, delta = 1e-2, 1e-6
     d = random_diagonal_weights(n, m, delta, seed=1030)
     g = random_gradients(rng, n, m)
-    b = build_rhs(g, tau)
+    b = build_rhs(g, tau, out=SystemVector.zeros(n, m))
     a = materialize_dense_system(n, m, d, tau)
     x_star = np.linalg.pinv(a) @ stack_system(b)
     pc = build_preconditioner(build_spectral_cache(n, m), d, tau)
     out = pcg_solve_blocks(
-        lambda v: apply_system(v, d, tau),
-        lambda r: apply_preconditioner(r, pc),
+        lambda v: apply_system(v, d, tau, out=SystemVector.zeros(n, m)),
+        lambda r: apply_preconditioner(r, pc, out=SystemVector.zeros(n, m)),
         b,
         SystemVector.zeros(n, m),
         max_iters=3 * b.data.size,
@@ -149,7 +149,7 @@ def test_criterion_04_sylvester_residuals():
         if solves >= 50:
             break
         r = rng.standard_normal((n, m))
-        z = sylvester_solve(r, tau, caches[(n, m)])
+        z = sylvester_solve(r, tau, caches[(n, m)], out=np.zeros((n, m)))
         sts = dense_s(n).T @ dense_s(n)
         ttt = dense_t(m) @ dense_t(m).T
         projected = r - r.mean()
@@ -186,7 +186,7 @@ def test_criterion_06_preconditioned_cg_equivalence():
     tau, delta = 1e-2, 1e-6
     d = random_diagonal_weights(n, m, delta, seed=1060)
     g = random_gradients(rng, n, m)
-    b = build_rhs(g, tau)
+    b = build_rhs(g, tau, out=SystemVector.zeros(n, m))
     a = materialize_dense_system(n, m, d, tau)
     dmat = materialize_dense_preconditioner(n, m, d, tau)
     c_sqrt = split_sqrt(dmat)
@@ -198,8 +198,8 @@ def test_criterion_06_preconditioned_cg_equivalence():
     worst = 0.0
     for l in range(min(11, len(tilde))):
         out = pcg_solve_blocks(
-            lambda v: apply_system(v, d, tau),
-            lambda r: apply_preconditioner(r, pc),
+            lambda v: apply_system(v, d, tau, out=SystemVector.zeros(n, m)),
+            lambda r: apply_preconditioner(r, pc, out=SystemVector.zeros(n, m)),
             b,
             x0,
             max_iters=l,
@@ -326,7 +326,7 @@ def test_criterion_11_gradient_checks():
             rng.uniform(p.delta / 2, 2.0, (n - 1, m)),
             rng.uniform(p.delta / 2, 2.0, (n, m - 1)),
         )
-        stepped = candidate_step(x, w, g, c, p, lip)
+        stepped = step_of(x, w, g, c, p, lip)
         grad = x.copy()
         grad.data -= stepped.data
         grad.data *= lip
@@ -336,7 +336,7 @@ def test_criterion_11_gradient_checks():
         plus.data += eps * e.data
         minus = x.copy()
         minus.data -= eps * e.data
-        fd = (eval_h_delta(plus, w, g, c, p) - eval_h_delta(minus, w, g, c, p)) / (2 * eps)
+        fd = (h_delta_of(plus, w, g, c, p) - h_delta_of(minus, w, g, c, p)) / (2 * eps)
         ref = np.vdot(grad.data, e.data)
         if abs(fd - ref) > 1e-5 * max(1.0, abs(ref)):
             grad_ok = False
@@ -344,7 +344,7 @@ def test_criterion_11_gradient_checks():
     for size in (4, 6, 8):
         ch = random_weights(rng, size, size, lo=0.0, hi=1.0)
         xh = random_state(rng, size, size)
-        wh = update_weights(xh, ch, p.delta)
+        wh = weights_of(xh, ch, p.delta)
         d = DiagonalWeights(ch.cv**2 / wh.wv, ch.ch**2 / wh.wh)
         lam = np.linalg.eigvalsh(materialize_dense_system(size, size, d, p.tau)).max()
         if lam > lipschitz_constant(ch, p):

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from phaseirls import cli, irls
+from phaseirls import cli, kernels
 from phaseirls.arrayio import load_grid, save_grid
 from phaseirls.cli import main
 from phaseirls.irls import MAX_CG_ITERS, IrlsParams
@@ -48,6 +48,34 @@ class TestSynthCommand:
             "synth", "--kind", "ramp", "--rows", 4, "--cols", 4,
             "--out-wrapped", tmp_path / "w.npy",
         ) == 2
+
+    @pytest.mark.parametrize("flags", [
+        ("--noise-sigma", "inf"),
+        ("--noise-sigma", "nan"),
+        ("--noise-sigma", "-1"),
+        ("--amplitude", "inf"),
+        ("--scale", "nan"),
+        ("--seed", 2**64),
+        # the noise is keyed by seed + 1
+        ("--seed", 2**64 - 1, "--noise-sigma", "0.1"),
+    ])
+    def test_bad_input_exits_2_and_writes_nothing(self, tmp_path, capsys, flags):
+        truth, wrapped = tmp_path / "t.npy", tmp_path / "w.npy"
+        assert run(
+            "synth", "--kind", "gaussian-bumps", "--rows", 8, "--cols", 8, "--wrap",
+            "--out-truth", truth, "--out-wrapped", wrapped, *flags,
+        ) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: invalid scene spec: ")
+        assert not truth.exists() and not wrapped.exists()
+
+    def test_largest_seed_without_noise_exits_0(self, tmp_path):
+        assert run(
+            "synth", "--kind", "gaussian-bumps", "--rows", 8, "--cols", 8, "--wrap",
+            "--seed", 2**64 - 1, "--out-wrapped", tmp_path / "w.npy",
+        ) == 0
 
 
 class TestUnwrapCommand:
@@ -162,10 +190,10 @@ class TestUnwrapCommand:
         assert shift_error(u, truth).max_abs < 1e-10
 
     def test_solver_breakdown_exits_4(self, tmp_path, capsys, monkeypatch, ramp_files):
-        def non_finite(u, wr, out=None, flux=None):
+        def non_finite(u, wv, wh, fv, fh, out):
             return np.full(u.shape, np.nan)
 
-        monkeypatch.setattr(irls, "apply_reduced_system", non_finite)
+        monkeypatch.setattr(kernels, "weighted_laplacian", non_finite)
         _, wrapped = ramp_files
         out = tmp_path / "o.npy"
         assert run("unwrap", "--input", wrapped, "--output", out) == 4
@@ -310,6 +338,37 @@ class TestSpectrumCommand:
 
     def test_oversize_request_exits_2(self, tmp_path):
         assert run("spectrum", "--n", 64, "--m", 64) == 2
+
+    @pytest.mark.parametrize("flags", [("--delta", "1e-320"), ("--delta", "nan"), ("--tau", "inf")])
+    def test_out_of_range_model_parameters_exit_2(self, capsys, monkeypatch, flags):
+        def never(*args):
+            raise AssertionError("the report ran with out-of-range parameters")
+
+        monkeypatch.setattr(cli, "conditioning_report", never)
+        assert run("spectrum", "--n", 4, "--m", 4, *flags) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: invalid parameters: ")
+
+    @pytest.mark.parametrize("flags, reason", [
+        (("--n", 1, "--m", 1), "no arcs"),
+        (("--n", 0, "--m", 4), "dimensions must be >= 1"),
+        (("--n", 4, "--m", -2), "dimensions must be >= 1"),
+        (("--n", 4, "--m", 4, "--seed", -1), "seed"),
+        (("--n", 4, "--m", 4, "--seed", 2**64), "seed"),
+    ])
+    def test_grid_without_arcs_or_bad_seed_exits_2(self, capsys, flags, reason):
+        assert run("spectrum", *flags) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: invalid spectrum request: ")
+        assert reason in lines[0]
+
+    @pytest.mark.parametrize("n, m", [(1, 5), (5, 1)])
+    def test_single_row_or_column_exits_0(self, tmp_path, n, m):
+        out = tmp_path / "spec.json"
+        assert run("spectrum", "--n", n, "--m", m, "--json-out", out) == 0
+        assert len(json.loads(out.read_text())["eig_a"]) > 0
 
 
 # every output flag of every command; BAD is a path in a directory that does not exist

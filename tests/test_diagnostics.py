@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from phaseirls import diagnostics
 from phaseirls.diagnostics import (
     conditioning_report,
     positive_eigenvalues,
@@ -50,6 +51,23 @@ class TestConditioningReport:
     def test_size_guard(self):
         with pytest.raises(SizeLimitExceeded):
             conditioning_report(64, 64, 1e-6, 1e-2, seed=0)
+
+    @pytest.mark.parametrize("n, m, seed, reason", [
+        (1, 1, 0, "no arcs"),
+        (0, 4, 0, "dimensions must be >= 1"),
+        (4, 0, 0, "dimensions must be >= 1"),
+        (4, 4, -1, "seed"),
+        (4, 4, 2**64, "seed"),
+    ])
+    def test_rejects_grids_without_arcs_and_bad_seeds_before_dense_work(
+        self, monkeypatch, n, m, seed, reason
+    ):
+        def refuse(*args):
+            raise AssertionError("dense work started")
+
+        monkeypatch.setattr(diagnostics, "materialize_dense_system", refuse)
+        with pytest.raises(ValueError, match=reason):
+            conditioning_report(n, m, 1e-6, 1e-2, seed=seed)
 
     def test_report_serializes(self):
         rep = conditioning_report(4, 4, 1e-4, 1e-2, seed=7)

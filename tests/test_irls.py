@@ -15,12 +15,10 @@ from phaseirls.irls import (
 )
 from phaseirls.objective import (
     ModelParams,
-    candidate_step,
     eval_f,
     eval_f_delta,
     eval_h_delta,
     lipschitz_constant,
-    update_weights,
 )
 from phaseirls.operators import SystemVector
 from phaseirls.pcg import pcg_solve
@@ -39,14 +37,17 @@ from oracles import (
     dense_s,
     dense_system_entrywise,
     dense_t,
+    h_delta_of,
     outer_states,
     random_gradients,
     random_state,
     random_weights,
     safeguard_bound_holds,
     spoil_proposals,
+    step_of,
     unstack_system,
     vec,
+    weights_of,
 )
 
 DEFAULTS = IrlsParams()
@@ -118,10 +119,10 @@ class TestRelativeImprovement:
             x = random_state(rng, n, m)
             g = random_gradients(rng, n, m)
             c = random_weights(rng, n, m)
-            w_old = update_weights(random_state(rng, n, m), c, p.delta)
-            w_new = update_weights(x, c, p.delta)
-            h_old = eval_h_delta(x, w_old, g, c, p)
-            h_new = eval_h_delta(x, w_new, g, c, p)
+            w_old = weights_of(random_state(rng, n, m), c, p.delta)
+            w_new = weights_of(x, c, p.delta)
+            h_old = h_delta_of(x, w_old, g, c, p)
+            h_new = h_delta_of(x, w_new, g, c, p)
             assert relative_improvement(h_old, h_new) >= -1e-12
 
 
@@ -304,9 +305,9 @@ class TestUnwrap:
         assert len(records) >= 3
         g, states = outer_states(x, c, model, len(records))
         for k in range(1, len(records)):
-            w = update_weights(states[k], c, model.delta)
+            w = weights_of(states[k], c, model.delta)
             want = relative_improvement(
-                records[k - 1].h_delta, eval_h_delta(states[k], w, g, c, model)
+                records[k - 1].h_delta, h_delta_of(states[k], w, g, c, model)
             )
             assert records[k].delta_rel == pytest.approx(want, rel=0, abs=1e-12)
 
@@ -347,7 +348,7 @@ class TestUnwrap:
         g = wrapped_gradients(x)
         initial = SystemVector(np.zeros(x.shape), -g.gv, -g.gh)
         final = SystemVector(res.u, res.vv, res.vh)
-        want = eval_h_delta(final, update_weights(initial, c, model.delta), g, c, model)
+        want = h_delta_of(final, weights_of(initial, c, model.delta), g, c, model)
         assert res.trace.records[0].h_delta == pytest.approx(want, rel=1e-12)
 
     def test_spoiled_proposal_falls_back_to_the_gradient_step(self, monkeypatch):
@@ -364,9 +365,9 @@ class TestUnwrap:
 
         g = wrapped_gradients(x)
         initial = SystemVector(np.zeros(x.shape), -g.gv, -g.gh)
-        w = update_weights(initial, c, model.delta)
-        cand = candidate_step(initial, w, g, c, model, lipschitz_constant(c, model))
-        assert rec.h_delta == eval_h_delta(cand, w, g, c, model)
+        w = weights_of(initial, c, model.delta)
+        cand = step_of(initial, w, g, c, model, lipschitz_constant(c, model))
+        assert rec.h_delta == h_delta_of(cand, w, g, c, model)
         cand.u -= cand.u.mean()
         for got, want in ((res.u, cand.u), (res.vv, cand.vv), (res.vh, cand.vh)):
             assert got.tobytes() == want.tobytes()
@@ -481,7 +482,7 @@ class TestSmallInstanceOptimality:
         )
         state = SystemVector(np.zeros((n, m)), -g.gv.copy(), -g.gh.copy())
         for _ in range(5000):
-            w = update_weights(state, c, p.delta)
+            w = weights_of(state, c, p.delta)
             from phaseirls.operators import DiagonalWeights
 
             d = DiagonalWeights(c.cv**2 / w.wv, c.ch**2 / w.wh)

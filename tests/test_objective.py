@@ -24,13 +24,18 @@ from phaseirls.phase import GradientField, WeightField
 
 from oracles import (
     arc_count,
+    arc_grids,
+    h_delta_of,
+    nan_vector,
     objective_scalar_loops,
     random_gradients,
     random_state,
     random_weights,
     stack_system,
+    step_of,
     sufficient_decrease_holds,
     unstack_system,
+    weights_of,
 )
 
 
@@ -109,9 +114,9 @@ class TestEvalHDelta:
             x = random_state(rng, n, m)
             g = random_gradients(rng, n, m)
             c = random_weights(rng, n, m)
-            w = update_weights(x, c, p.delta)
+            w = weights_of(x, c, p.delta)
             fd = eval_f_delta(x, g, c, p)
-            assert eval_h_delta(x, w, g, c, p) == pytest.approx(fd, rel=1e-10)
+            assert h_delta_of(x, w, g, c, p) == pytest.approx(fd, rel=1e-10)
 
     def test_flat_weights_value(self):
         n, m = 3, 4
@@ -120,7 +125,7 @@ class TestEvalHDelta:
         g = zero_gradients(n, m)
         c = WeightField.uniform(n, m)
         w = IrlsWeights(p.delta * np.ones((n - 1, m)), p.delta * np.ones((n, m - 1)))
-        assert eval_h_delta(x, w, g, c, p) == pytest.approx(p.delta * arc_count(n, m))
+        assert h_delta_of(x, w, g, c, p) == pytest.approx(p.delta * arc_count(n, m))
 
     def test_upper_bounds_f_delta(self, rng):
         n, m = 5, 5
@@ -131,7 +136,7 @@ class TestEvalHDelta:
         fd = eval_f_delta(x, g, c, p)
         for _ in range(100):
             w = feasible_weights(rng, n, m, p.delta)
-            assert eval_h_delta(x, w, g, c, p) >= fd - 1e-12
+            assert h_delta_of(x, w, g, c, p) >= fd - 1e-12
 
     def test_rejects_infeasible_weights(self, rng):
         n, m = 3, 3
@@ -139,7 +144,7 @@ class TestEvalHDelta:
         x = random_state(rng, n, m)
         w = IrlsWeights(0.1 * np.ones((n - 1, m)), np.ones((n, m - 1)))
         with pytest.raises(ValueError):
-            eval_h_delta(x, w, zero_gradients(n, m), WeightField.uniform(n, m), p)
+            h_delta_of(x, w, zero_gradients(n, m), WeightField.uniform(n, m), p)
 
 
 class TestEvalHDeltaRefreshed:
@@ -150,20 +155,10 @@ class TestEvalHDeltaRefreshed:
             x = random_state(rng, n, m)
             g = random_gradients(rng, n, m)
             c = random_weights(rng, n, m)
-            w = update_weights(x, c, p.delta)
-            got = eval_h_delta_refreshed(x, w, g, p)
+            w = weights_of(x, c, p.delta)
+            got = eval_h_delta_refreshed(x, w, g, p, scratch=arc_grids(n, m))
             assert got == eval_f_delta(x, g, c, p)
-            assert got == pytest.approx(eval_h_delta(x, w, g, c, p), rel=1e-14)
-
-
-def nan_pair(n, m):
-    return np.full((n - 1, m), np.nan), np.full((n, m - 1), np.nan)
-
-
-def nan_vector(n, m):
-    out = SystemVector.zeros(n, m)
-    out.data[:] = np.nan
-    return out
+            assert got == pytest.approx(h_delta_of(x, w, g, c, p), rel=1e-14)
 
 
 def weights_with_cut_arcs(rng, n, m):
@@ -176,7 +171,7 @@ def weights_with_cut_arcs(rng, n, m):
 
 
 class TestReusedBuffers:
-    """``out=`` and ``scratch=`` give the allocating forms' bits, whatever the buffers held."""
+    """Results in NaN-filled buffers are bit-equal to those in new, zero-filled ones."""
 
     @pytest.mark.parametrize("shape", [(4, 4), (1, 6), (6, 1), (3, 5)])
     def test_bit_equal_to_the_allocating_forms(self, rng, shape):
@@ -187,27 +182,27 @@ class TestReusedBuffers:
         x = random_state(rng, n, m)
         d2 = p.delta * p.delta
 
-        w = IrlsWeights(*nan_pair(n, m))
+        w = IrlsWeights(*arc_grids(n, m, np.nan))
         assert update_weights(x, c, p.delta, out=w) is w
-        fresh = update_weights(x, c, p.delta)
+        fresh = update_weights(x, c, p.delta, out=IrlsWeights(*arc_grids(n, m)))
         for got, want, cc, v in ((w.wv, fresh.wv, c.cv, x.vv), (w.wh, fresh.wh, c.ch, x.vh)):
             assert got.tobytes() == want.tobytes()
             assert got.tobytes() == np.sqrt((cc * v) ** 2 + d2).tobytes()
 
-        h = eval_h_delta(x, w, g, c, p, scratch=nan_pair(n, m))
-        assert h == eval_h_delta(x, w, g, c, p)
-        assert eval_h_delta_refreshed(x, w, g, p, scratch=nan_pair(n, m)) == (
-            eval_h_delta_refreshed(x, w, g, p)
+        h = eval_h_delta(x, w, g, c, p, scratch=arc_grids(n, m, np.nan))
+        assert h == eval_h_delta(x, w, g, c, p, scratch=arc_grids(n, m))
+        assert eval_h_delta_refreshed(x, w, g, p, scratch=arc_grids(n, m, np.nan)) == (
+            eval_h_delta_refreshed(x, w, g, p, scratch=arc_grids(n, m))
         )
 
         lip = lipschitz_constant(c, p)
         out, scratch = nan_vector(n, m), nan_vector(n, m)
         assert candidate_step(x, w, g, c, p, lip, out=out, scratch=scratch) is out
-        assert out.data.tobytes() == candidate_step(x, w, g, c, p, lip).data.tobytes()
+        assert out.data.tobytes() == step_of(x, w, g, c, p, lip).data.tobytes()
         # the step as it was first written: x - (A x - b) / L with new grids throughout
         d = DiagonalWeights(c.cv * c.cv / w.wv, c.ch * c.ch / w.wh)
-        want = apply_system(x, d, p.tau)
-        want.data -= build_rhs(g, p.tau).data
+        want = apply_system(x, d, p.tau, out=SystemVector.zeros(n, m))
+        want.data -= build_rhs(g, p.tau, out=SystemVector.zeros(n, m)).data
         want.data *= -1.0 / lip
         want.data += x.data
         assert out.data.tobytes() == want.data.tobytes()
@@ -216,12 +211,12 @@ class TestReusedBuffers:
 class TestUpdateWeights:
     def test_zero_slack(self):
         x = SystemVector.zeros(3, 3)
-        w = update_weights(x, WeightField.uniform(3, 3), 1e-6)
+        w = weights_of(x, WeightField.uniform(3, 3), 1e-6)
         assert np.all(w.wv == 1e-6) and np.all(w.wh == 1e-6)
 
     def test_three_four_five(self):
         x = SystemVector(np.zeros((2, 2)), 3.0 * np.ones((1, 2)), 3.0 * np.ones((2, 1)))
-        w = update_weights(x, WeightField.uniform(2, 2), 4.0)
+        w = weights_of(x, WeightField.uniform(2, 2), 4.0)
         assert np.all(w.wv == 5.0) and np.all(w.wh == 5.0)
 
     def test_matches_grid_search(self):
@@ -233,13 +228,13 @@ class TestUpdateWeights:
                 np.zeros((2, 2)), np.array([[float(v), 0.0]]), np.zeros((2, 1))
             )
             c = WeightField(np.array([[float(cv), 1.0]]), np.ones((2, 1)))
-            got = update_weights(x, c, delta).wv[0, 0]
+            got = weights_of(x, c, delta).wv[0, 0]
             brute = ws[np.argmin(((cv * v) ** 2 + delta**2) / ws + ws)]
             assert got == pytest.approx(brute, abs=resolution)
 
     def test_outputs_at_least_delta(self, rng):
         x = random_state(rng, 5, 5)
-        w = update_weights(x, random_weights(rng, 5, 5), 1e-6)
+        w = weights_of(x, random_weights(rng, 5, 5), 1e-6)
         assert w.wv.min() >= 1e-6 and w.wh.min() >= 1e-6
 
 
@@ -268,7 +263,7 @@ class TestLipschitzConstant:
         for n, m in [(4, 4), (8, 8), (5, 8)]:
             c = random_weights(rng, n, m, lo=0.0, hi=1.0)
             x = random_state(rng, n, m)
-            w = update_weights(x, c, p.delta)
+            w = weights_of(x, c, p.delta)
             d = DiagonalWeights(c.cv**2 / w.wv, c.ch**2 / w.wh)
             hess = materialize_dense_system(n, m, d, p.tau)
             lam_max = np.linalg.eigvalsh(hess).max()
@@ -282,7 +277,7 @@ class TestCandidateStep:
         c = random_weights(rng, n, m)
         g = random_gradients(rng, n, m)
         x = random_state(rng, n, m)
-        w = update_weights(x, c, p.delta)
+        w = weights_of(x, c, p.delta)
         d = DiagonalWeights(c.cv**2 / w.wv, c.ch**2 / w.wh)
         a = materialize_dense_system(n, m, d, p.tau)
         from oracles import dense_s, dense_t, vec
@@ -296,7 +291,7 @@ class TestCandidateStep:
         )
         x_star = unstack_system(np.linalg.pinv(a) @ b, n, m)
         lip = lipschitz_constant(c, p)
-        stepped = candidate_step(x_star, w, g, c, p, lip)
+        stepped = step_of(x_star, w, g, c, p, lip)
         diff = stepped.copy()
         diff.data -= x_star.data
         assert np.linalg.norm(diff.data) < 1e-10 * max(1.0, np.linalg.norm(x_star.data))
@@ -309,7 +304,7 @@ class TestCandidateStep:
         x = random_state(rng, n, m)
         w = feasible_weights(rng, n, m, p.delta)
         lip = lipschitz_constant(c, p)
-        stepped = candidate_step(x, w, g, c, p, lip)
+        stepped = step_of(x, w, g, c, p, lip)
         grad = x.copy()
         grad.data -= stepped.data
         grad.data *= lip
@@ -322,7 +317,7 @@ class TestCandidateStep:
             minus = x.copy()
             minus.data -= eps * e.data
             fd = (
-                eval_h_delta(plus, w, g, c, p) - eval_h_delta(minus, w, g, c, p)
+                h_delta_of(plus, w, g, c, p) - h_delta_of(minus, w, g, c, p)
             ) / (2 * eps)
             assert fd == pytest.approx(np.vdot(grad.data, e.data), rel=1e-5, abs=1e-7)
 
@@ -334,9 +329,9 @@ class TestCandidateStep:
         lip = lipschitz_constant(c, p)
         for _ in range(100):
             x = random_state(rng, n, m)
-            w = update_weights(x, c, p.delta)
-            stepped = candidate_step(x, w, g, c, p, lip)
-            assert eval_h_delta(stepped, w, g, c, p) <= eval_h_delta(x, w, g, c, p)
+            w = weights_of(x, c, p.delta)
+            stepped = step_of(x, w, g, c, p, lip)
+            assert h_delta_of(stepped, w, g, c, p) <= h_delta_of(x, w, g, c, p)
 
 
 class TestSufficientDecrease:
@@ -345,13 +340,13 @@ class TestSufficientDecrease:
         c = random_weights(rng, n, m)
         g = random_gradients(rng, n, m)
         x = random_state(rng, n, m)
-        w = update_weights(x, c, p.delta)
+        w = weights_of(x, c, p.delta)
         return p, c, g, x, w
 
     def test_candidate_itself_passes(self, rng):
         p, c, g, x, w = self._setup(rng)
         lip = lipschitz_constant(c, p)
-        cand = candidate_step(x, w, g, c, p, lip)
+        cand = step_of(x, w, g, c, p, lip)
         assert sufficient_decrease_holds(cand, x, w, g, c, p, lip)
 
     def test_exact_minimizer_passes(self, rng):

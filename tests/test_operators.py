@@ -6,7 +6,6 @@ from phaseirls.operators import (
     DiagonalWeights,
     SizeLimitExceeded,
     SystemVector,
-    apply_reduced_system,
     apply_system,
     build_reduced_rhs,
     build_rhs,
@@ -18,10 +17,12 @@ from phaseirls.objective import IrlsWeights
 from phaseirls.phase import WeightField
 
 from oracles import (
+    arc_grids,
     dense_arc_map,
     dense_s,
     dense_system_entrywise,
     dense_t,
+    nan_vector,
     random_gradients,
     random_state,
     stack_system,
@@ -99,14 +100,14 @@ class TestApplySystem:
     def test_zero_maps_to_zero(self, rng):
         n, m = 4, 5
         d = random_diag(rng, n, m)
-        out = apply_system(SystemVector.zeros(n, m), d, 0.5)
+        out = apply_system(SystemVector.zeros(n, m), d, 0.5, out=nan_vector(n, m))
         assert np.linalg.norm(out.data) == 0.0
 
     def test_constant_u_in_nullspace(self, rng):
         n, m = 5, 4
         d = random_diag(rng, n, m)
         x = SystemVector(7.5 * np.ones((n, m)), np.zeros((n - 1, m)), np.zeros((n, m - 1)))
-        out = apply_system(x, d, 1e-2)
+        out = apply_system(x, d, 1e-2, out=nan_vector(n, m))
         assert np.linalg.norm(out.data) == 0.0
 
     def test_matches_dense_oracle(self, rng):
@@ -116,7 +117,7 @@ class TestApplySystem:
         a = materialize_dense_system(n, m, d, tau)
         for _ in range(20):
             x = random_state(rng, n, m)
-            got = stack_system(apply_system(x, d, tau))
+            got = stack_system(apply_system(x, d, tau, out=SystemVector.zeros(n, m)))
             want = a @ stack_system(x)
             assert np.max(np.abs(got - want)) < 1e-10
 
@@ -127,8 +128,8 @@ class TestApplySystem:
         for _ in range(25):
             x = random_state(rng, n, m)
             y = random_state(rng, n, m)
-            ax = apply_system(x, d, tau)
-            ay = apply_system(y, d, tau)
+            ax = apply_system(x, d, tau, out=SystemVector.zeros(n, m))
+            ay = apply_system(y, d, tau, out=SystemVector.zeros(n, m))
             assert np.vdot(ax.data, y.data) == pytest.approx(
                 np.vdot(x.data, ay.data), rel=1e-10, abs=1e-10
             )
@@ -137,7 +138,7 @@ class TestApplySystem:
     def test_rejects_nonpositive_tau(self, rng):
         d = random_diag(rng, 3, 3)
         with pytest.raises(ValueError):
-            apply_system(SystemVector.zeros(3, 3), d, 0.0)
+            apply_system(SystemVector.zeros(3, 3), d, 0.0, out=SystemVector.zeros(3, 3))
 
 
 class TestDenseSystem:
@@ -183,18 +184,18 @@ class TestBuildRhs:
     def test_zero_gradients(self, rng):
         g = random_gradients(rng, 4, 4)
         zero = type(g)(np.zeros_like(g.gv), np.zeros_like(g.gh))
-        assert np.linalg.norm(build_rhs(zero, 1e-2).data) == 0.0
+        assert np.linalg.norm(build_rhs(zero, 1e-2, out=nan_vector(4, 4)).data) == 0.0
 
     def test_u_block_sums_to_zero(self, rng):
         g = random_gradients(rng, 9, 7)
-        b = build_rhs(g, 1e-2)
+        b = build_rhs(g, 1e-2, out=SystemVector.zeros(9, 7))
         assert abs(b.u.sum()) <= 1e-9 * b.u.size
 
     def test_matches_dense_construction(self, rng):
         n = m = 3
         g = random_gradients(rng, n, m)
         tau = 1e-2
-        b = stack_system(build_rhs(g, tau))
+        b = stack_system(build_rhs(g, tau, out=SystemVector.zeros(n, m)))
         s = dense_s(n)
         t = dense_t(m)
         want = np.concatenate(
@@ -263,11 +264,10 @@ class TestApplySystemOut:
         d = random_diag(rng, n, m)
         tau = 0.03
         x = random_state(rng, n, m)
-        buf = SystemVector.zeros(n, m)
-        buf.data[:] = np.nan  # every entry must be overwritten
+        buf = nan_vector(n, m)  # every entry must be overwritten
         got = apply_system(x, d, tau, out=buf)
         assert got is buf
-        assert np.array_equal(got.data, apply_system(x, d, tau).data)
+        assert np.array_equal(got.data, apply_system(x, d, tau, out=SystemVector.zeros(n, m)).data)
         want = materialize_dense_system(n, m, d, tau) @ stack_system(x)
         assert np.max(np.abs(stack_system(got) - want)) < 1e-10
 
@@ -278,7 +278,7 @@ class TestApplySystemOut:
         apply_system(random_state(rng, n, m), d, 0.1, out=buf)
         x = random_state(rng, n, m)
         apply_system(x, d, 0.1, out=buf)
-        assert np.array_equal(buf.data, apply_system(x, d, 0.1).data)
+        assert np.array_equal(buf.data, apply_system(x, d, 0.1, out=SystemVector.zeros(n, m)).data)
 
 
 def with_zero_arcs(rng, wr):
@@ -297,11 +297,12 @@ class TestReducedSystem:
         k = dense_arc_map(n, m)
         kt_w_k = k.T @ np.diag(np.concatenate([vec(wr.dv), vec(wr.dh)])) @ k
         u = rng.standard_normal((n, m))
-        got = apply_reduced_system(u, wr)
+        got = kernels.weighted_laplacian(u, wr.dv, wr.dh, *arc_grids(n, m), np.zeros((n, m)))
         assert np.max(np.abs(vec(got) - kt_w_k @ vec(u))) < 1e-12
         g = random_gradients(rng, n, m)
         want_rhs = k.T @ np.concatenate([vec(wr.dv * g.gv), vec(wr.dh * g.gh)])
-        assert np.max(np.abs(vec(build_reduced_rhs(g, wr)) - want_rhs)) < 1e-12
+        rhs = build_reduced_rhs(g, wr, out=np.zeros((n, m)), flux=arc_grids(n, m))
+        assert np.max(np.abs(vec(rhs) - want_rhs)) < 1e-12
 
     @pytest.mark.parametrize("shape", [(4, 4), (3, 5), (1, 6), (6, 1)])
     def test_out_is_bit_equal_to_a_new_result(self, rng, shape):
@@ -309,40 +310,38 @@ class TestReducedSystem:
         wr = with_zero_arcs(rng, random_diag(rng, n, m))
         u = rng.standard_normal((n, m))
         g = random_gradients(rng, n, m)
-        # every entry of out and of the scratch must be overwritten
+        # every entry of out and of the scratch must be overwritten: NaN-filled
+        # buffers give the bits of zero-filled ones
         buf = np.full((n, m), np.nan)
-        flux = (np.full((n - 1, m), np.nan), np.full((n, m - 1), np.nan))
-        got = apply_reduced_system(u, wr, out=buf, flux=flux)
+        got = kernels.weighted_laplacian(u, wr.dv, wr.dh, *arc_grids(n, m, np.nan), buf)
         assert got is buf
-        assert np.array_equal(got, apply_reduced_system(u, wr))
+        want = kernels.weighted_laplacian(u, wr.dv, wr.dh, *arc_grids(n, m), np.zeros((n, m)))
+        assert np.array_equal(got, want)
         rhs = np.full((n, m), np.nan)
-        flux = (np.full((n - 1, m), np.nan), np.full((n, m - 1), np.nan))
-        assert build_reduced_rhs(g, wr, out=rhs, flux=flux) is rhs
-        assert np.array_equal(rhs, build_reduced_rhs(g, wr))
-        full = SystemVector.zeros(n, m)
-        full.data[:] = np.nan
-        flux = (np.full((n - 1, m), np.nan), np.full((n, m - 1), np.nan))
-        assert recover_slacks(u, g, wr, 0.03, out=full, flux=flux) is full
-        assert full.data.tobytes() == recover_slacks(u, g, wr, 0.03).data.tobytes()
+        assert build_reduced_rhs(g, wr, out=rhs, flux=arc_grids(n, m, np.nan)) is rhs
+        want = build_reduced_rhs(g, wr, out=np.zeros((n, m)), flux=arc_grids(n, m))
+        assert np.array_equal(rhs, want)
+        full = nan_vector(n, m)
+        assert recover_slacks(u, g, wr, 0.03, out=full, flux=arc_grids(n, m, np.nan)) is full
+        want = recover_slacks(u, g, wr, 0.03, out=SystemVector.zeros(n, m), flux=arc_grids(n, m))
+        assert full.data.tobytes() == want.data.tobytes()
         # the slacks as first written, each temporary a new grid
         for v, diff, gg, ww in ((full.vv, kernels.diff_rows(u), g.gv, wr.dv),
                                 (full.vh, kernels.diff_cols(u), g.gh, wr.dh)):
             want = diff - gg
             want -= 0.03 * ww * want
             assert v.tobytes() == want.tobytes()
-        b = SystemVector.zeros(n, m)
-        b.data[:] = np.nan
+        b = nan_vector(n, m)
         assert build_rhs(g, 0.03, out=b) is b
-        assert b.data.tobytes() == build_rhs(g, 0.03).data.tobytes()
+        assert b.data.tobytes() == build_rhs(g, 0.03, out=SystemVector.zeros(n, m)).data.tobytes()
 
     def test_reduced_weights_are_the_schur_weights(self, rng):
         n, m, tau = 5, 4, 0.03
         c = WeightField(rng.uniform(0, 2, (n - 1, m)), rng.uniform(0, 2, (n, m - 1)))
         c.cv[1, :] = 0.0
         w = IrlsWeights(rng.uniform(1e-6, 3, (n - 1, m)), rng.uniform(1e-6, 3, (n, m - 1)))
-        out = DiagonalWeights(np.full((n - 1, m), np.nan), np.full((n, m - 1), np.nan))
-        flux = (np.full((n - 1, m), np.nan), np.full((n, m - 1), np.nan))
-        assert reduced_weights(c, w, tau, out=out, flux=flux) is out
+        out = DiagonalWeights(*arc_grids(n, m, np.nan))
+        assert reduced_weights(c, w, tau, out=out, flux=arc_grids(n, m, np.nan)) is out
         for cc, ww, got in ((c.cv, w.wv, out.dv), (c.ch, w.wh, out.dh)):
             first = cc * cc  # the weights as first written, the denominator a new grid
             first /= ww + tau * first
@@ -357,11 +356,12 @@ class TestReducedSystem:
         n, m, tau = 4, 5, 0.03
         d = random_diag(rng, n, m)
         wr = reduced_weights(
-            WeightField.uniform(n, m), IrlsWeights(1 / d.dv, 1 / d.dh), tau
+            WeightField.uniform(n, m), IrlsWeights(1 / d.dv, 1 / d.dh), tau,
+            out=DiagonalWeights(*arc_grids(n, m)), flux=arc_grids(n, m),
         )
         u = rng.standard_normal((n, m))
         g = random_gradients(rng, n, m)
-        x = recover_slacks(u, g, wr, tau)
+        x = recover_slacks(u, g, wr, tau, out=SystemVector.zeros(n, m), flux=arc_grids(n, m))
         assert np.array_equal(x.u, u)
         stationary_v = d.dv * x.vv + (x.vv - (kernels.diff_rows(u) - g.gv)) / tau
         stationary_h = d.dh * x.vh + (x.vh - (kernels.diff_cols(u) - g.gh)) / tau

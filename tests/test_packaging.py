@@ -101,3 +101,28 @@ def test_every_public_name_is_used_by_the_program():
 
     unused = {q for q in public_surface() if not used(q)}
     assert unused == UNREFERENCED_BY_DESIGN
+
+
+# buffer parameters: the caller owns every grid a function writes into
+BUFFER_PARAMS = {"out", "flux", "scratch"}
+
+
+def defaulted_buffer_params():
+    """``module.function(param)`` for each buffer parameter of the package that has a default."""
+    found = set()
+    for path, tree in _trees(PACKAGE).items():
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = node.args
+            positional = args.posonlyargs + args.args
+            defaulted = positional[len(positional) - len(args.defaults):]
+            defaulted += [a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+            found.update(
+                f"{path.stem}.{node.name}({a.arg})" for a in defaulted if a.arg in BUFFER_PARAMS
+            )
+    return found
+
+
+def test_buffer_parameters_have_no_default():
+    assert defaulted_buffer_params() == set()

@@ -3,13 +3,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from phaseirls import kernels
 from phaseirls.diagnostics import random_diagonal_weights
 from phaseirls.objective import ModelParams
 from phaseirls.objective import IrlsWeights
 from phaseirls.operators import (
     DiagonalWeights,
     SystemVector,
-    apply_reduced_system,
     apply_system,
     build_reduced_rhs,
     build_rhs,
@@ -27,6 +27,7 @@ from phaseirls.preconditioner import (
 )
 
 from oracles import (
+    arc_grids,
     dense_arc_map,
     pcg_solve_blocks,
     random_gradients,
@@ -42,11 +43,21 @@ DELTA = 1e-6
 def make_problem(rng, n, m, seed=0):
     d = random_diagonal_weights(n, m, DELTA, seed=seed)
     g = random_gradients(rng, n, m)
-    b = build_rhs(g, TAU)
+    b = build_rhs(g, TAU, out=SystemVector.zeros(n, m))
     pc = build_preconditioner(build_spectral_cache(n, m), d, TAU)
-    apply_a = lambda v: apply_system(v, d, TAU)
-    apply_m = lambda r: apply_preconditioner(r, pc)
+    apply_a = lambda v: apply_system(v, d, TAU, out=SystemVector.zeros(n, m))
+    apply_m = lambda r: apply_preconditioner(r, pc, out=SystemVector.zeros(n, m))
     return d, b, apply_a, apply_m
+
+
+def reduced_maps(wr, cache):
+    """The reduced map and the Sylvester preconditioner, each writing into one grid."""
+    n, m = cache.multiplier.shape
+    ap, z, flux = np.empty((n, m)), np.empty((n, m)), arc_grids(n, m)
+    return (
+        lambda v: kernels.weighted_laplacian(v, wr.dv, wr.dh, *flux, ap),
+        lambda r: sylvester_solve(r, TAU, cache, out=z),
+    )
 
 
 class TestPcgBasics:
@@ -121,22 +132,25 @@ class TestReducedSolve:
         n = m = 8
         d = random_diagonal_weights(n, m, DELTA, seed=12)
         g = random_gradients(rng, n, m)
-        b = build_rhs(g, TAU)
+        b = build_rhs(g, TAU, out=SystemVector.zeros(n, m))
         x_star = np.linalg.pinv(materialize_dense_system(n, m, d, TAU)) @ stack_system(b)
         # c = 1 and w = 1/d give the reduced weights d / (1 + tau d)
-        wr = reduced_weights(WeightField.uniform(n, m), IrlsWeights(1 / d.dv, 1 / d.dh), TAU)
-        cache = build_spectral_cache(n, m)
+        wr = reduced_weights(
+            WeightField.uniform(n, m), IrlsWeights(1 / d.dv, 1 / d.dh), TAU,
+            out=DiagonalWeights(*arc_grids(n, m)), flux=arc_grids(n, m),
+        )
         x = np.zeros((n, m))
         out = pcg_solve(
-            lambda v: apply_reduced_system(v, wr),
-            lambda r: sylvester_solve(r, TAU, cache),
-            build_reduced_rhs(g, wr),
+            *reduced_maps(wr, build_spectral_cache(n, m)),
+            build_reduced_rhs(g, wr, out=np.zeros((n, m)), flux=arc_grids(n, m)),
             x,
             max_iters=3 * n * m,
             rel_tol=1e-12,
         )
         assert out.converged
-        got = recover_slacks(x - x.mean(), g, wr, TAU)
+        got = recover_slacks(
+            x - x.mean(), g, wr, TAU, out=SystemVector.zeros(n, m), flux=arc_grids(n, m)
+        )
         rel = np.linalg.norm(stack_system(got) - x_star) / np.linalg.norm(x_star)
         assert rel < 1e-6
 
@@ -148,12 +162,12 @@ class TestReducedSolve:
         wr = DiagonalWeights(
             10 ** rng.uniform(-1, 2, (n - 1, m)), 10 ** rng.uniform(-1, 2, (n, m - 1))
         )
-        b = build_reduced_rhs(random_gradients(rng, n, m), wr)
-        cache = build_spectral_cache(n, m)
+        b = build_reduced_rhs(
+            random_gradients(rng, n, m), wr, out=np.zeros((n, m)), flux=arc_grids(n, m)
+        )
         x = np.zeros((n, m))
         out = pcg_solve(
-            lambda v: apply_reduced_system(v, wr),
-            lambda r: sylvester_solve(r, TAU, cache),
+            *reduced_maps(wr, build_spectral_cache(n, m)),
             b.copy(),
             x,
             max_iters=400,
@@ -173,13 +187,15 @@ class TestInPlace:
     def test_x_ends_as_the_iterate_and_b_as_the_residual(self, rng):
         n, m = 12, 10
         wr = DiagonalWeights(rng.uniform(0.5, 2.0, (n - 1, m)), rng.uniform(0.5, 2.0, (n, m - 1)))
-        rhs = build_reduced_rhs(random_gradients(rng, n, m), wr)
+        rhs = build_reduced_rhs(
+            random_gradients(rng, n, m), wr, out=np.zeros((n, m)), flux=arc_grids(n, m)
+        )
         b = rhs.copy()
         x = np.zeros((n, m))
-        cache = build_spectral_cache(n, m)
+        apply_a, apply_m = reduced_maps(wr, build_spectral_cache(n, m))
         out = pcg_solve(
-            lambda v: apply_reduced_system(v, wr),
-            lambda r: sylvester_solve(r, TAU, cache),
+            apply_a,
+            apply_m,
             b,
             x,
             max_iters=8,
@@ -188,7 +204,7 @@ class TestInPlace:
         assert out.iterations == 8
         assert np.linalg.norm(b) == out.residual_norms[-1]
         # b is the recurrence residual of the iterate left in x
-        drift = rhs - apply_reduced_system(x, wr) - b
+        drift = rhs - apply_a(x) - b
         assert np.linalg.norm(drift) <= 1e-10 * np.linalg.norm(rhs)
         assert np.linalg.norm(b) < 1e-2 * np.linalg.norm(rhs)
 
@@ -252,7 +268,7 @@ class TestAllocations:
     def _solve_peak(self, rng, max_iters):
         n, m = self.n, self.m
         d = random_diagonal_weights(n, m, DELTA, seed=8)
-        b = build_rhs(random_gradients(rng, n, m), TAU)
+        b = build_rhs(random_gradients(rng, n, m), TAU, out=SystemVector.zeros(n, m))
         pc = build_preconditioner(build_spectral_cache(n, m), d, TAU)
         # one scratch vector per map, allocated once, as irls.unwrap does
         ap = SystemVector.zeros(n, m)
@@ -280,15 +296,15 @@ class TestAllocations:
         # maps that write into preallocated grids, so the peak is PCG's own
         n, m = 256, 256
         wr = DiagonalWeights(rng.uniform(0.5, 2.0, (n - 1, m)), rng.uniform(0.5, 2.0, (n, m - 1)))
-        b = build_reduced_rhs(random_gradients(rng, n, m), wr)
+        flux = arc_grids(n, m)
+        b = build_reduced_rhs(random_gradients(rng, n, m), wr, out=np.zeros((n, m)), flux=flux)
         x = np.zeros((n, m))
         ap, z = np.empty((n, m)), np.empty((n, m))
-        flux = (np.empty((n - 1, m)), np.empty((n, m - 1)))
         tracemalloc.start()
         try:
             entry = tracemalloc.get_traced_memory()[0]
             out = pcg_solve(
-                lambda v: apply_reduced_system(v, wr, out=ap, flux=flux),
+                lambda v: kernels.weighted_laplacian(v, wr.dv, wr.dh, *flux, ap),
                 lambda r: np.multiply(r, 0.5, out=z),
                 b, x, 20, 0.0,
             )

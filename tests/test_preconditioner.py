@@ -16,7 +16,7 @@ from phaseirls.preconditioner import (
 )
 from phaseirls.synth import SceneSpec, generate_scene, wrap_scene
 
-from oracles import dense_s, dense_t, random_state, stack_system
+from oracles import dense_s, dense_t, nan_vector, random_state, stack_system
 
 
 class TestSpectralCache:
@@ -62,12 +62,13 @@ class TestSpectralCache:
 class TestSylvesterSolve:
     def test_zero_rhs(self):
         cache = build_spectral_cache(4, 5)
-        assert np.all(sylvester_solve(np.zeros((4, 5)), 1e-2, cache) == 0.0)
+        z = sylvester_solve(np.zeros((4, 5)), 1e-2, cache, out=np.full((4, 5), np.nan))
+        assert np.all(z == 0.0)
 
     def test_two_by_two_reference_value(self):
         cache = build_spectral_cache(2, 2)
         r = np.array([[1.0, -1.0], [-1.0, 1.0]])
-        z = sylvester_solve(r, 1.0, cache)
+        z = sylvester_solve(r, 1.0, cache, out=np.zeros((2, 2)))
         assert np.allclose(z, [[0.25, -0.25], [-0.25, 0.25]], atol=1e-12)
 
     def test_matches_dense_pseudoinverse(self, rng):
@@ -80,7 +81,7 @@ class TestSylvesterSolve:
         pinv = np.linalg.pinv(kron_sum)
         for _ in range(10):
             r = rng.standard_normal((n, m))
-            z = sylvester_solve(r, tau, cache)
+            z = sylvester_solve(r, tau, cache, out=np.zeros((n, m)))
             want = (pinv @ (tau * r.ravel(order="F"))).reshape((n, m), order="F")
             assert np.max(np.abs(z - want)) < 1e-10
 
@@ -94,7 +95,7 @@ class TestSylvesterSolve:
         for _ in range(10):
             r = rng.standard_normal((n, m))
             r -= r.mean()
-            z = sylvester_solve(r, tau, cache)
+            z = sylvester_solve(r, tau, cache, out=np.zeros((n, m)))
             resid = sts @ z + z @ ttt - tau * r
             assert np.linalg.norm(resid) <= 1e-9 * np.linalg.norm(tau * r)
             assert abs(z.mean()) < 1e-12 * max(1.0, np.abs(z).max())
@@ -102,7 +103,7 @@ class TestSylvesterSolve:
     def test_rejects_nonpositive_tau(self):
         cache = build_spectral_cache(2, 2)
         with pytest.raises(ValueError):
-            sylvester_solve(np.zeros((2, 2)), -1.0, cache)
+            sylvester_solve(np.zeros((2, 2)), -1.0, cache, out=np.zeros((2, 2)))
 
 
 def random_diag(rng, n, m, hi=5.0):
@@ -113,7 +114,7 @@ class TestApplyPreconditioner:
     def test_zero_maps_to_zero(self, rng):
         n, m = 4, 4
         pc = build_preconditioner(build_spectral_cache(n, m), random_diag(rng, n, m), 1e-2)
-        out = apply_preconditioner(SystemVector.zeros(n, m), pc)
+        out = apply_preconditioner(SystemVector.zeros(n, m), pc, out=nan_vector(n, m))
         assert np.linalg.norm(out.data) == 0.0
 
     def test_zero_diagonals_scale_by_tau(self, rng):
@@ -121,7 +122,7 @@ class TestApplyPreconditioner:
         d = DiagonalWeights(np.zeros((n - 1, m)), np.zeros((n, m - 1)))
         pc = build_preconditioner(build_spectral_cache(n, m), d, tau)
         r = random_state(rng, n, m)
-        out = apply_preconditioner(r, pc)
+        out = apply_preconditioner(r, pc, out=SystemVector.zeros(n, m))
         assert np.allclose(out.vv, tau * r.vv, atol=1e-14)
         assert np.allclose(out.vh, tau * r.vh, atol=1e-14)
 
@@ -137,7 +138,7 @@ class TestApplyPreconditioner:
         for _ in range(10):
             r = random_state(rng, n, m)
             r.u -= r.u.mean()
-            z = stack_system(apply_preconditioner(r, pc))
+            z = stack_system(apply_preconditioner(r, pc, out=SystemVector.zeros(n, m)))
             back = dmat @ z
             rs = stack_system(r)
             projected = rs - (null @ rs) * null
@@ -150,8 +151,8 @@ class TestApplyPreconditioner:
         pc = build_preconditioner(build_spectral_cache(n, m), d, tau)
         for _ in range(20):
             x = random_state(rng, n, m)
-            ax = apply_system(x, d, tau)
-            z = apply_preconditioner(ax, pc)
+            ax = apply_system(x, d, tau, out=SystemVector.zeros(n, m))
+            z = apply_preconditioner(ax, pc, out=SystemVector.zeros(n, m))
             assert abs(z.u.mean()) < 1e-12 * max(1.0, np.abs(z.u).max())
 
     def test_annihilates_shared_nullspace(self, rng):
@@ -159,9 +160,9 @@ class TestApplyPreconditioner:
         d = random_diag(rng, n, m)
         pc = build_preconditioner(build_spectral_cache(n, m), d, 1e-2)
         const = SystemVector(np.ones((n, m)), np.zeros((n - 1, m)), np.zeros((n, m - 1)))
-        out = apply_preconditioner(const, pc)
+        out = apply_preconditioner(const, pc, out=nan_vector(n, m))
         assert np.max(np.abs(out.u)) < 1e-12
-        assert np.linalg.norm(apply_system(const, d, 1e-2).data) == 0.0
+        assert np.linalg.norm(apply_system(const, d, 1e-2, out=nan_vector(n, m)).data) == 0.0
 
     def test_symmetric_psd_as_operator(self, rng):
         n = m = 4
@@ -170,8 +171,8 @@ class TestApplyPreconditioner:
         for _ in range(20):
             x = random_state(rng, n, m)
             y = random_state(rng, n, m)
-            mx = apply_preconditioner(x, pc)
-            my = apply_preconditioner(y, pc)
+            mx = apply_preconditioner(x, pc, out=SystemVector.zeros(n, m))
+            my = apply_preconditioner(y, pc, out=SystemVector.zeros(n, m))
             assert np.vdot(mx.data, y.data) == pytest.approx(
                 np.vdot(x.data, my.data), rel=1e-9, abs=1e-9
             )
@@ -186,11 +187,11 @@ class TestOutArguments:
         d = random_diag(rng, n, m)
         pc = build_preconditioner(build_spectral_cache(n, m), d, tau)
         r = random_state(rng, n, m)
-        buf = SystemVector.zeros(n, m)
-        buf.data[:] = np.nan  # every entry must be overwritten
+        buf = nan_vector(n, m)  # every entry must be overwritten
         got = apply_preconditioner(r, pc, out=buf)
         assert got is buf
-        assert np.array_equal(got.data, apply_preconditioner(r, pc).data)
+        zeroed = apply_preconditioner(r, pc, out=SystemVector.zeros(n, m))
+        assert np.array_equal(got.data, zeroed.data)
         want = np.linalg.pinv(materialize_dense_preconditioner(n, m, d, tau)) @ stack_system(r)
         assert np.max(np.abs(stack_system(got) - want)) <= 1e-10 * max(1.0, np.abs(want).max())
 
@@ -203,7 +204,7 @@ class TestOutArguments:
         buf = np.full((n, m), np.nan)
         got = sylvester_solve(r, tau, cache, out=buf)
         assert got is buf
-        assert np.array_equal(got, sylvester_solve(r, tau, cache))
+        assert np.array_equal(got, sylvester_solve(r, tau, cache, out=np.zeros((n, m))))
         sts = dense_s(n).T @ dense_s(n)
         ttt = dense_t(m) @ dense_t(m).T
         kron_sum = np.kron(np.eye(m), sts) + np.kron(ttt, np.eye(n))

@@ -18,6 +18,13 @@ class TestSceneSpec:
         with pytest.raises(ValueError):
             SceneSpec("ramp", 4, 4, 1.0, 0.0, 0)
 
+    @pytest.mark.parametrize("amplitude, scale, seed", [
+        (np.inf, 1.0, 0), (np.nan, 1.0, 0), (1.0, np.nan, 0), (1.0, np.inf, 0), (1.0, 1.0, 2**64),
+    ])
+    def test_rejects_non_finite_values_and_seeds_past_64_bits(self, amplitude, scale, seed):
+        with pytest.raises(ValueError):
+            SceneSpec("gaussian-bumps", 4, 4, amplitude, scale, seed)
+
 
 class TestRamp:
     def test_row_steps(self):
@@ -113,3 +120,11 @@ class TestPhaseNoise:
     def test_deterministic(self, rng):
         x = wrap_scene(rng.uniform(0, 6, (16, 16)))
         assert np.array_equal(add_phase_noise(x, 0.4, 11), add_phase_noise(x, 0.4, 11))
+
+    @pytest.mark.parametrize("sigma, seed, reason", [
+        (np.nan, 0, "sigma"), (np.inf, 0, "sigma"), (0.4, 2**64, "seed"), (0.4, -1, "seed"),
+    ])
+    def test_rejects_non_finite_sigma_and_bad_seeds(self, rng, sigma, seed, reason):
+        x = wrap_scene(rng.uniform(0, 6, (4, 4)))
+        with pytest.raises(ValueError, match=reason):
+            add_phase_noise(x, sigma, seed)
