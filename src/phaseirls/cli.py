@@ -12,8 +12,6 @@ import os
 import sys
 from contextlib import contextmanager
 
-import numpy as np
-
 from .arrayio import ArrayFileError, load_grid, save_grid
 from .diagnostics import conditioning_report
 from .irls import IrlsParams, unwrap
@@ -78,12 +76,6 @@ def _build_parser():
         "--congruent",
         action="store_true",
         help="round the output onto the grid congruent to the input mod 2*pi",
-    )
-    p_unwrap.add_argument(
-        "--gradient-interval",
-        choices=("symmetric", "positive"),
-        default="symmetric",
-        help="principal interval for wrapped gradients: [-pi, pi) or [0, 2*pi)",
     )
 
     p_synth = sub.add_parser("synth", help="generate a synthetic scene")
@@ -192,9 +184,8 @@ def _cmd_unwrap(args):
         if path:
             _check_writable(path)
 
-    lo = -np.pi if args.gradient_interval == "symmetric" else 0.0
     try:
-        result = unwrap(x, weights, model, params, gradient_lo=lo)
+        result = unwrap(x, weights, model, params)
     except NumericalBreakdown as exc:
         _fail(EXIT_NUMERIC, f"solver breakdown: {exc}")
 
@@ -244,9 +235,7 @@ def _cmd_synth(args):
             seed=args.seed,
         )
         truth = generate_scene(spec)
-        wrapped = None
-        if args.out_wrapped:
-            wrapped = add_phase_noise(wrap_scene(truth), args.noise_sigma, args.seed + 1)
+        wrapped = add_phase_noise(wrap_scene(truth), args.noise_sigma, args.seed + 1)
     except ValueError as exc:
         _fail(EXIT_BAD_INPUT, f"invalid scene spec: {exc}")
     for path, grid in ((args.out_truth, truth), (args.out_wrapped, wrapped)):

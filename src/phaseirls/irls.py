@@ -163,32 +163,30 @@ def cg_budget_update(delta_rel, m_prev, m_prev2, params: IrlsParams):
 
 
 def unwrap(x, c: WeightField | None = None, model: ModelParams | None = None,
-           params: IrlsParams | None = None, gradient_lo=-np.pi):
+           params: IrlsParams | None = None):
     """Unwrap a wrapped phase grid; returns the mean-zero estimate and slacks.
 
     Parameters
     ----------
     x : ndarray
-        Wrapped phase grid with values in [0, 2*pi).
+        Wrapped phase grid with values in [0, 2*pi).  Its neighbor
+        differences are reduced into [-pi, pi).
     c : WeightField, optional
-        Arc weights; uniform weights when omitted.
+        Arc weights; ``WeightField.uniform`` when omitted.
     model : ModelParams, optional
         Penalty and smoothing parameters.
     params : IrlsParams, optional
         Outer-loop and CG budget controls.
-    gradient_lo : float, optional
-        Principal interval used for the wrapped gradients, -pi or 0.
     """
     # validates x: a finite, non-empty 2-D grid with values in [0, 2*pi)
-    g = wrapped_gradients(x, gradient_lo)
+    g = wrapped_gradients(x)
     n, m = g.shape
     if model is None:
         model = ModelParams()
     if params is None:
         params = IrlsParams()
     if c is None:
-        # read-only views of one scalar: uniform weights that hold no grids
-        c = WeightField(np.broadcast_to(1.0, (n - 1, m)), np.broadcast_to(1.0, (n, m - 1)))
+        c = WeightField.uniform(n, m)
     if c.cv.shape != (n - 1, m) or c.ch.shape != (n, m - 1):
         raise ValueError(
             f"weight shapes {c.cv.shape}/{c.ch.shape} do not match grid {(n, m)}"

@@ -2,9 +2,8 @@
 
 Grids are plain 2-D float64 arrays in radians.  A grid is "wrapped" when every
 value lies in ``[0, 2*pi)``.  Gradients are reduced to the symmetric principal
-interval ``[-pi, pi)`` by default so that scenes whose true neighbor
-differences stay below pi in magnitude produce zero-residual gradients; the
-``[0, 2*pi)`` alternative is available through the ``lo`` argument.
+interval ``[-pi, pi)`` so that scenes whose true neighbor differences stay
+below pi in magnitude produce zero-residual gradients.
 """
 
 from dataclasses import dataclass
@@ -73,7 +72,8 @@ class WeightField:
 
     @classmethod
     def uniform(cls, n, m):
-        return cls(np.ones((n - 1, m)), np.ones((n, m - 1)))
+        """Unit weights of an (n, m) grid, as read-only views of one scalar."""
+        return cls(np.broadcast_to(1.0, (n - 1, m)), np.broadcast_to(1.0, (n, m - 1)))
 
     @property
     def max_weight(self):
@@ -136,15 +136,15 @@ def wrap_to_principal(x, lo=-np.pi):
     return y
 
 
-def wrapped_gradients(x, lo=-np.pi):
-    """Principal-interval neighbor differences of a wrapped grid."""
+def wrapped_gradients(x):
+    """Neighbor differences of a wrapped grid, reduced into [-pi, pi)."""
     arr = validate_wrapped(x)
     n, m = arr.shape
     gv, gh = kernels.diffs(arr, np.empty((n - 1, m)), np.empty((n, m - 1)))
     if gv.size:
-        gv = wrap_to_principal(gv, lo)
+        gv = wrap_to_principal(gv)
     if gh.size:
-        gh = wrap_to_principal(gh, lo)
+        gh = wrap_to_principal(gh)
     return GradientField(gv=gv, gh=gh)
 
 

@@ -90,16 +90,22 @@ _GENERATORS = {
 
 
 def generate_scene(spec: SceneSpec):
-    """Deterministic unwrapped ground-truth grid for the given spec."""
-    return _GENERATORS[spec.kind](spec)
+    """Deterministic unwrapped ground-truth grid for the given spec.
+
+    Raises ValueError when a large amplitude over a small scale overflows the
+    scene to non-finite values.
+    """
+    with np.errstate(all="ignore"):
+        scene = _GENERATORS[spec.kind](spec)
+    if not np.all(np.isfinite(scene)):
+        raise ValueError(f"amplitude {spec.amplitude} at scale {spec.feature_scale} "
+                         f"makes a {spec.kind} scene that is not finite")
+    return scene
 
 
 def wrap_scene(u):
-    """Wrap an unwrapped grid into [0, 2*pi)."""
-    arr = np.asarray(u, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("scene contains non-finite values")
-    return wrap_to_principal(arr, 0.0)
+    """Wrap a finite unwrapped grid into [0, 2*pi)."""
+    return wrap_to_principal(u, 0.0)
 
 
 def add_phase_noise(x, sigma, seed):

@@ -71,6 +71,19 @@ class TestSynthCommand:
         assert len(lines) == 1 and lines[0].startswith("error: invalid scene spec: ")
         assert not truth.exists() and not wrapped.exists()
 
+    @pytest.mark.parametrize("flags", [
+        ("--kind", "gaussian-bumps", "--amplitude", "1e308"),
+        ("--kind", "ramp", "--amplitude", "1e300", "--scale", "1e-10"),
+        # the noise is checked whichever files are asked for
+        ("--kind", "gaussian-bumps", "--noise-sigma", "-1"),
+    ])
+    def test_bad_truth_only_request_exits_2_and_writes_nothing(self, tmp_path, capsys, flags):
+        truth = tmp_path / "t.npy"
+        assert run("synth", "--rows", 8, "--cols", 8, "--out-truth", truth, *flags) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: invalid scene spec: ")
+        assert not truth.exists()
+
     def test_largest_seed_without_noise_exits_0(self, tmp_path):
         assert run(
             "synth", "--kind", "gaussian-bumps", "--rows", 8, "--cols", 8, "--wrap",
@@ -143,24 +156,6 @@ class TestUnwrapCommand:
             assert run("unwrap", "--input", wrapped, "--output", o, "--trace", t) == 0
         assert outs[0].read_bytes() == outs[1].read_bytes()
         assert traces[0].read_bytes() == traces[1].read_bytes()
-
-    def test_positive_gradient_interval(self, tmp_path):
-        # a descending ramp has negative differences, which the two interval
-        # conventions wrap to different representatives (-0.3 vs 2*pi - 0.3)
-        truth = -0.3 * np.arange(24)[:, None] + np.zeros((24, 20))
-        wrapped = tmp_path / "wrapped.npy"
-        save_grid(wrapped, wrap_to_principal(truth, 0.0))
-        sym = tmp_path / "sym.npy"
-        pos = tmp_path / "pos.npy"
-        assert run("unwrap", "--input", wrapped, "--output", sym) == 0
-        assert run(
-            "unwrap", "--input", wrapped, "--output", pos,
-            "--gradient-interval", "positive",
-        ) == 0
-        assert np.all(np.isfinite(load_grid(pos)))
-        assert not np.array_equal(load_grid(sym), load_grid(pos))
-        # the symmetric convention recovers the descending ramp
-        assert shift_error(load_grid(sym), truth).max_abs <= 1e-2
 
     @pytest.mark.parametrize("shape", [(0, 5), (4, 0)])
     def test_empty_input_exits_2(self, tmp_path, capsys, shape):

@@ -244,7 +244,7 @@ class TestUnwrap:
         # has a second null direction: the offset between the two halves
         spec = SceneSpec("gaussian-bumps", 64, 48, amplitude=6.0, feature_scale=10.0, seed=5)
         truth = generate_scene(spec)
-        c = WeightField.uniform(64, 48)
+        c = WeightField(np.ones((63, 48)), np.ones((64, 47)))
         c.cv[30, :] = 0.0
         res = unwrap(wrap_scene(truth), c)
         assert np.all(np.isfinite(res.u))

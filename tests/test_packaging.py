@@ -1,3 +1,4 @@
+import argparse
 import ast
 import importlib.util
 import re
@@ -126,3 +127,30 @@ def defaulted_buffer_params():
 
 def test_buffer_parameters_have_no_default():
     assert defaulted_buffer_params() == set()
+
+
+def readme_cli_flags():
+    """Each ``--flag`` token in README's ``## CLI`` section, its subsections included."""
+    text = (ROOT / "README.md").read_text()
+    section = re.search(r"^## CLI\n(.*?)(?=^## )", text, re.M | re.S).group(1)
+    return set(re.findall(r"--[a-z][a-z0-9-]*", section))
+
+
+def parser_long_options():
+    """Each long option of the CLI's subcommands, ``--help`` left out."""
+    from phaseirls import cli
+
+    (subparsers,) = (
+        a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    return {
+        opt
+        for sub in subparsers.choices.values()
+        for action in sub._actions
+        for opt in action.option_strings
+        if opt.startswith("--") and opt != "--help"
+    }
+
+
+def test_readme_documents_every_cli_option():
+    assert readme_cli_flags() == parser_long_options()

@@ -74,11 +74,6 @@ class TestWrappedGradients:
         assert np.max(np.abs(g.gv - np.diff(u, axis=0))) < 1e-10
         assert np.max(np.abs(g.gh - np.diff(u, axis=1))) < 1e-10
 
-    def test_positive_interval_switch(self, rng):
-        x = wrap_to_principal(rng.uniform(-10, 10, (6, 7)), 0.0)
-        g = wrapped_gradients(x, 0.0)
-        assert np.all(g.gv >= 0) and np.all(g.gv < TWO_PI)
-
     def test_rejects_unwrapped_input(self):
         with pytest.raises(ValueError):
             wrapped_gradients(np.array([[0.0, 7.0]]))

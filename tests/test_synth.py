@@ -26,6 +26,18 @@ class TestSceneSpec:
             SceneSpec("gaussian-bumps", 4, 4, amplitude, scale, seed)
 
 
+class TestGenerateScene:
+    @pytest.mark.parametrize("spec", [
+        SceneSpec("gaussian-bumps", 8, 8, amplitude=1e308, feature_scale=8.0, seed=0),
+        SceneSpec("ramp", 4, 3, amplitude=1e300, feature_scale=1e-10, seed=0),
+    ])
+    def test_rejects_a_scene_that_overflows(self, spec):
+        # RuntimeWarning is an error under the test configuration, so this
+        # also checks that the overflow is reported without a warning
+        with pytest.raises(ValueError, match="not finite"):
+            generate_scene(spec)
+
+
 class TestRamp:
     def test_row_steps(self):
         spec = SceneSpec("ramp", 10, 6, amplitude=0.3, feature_scale=1.0, seed=0)
