@@ -6,6 +6,7 @@ to stderr; requested outputs are NPY grids or JSON files.
 """
 
 import argparse
+import dataclasses
 import errno
 import json
 import os
@@ -18,7 +19,7 @@ from .irls import IrlsParams, unwrap
 from .objective import ModelParams, lipschitz_constant
 from .pcg import NumericalBreakdown
 from .phase import WeightField, congruent_round, shift_error, wrap_to_principal
-from .synth import SceneSpec, add_phase_noise, generate_scene, wrap_scene
+from .synth import SCENE_KINDS, SceneSpec, add_phase_noise, generate_scene, wrap_scene
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 2
@@ -44,13 +45,23 @@ def _writing(path):
         _fail(EXIT_BAD_INPUT, f"cannot write {path}: {exc.strerror or exc}")
 
 
-def _check_writable(path):
-    """Fail now, not after the solve, when ``path``'s directory is missing or read-only."""
-    parent = os.path.dirname(os.path.abspath(path))
-    if not os.path.isdir(parent):
-        _fail(EXIT_BAD_INPUT, f"cannot write {path}: {os.strerror(errno.ENOENT)}")
-    if not os.access(parent, os.W_OK):
-        _fail(EXIT_BAD_INPUT, f"cannot write {path}: {os.strerror(errno.EACCES)}")
+def _check_writable(*paths):
+    """Fail before the work when a set path is a directory, repeats another or cannot be made."""
+    seen = {}
+    for path in paths:
+        if not path:
+            continue
+        real = os.path.realpath(path)
+        if real in seen:
+            _fail(EXIT_BAD_INPUT, f"cannot write {path}: same file as {seen[real]}")
+        seen[real] = path
+        if os.path.isdir(path):
+            _fail(EXIT_BAD_INPUT, f"cannot write {path}: {os.strerror(errno.EISDIR)}")
+        parent = os.path.dirname(os.path.abspath(path))
+        if not os.path.isdir(parent):
+            _fail(EXIT_BAD_INPUT, f"cannot write {path}: {os.strerror(errno.ENOENT)}")
+        if not os.access(parent, os.W_OK):
+            _fail(EXIT_BAD_INPUT, f"cannot write {path}: {os.strerror(errno.EACCES)}")
 
 
 def _build_parser():
@@ -82,7 +93,7 @@ def _build_parser():
     p_synth.add_argument(
         "--kind",
         required=True,
-        choices=("ramp", "gaussian-bumps", "plateau-discontinuity"),
+        choices=SCENE_KINDS,
     )
     p_synth.add_argument("--rows", type=int, required=True)
     p_synth.add_argument("--cols", type=int, required=True)
@@ -180,9 +191,7 @@ def _cmd_unwrap(args):
             _fail(EXIT_BAD_INPUT, f"invalid weights: {exc}")
 
     model, params = _solver_params(args, weights)
-    for path in (args.output, args.trace):
-        if path:
-            _check_writable(path)
+    _check_writable(args.output, args.trace)
 
     try:
         result = unwrap(x, weights, model, params)
@@ -198,21 +207,7 @@ def _cmd_unwrap(args):
     if args.trace:
         with _writing(args.trace), open(args.trace, "w", encoding="utf-8") as fh:
             for rec in result.trace.records:
-                fh.write(
-                    json.dumps(
-                        {
-                            "k": rec.k,
-                            "m_cg": rec.m_cg,
-                            "delta_rel": rec.delta_rel,
-                            "h_delta": rec.h_delta,
-                            "cg_iters": rec.cg_iters,
-                            "fallback": rec.fallback_used,
-                            "cg_converged": rec.cg_converged,
-                            "cg_rel_residual": rec.cg_rel_residual,
-                        }
-                    )
-                    + "\n"
-                )
+                fh.write(json.dumps(dataclasses.asdict(rec)) + "\n")
     return EXIT_OK
 
 
@@ -221,9 +216,7 @@ def _cmd_synth(args):
         _fail(EXIT_BAD_INPUT, "nothing to do: pass --out-truth and/or --out-wrapped")
     if args.out_wrapped and not args.wrap:
         _fail(EXIT_BAD_INPUT, "--out-wrapped requires --wrap")
-    for path in (args.out_truth, args.out_wrapped):
-        if path:
-            _check_writable(path)
+    _check_writable(args.out_truth, args.out_wrapped)
     # both grids are made before the first write, so a bad input writes nothing
     try:
         spec = SceneSpec(

@@ -92,29 +92,32 @@ class IrlsParams:
 
 @dataclass(frozen=True)
 class IterationRecord:
+    """One outer iteration, and in field order the keys of a ``--trace`` line.
+
+    ``fallback`` is true when the gradient step was taken in place of the PCG proposal.
+    """
+
     k: int
     m_cg: int
     delta_rel: float | None
     h_delta: float
     cg_iters: int
-    sufficient_decrease: bool
-    fallback_used: bool
+    fallback: bool
     cg_converged: bool
     cg_rel_residual: float
 
 
 @dataclass
 class IrlsTrace:
-    records: list = field(default_factory=list)
+    """The ``IterationRecord`` of each outer iteration, in order."""
 
-    def append(self, record):
-        self.records.append(record)
+    records: list = field(default_factory=list)
 
     def h_values(self):
         return [r.h_delta for r in self.records]
 
     def fallback_count(self):
-        return sum(1 for r in self.records if r.fallback_used)
+        return sum(1 for r in self.records if r.fallback)
 
     def __len__(self):
         return len(self.records)
@@ -256,21 +259,21 @@ def unwrap(x, c: WeightField | None = None, model: ModelParams | None = None,
         # the proposal: u from the solve with its optimal slacks
         recover_slacks(state.u, g, wr, tau, out=state, flux=flux)
         h_prop = eval_h_delta(state, w, g, c, model, scratch=flux)
-        sufficient = h_prop <= h_cand
-        if not sufficient:
+        # written as a negation so that a NaN proposal value also falls back
+        fallback = not h_prop <= h_cand
+        if fallback:
             state, cand = cand, state
         # h only sees differences of u, so centring changes it by round-off alone
         state.u -= state.u.mean()
 
-        trace.append(
+        trace.records.append(
             IterationRecord(
                 k=k,
                 m_cg=m_cg,
                 delta_rel=delta_rel,
-                h_delta=h_prop if sufficient else h_cand,
+                h_delta=h_cand if fallback else h_prop,
                 cg_iters=cg_iters,
-                sufficient_decrease=sufficient,
-                fallback_used=not sufficient,
+                fallback=fallback,
                 cg_converged=cg_converged,
                 cg_rel_residual=float(cg_rel_residual),
             )

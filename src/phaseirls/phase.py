@@ -109,7 +109,7 @@ def as_phase_grid(values):
 def validate_wrapped(x):
     """Check that every value of ``x`` lies in [0, 2*pi)."""
     arr = as_phase_grid(x)
-    if arr.size and (arr.min() < 0.0 or arr.max() >= TWO_PI):
+    if arr.min() < 0.0 or arr.max() >= TWO_PI:
         raise ValueError("wrapped phase values must lie in [0, 2*pi)")
     return arr
 
@@ -141,11 +141,7 @@ def wrapped_gradients(x):
     arr = validate_wrapped(x)
     n, m = arr.shape
     gv, gh = kernels.diffs(arr, np.empty((n - 1, m)), np.empty((n, m - 1)))
-    if gv.size:
-        gv = wrap_to_principal(gv)
-    if gh.size:
-        gh = wrap_to_principal(gh)
-    return GradientField(gv=gv, gh=gh)
+    return GradientField(gv=wrap_to_principal(gv), gh=wrap_to_principal(gh))
 
 
 def shift_error(u, x_u):

@@ -16,8 +16,6 @@ from .phase import TWO_PI, validate_wrapped, wrap_to_principal
 
 __all__ = ["SceneSpec", "generate_scene", "wrap_scene", "add_phase_noise"]
 
-SCENE_KINDS = ("ramp", "gaussian-bumps", "plateau-discontinuity")
-
 # Philox takes a 64-bit key
 SEED_LIMIT = 2**64
 
@@ -87,6 +85,7 @@ _GENERATORS = {
     "gaussian-bumps": _gaussian_bumps,
     "plateau-discontinuity": _plateau,
 }
+SCENE_KINDS = tuple(_GENERATORS)
 
 
 def generate_scene(spec: SceneSpec):

@@ -1,4 +1,6 @@
+import errno
 import json
+import os
 
 import numpy as np
 import pytest
@@ -425,3 +427,45 @@ def test_unwritable_destination_fails_before_the_solve(
     assert run("unwrap", "--input", wrapped, *(a for kv in paths.items() for a in kv)) == 2
     assert capsys.readouterr().err.startswith(f"error: cannot write {bad}: ")
     assert not any(p.exists() for p in paths.values())
+
+
+# destinations that are existing directories or name one file twice; "ALIAS"
+# spells OUT's path another way, and the error names DIR or ALIAS
+CLASHING_OUTPUTS = {
+    "unwrap-output-is-directory": ("unwrap", "--input", "WRAPPED", "--output", "DIR"),
+    "unwrap-trace-is-directory": (
+        "unwrap", "--input", "WRAPPED", "--output", "OUT", "--trace", "DIR",
+    ),
+    "unwrap-trace-is-output": (
+        "unwrap", "--input", "WRAPPED", "--output", "OUT", "--trace", "ALIAS",
+    ),
+    "synth-out-wrapped-is-out-truth": (
+        "synth", "--kind", "ramp", "--rows", 4, "--cols", 5, "--wrap",
+        "--out-truth", "OUT", "--out-wrapped", "ALIAS",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CLASHING_OUTPUTS))
+def test_clashing_destinations_fail_before_the_work(
+    tmp_path, capsys, monkeypatch, ramp_files, case
+):
+    def never(*args, **kwargs):
+        raise AssertionError("the work ran although the outputs cannot be written")
+
+    monkeypatch.setattr(cli, "unwrap", never)
+    monkeypatch.setattr(cli, "generate_scene", never)
+    _, wrapped = ramp_files
+    (tmp_path / "sub").mkdir()
+    out = tmp_path / "o.npy"
+    paths = {
+        "WRAPPED": wrapped, "DIR": tmp_path, "OUT": out, "ALIAS": tmp_path / "sub" / ".." / "o.npy",
+    }
+    argv = CLASHING_OUTPUTS[case]
+    assert run(*(paths.get(a, a) for a in argv)) == 2
+    if "DIR" in argv:
+        named, reason = paths["DIR"], os.strerror(errno.EISDIR)
+    else:
+        named, reason = paths["ALIAS"], f"same file as {out}"
+    assert capsys.readouterr().err == f"error: cannot write {named}: {reason}\n"
+    assert not out.exists()

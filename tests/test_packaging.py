@@ -1,5 +1,6 @@
 import argparse
 import ast
+import dataclasses
 import importlib.util
 import re
 import sys
@@ -154,3 +155,16 @@ def parser_long_options():
 
 def test_readme_documents_every_cli_option():
     assert readme_cli_flags() == parser_long_options()
+
+
+def readme_trace_keys():
+    """The keys of README's ``--trace`` record, in order."""
+    text = (ROOT / "README.md").read_text()
+    record = re.search(r"The `--trace` file is JSON lines.*?`(\{.*?\})`", text, re.S).group(1)
+    return re.findall(r'"(\w+)":', record)
+
+
+def test_readme_trace_schema_is_the_iteration_record():
+    from phaseirls.irls import IterationRecord
+
+    assert readme_trace_keys() == [f.name for f in dataclasses.fields(IterationRecord)]
