@@ -45,12 +45,10 @@ def _writing(path):
         _fail(EXIT_BAD_INPUT, f"cannot write {path}: {exc.strerror or exc}")
 
 
-def _check_writable(*paths):
-    """Fail before the work when a set path is a directory, repeats another or cannot be made."""
-    seen = {}
-    for path in paths:
-        if not path:
-            continue
+def _check_writable(outputs, inputs):
+    """Fail before the work when an output is a directory, names another file or cannot be made."""
+    seen = {os.path.realpath(path): path for path in inputs if path}
+    for path in filter(None, outputs):
         real = os.path.realpath(path)
         if real in seen:
             _fail(EXIT_BAD_INPUT, f"cannot write {path}: same file as {seen[real]}")
@@ -100,10 +98,9 @@ def _build_parser():
     p_synth.add_argument("--amplitude", type=float, default=1.0)
     p_synth.add_argument("--scale", type=float, default=8.0)
     p_synth.add_argument("--seed", type=int, default=0)
-    p_synth.add_argument("--wrap", action="store_true", help="also produce the wrapped scene")
     p_synth.add_argument("--noise-sigma", type=float, default=0.0)
     p_synth.add_argument("--out-truth", help="unwrapped ground-truth NPY file")
-    p_synth.add_argument("--out-wrapped", help="wrapped scene NPY file (needs --wrap)")
+    p_synth.add_argument("--out-wrapped", help="wrapped scene NPY file")
 
     p_error = sub.add_parser("error", help="shift-compensated error metrics")
     p_error.add_argument("--estimate", required=True)
@@ -191,7 +188,6 @@ def _cmd_unwrap(args):
             _fail(EXIT_BAD_INPUT, f"invalid weights: {exc}")
 
     model, params = _solver_params(args, weights)
-    _check_writable(args.output, args.trace)
 
     try:
         result = unwrap(x, weights, model, params)
@@ -214,9 +210,6 @@ def _cmd_unwrap(args):
 def _cmd_synth(args):
     if not args.out_truth and not args.out_wrapped:
         _fail(EXIT_BAD_INPUT, "nothing to do: pass --out-truth and/or --out-wrapped")
-    if args.out_wrapped and not args.wrap:
-        _fail(EXIT_BAD_INPUT, "--out-wrapped requires --wrap")
-    _check_writable(args.out_truth, args.out_wrapped)
     # both grids are made before the first write, so a bad input writes nothing
     try:
         spec = SceneSpec(
@@ -266,18 +259,21 @@ def _cmd_spectrum(args):
     return EXIT_OK
 
 
+# each command's handler, then the flags naming the files it reads and writes
 _COMMANDS = {
-    "unwrap": _cmd_unwrap,
-    "synth": _cmd_synth,
-    "error": _cmd_error,
-    "spectrum": _cmd_spectrum,
+    "unwrap": (_cmd_unwrap, ("input", "cv", "ch"), ("output", "trace")),
+    "synth": (_cmd_synth, (), ("out_truth", "out_wrapped")),
+    "error": (_cmd_error, ("estimate", "truth"), ("json_out",)),
+    "spectrum": (_cmd_spectrum, (), ("json_out",)),
 }
 
 
 def main(argv=None):
     args = _build_parser().parse_args(argv)
+    handler, inputs, outputs = _COMMANDS[args.command]
     try:
-        return _COMMANDS[args.command](args)
+        _check_writable([getattr(args, f) for f in outputs], [getattr(args, f) for f in inputs])
+        return handler(args)
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

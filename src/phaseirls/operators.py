@@ -224,18 +224,18 @@ def _dense_t(m):
     return t
 
 
-def _check_dense_size(n, m):
+def _check_dense_request(n, m, tau):
     if n * m > DENSE_CELL_LIMIT:
         raise SizeLimitExceeded(
             f"dense materialization limited to {DENSE_CELL_LIMIT} cells, got {n * m}"
         )
+    if tau <= 0:
+        raise ValueError(f"tau must be positive, got {tau}")
 
 
 def materialize_dense_system(n, m, d, tau):
     """Dense symmetric PSD matrix of the block system, for oracle-scale tests."""
-    _check_dense_size(n, m)
-    if tau <= 0:
-        raise ValueError(f"tau must be positive, got {tau}")
+    _check_dense_request(n, m, tau)
     s = _dense_s(n)
     t = _dense_t(m)
     i_n = np.eye(n)
@@ -257,7 +257,7 @@ def materialize_dense_system(n, m, d, tau):
 
 def materialize_dense_preconditioner(n, m, d, tau):
     """Dense block-diagonal preconditioner matching the same vec layout."""
-    _check_dense_size(n, m)
+    _check_dense_request(n, m, tau)
     s = _dense_s(n)
     t = _dense_t(m)
     inv_tau = 1.0 / tau

@@ -359,7 +359,7 @@ def test_criterion_12_cli_end_to_end(tmp_path):
     code_synth = cli_main([
         "synth", "--kind", "gaussian-bumps", "--rows", "256", "--cols", "256",
         "--amplitude", "10.0", "--scale", "28.0", "--seed", "112",
-        "--wrap", "--out-truth", str(truth), "--out-wrapped", str(wrapped),
+        "--out-truth", str(truth), "--out-wrapped", str(wrapped),
     ])
     outs = [tmp_path / "u0.npy", tmp_path / "u1.npy"]
     codes = [

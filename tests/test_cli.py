@@ -11,7 +11,7 @@ from phaseirls.cli import main
 from phaseirls.irls import MAX_CG_ITERS, IrlsParams
 from phaseirls.objective import ModelParams
 from phaseirls.phase import TWO_PI, shift_error, wrap_to_principal
-from phaseirls.synth import SceneSpec, generate_scene, wrap_scene
+from phaseirls.synth import SceneSpec, add_phase_noise, generate_scene, wrap_scene
 
 
 def run(*argv):
@@ -25,7 +25,7 @@ def ramp_files(tmp_path):
     code = run(
         "synth", "--kind", "ramp", "--rows", 48, "--cols", 40,
         "--amplitude", 0.3, "--scale", 1.0, "--seed", 3,
-        "--wrap", "--out-truth", truth, "--out-wrapped", wrapped,
+        "--out-truth", truth, "--out-wrapped", wrapped,
     )
     assert code == 0
     return truth, wrapped
@@ -38,18 +38,24 @@ class TestSynthCommand:
             assert run(
                 "synth", "--kind", "gaussian-bumps", "--rows", 32, "--cols", 32,
                 "--amplitude", 5.0, "--scale", 8.0, "--seed", 12,
-                "--wrap", "--noise-sigma", 0.2, "--out-wrapped", p,
+                "--noise-sigma", 0.2, "--out-wrapped", p,
             ) == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
     def test_requires_an_output(self):
         assert run("synth", "--kind", "ramp", "--rows", 4, "--cols", 4) == 2
 
-    def test_wrapped_output_requires_wrap_flag(self, tmp_path):
-        assert run(
-            "synth", "--kind", "ramp", "--rows", 4, "--cols", 4,
-            "--out-wrapped", tmp_path / "w.npy",
-        ) == 2
+    @pytest.mark.parametrize("sigma", [0.0, 0.3])
+    def test_wrapped_output_alone_is_the_wrapped_scene(self, tmp_path, sigma):
+        alone, both = tmp_path / "alone.npy", tmp_path / "both.npy"
+        argv = ("synth", "--kind", "gaussian-bumps", "--rows", 12, "--cols", 10,
+                "--amplitude", 6.0, "--scale", 3.0, "--seed", 4, "--noise-sigma", sigma)
+        assert run(*argv, "--out-wrapped", alone) == 0
+        assert run(*argv, "--out-truth", tmp_path / "t.npy", "--out-wrapped", both) == 0
+        want = tmp_path / "want.npy"
+        truth = generate_scene(SceneSpec("gaussian-bumps", 12, 10, 6.0, 3.0, 4))
+        save_grid(want, add_phase_noise(wrap_scene(truth), sigma, 4 + 1))
+        assert alone.read_bytes() == both.read_bytes() == want.read_bytes()
 
     @pytest.mark.parametrize("flags", [
         ("--noise-sigma", "inf"),
@@ -64,7 +70,7 @@ class TestSynthCommand:
     def test_bad_input_exits_2_and_writes_nothing(self, tmp_path, capsys, flags):
         truth, wrapped = tmp_path / "t.npy", tmp_path / "w.npy"
         assert run(
-            "synth", "--kind", "gaussian-bumps", "--rows", 8, "--cols", 8, "--wrap",
+            "synth", "--kind", "gaussian-bumps", "--rows", 8, "--cols", 8,
             "--out-truth", truth, "--out-wrapped", wrapped, *flags,
         ) == 2
         err = capsys.readouterr().err
@@ -88,7 +94,7 @@ class TestSynthCommand:
 
     def test_largest_seed_without_noise_exits_0(self, tmp_path):
         assert run(
-            "synth", "--kind", "gaussian-bumps", "--rows", 8, "--cols", 8, "--wrap",
+            "synth", "--kind", "gaussian-bumps", "--rows", 8, "--cols", 8,
             "--seed", 2**64 - 1, "--out-wrapped", tmp_path / "w.npy",
         ) == 0
 
@@ -374,7 +380,7 @@ UNWRITABLE_OUTPUTS = {
     "unwrap-trace": ("unwrap", "--input", "WRAPPED", "--output", "OK", "--trace", "BAD"),
     "synth-out-truth": ("synth", "--kind", "ramp", "--rows", 4, "--cols", 5, "--out-truth", "BAD"),
     "synth-out-wrapped": (
-        "synth", "--kind", "ramp", "--rows", 4, "--cols", 5, "--wrap", "--out-wrapped", "BAD",
+        "synth", "--kind", "ramp", "--rows", 4, "--cols", 5, "--out-wrapped", "BAD",
     ),
     "error-json-out": ("error", "--estimate", "TRUTH", "--truth", "TRUTH", "--json-out", "BAD"),
     "spectrum-json-out": ("spectrum", "--n", 4, "--m", 4, "--json-out", "BAD"),
@@ -402,7 +408,7 @@ class TestEndToEnd:
         assert run(
             "synth", "--kind", "gaussian-bumps", "--rows", 64, "--cols", 64,
             "--amplitude", 6.0, "--scale", 12.0, "--seed", 31,
-            "--wrap", "--out-truth", truth, "--out-wrapped", wrapped,
+            "--out-truth", truth, "--out-wrapped", wrapped,
         ) == 0
         assert run("unwrap", "--input", wrapped, "--output", unwrapped) == 0
         assert run(
@@ -429,19 +435,43 @@ def test_unwritable_destination_fails_before_the_solve(
     assert not any(p.exists() for p in paths.values())
 
 
-# destinations that are existing directories or name one file twice; "ALIAS"
-# spells OUT's path another way, and the error names DIR or ALIAS
+# outputs refused before any work: each case is the argv, the refused path and
+# the reason, an errno name or the path it names again; ALIAS spells OUT's path
+# another way, ALIAS_WRAPPED spells WRAPPED's, and WRAPPED, TRUTH, CV, CH are inputs
 CLASHING_OUTPUTS = {
-    "unwrap-output-is-directory": ("unwrap", "--input", "WRAPPED", "--output", "DIR"),
+    "unwrap-output-is-directory": (
+        ("unwrap", "--input", "WRAPPED", "--output", "DIR"), "DIR", "EISDIR",
+    ),
     "unwrap-trace-is-directory": (
-        "unwrap", "--input", "WRAPPED", "--output", "OUT", "--trace", "DIR",
+        ("unwrap", "--input", "WRAPPED", "--output", "OUT", "--trace", "DIR"), "DIR", "EISDIR",
     ),
     "unwrap-trace-is-output": (
-        "unwrap", "--input", "WRAPPED", "--output", "OUT", "--trace", "ALIAS",
+        ("unwrap", "--input", "WRAPPED", "--output", "OUT", "--trace", "ALIAS"), "ALIAS", "OUT",
+    ),
+    "unwrap-output-is-input": (
+        ("unwrap", "--input", "WRAPPED", "--output", "WRAPPED"), "WRAPPED", "WRAPPED",
+    ),
+    "unwrap-trace-is-input": (
+        ("unwrap", "--input", "WRAPPED", "--output", "OUT", "--trace", "ALIAS_WRAPPED"),
+        "ALIAS_WRAPPED", "WRAPPED",
+    ),
+    "unwrap-output-is-cv": (
+        ("unwrap", "--input", "WRAPPED", "--output", "CV", "--cv", "CV", "--ch", "CH"), "CV", "CV",
     ),
     "synth-out-wrapped-is-out-truth": (
-        "synth", "--kind", "ramp", "--rows", 4, "--cols", 5, "--wrap",
-        "--out-truth", "OUT", "--out-wrapped", "ALIAS",
+        ("synth", "--kind", "ramp", "--rows", 4, "--cols", 5,
+         "--out-truth", "OUT", "--out-wrapped", "ALIAS"),
+        "ALIAS", "OUT",
+    ),
+    "error-json-out-is-estimate": (
+        ("error", "--estimate", "WRAPPED", "--truth", "TRUTH", "--json-out", "ALIAS_WRAPPED"),
+        "ALIAS_WRAPPED", "WRAPPED",
+    ),
+    "spectrum-json-out-is-directory": (
+        ("spectrum", "--n", 4, "--m", 4, "--json-out", "DIR"), "DIR", "EISDIR",
+    ),
+    "spectrum-json-out-in-missing-directory": (
+        ("spectrum", "--n", 4, "--m", 4, "--json-out", "MISSING"), "MISSING", "ENOENT",
     ),
 }
 
@@ -453,19 +483,23 @@ def test_clashing_destinations_fail_before_the_work(
     def never(*args, **kwargs):
         raise AssertionError("the work ran although the outputs cannot be written")
 
-    monkeypatch.setattr(cli, "unwrap", never)
-    monkeypatch.setattr(cli, "generate_scene", never)
-    _, wrapped = ramp_files
+    for work in ("unwrap", "generate_scene", "shift_error", "conditioning_report"):
+        monkeypatch.setattr(cli, work, never)
+    truth, wrapped = ramp_files
     (tmp_path / "sub").mkdir()
     out = tmp_path / "o.npy"
     paths = {
-        "WRAPPED": wrapped, "DIR": tmp_path, "OUT": out, "ALIAS": tmp_path / "sub" / ".." / "o.npy",
+        "WRAPPED": wrapped, "TRUTH": truth, "CV": tmp_path / "cv.npy", "CH": tmp_path / "ch.npy",
+        "DIR": tmp_path, "OUT": out, "ALIAS": tmp_path / "sub" / ".." / "o.npy",
+        "ALIAS_WRAPPED": tmp_path / "sub" / ".." / wrapped.name,
+        "MISSING": tmp_path / "missing" / "s.json",
     }
-    argv = CLASHING_OUTPUTS[case]
+    save_grid(paths["CV"], np.ones((47, 40)))
+    save_grid(paths["CH"], np.ones((48, 39)))
+    inputs = {key: paths[key].read_bytes() for key in ("WRAPPED", "TRUTH", "CV", "CH")}
+    argv, named, why = CLASHING_OUTPUTS[case]
     assert run(*(paths.get(a, a) for a in argv)) == 2
-    if "DIR" in argv:
-        named, reason = paths["DIR"], os.strerror(errno.EISDIR)
-    else:
-        named, reason = paths["ALIAS"], f"same file as {out}"
-    assert capsys.readouterr().err == f"error: cannot write {named}: {reason}\n"
+    reason = f"same file as {paths[why]}" if why in paths else os.strerror(getattr(errno, why))
+    assert capsys.readouterr().err == f"error: cannot write {paths[named]}: {reason}\n"
     assert not out.exists()
+    assert {key: paths[key].read_bytes() for key in inputs} == inputs

@@ -9,6 +9,7 @@ from phaseirls.operators import (
     apply_system,
     build_reduced_rhs,
     build_rhs,
+    materialize_dense_preconditioner,
     materialize_dense_system,
     recover_slacks,
     reduced_weights,
@@ -178,6 +179,13 @@ class TestDenseSystem:
         d = DiagonalWeights(np.ones((99, 100)), np.ones((100, 99)))
         with pytest.raises(SizeLimitExceeded):
             materialize_dense_system(100, 100, d, 1.0)
+
+    @pytest.mark.parametrize("build", [materialize_dense_system, materialize_dense_preconditioner])
+    @pytest.mark.parametrize("tau", [0.0, -1.0])
+    def test_nonpositive_tau_is_refused(self, build, tau):
+        d = DiagonalWeights(np.ones((1, 2)), np.ones((2, 1)))
+        with pytest.raises(ValueError, match="tau must be positive"):
+            build(2, 2, d, tau)
 
 
 class TestBuildRhs:
