@@ -3,7 +3,6 @@
 from .diagnostics import ConditioningReport, conditioning_report
 from .irls import BudgetDecision, IrlsParams, IrlsTrace, UnwrapResult, cg_budget_update, relative_improvement, unwrap
 from .objective import (
-    IrlsWeights,
     ModelParams,
     candidate_step,
     eval_f,
@@ -12,17 +11,11 @@ from .objective import (
     lipschitz_constant,
     update_weights,
 )
-from .operators import (
-    DiagonalWeights,
-    SystemVector,
-    apply_system,
-    build_rhs,
-    materialize_dense_system,
-)
+from .operators import SystemVector, apply_system, build_rhs, materialize_dense_system
 from .pcg import NumericalBreakdown, PcgOutcome, pcg_solve
 from .phase import (
+    ArcField,
     ErrorReport,
-    GradientField,
     WeightField,
     congruent_round,
     shift_error,

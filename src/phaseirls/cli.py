@@ -45,14 +45,23 @@ def _writing(path):
         _fail(EXIT_BAD_INPUT, f"cannot write {path}: {exc.strerror or exc}")
 
 
+def _file_key(path):
+    """Equal for two names of one file: device and inode when it exists, else the real path."""
+    try:
+        st = os.stat(path)
+    except OSError:
+        return os.path.realpath(path)
+    return st.st_dev, st.st_ino
+
+
 def _check_writable(outputs, inputs):
     """Fail before the work when an output is a directory, names another file or cannot be made."""
-    seen = {os.path.realpath(path): path for path in inputs if path}
+    seen = {_file_key(path): path for path in inputs if path}
     for path in filter(None, outputs):
-        real = os.path.realpath(path)
-        if real in seen:
-            _fail(EXIT_BAD_INPUT, f"cannot write {path}: same file as {seen[real]}")
-        seen[real] = path
+        key = _file_key(path)
+        if key in seen:
+            _fail(EXIT_BAD_INPUT, f"cannot write {path}: same file as {seen[key]}")
+        seen[key] = path
         if os.path.isdir(path):
             _fail(EXIT_BAD_INPUT, f"cannot write {path}: {os.strerror(errno.EISDIR)}")
         parent = os.path.dirname(os.path.abspath(path))
@@ -183,7 +192,7 @@ def _cmd_unwrap(args):
                 f"weight shapes {cv.shape}/{ch.shape} do not match image {x.shape}",
             )
         try:
-            weights = WeightField(cv=cv, ch=ch)
+            weights = WeightField(cv, ch)
         except ValueError as exc:
             _fail(EXIT_BAD_INPUT, f"invalid weights: {exc}")
 

@@ -13,12 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import (
-    DiagonalWeights,
-    SizeLimitExceeded,
-    materialize_dense_preconditioner,
-    materialize_dense_system,
-)
+from .operators import SizeLimitExceeded, materialize_dense_preconditioner, materialize_dense_system
+from .phase import ArcField
 
 __all__ = ["ConditioningReport", "conditioning_report", "positive_eigenvalues"]
 
@@ -73,12 +69,12 @@ def split_pseudo_sqrt(matrix):
 
 
 def random_diagonal_weights(n, m, delta, seed):
-    """Diagonal weight grids with entries uniform in (0, 1/delta]."""
+    """Diagonal weight arc grids with entries uniform in (0, 1/delta]."""
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     hi = 1.0 / delta
     dv = (1.0 - rng.random((n - 1, m))) * hi
     dh = (1.0 - rng.random((n, m - 1))) * hi
-    return DiagonalWeights(dv=dv, dh=dh)
+    return ArcField(dv, dh)
 
 
 def conditioning_report(n, m, delta, tau, seed):

@@ -11,9 +11,10 @@ gradient step on the lifted objective (falling back to that step otherwise,
 which makes the sufficient-decrease condition hold at every accepted
 iterate).  That candidate step needs only the current state, so it and its
 objective value are formed before the solve, and the proposal is then written
-over the state.  The loop holds two system vectors (state and candidate)
-and one scratch vector, all allocated at set-up and passed by keyword to
-every collaborator that writes a grid.  PCG iterates in the
+over the state.  The loop holds two system vectors (state and candidate),
+one scratch vector and the ``phase.ArcField`` pairs of the weights and the
+flux scratch, all allocated at set-up and passed by keyword to every
+collaborator that writes a grid.  PCG iterates in the
 state's u and the right-hand side grid, so after set-up the loop's only
 grid-sized allocations are the solve's search direction, one transform
 temporary per Sylvester apply and the two transient products inside the
@@ -33,7 +34,6 @@ import numpy as np
 
 from . import kernels, preconditioner
 from .objective import (
-    IrlsWeights,
     ModelParams,
     candidate_step,
     eval_h_delta,
@@ -41,15 +41,9 @@ from .objective import (
     lipschitz_constant,
     update_weights,
 )
-from .operators import (
-    DiagonalWeights,
-    SystemVector,
-    build_reduced_rhs,
-    recover_slacks,
-    reduced_weights,
-)
+from .operators import SystemVector, build_reduced_rhs, recover_slacks, reduced_weights
 from .pcg import pcg_solve
-from .phase import WeightField, wrapped_gradients
+from .phase import ArcField, WeightField, wrapped_gradients
 from .preconditioner import build_spectral_cache
 
 # not called here; kept only as names of this module, which the traced benchmark run rebinds
@@ -190,10 +184,8 @@ def unwrap(x, c: WeightField | None = None, model: ModelParams | None = None,
         params = IrlsParams()
     if c is None:
         c = WeightField.uniform(n, m)
-    if c.cv.shape != (n - 1, m) or c.ch.shape != (n, m - 1):
-        raise ValueError(
-            f"weight shapes {c.cv.shape}/{c.ch.shape} do not match grid {(n, m)}"
-        )
+    if c.shape != (n, m):
+        raise ValueError(f"weight shapes {c.v.shape}/{c.h.shape} do not match grid {(n, m)}")
 
     lip = lipschitz_constant(c, model)
     cache = build_spectral_cache(n, m)
@@ -204,14 +196,14 @@ def unwrap(x, c: WeightField | None = None, model: ModelParams | None = None,
     # block holds the candidate's b and then the CG map's output.  flux is the
     # scratch of every evaluation and map apply.
     state = SystemVector.zeros(n, m)
-    np.negative(g.gv, out=state.vv)
-    np.negative(g.gh, out=state.vh)
+    np.negative(g.v, out=state.vv)
+    np.negative(g.h, out=state.vh)
     cand = SystemVector.zeros(n, m)
-    w = IrlsWeights(np.empty((n - 1, m)), np.empty((n, m - 1)))
+    w = ArcField.empty(n, m)
     work = SystemVector.zeros(n, m)
-    wr = DiagonalWeights(work.vv, work.vh)
+    wr = ArcField(work.vv, work.vh)
     ap = work.u
-    flux = (np.empty((n - 1, m)), np.empty((n, m - 1)))
+    flux = ArcField.empty(n, m)
     rhs = np.empty((n, m))
     z = np.empty((n, m))
     trace = IrlsTrace()
@@ -246,7 +238,7 @@ def unwrap(x, c: WeightField | None = None, model: ModelParams | None = None,
         # the solve warm-starts from the state's u and iterates in it; the
         # state is not needed any more, and rhs ends as the residual
         outcome = pcg_solve(
-            apply_a=lambda v: kernels.weighted_laplacian(v, wr.dv, wr.dh, *flux, ap),
+            apply_a=lambda v: kernels.weighted_laplacian(v, *wr, *flux, ap),
             apply_m=lambda r: preconditioner.sylvester_solve(r, tau, cache, out=z),
             b=rhs,
             x=state.u,

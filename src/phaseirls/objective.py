@@ -10,10 +10,12 @@ weights its value is sum(w) plus the penalties (``eval_h_delta_refreshed``).
 The safeguard compares the inner solve's proposal with one explicit gradient
 step on the lifted quadratic.  That candidate needs only the current iterate
 and its weights, so ``irls.unwrap`` forms it and its h before the solve and
-then writes the proposal over the iterate.  ``update_weights``,
-``eval_h_delta`` and ``candidate_step`` write into ``out=``/``scratch=``
-buffers the caller owns, so that loop reuses its grids; only ``eval_f`` and
-``eval_f_delta``, the paper's two objectives, allocate their own.
+then writes the proposal over the iterate.  The weights c, the auxiliary
+weights w and the wrapped gradients g are ``phase.ArcField`` pairs (v, h).
+``update_weights``, ``eval_h_delta`` and ``candidate_step`` write into
+``out=``/``scratch=`` buffers the caller owns, so that loop reuses its grids;
+only ``eval_f`` and ``eval_f_delta``, the paper's two objectives, allocate
+their own.
 """
 
 import math
@@ -23,11 +25,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .operators import DiagonalWeights, SystemVector, apply_system, build_rhs
+from .operators import SystemVector, apply_system, build_rhs
+from .phase import ArcField
 
 __all__ = [
     "ModelParams",
-    "IrlsWeights",
     "eval_f",
     "eval_f_delta",
     "eval_h_delta",
@@ -55,20 +57,12 @@ class ModelParams:
             )
 
 
-@dataclass(frozen=True)
-class IrlsWeights:
-    """Auxiliary weights of the lifted objective, elementwise >= delta/2."""
-
-    wv: np.ndarray
-    wh: np.ndarray
-
-
 def _penalty_terms(x: SystemVector, g, tau, *, scratch):
     # the coupling residuals S u - gv - vv and u T - gh - vh, formed in the scratch pair
     rv, rh = kernels.diffs(x.u, *scratch)
-    rv -= g.gv
+    rv -= g.v
     rv -= x.vv
-    rh -= g.gh
+    rh -= g.h
     rh -= x.vh
     return (float(np.vdot(rv, rv)) + float(np.vdot(rh, rh))) / (2.0 * tau)
 
@@ -81,22 +75,17 @@ def _smoothed_squares(cc, v, d2, out):
     return out
 
 
-def _arc_grids(x):
-    """A new pair of grids shaped like (vv, vh)."""
-    return np.empty(x.vv.shape), np.empty(x.vh.shape)
-
-
 def eval_f(x, g, c, p):
     """Weighted l1 objective plus quadratic coupling penalties."""
-    l1 = float(np.sum(np.abs(c.cv * x.vv))) + float(np.sum(np.abs(c.ch * x.vh)))
-    return l1 + _penalty_terms(x, g, p.tau, scratch=_arc_grids(x))
+    l1 = float(np.sum(np.abs(c.v * x.vv))) + float(np.sum(np.abs(c.h * x.vh)))
+    return l1 + _penalty_terms(x, g, p.tau, scratch=ArcField.empty(*x.shape))
 
 
 def eval_f_delta(x, g, c, p):
     """Smoothed objective: each |c*v| replaced by sqrt((c*v)^2 + delta^2)."""
     # the refreshed weights are those square roots, arc by arc
-    w = update_weights(x, c, p.delta, out=IrlsWeights(*_arc_grids(x)))
-    return eval_h_delta_refreshed(x, w, g, p, scratch=_arc_grids(x))
+    w = update_weights(x, c, p.delta, out=ArcField.empty(*x.shape))
+    return eval_h_delta_refreshed(x, w, g, p, scratch=ArcField.empty(*x.shape))
 
 
 def eval_h_delta(x, w, g, c, p, *, scratch):
@@ -107,11 +96,11 @@ def eval_h_delta(x, w, g, c, p, *, scratch):
     grids shaped like (vv, vh) that every arc-sized temporary is written into.
     """
     half_delta = 0.5 * p.delta
-    if (w.wv.size and w.wv.min() < half_delta) or (w.wh.size and w.wh.min() < half_delta):
+    if any(ww.size and ww.min() < half_delta for ww in w):
         raise ValueError("auxiliary weights must be >= delta/2")
     d2 = p.delta * p.delta
     h = 0.0
-    for cc, v, ww, s in zip((c.cv, c.ch), (x.vv, x.vh), (w.wv, w.wh), scratch):
+    for cc, v, ww, s in zip(c, (x.vv, x.vh), w, scratch):
         _smoothed_squares(cc, v, d2, s)
         s /= ww
         s += ww
@@ -128,18 +117,18 @@ def eval_h_delta_refreshed(x, w, g, p, *, scratch):
     must be the refreshed weights of ``x``: nothing here checks it.
     ``scratch`` is as for ``eval_h_delta``.
     """
-    return float(np.sum(w.wv)) + float(np.sum(w.wh)) + _penalty_terms(x, g, p.tau, scratch=scratch)
+    return float(np.sum(w.v)) + float(np.sum(w.h)) + _penalty_terms(x, g, p.tau, scratch=scratch)
 
 
 def update_weights(x, c, delta, *, out):
     """Closed-form minimizer of the lifted objective over the weights.
 
-    Writes into the IrlsWeights ``out`` and returns it.
+    Writes into the ArcField ``out`` and returns it; each entry is >= delta.
     """
     if delta <= 0:
         raise ValueError(f"delta must be positive, got {delta}")
     d2 = delta * delta
-    for cc, v, o in ((c.cv, x.vv, out.wv), (c.ch, x.vh, out.wh)):
+    for cc, v, o in zip(c, (x.vv, x.vh), out):
         np.sqrt(_smoothed_squares(cc, v, d2, o), out=o)
     return out
 
@@ -169,8 +158,8 @@ def candidate_step(x, w, g, c, p, lipschitz, *, out, scratch):
     # the lifted quadratic's gradient is the block system's residual A x - b
     # with d = c^2 / w; d fills the slack blocks of the scratch, which then
     # holds b, and the step x - grad / L is built inside out
-    d = DiagonalWeights(scratch.vv, scratch.vh)
-    for cc, ww, o in ((c.cv, w.wv, d.dv), (c.ch, w.wh, d.dh)):
+    d = ArcField(scratch.vv, scratch.vh)
+    for cc, ww, o in zip(c, w, d):
         np.multiply(cc, cc, out=o)
         o /= ww
     apply_system(x, d, p.tau, out=out)

@@ -14,24 +14,22 @@ the classical weighted least squares unwrapping system (Ghiglia & Romero,
 JOSA A 11(1), 1994).  The solver runs its conjugate gradient on this system,
 whose map is ``kernels.weighted_laplacian`` with the weights W; the block map
 stays as the paper's formulation and as the gradient of the safeguard step.
-Each map writes into buffers its caller owns, passed by keyword: ``out`` and,
-for the reduced system, ``flux``, a pair of scratch grids shaped like
-(vv, vh).  Dense materializations exist only as small-instance test
-oracles and follow the column-stacking vec() convention, so
-``vec(X) = X.ravel(order="F")``.
+The gradients g, the weights c and w, and the diagonals d and W are
+``phase.ArcField`` pairs (v, h).  Each map writes into buffers its caller
+owns, passed by keyword: ``out`` and, for the reduced system, ``flux``, a
+pair of scratch grids shaped like (vv, vh).  Dense materializations exist
+only as small-instance test oracles and follow the column-stacking vec()
+convention, so ``vec(X) = X.ravel(order="F")``.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels
-from .phase import GradientField
+from .phase import ArcField
 
 __all__ = [
     "SizeLimitExceeded",
     "SystemVector",
-    "DiagonalWeights",
     "apply_system",
     "build_rhs",
     "reduced_weights",
@@ -60,7 +58,7 @@ class SystemVector:
 
     def __init__(self, u, vv, vh):
         n, m = np.shape(u)
-        if np.shape(vv) != (n - 1, m) or np.shape(vh) != (n, m - 1):
+        if ArcField(np.asarray(vv), np.asarray(vh)).shape != (n, m):
             raise ValueError(
                 f"inconsistent block shapes: u {np.shape(u)}, "
                 f"vv {np.shape(vv)}, vh {np.shape(vh)}"
@@ -103,25 +101,12 @@ def _system_dim(n, m):
     return n * m + (n - 1) * m + n * (m - 1)
 
 
-@dataclass(frozen=True)
-class DiagonalWeights:
-    """Diagonal blocks of the system stored as grids, never as matrices."""
-
-    dv: np.ndarray
-    dh: np.ndarray
-
-    def __post_init__(self):
-        if self.dv.shape[0] + 1 != self.dh.shape[0] or self.dv.shape[1] != self.dh.shape[1] + 1:
-            raise ValueError(
-                f"inconsistent diagonal shapes {self.dv.shape} / {self.dh.shape}"
-            )
-
-
 def apply_system(x, d, tau, *, out):
     """Apply the symmetric PSD block map of the weighted least squares system.
 
-    Writes into ``out`` and returns it; ``out`` must not alias ``x``.  The
-    result is the triple
+    ``d`` is the ArcField of diagonal slack weights (dv, dh).  Writes into
+    ``out`` and returns it; ``out`` must not alias ``x``.  The result is the
+    triple
 
       (1/tau) * (StS u + u TTt - St vv - vh Tt)
       dv * vv + (1/tau) * (vv - S u)
@@ -133,12 +118,12 @@ def apply_system(x, d, tau, *, out):
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
     kernels.apply_system_blocks(
-        x.u, x.vv, x.vh, d.dv, d.dh, 1.0 / tau, out.u, out.vv, out.vh
+        x.u, x.vv, x.vh, d.v, d.h, 1.0 / tau, out.u, out.vv, out.vh
     )
     return out
 
 
-def build_rhs(g: GradientField, tau, *, out):
+def build_rhs(g: ArcField, tau, *, out):
     """Right-hand side of the system; orthogonal to the constant-u mode.
 
     Writes into the SystemVector ``out``.
@@ -146,23 +131,23 @@ def build_rhs(g: GradientField, tau, *, out):
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
     inv_tau = 1.0 / tau
-    kernels.adj_diffs(g.gv, g.gh, out.u)
+    kernels.adj_diffs(g.v, g.h, out.u)
     out.u *= inv_tau
-    np.multiply(-inv_tau, g.gv, out=out.vv)
-    np.multiply(-inv_tau, g.gh, out=out.vh)
+    np.multiply(-inv_tau, g.v, out=out.vv)
+    np.multiply(-inv_tau, g.h, out=out.vh)
     return out
 
 
 def reduced_weights(c, w, tau, *, out, flux):
     """Weights ``c^2 / (w + tau c^2)`` of the reduced system; 0 where c = 0.
 
-    ``c`` holds the arc weights (cv, ch), ``w`` the auxiliary weights (wv, wh).
-    Writes into the DiagonalWeights ``out``; ``flux`` is a pair of scratch
-    grids shaped like (vv, vh).
+    ``c`` holds the arc weights, ``w`` the auxiliary weights.  Writes into
+    the ArcField ``out``; ``flux`` is a pair of scratch grids shaped like
+    (vv, vh).
     """
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
-    for cc, ww, o, f in zip((c.cv, c.ch), (w.wv, w.wh), (out.dv, out.dh), flux):
+    for cc, ww, o, f in zip(c, w, out, flux):
         np.multiply(cc, cc, out=o)
         # f = w + tau c^2, the denominator
         np.multiply(o, tau, out=f)
@@ -171,20 +156,19 @@ def reduced_weights(c, w, tau, *, out, flux):
     return out
 
 
-def build_reduced_rhs(g: GradientField, wr, *, out, flux):
+def build_reduced_rhs(g: ArcField, wr, *, out, flux):
     """Right-hand side ``St (Wv * gv) + (Wh * gh) Tt`` of the reduced system.
 
     ``wr`` holds the reduced weights.  The result sums to zero, so it is
     orthogonal to the constant mode.  Writes into the grid ``out``; ``flux``
     is scratch as for ``reduced_weights``.
     """
-    fv, fh = flux
-    np.multiply(wr.dv, g.gv, out=fv)
-    np.multiply(wr.dh, g.gh, out=fh)
-    return kernels.adj_diffs(fv, fh, out)
+    for ww, gg, f in zip(wr, g, flux):
+        np.multiply(ww, gg, out=f)
+    return kernels.adj_diffs(*flux, out)
 
 
-def recover_slacks(u, g: GradientField, wr, tau, *, out, flux):
+def recover_slacks(u, g: ArcField, wr, tau, *, out, flux):
     """The triple (u, vv, vh) with each slack at its minimizer given ``u``.
 
     ``vv = (S u - gv) * (1 - tau Wv)`` and ``vh = (u T - gh) * (1 - tau Wh)``.
@@ -195,7 +179,7 @@ def recover_slacks(u, g: GradientField, wr, tau, *, out, flux):
         raise ValueError(f"tau must be positive, got {tau}")
     out.u[...] = u
     kernels.diffs(u, out.vv, out.vh)
-    for v, gg, ww, f in zip((out.vv, out.vh), (g.gv, g.gh), (wr.dv, wr.dh), flux):
+    for v, gg, ww, f in zip((out.vv, out.vh), g, wr, flux):
         v -= gg
         # v -= tau W v, the product formed in the scratch
         np.multiply(ww, tau, out=f)
@@ -244,8 +228,8 @@ def materialize_dense_system(n, m, d, tau):
     lap = np.kron(i_m, s.T @ s) + np.kron(t @ t.T, i_n)
     ks = np.kron(i_m, s)
     kt = np.kron(t.T, i_n)
-    dv_diag = np.diag(d.dv.ravel(order="F"))
-    dh_diag = np.diag(d.dh.ravel(order="F"))
+    dv_diag = np.diag(d.v.ravel(order="F"))
+    dh_diag = np.diag(d.h.ravel(order="F"))
     return np.block(
         [
             [inv_tau * lap, -inv_tau * ks.T, -inv_tau * kt.T],
@@ -267,7 +251,7 @@ def materialize_dense_preconditioner(n, m, d, tau):
     out = np.zeros((n * m + nv + nh, n * m + nv + nh))
     out[: n * m, : n * m] = inv_tau * lap
     out[n * m : n * m + nv, n * m : n * m + nv] = np.diag(
-        d.dv.ravel(order="F") + inv_tau
+        d.v.ravel(order="F") + inv_tau
     )
-    out[n * m + nv :, n * m + nv :] = np.diag(d.dh.ravel(order="F") + inv_tau)
+    out[n * m + nv :, n * m + nv :] = np.diag(d.h.ravel(order="F") + inv_tau)
     return out

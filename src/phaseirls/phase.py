@@ -16,7 +16,7 @@ TWO_PI = 2.0 * np.pi
 
 __all__ = [
     "TWO_PI",
-    "GradientField",
+    "ArcField",
     "WeightField",
     "ErrorReport",
     "wrap_to_principal",
@@ -29,45 +29,47 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class GradientField:
-    """Wrapped neighbor differences: gv is (N-1, M), gh is (N, M-1)."""
+class ArcField:
+    """One grid per arc direction of an (N, M) grid: v is (N-1, M), h is (N, M-1).
 
-    gv: np.ndarray
-    gh: np.ndarray
+    Iterating yields ``(v, h)``, so ``zip`` over several fields walks both
+    directions in that order.
+    """
+
+    v: np.ndarray
+    h: np.ndarray
 
     def __post_init__(self):
-        if self.gv.ndim != 2 or self.gh.ndim != 2:
-            raise ValueError("gradient fields must be 2-D")
-        if self.gv.shape[0] + 1 != self.gh.shape[0] or self.gv.shape[1] != self.gh.shape[1] + 1:
-            raise ValueError(
-                f"inconsistent gradient shapes {self.gv.shape} / {self.gh.shape}"
-            )
+        if self.v.ndim != 2 or self.h.ndim != 2:
+            raise ValueError("arc fields must be 2-D")
+        if self.v.shape[0] + 1 != self.h.shape[0] or self.v.shape[1] != self.h.shape[1] + 1:
+            raise ValueError(f"inconsistent arc shapes {self.v.shape} / {self.h.shape}")
+
+    def __iter__(self):
+        yield self.v
+        yield self.h
+
+    @staticmethod
+    def empty(n, m):
+        """Uninitialized arc grids of an (n, m) grid."""
+        return ArcField(np.empty((n - 1, m)), np.empty((n, m - 1)))
 
     @property
     def shape(self):
         """Shape (N, M) of the source grid."""
-        return (self.gh.shape[0], self.gv.shape[1])
+        return (self.h.shape[0], self.v.shape[1])
 
 
-@dataclass(frozen=True)
-class WeightField:
-    """Nonnegative arc weights: cv is (N-1, M), ch is (N, M-1)."""
-
-    cv: np.ndarray
-    ch: np.ndarray
+class WeightField(ArcField):
+    """Nonnegative, finite arc weights with at least one positive."""
 
     def __post_init__(self):
-        if self.cv.shape[0] + 1 != self.ch.shape[0] or self.cv.shape[1] != self.ch.shape[1] + 1:
-            raise ValueError(
-                f"inconsistent weight shapes {self.cv.shape} / {self.ch.shape}"
-            )
-        if not (np.all(np.isfinite(self.cv)) and np.all(np.isfinite(self.ch))):
+        super().__post_init__()
+        if not (np.all(np.isfinite(self.v)) and np.all(np.isfinite(self.h))):
             raise ValueError("weights must be finite")
-        if np.any(self.cv < 0) or np.any(self.ch < 0):
+        if np.any(self.v < 0) or np.any(self.h < 0):
             raise ValueError("weights must be nonnegative")
-        if (self.cv.size or self.ch.size) and not (
-            np.any(self.cv > 0) or np.any(self.ch > 0)
-        ):
+        if (self.v.size or self.h.size) and not (np.any(self.v > 0) or np.any(self.h > 0)):
             raise ValueError("at least one weight must be positive")
 
     @classmethod
@@ -78,10 +80,9 @@ class WeightField:
     @property
     def max_weight(self):
         cmax = 0.0
-        if self.cv.size:
-            cmax = max(cmax, float(self.cv.max()))
-        if self.ch.size:
-            cmax = max(cmax, float(self.ch.max()))
+        for c in self:
+            if c.size:
+                cmax = max(cmax, float(c.max()))
         return cmax
 
 
@@ -139,9 +140,7 @@ def wrap_to_principal(x, lo=-np.pi):
 def wrapped_gradients(x):
     """Neighbor differences of a wrapped grid, reduced into [-pi, pi)."""
     arr = validate_wrapped(x)
-    n, m = arr.shape
-    gv, gh = kernels.diffs(arr, np.empty((n - 1, m)), np.empty((n, m - 1)))
-    return GradientField(gv=wrap_to_principal(gv), gh=wrap_to_principal(gh))
+    return ArcField(*map(wrap_to_principal, kernels.diffs(arr, *ArcField.empty(*arr.shape))))
 
 
 def shift_error(u, x_u):

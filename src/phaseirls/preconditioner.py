@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import DiagonalWeights, SystemVector
+from .operators import SystemVector
+from .phase import ArcField
 
 __all__ = [
     "SpectralCache",
@@ -103,12 +104,12 @@ def sylvester_solve(r, tau, cache, *, out):
     return np.matmul(tmp, cache.basis_t.T, out=out)
 
 
-def build_preconditioner(cache, d: DiagonalWeights, tau):
+def build_preconditioner(cache, d: ArcField, tau):
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
     inv_tau = 1.0 / tau
     return PreconditionerState(
-        cache=cache, slack_v=d.dv + inv_tau, slack_h=d.dh + inv_tau, tau=tau
+        cache=cache, slack_v=d.v + inv_tau, slack_h=d.h + inv_tau, tau=tau
     )
 
 

@@ -16,7 +16,6 @@ import numpy as np
 from phaseirls import irls
 from phaseirls.irls import IrlsParams, unwrap
 from phaseirls.objective import (
-    IrlsWeights,
     candidate_step,
     eval_h_delta,
     lipschitz_constant,
@@ -24,7 +23,7 @@ from phaseirls.objective import (
 )
 from phaseirls.operators import SystemVector
 from phaseirls.pcg import pcg_solve
-from phaseirls.phase import GradientField, WeightField, wrapped_gradients
+from phaseirls.phase import ArcField, WeightField, wrapped_gradients
 
 
 def dense_s(n):
@@ -83,7 +82,7 @@ def nan_vector(n, m):
 
 def weights_of(x, c, delta):
     """``update_weights`` of ``x`` written into new grids."""
-    return update_weights(x, c, delta, out=IrlsWeights(*arc_grids(*x.shape)))
+    return update_weights(x, c, delta, out=ArcField(*arc_grids(*x.shape)))
 
 
 def h_delta_of(x, w, g, c, p):
@@ -158,11 +157,11 @@ def dense_system_entrywise(n, m, d, tau):
     for j in range(m):
         for i in range(n - 1):
             r = nu + j * (n - 1) + i
-            a[r, r] = d.dv[i, j] + 1.0 / tau
+            a[r, r] = d.v[i, j] + 1.0 / tau
     for j in range(m - 1):
         for i in range(n):
             r = nu + nv + j * n + i
-            a[r, r] = d.dh[i, j] + 1.0 / tau
+            a[r, r] = d.h[i, j] + 1.0 / tau
     return a
 
 
@@ -175,10 +174,19 @@ def random_state(rng, n, m, scale=1.0):
 
 
 def random_gradients(rng, n, m):
-    return GradientField(
+    return ArcField(
         rng.uniform(-np.pi, np.pi, (n - 1, m)),
         rng.uniform(-np.pi, np.pi, (n, m - 1)),
     )
+
+
+# grid map, and the matching map of the weights; each map is its own inverse.
+# A transpose swaps the two arc directions, a flip reverses the arcs along its axis.
+GRID_SYMMETRIES = {
+    "transpose": (np.transpose, lambda c: WeightField(c.h.T, c.v.T)),
+    "flipud": (np.flipud, lambda c: WeightField(np.flipud(c.v), np.flipud(c.h))),
+    "fliplr": (np.fliplr, lambda c: WeightField(np.fliplr(c.v), np.fliplr(c.h))),
+}
 
 
 def random_weights(rng, n, m, lo=0.2, hi=2.0):
@@ -194,18 +202,18 @@ def objective_scalar_loops(x, g, c, tau):
     total = 0.0
     for i in range(n - 1):
         for j in range(m):
-            total += c.cv[i, j] * abs(x.vv[i, j])
+            total += c.v[i, j] * abs(x.vv[i, j])
     for i in range(n):
         for j in range(m - 1):
-            total += c.ch[i, j] * abs(x.vh[i, j])
+            total += c.h[i, j] * abs(x.vh[i, j])
     quad = 0.0
     for i in range(n - 1):
         for j in range(m):
-            r = x.u[i + 1, j] - x.u[i, j] - g.gv[i, j] - x.vv[i, j]
+            r = x.u[i + 1, j] - x.u[i, j] - g.v[i, j] - x.vv[i, j]
             quad += r * r
     for i in range(n):
         for j in range(m - 1):
-            r = x.u[i, j + 1] - x.u[i, j] - g.gh[i, j] - x.vh[i, j]
+            r = x.u[i, j + 1] - x.u[i, j] - g.h[i, j] - x.vh[i, j]
             quad += r * r
     return total + quad / (2.0 * tau)
 
@@ -266,7 +274,7 @@ def outer_states(x, c, model, count):
     iterations, and at k = 0 the initial state (0, -gv, -gh).
     """
     g = wrapped_gradients(x)
-    states = [SystemVector(np.zeros(x.shape), -g.gv, -g.gh)]
+    states = [SystemVector(np.zeros(x.shape), -g.v, -g.h)]
     for k in range(1, count):
         res = unwrap(x, c, model, IrlsParams(max_outer_iters=k))
         states.append(SystemVector(res.u, res.vv, res.vh))

@@ -15,21 +15,19 @@ from phaseirls.cli import main as cli_main
 from phaseirls.diagnostics import conditioning_report, random_diagonal_weights, split_pseudo_sqrt
 from phaseirls.irls import IrlsParams, cg_budget_update, unwrap
 from phaseirls.objective import (
-    IrlsWeights,
     ModelParams,
     eval_f,
     eval_f_delta,
     lipschitz_constant,
 )
 from phaseirls.operators import (
-    DiagonalWeights,
     SystemVector,
     apply_system,
     build_rhs,
     materialize_dense_preconditioner,
     materialize_dense_system,
 )
-from phaseirls.phase import TWO_PI, WeightField, congruent_round, shift_error
+from phaseirls.phase import TWO_PI, ArcField, WeightField, congruent_round, shift_error
 from phaseirls.preconditioner import (
     apply_preconditioner,
     build_preconditioner,
@@ -97,7 +95,7 @@ def test_criterion_02_alternating_minimization():
     dominated = all(
         h_delta_of(
             x,
-            IrlsWeights(
+            ArcField(
                 rng.uniform(p.delta / 2, 4.0, (n - 1, m)),
                 rng.uniform(p.delta / 2, 4.0, (n, m - 1)),
             ),
@@ -321,7 +319,7 @@ def test_criterion_11_gradient_checks():
     grad_ok = True
     for _ in range(50):
         x = random_state(rng, n, m)
-        w = IrlsWeights(
+        w = ArcField(
             rng.uniform(p.delta / 2, 2.0, (n - 1, m)),
             rng.uniform(p.delta / 2, 2.0, (n, m - 1)),
         )
@@ -344,7 +342,7 @@ def test_criterion_11_gradient_checks():
         ch = random_weights(rng, size, size, lo=0.0, hi=1.0)
         xh = random_state(rng, size, size)
         wh = weights_of(xh, ch, p.delta)
-        d = DiagonalWeights(ch.cv**2 / wh.wv, ch.ch**2 / wh.wh)
+        d = ArcField(ch.v**2 / wh.v, ch.h**2 / wh.h)
         lam = np.linalg.eigvalsh(materialize_dense_system(size, size, d, p.tau)).max()
         if lam > lipschitz_constant(ch, p):
             hessian_ok = False

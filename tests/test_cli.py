@@ -455,6 +455,9 @@ CLASHING_OUTPUTS = {
         ("unwrap", "--input", "WRAPPED", "--output", "OUT", "--trace", "ALIAS_WRAPPED"),
         "ALIAS_WRAPPED", "WRAPPED",
     ),
+    "unwrap-output-is-hard-link-to-input": (
+        ("unwrap", "--input", "WRAPPED", "--output", "LINK"), "LINK", "WRAPPED",
+    ),
     "unwrap-output-is-cv": (
         ("unwrap", "--input", "WRAPPED", "--output", "CV", "--cv", "CV", "--ch", "CH"), "CV", "CV",
     ),
@@ -492,8 +495,9 @@ def test_clashing_destinations_fail_before_the_work(
         "WRAPPED": wrapped, "TRUTH": truth, "CV": tmp_path / "cv.npy", "CH": tmp_path / "ch.npy",
         "DIR": tmp_path, "OUT": out, "ALIAS": tmp_path / "sub" / ".." / "o.npy",
         "ALIAS_WRAPPED": tmp_path / "sub" / ".." / wrapped.name,
-        "MISSING": tmp_path / "missing" / "s.json",
+        "MISSING": tmp_path / "missing" / "s.json", "LINK": tmp_path / "link.npy",
     }
+    os.link(wrapped, paths["LINK"])
     save_grid(paths["CV"], np.ones((47, 40)))
     save_grid(paths["CH"], np.ones((48, 39)))
     inputs = {key: paths[key].read_bytes() for key in ("WRAPPED", "TRUTH", "CV", "CH")}

@@ -41,7 +41,7 @@ class TestConditioningReport:
     def test_single_zero_eigenvalue(self):
         n = m = 6
         d = random_diagonal_weights(n, m, 1e-3, seed=9)
-        assert d.dv.min() > 0 and d.dh.min() > 0
+        assert d.v.min() > 0 and d.h.min() > 0
         a = materialize_dense_system(n, m, d, 1e-2)
         vals = np.linalg.eigvalsh(a)
         cutoff = 1e-10 * vals.max()
@@ -93,5 +93,5 @@ class TestSplitSqrt:
 
     def test_weights_land_in_half_open_interval(self):
         d = random_diagonal_weights(5, 5, 0.25, seed=11)
-        assert d.dv.max() <= 4.0 and d.dh.max() <= 4.0
-        assert d.dv.min() > 0.0 and d.dh.min() > 0.0
+        assert d.v.max() <= 4.0 and d.h.max() <= 4.0
+        assert d.v.min() > 0.0 and d.h.min() > 0.0

@@ -33,6 +33,7 @@ from phaseirls.phase import (
 from phaseirls.synth import SceneSpec, add_phase_noise, generate_scene, wrap_scene
 
 from oracles import (
+    GRID_SYMMETRIES,
     arc_count,
     dense_s,
     dense_system_entrywise,
@@ -244,7 +245,7 @@ class TestUnwrap:
         spec = SceneSpec("gaussian-bumps", 64, 48, amplitude=6.0, feature_scale=10.0, seed=5)
         truth = generate_scene(spec)
         c = WeightField(np.ones((63, 48)), np.ones((64, 47)))
-        c.cv[30, :] = 0.0
+        c.v[30, :] = 0.0
         res = unwrap(wrap_scene(truth), c)
         assert np.all(np.isfinite(res.u))
         assert abs(res.u.sum()) <= 1e-9 * res.u.size
@@ -346,7 +347,7 @@ class TestUnwrap:
         c = WeightField.uniform(*x.shape)
         res = unwrap(x, c, model, IrlsParams(max_outer_iters=1))
         g = wrapped_gradients(x)
-        initial = SystemVector(np.zeros(x.shape), -g.gv, -g.gh)
+        initial = SystemVector(np.zeros(x.shape), -g.v, -g.h)
         final = SystemVector(res.u, res.vv, res.vh)
         want = h_delta_of(final, weights_of(initial, c, model.delta), g, c, model)
         assert res.trace.records[0].h_delta == pytest.approx(want, rel=1e-12)
@@ -364,7 +365,7 @@ class TestUnwrap:
         assert rec.fallback
 
         g = wrapped_gradients(x)
-        initial = SystemVector(np.zeros(x.shape), -g.gv, -g.gh)
+        initial = SystemVector(np.zeros(x.shape), -g.v, -g.h)
         w = weights_of(initial, c, model.delta)
         cand = step_of(initial, w, g, c, model, lipschitz_constant(c, model))
         assert rec.h_delta == h_delta_of(cand, w, g, c, model)
@@ -439,14 +440,6 @@ EQUIVARIANCE_SCENES = {
     "line-17x1": lambda: _random_line(17, 1),
 }
 
-# grid map, and the matching map of the weights (a transpose swaps cv and ch)
-GRID_SYMMETRIES = {
-    "transpose": (np.transpose, lambda c: WeightField(c.ch.T, c.cv.T)),
-    "flipud": (np.flipud, lambda c: WeightField(np.flipud(c.cv), np.flipud(c.ch))),
-    "fliplr": (np.fliplr, lambda c: WeightField(np.fliplr(c.cv), np.fliplr(c.ch))),
-}
-
-
 @pytest.mark.parametrize("symmetry", sorted(GRID_SYMMETRIES))
 @pytest.mark.parametrize("scene", sorted(EQUIVARIANCE_SCENES))
 def test_transpose_and_flip_equivariance(scene, symmetry):
@@ -478,14 +471,14 @@ class TestSmallInstanceOptimality:
         s = dense_s(n)
         t = dense_t(m)
         b = np.concatenate(
-            [vec(s.T @ g.gv + g.gh @ t.T) / p.tau, -vec(g.gv) / p.tau, -vec(g.gh) / p.tau]
+            [vec(s.T @ g.v + g.h @ t.T) / p.tau, -vec(g.v) / p.tau, -vec(g.h) / p.tau]
         )
-        state = SystemVector(np.zeros((n, m)), -g.gv.copy(), -g.gh.copy())
+        state = SystemVector(np.zeros((n, m)), -g.v.copy(), -g.h.copy())
         for _ in range(5000):
             w = weights_of(state, c, p.delta)
-            from phaseirls.operators import DiagonalWeights
+            from phaseirls.phase import ArcField
 
-            d = DiagonalWeights(c.cv**2 / w.wv, c.ch**2 / w.wh)
+            d = ArcField(c.v**2 / w.v, c.h**2 / w.h)
             a = dense_system_entrywise(n, m, d, p.tau)
             state = unstack_system(np.linalg.lstsq(a, b, rcond=None)[0], n, m)
             state.u -= state.u.mean()

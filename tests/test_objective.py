@@ -3,7 +3,6 @@ import pytest
 
 from phaseirls import kernels
 from phaseirls.objective import (
-    IrlsWeights,
     ModelParams,
     candidate_step,
     eval_f,
@@ -14,13 +13,12 @@ from phaseirls.objective import (
     update_weights,
 )
 from phaseirls.operators import (
-    DiagonalWeights,
     SystemVector,
     apply_system,
     build_rhs,
     materialize_dense_system,
 )
-from phaseirls.phase import GradientField, WeightField
+from phaseirls.phase import ArcField, WeightField
 
 from oracles import (
     arc_count,
@@ -40,11 +38,11 @@ from oracles import (
 
 
 def zero_gradients(n, m):
-    return GradientField(np.zeros((n - 1, m)), np.zeros((n, m - 1)))
+    return ArcField(np.zeros((n - 1, m)), np.zeros((n, m - 1)))
 
 
 def feasible_weights(rng, n, m, delta):
-    return IrlsWeights(
+    return ArcField(
         rng.uniform(delta / 2, 3.0, (n - 1, m)),
         rng.uniform(delta / 2, 3.0, (n, m - 1)),
     )
@@ -59,7 +57,7 @@ class TestEvalF:
     def test_consistent_gradients_zero(self, rng):
         n, m = 6, 5
         u = rng.standard_normal((n, m))
-        g = GradientField(kernels.diff_rows(u), kernels.diff_cols(u))
+        g = ArcField(kernels.diff_rows(u), kernels.diff_cols(u))
         x = SystemVector(u, np.zeros((n - 1, m)), np.zeros((n, m - 1)))
         val = eval_f(x, g, WeightField.uniform(n, m), ModelParams())
         assert val < 1e-20
@@ -124,7 +122,7 @@ class TestEvalHDelta:
         x = SystemVector.zeros(n, m)
         g = zero_gradients(n, m)
         c = WeightField.uniform(n, m)
-        w = IrlsWeights(p.delta * np.ones((n - 1, m)), p.delta * np.ones((n, m - 1)))
+        w = ArcField(p.delta * np.ones((n - 1, m)), p.delta * np.ones((n, m - 1)))
         assert h_delta_of(x, w, g, c, p) == pytest.approx(p.delta * arc_count(n, m))
 
     def test_upper_bounds_f_delta(self, rng):
@@ -142,7 +140,7 @@ class TestEvalHDelta:
         n, m = 3, 3
         p = ModelParams(delta=1.0)
         x = random_state(rng, n, m)
-        w = IrlsWeights(0.1 * np.ones((n - 1, m)), np.ones((n, m - 1)))
+        w = ArcField(0.1 * np.ones((n - 1, m)), np.ones((n, m - 1)))
         with pytest.raises(ValueError):
             h_delta_of(x, w, zero_gradients(n, m), WeightField.uniform(n, m), p)
 
@@ -165,8 +163,8 @@ def weights_with_cut_arcs(rng, n, m):
     """Random arc weights with about a third of the arcs at weight zero."""
     c = random_weights(rng, n, m)
     return WeightField(
-        np.where(rng.random(c.cv.shape) < 1 / 3, 0.0, c.cv),
-        np.where(rng.random(c.ch.shape) < 1 / 3, 0.0, c.ch),
+        np.where(rng.random(c.v.shape) < 1 / 3, 0.0, c.v),
+        np.where(rng.random(c.h.shape) < 1 / 3, 0.0, c.h),
     )
 
 
@@ -182,10 +180,10 @@ class TestReusedBuffers:
         x = random_state(rng, n, m)
         d2 = p.delta * p.delta
 
-        w = IrlsWeights(*arc_grids(n, m, np.nan))
+        w = ArcField(*arc_grids(n, m, np.nan))
         assert update_weights(x, c, p.delta, out=w) is w
-        fresh = update_weights(x, c, p.delta, out=IrlsWeights(*arc_grids(n, m)))
-        for got, want, cc, v in ((w.wv, fresh.wv, c.cv, x.vv), (w.wh, fresh.wh, c.ch, x.vh)):
+        fresh = update_weights(x, c, p.delta, out=ArcField(*arc_grids(n, m)))
+        for got, want, cc, v in ((w.v, fresh.v, c.v, x.vv), (w.h, fresh.h, c.h, x.vh)):
             assert got.tobytes() == want.tobytes()
             assert got.tobytes() == np.sqrt((cc * v) ** 2 + d2).tobytes()
 
@@ -200,7 +198,7 @@ class TestReusedBuffers:
         assert candidate_step(x, w, g, c, p, lip, out=out, scratch=scratch) is out
         assert out.data.tobytes() == step_of(x, w, g, c, p, lip).data.tobytes()
         # the step as it was first written: x - (A x - b) / L with new grids throughout
-        d = DiagonalWeights(c.cv * c.cv / w.wv, c.ch * c.ch / w.wh)
+        d = ArcField(c.v * c.v / w.v, c.h * c.h / w.h)
         want = apply_system(x, d, p.tau, out=SystemVector.zeros(n, m))
         want.data -= build_rhs(g, p.tau, out=SystemVector.zeros(n, m)).data
         want.data *= -1.0 / lip
@@ -212,12 +210,12 @@ class TestUpdateWeights:
     def test_zero_slack(self):
         x = SystemVector.zeros(3, 3)
         w = weights_of(x, WeightField.uniform(3, 3), 1e-6)
-        assert np.all(w.wv == 1e-6) and np.all(w.wh == 1e-6)
+        assert np.all(w.v == 1e-6) and np.all(w.h == 1e-6)
 
     def test_three_four_five(self):
         x = SystemVector(np.zeros((2, 2)), 3.0 * np.ones((1, 2)), 3.0 * np.ones((2, 1)))
         w = weights_of(x, WeightField.uniform(2, 2), 4.0)
-        assert np.all(w.wv == 5.0) and np.all(w.wh == 5.0)
+        assert np.all(w.v == 5.0) and np.all(w.h == 5.0)
 
     def test_matches_grid_search(self):
         delta = 0.05
@@ -228,14 +226,14 @@ class TestUpdateWeights:
                 np.zeros((2, 2)), np.array([[float(v), 0.0]]), np.zeros((2, 1))
             )
             c = WeightField(np.array([[float(cv), 1.0]]), np.ones((2, 1)))
-            got = weights_of(x, c, delta).wv[0, 0]
+            got = weights_of(x, c, delta).v[0, 0]
             brute = ws[np.argmin(((cv * v) ** 2 + delta**2) / ws + ws)]
             assert got == pytest.approx(brute, abs=resolution)
 
     def test_outputs_at_least_delta(self, rng):
         x = random_state(rng, 5, 5)
         w = weights_of(x, random_weights(rng, 5, 5), 1e-6)
-        assert w.wv.min() >= 1e-6 and w.wh.min() >= 1e-6
+        assert w.v.min() >= 1e-6 and w.h.min() >= 1e-6
 
 
 class TestLipschitzConstant:
@@ -264,7 +262,7 @@ class TestLipschitzConstant:
             c = random_weights(rng, n, m, lo=0.0, hi=1.0)
             x = random_state(rng, n, m)
             w = weights_of(x, c, p.delta)
-            d = DiagonalWeights(c.cv**2 / w.wv, c.ch**2 / w.wh)
+            d = ArcField(c.v**2 / w.v, c.h**2 / w.h)
             hess = materialize_dense_system(n, m, d, p.tau)
             lam_max = np.linalg.eigvalsh(hess).max()
             assert lam_max <= lipschitz_constant(c, p)
@@ -278,15 +276,15 @@ class TestCandidateStep:
         g = random_gradients(rng, n, m)
         x = random_state(rng, n, m)
         w = weights_of(x, c, p.delta)
-        d = DiagonalWeights(c.cv**2 / w.wv, c.ch**2 / w.wh)
+        d = ArcField(c.v**2 / w.v, c.h**2 / w.h)
         a = materialize_dense_system(n, m, d, p.tau)
         from oracles import dense_s, dense_t, vec
 
         b = np.concatenate(
             [
-                vec(dense_s(n).T @ g.gv + g.gh @ dense_t(m).T) / p.tau,
-                -vec(g.gv) / p.tau,
-                -vec(g.gh) / p.tau,
+                vec(dense_s(n).T @ g.v + g.h @ dense_t(m).T) / p.tau,
+                -vec(g.v) / p.tau,
+                -vec(g.h) / p.tau,
             ]
         )
         x_star = unstack_system(np.linalg.pinv(a) @ b, n, m)
@@ -352,15 +350,15 @@ class TestSufficientDecrease:
     def test_exact_minimizer_passes(self, rng):
         n = m = 4
         p, c, g, x, w = self._setup(rng, n, m)
-        d = DiagonalWeights(c.cv**2 / w.wv, c.ch**2 / w.wh)
+        d = ArcField(c.v**2 / w.v, c.h**2 / w.h)
         a = materialize_dense_system(n, m, d, p.tau)
         from oracles import dense_s, dense_t, vec
 
         b = np.concatenate(
             [
-                vec(dense_s(n).T @ g.gv + g.gh @ dense_t(m).T) / p.tau,
-                -vec(g.gv) / p.tau,
-                -vec(g.gh) / p.tau,
+                vec(dense_s(n).T @ g.v + g.h @ dense_t(m).T) / p.tau,
+                -vec(g.v) / p.tau,
+                -vec(g.h) / p.tau,
             ]
         )
         x_star = unstack_system(np.linalg.pinv(a) @ b, n, m)

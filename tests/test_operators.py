@@ -3,7 +3,6 @@ import pytest
 
 from phaseirls import kernels
 from phaseirls.operators import (
-    DiagonalWeights,
     SizeLimitExceeded,
     SystemVector,
     apply_system,
@@ -14,8 +13,7 @@ from phaseirls.operators import (
     recover_slacks,
     reduced_weights,
 )
-from phaseirls.objective import IrlsWeights
-from phaseirls.phase import WeightField
+from phaseirls.phase import ArcField, WeightField
 
 from oracles import (
     arc_grids,
@@ -33,7 +31,7 @@ from oracles import (
 
 
 def random_diag(rng, n, m, hi=5.0):
-    return DiagonalWeights(rng.uniform(0, hi, (n - 1, m)), rng.uniform(0, hi, (n, m - 1)))
+    return ArcField(rng.uniform(0, hi, (n - 1, m)), rng.uniform(0, hi, (n, m - 1)))
 
 
 class TestStencils:
@@ -161,7 +159,7 @@ class TestDenseSystem:
 
     def test_nullspace_is_one_dimensional(self, rng):
         n = m = 3
-        d = DiagonalWeights(
+        d = ArcField(
             rng.uniform(0.1, 2.0, (n - 1, m)), rng.uniform(0.1, 2.0, (n, m - 1))
         )
         a = materialize_dense_system(n, m, d, 1e-2)
@@ -176,14 +174,14 @@ class TestDenseSystem:
         assert np.max(np.abs(a - b)) < 1e-13
 
     def test_size_guard(self, rng):
-        d = DiagonalWeights(np.ones((99, 100)), np.ones((100, 99)))
+        d = ArcField(np.ones((99, 100)), np.ones((100, 99)))
         with pytest.raises(SizeLimitExceeded):
             materialize_dense_system(100, 100, d, 1.0)
 
     @pytest.mark.parametrize("build", [materialize_dense_system, materialize_dense_preconditioner])
     @pytest.mark.parametrize("tau", [0.0, -1.0])
     def test_nonpositive_tau_is_refused(self, build, tau):
-        d = DiagonalWeights(np.ones((1, 2)), np.ones((2, 1)))
+        d = ArcField(np.ones((1, 2)), np.ones((2, 1)))
         with pytest.raises(ValueError, match="tau must be positive"):
             build(2, 2, d, tau)
 
@@ -191,7 +189,7 @@ class TestDenseSystem:
 class TestBuildRhs:
     def test_zero_gradients(self, rng):
         g = random_gradients(rng, 4, 4)
-        zero = type(g)(np.zeros_like(g.gv), np.zeros_like(g.gh))
+        zero = type(g)(np.zeros_like(g.v), np.zeros_like(g.h))
         assert np.linalg.norm(build_rhs(zero, 1e-2, out=nan_vector(4, 4)).data) == 0.0
 
     def test_u_block_sums_to_zero(self, rng):
@@ -207,7 +205,7 @@ class TestBuildRhs:
         s = dense_s(n)
         t = dense_t(m)
         want = np.concatenate(
-            [vec(s.T @ g.gv + g.gh @ t.T) / tau, -vec(g.gv) / tau, -vec(g.gh) / tau]
+            [vec(s.T @ g.v + g.h @ t.T) / tau, -vec(g.v) / tau, -vec(g.h) / tau]
         )
         assert np.max(np.abs(b - want)) < 1e-12
 
@@ -291,9 +289,9 @@ class TestApplySystemOut:
 
 def with_zero_arcs(rng, wr):
     """The weights with about a third of the arcs cut (weight exactly zero)."""
-    return DiagonalWeights(
-        np.where(rng.random(wr.dv.shape) < 1 / 3, 0.0, wr.dv),
-        np.where(rng.random(wr.dh.shape) < 1 / 3, 0.0, wr.dh),
+    return ArcField(
+        np.where(rng.random(wr.v.shape) < 1 / 3, 0.0, wr.v),
+        np.where(rng.random(wr.h.shape) < 1 / 3, 0.0, wr.h),
     )
 
 
@@ -303,12 +301,12 @@ class TestReducedSystem:
         n, m = shape
         wr = with_zero_arcs(rng, random_diag(rng, n, m))
         k = dense_arc_map(n, m)
-        kt_w_k = k.T @ np.diag(np.concatenate([vec(wr.dv), vec(wr.dh)])) @ k
+        kt_w_k = k.T @ np.diag(np.concatenate([vec(wr.v), vec(wr.h)])) @ k
         u = rng.standard_normal((n, m))
-        got = kernels.weighted_laplacian(u, wr.dv, wr.dh, *arc_grids(n, m), np.zeros((n, m)))
+        got = kernels.weighted_laplacian(u, wr.v, wr.h, *arc_grids(n, m), np.zeros((n, m)))
         assert np.max(np.abs(vec(got) - kt_w_k @ vec(u))) < 1e-12
         g = random_gradients(rng, n, m)
-        want_rhs = k.T @ np.concatenate([vec(wr.dv * g.gv), vec(wr.dh * g.gh)])
+        want_rhs = k.T @ np.concatenate([vec(wr.v * g.v), vec(wr.h * g.h)])
         rhs = build_reduced_rhs(g, wr, out=np.zeros((n, m)), flux=arc_grids(n, m))
         assert np.max(np.abs(vec(rhs) - want_rhs)) < 1e-12
 
@@ -321,9 +319,9 @@ class TestReducedSystem:
         # every entry of out and of the scratch must be overwritten: NaN-filled
         # buffers give the bits of zero-filled ones
         buf = np.full((n, m), np.nan)
-        got = kernels.weighted_laplacian(u, wr.dv, wr.dh, *arc_grids(n, m, np.nan), buf)
+        got = kernels.weighted_laplacian(u, wr.v, wr.h, *arc_grids(n, m, np.nan), buf)
         assert got is buf
-        want = kernels.weighted_laplacian(u, wr.dv, wr.dh, *arc_grids(n, m), np.zeros((n, m)))
+        want = kernels.weighted_laplacian(u, wr.v, wr.h, *arc_grids(n, m), np.zeros((n, m)))
         assert np.array_equal(got, want)
         rhs = np.full((n, m), np.nan)
         assert build_reduced_rhs(g, wr, out=rhs, flux=arc_grids(n, m, np.nan)) is rhs
@@ -334,8 +332,8 @@ class TestReducedSystem:
         want = recover_slacks(u, g, wr, 0.03, out=SystemVector.zeros(n, m), flux=arc_grids(n, m))
         assert full.data.tobytes() == want.data.tobytes()
         # the slacks as first written, each temporary a new grid
-        for v, diff, gg, ww in ((full.vv, kernels.diff_rows(u), g.gv, wr.dv),
-                                (full.vh, kernels.diff_cols(u), g.gh, wr.dh)):
+        for v, diff, gg, ww in ((full.vv, kernels.diff_rows(u), g.v, wr.v),
+                                (full.vh, kernels.diff_cols(u), g.h, wr.h)):
             want = diff - gg
             want -= 0.03 * ww * want
             assert v.tobytes() == want.tobytes()
@@ -346,32 +344,32 @@ class TestReducedSystem:
     def test_reduced_weights_are_the_schur_weights(self, rng):
         n, m, tau = 5, 4, 0.03
         c = WeightField(rng.uniform(0, 2, (n - 1, m)), rng.uniform(0, 2, (n, m - 1)))
-        c.cv[1, :] = 0.0
-        w = IrlsWeights(rng.uniform(1e-6, 3, (n - 1, m)), rng.uniform(1e-6, 3, (n, m - 1)))
-        out = DiagonalWeights(*arc_grids(n, m, np.nan))
+        c.v[1, :] = 0.0
+        w = ArcField(rng.uniform(1e-6, 3, (n - 1, m)), rng.uniform(1e-6, 3, (n, m - 1)))
+        out = ArcField(*arc_grids(n, m, np.nan))
         assert reduced_weights(c, w, tau, out=out, flux=arc_grids(n, m, np.nan)) is out
-        for cc, ww, got in ((c.cv, w.wv, out.dv), (c.ch, w.wh, out.dh)):
+        for cc, ww, got in ((c.v, w.v, out.v), (c.h, w.h, out.h)):
             first = cc * cc  # the weights as first written, the denominator a new grid
             first /= ww + tau * first
             assert got.tobytes() == first.tobytes()
             d = cc**2 / ww
             assert np.allclose(got, d / (1 + tau * d), rtol=1e-14, atol=0)
             assert np.all(got <= 1 / tau)
-        assert np.all(out.dv[1, :] == 0.0)
+        assert np.all(out.v[1, :] == 0.0)
 
     def test_recovered_slacks_minimize_the_lifted_penalty(self, rng):
         # d v + (v - (S u - g)) / tau = 0 at the minimizer, arc by arc
         n, m, tau = 4, 5, 0.03
         d = random_diag(rng, n, m)
         wr = reduced_weights(
-            WeightField.uniform(n, m), IrlsWeights(1 / d.dv, 1 / d.dh), tau,
-            out=DiagonalWeights(*arc_grids(n, m)), flux=arc_grids(n, m),
+            WeightField.uniform(n, m), ArcField(1 / d.v, 1 / d.h), tau,
+            out=ArcField(*arc_grids(n, m)), flux=arc_grids(n, m),
         )
         u = rng.standard_normal((n, m))
         g = random_gradients(rng, n, m)
         x = recover_slacks(u, g, wr, tau, out=SystemVector.zeros(n, m), flux=arc_grids(n, m))
         assert np.array_equal(x.u, u)
-        stationary_v = d.dv * x.vv + (x.vv - (kernels.diff_rows(u) - g.gv)) / tau
-        stationary_h = d.dh * x.vh + (x.vh - (kernels.diff_cols(u) - g.gh)) / tau
+        stationary_v = d.v * x.vv + (x.vv - (kernels.diff_rows(u) - g.v)) / tau
+        stationary_h = d.h * x.vh + (x.vh - (kernels.diff_cols(u) - g.h)) / tau
         assert np.max(np.abs(stationary_v)) < 1e-10
         assert np.max(np.abs(stationary_h)) < 1e-10

@@ -6,9 +6,7 @@ import pytest
 from phaseirls import kernels
 from phaseirls.diagnostics import random_diagonal_weights
 from phaseirls.objective import ModelParams
-from phaseirls.objective import IrlsWeights
 from phaseirls.operators import (
-    DiagonalWeights,
     SystemVector,
     apply_system,
     build_reduced_rhs,
@@ -18,7 +16,7 @@ from phaseirls.operators import (
     reduced_weights,
 )
 from phaseirls.pcg import NumericalBreakdown, pcg_solve
-from phaseirls.phase import WeightField
+from phaseirls.phase import ArcField, WeightField
 from phaseirls.preconditioner import (
     apply_preconditioner,
     build_preconditioner,
@@ -55,7 +53,7 @@ def reduced_maps(wr, cache):
     n, m = cache.multiplier.shape
     ap, z, flux = np.empty((n, m)), np.empty((n, m)), arc_grids(n, m)
     return (
-        lambda v: kernels.weighted_laplacian(v, wr.dv, wr.dh, *flux, ap),
+        lambda v: kernels.weighted_laplacian(v, wr.v, wr.h, *flux, ap),
         lambda r: sylvester_solve(r, TAU, cache, out=z),
     )
 
@@ -136,8 +134,8 @@ class TestReducedSolve:
         x_star = np.linalg.pinv(materialize_dense_system(n, m, d, TAU)) @ stack_system(b)
         # c = 1 and w = 1/d give the reduced weights d / (1 + tau d)
         wr = reduced_weights(
-            WeightField.uniform(n, m), IrlsWeights(1 / d.dv, 1 / d.dh), TAU,
-            out=DiagonalWeights(*arc_grids(n, m)), flux=arc_grids(n, m),
+            WeightField.uniform(n, m), ArcField(1 / d.v, 1 / d.h), TAU,
+            out=ArcField(*arc_grids(n, m)), flux=arc_grids(n, m),
         )
         x = np.zeros((n, m))
         out = pcg_solve(
@@ -159,7 +157,7 @@ class TestReducedSolve:
         # Sylvester-preconditioned solve take a few hundred iterations; the
         # preconditioner's zeroed constant mode alone keeps x mean-zero
         n, m = 32, 24
-        wr = DiagonalWeights(
+        wr = ArcField(
             10 ** rng.uniform(-1, 2, (n - 1, m)), 10 ** rng.uniform(-1, 2, (n, m - 1))
         )
         b = build_reduced_rhs(
@@ -176,7 +174,7 @@ class TestReducedSolve:
         assert out.converged
         assert out.iterations > 50
         k = dense_arc_map(n, m)
-        kt_w_k = k.T @ np.diag(np.concatenate([vec(wr.dv), vec(wr.dh)])) @ k
+        kt_w_k = k.T @ np.diag(np.concatenate([vec(wr.v), vec(wr.h)])) @ k
         x_star = np.linalg.pinv(kt_w_k) @ vec(b)
         got = vec(x - x.mean())
         assert np.linalg.norm(got - x_star) / np.linalg.norm(x_star) < 1e-9
@@ -186,7 +184,7 @@ class TestReducedSolve:
 class TestInPlace:
     def test_x_ends_as_the_iterate_and_b_as_the_residual(self, rng):
         n, m = 12, 10
-        wr = DiagonalWeights(rng.uniform(0.5, 2.0, (n - 1, m)), rng.uniform(0.5, 2.0, (n, m - 1)))
+        wr = ArcField(rng.uniform(0.5, 2.0, (n - 1, m)), rng.uniform(0.5, 2.0, (n, m - 1)))
         rhs = build_reduced_rhs(
             random_gradients(rng, n, m), wr, out=np.zeros((n, m)), flux=arc_grids(n, m)
         )
@@ -295,7 +293,7 @@ class TestAllocations:
     def test_solve_allocates_one_grid(self, rng):
         # maps that write into preallocated grids, so the peak is PCG's own
         n, m = 256, 256
-        wr = DiagonalWeights(rng.uniform(0.5, 2.0, (n - 1, m)), rng.uniform(0.5, 2.0, (n, m - 1)))
+        wr = ArcField(rng.uniform(0.5, 2.0, (n - 1, m)), rng.uniform(0.5, 2.0, (n, m - 1)))
         flux = arc_grids(n, m)
         b = build_reduced_rhs(random_gradients(rng, n, m), wr, out=np.zeros((n, m)), flux=flux)
         x = np.zeros((n, m))
@@ -304,7 +302,7 @@ class TestAllocations:
         try:
             entry = tracemalloc.get_traced_memory()[0]
             out = pcg_solve(
-                lambda v: kernels.weighted_laplacian(v, wr.dv, wr.dh, *flux, ap),
+                lambda v: kernels.weighted_laplacian(v, wr.v, wr.h, *flux, ap),
                 lambda r: np.multiply(r, 0.5, out=z),
                 b, x, 20, 0.0,
             )

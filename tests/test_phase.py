@@ -3,6 +3,7 @@ import pytest
 
 from phaseirls.phase import (
     TWO_PI,
+    ArcField,
     WeightField,
     congruent_round,
     shift_error,
@@ -50,20 +51,20 @@ class TestWrapToPrincipal:
 class TestWrappedGradients:
     def test_in_range_difference(self):
         g = wrapped_gradients(np.array([[0.0], [1.0]]))
-        assert g.gv == pytest.approx(np.array([[1.0]]))
-        assert g.gh.shape == (2, 0)
+        assert g.v == pytest.approx(np.array([[1.0]]))
+        assert g.h.shape == (2, 0)
 
     def test_principal_value_of_six(self):
         g = wrapped_gradients(np.array([[0.0], [6.0]]))
-        assert g.gv[0, 0] == pytest.approx(6.0 - TWO_PI)
+        assert g.v[0, 0] == pytest.approx(6.0 - TWO_PI)
 
     def test_smooth_ramp_recovers_steps(self):
         steps = 0.3
         truth = steps * np.arange(20)[:, None] + 0.1 * np.arange(15)[None, :]
         x = wrap_to_principal(truth, 0.0)
         g = wrapped_gradients(x)
-        assert np.max(np.abs(g.gv - steps)) < 1e-12
-        assert np.max(np.abs(g.gh - 0.1)) < 1e-12
+        assert np.max(np.abs(g.v - steps)) < 1e-12
+        assert np.max(np.abs(g.h - 0.1)) < 1e-12
 
     def test_itoh_consistency(self, rng):
         # neighbor differences strictly inside (-pi, pi) reproduce exactly
@@ -71,8 +72,8 @@ class TestWrappedGradients:
         col_part = np.cumsum(rng.uniform(-0.3, 0.3, 9))
         u = row_part[:, None] + col_part[None, :]
         g = wrapped_gradients(wrap_to_principal(u, 0.0))
-        assert np.max(np.abs(g.gv - np.diff(u, axis=0))) < 1e-10
-        assert np.max(np.abs(g.gh - np.diff(u, axis=1))) < 1e-10
+        assert np.max(np.abs(g.v - np.diff(u, axis=0))) < 1e-10
+        assert np.max(np.abs(g.h - np.diff(u, axis=1))) < 1e-10
 
     def test_rejects_unwrapped_input(self):
         with pytest.raises(ValueError):
@@ -152,3 +153,39 @@ class TestWeightField:
     def test_max_weight(self):
         w = WeightField(np.array([[1.0, 3.0]]), np.array([[0.5], [2.0]]))
         assert w.max_weight == 3.0
+
+
+# (v shape, h shape) pairs that fit no grid: the rows of v must be one fewer
+# than those of h, and its columns one more
+INCONSISTENT_ARC_SHAPES = {
+    "v-1d": ((3,), (3, 2)),
+    "h-1d": ((2, 3), (3,)),
+    "both-1d": ((3,), (3,)),
+    "v-3d": ((2, 3, 1), (3, 2)),
+    "equal": ((3, 3), (3, 3)),
+    "swapped": ((3, 2), (2, 3)),
+    "v-rows-off": ((3, 3), (3, 2)),
+    "v-cols-off": ((2, 4), (3, 2)),
+}
+
+
+class TestArcField:
+    @pytest.mark.parametrize("cls", [ArcField, WeightField])
+    @pytest.mark.parametrize("case", sorted(INCONSISTENT_ARC_SHAPES))
+    def test_rejects_pairs_that_fit_no_grid(self, cls, case):
+        v_shape, h_shape = INCONSISTENT_ARC_SHAPES[case]
+        with pytest.raises(ValueError, match="arc fields must be 2-D|inconsistent arc shapes"):
+            cls(np.ones(v_shape), np.ones(h_shape))
+
+    @pytest.mark.parametrize("n, m", [(1, 1), (1, 5), (5, 1), (4, 3)])
+    def test_layout_of_an_n_by_m_grid(self, n, m):
+        f = ArcField.empty(n, m)
+        assert type(f) is ArcField
+        assert (f.v.shape, f.h.shape, f.shape) == ((n - 1, m), (n, m - 1), (n, m))
+        v, h = f
+        assert v is f.v and h is f.h
+        assert ArcField(np.zeros((n - 1, m)), np.zeros((n, m - 1))).shape == (n, m)
+        c = WeightField.uniform(n, m)
+        assert c.shape == (n, m)
+        # a 1 x 1 grid has no arcs, so its largest weight is that of the empty set
+        assert c.max_weight == (0.0 if n == m == 1 else 1.0)

@@ -1,13 +1,9 @@
 import numpy as np
 import pytest
 
-from phaseirls.operators import (
-    DiagonalWeights,
-    SystemVector,
-    apply_system,
-    materialize_dense_preconditioner,
-)
+from phaseirls.operators import SystemVector, apply_system, materialize_dense_preconditioner
 from phaseirls.irls import unwrap
+from phaseirls.phase import ArcField
 from phaseirls.preconditioner import (
     apply_preconditioner,
     build_preconditioner,
@@ -107,7 +103,7 @@ class TestSylvesterSolve:
 
 
 def random_diag(rng, n, m, hi=5.0):
-    return DiagonalWeights(rng.uniform(0, hi, (n - 1, m)), rng.uniform(0, hi, (n, m - 1)))
+    return ArcField(rng.uniform(0, hi, (n - 1, m)), rng.uniform(0, hi, (n, m - 1)))
 
 
 class TestApplyPreconditioner:
@@ -119,7 +115,7 @@ class TestApplyPreconditioner:
 
     def test_zero_diagonals_scale_by_tau(self, rng):
         n, m, tau = 3, 4, 0.2
-        d = DiagonalWeights(np.zeros((n - 1, m)), np.zeros((n, m - 1)))
+        d = ArcField(np.zeros((n - 1, m)), np.zeros((n, m - 1)))
         pc = build_preconditioner(build_spectral_cache(n, m), d, tau)
         r = random_state(rng, n, m)
         out = apply_preconditioner(r, pc, out=SystemVector.zeros(n, m))
