@@ -1,27 +1,33 @@
 """Dense spectral study of the system and its preconditioned counterpart.
 
-For oracle-scale grids this materializes the system matrix A and the block
-preconditioner D with random diagonal weights drawn uniformly from
-(0, 1/delta], forms the symmetric split pseudo square root C* of D with the
-shared constant mode dropped, and compares the positive spectra of A and
-C* A C*.  The condition number kappa uses the ratio of the largest to the
-smallest strictly positive eigenvalue and feeds the CG rate estimate
-rho = (sqrt(kappa) - 1) / (sqrt(kappa) + 1).
+For oracle-scale grids this materializes the system matrix A with random
+diagonal weights drawn uniformly from (0, 1/delta] and compares the spectra
+of A and C* A C*.  C* = D^(+1/2), the split pseudo square root of the block
+preconditioner D, is built in closed form from the solver's own
+``PreconditionerState``: sqrt(tau * multiplier) in the DCT-II eigenbasis on
+u, whose zero (0, 0) entry drops the constant mode, and one over the square
+roots of the slack divisors on the slacks.  Both matrices have the constant
+u mode as their only null vector, so exactly their smallest eigenvalue is
+dropped.  kappa, the ratio of the largest to the smallest kept eigenvalue,
+feeds the CG rate estimate rho = (sqrt(kappa) - 1) / (sqrt(kappa) + 1); a
+spectrum whose kappa is not below 1 / ``RESOLVABLE_RATIO`` is refused.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .operators import SizeLimitExceeded, materialize_dense_preconditioner, materialize_dense_system
+from .operators import SizeLimitExceeded, materialize_dense_system
 from .phase import ArcField
+from .preconditioner import build_preconditioner, build_spectral_cache
 
 __all__ = ["ConditioningReport", "conditioning_report", "positive_eigenvalues"]
 
 DIAG_CELL_LIMIT = 1024
 
-# dense eigensolver noise floor for classifying an eigenvalue as zero
-_NULL_THRESHOLD = 1e-10
+# smallest-to-largest ratio of kept eigenvalues that eigvalsh, accurate to about
+# 1e-16 of the largest, still resolves to a few digits
+RESOLVABLE_RATIO = 1e-10
 
 
 @dataclass(frozen=True)
@@ -36,23 +42,23 @@ class ConditioningReport:
     rho_pre: float
 
     def to_dict(self):
-        return {
-            "n": self.n,
-            "m": self.m,
-            "kappa_a": self.kappa_a,
-            "kappa_pre": self.kappa_pre,
-            "rho_a": self.rho_a,
-            "rho_pre": self.rho_pre,
-            "eig_a": self.eig_a.tolist(),
-            "eig_pre": self.eig_pre.tolist(),
-        }
+        """Each field by name as a plain Python value; the eigenvalues become lists."""
+        return {f.name: np.asarray(getattr(self, f.name)).tolist() for f in fields(self)}
 
 
 def positive_eigenvalues(matrix):
-    """Ascending eigenvalues above the relative nullspace threshold."""
-    vals = np.linalg.eigvalsh(matrix)
-    cutoff = _NULL_THRESHOLD * max(vals.max(), 1.0)
-    return vals[vals > cutoff]
+    """Ascending eigenvalues of a PSD matrix with one null vector, the smallest dropped.
+
+    Raises ValueError when the smallest kept eigenvalue is not above
+    ``RESOLVABLE_RATIO`` times the largest.
+    """
+    vals = np.linalg.eigvalsh(matrix)[1:]
+    if not vals[0] > RESOLVABLE_RATIO * vals[-1]:
+        raise ValueError(
+            f"spectrum not resolvable: the smallest kept eigenvalue {vals[0]:.3e} "
+            f"is not above {RESOLVABLE_RATIO:g} times the largest {vals[-1]:.3e}"
+        )
+    return vals
 
 
 def _cg_rate(kappa):
@@ -60,12 +66,17 @@ def _cg_rate(kappa):
     return (root - 1.0) / (root + 1.0)
 
 
-def split_pseudo_sqrt(matrix):
-    """C* with eigenvalues gamma_i^(-1/2), the zero mode dropped."""
-    gam, vecs = np.linalg.eigh(matrix)
-    cutoff = _NULL_THRESHOLD * max(gam.max(), 1.0)
-    keep = gam > cutoff
-    return (vecs[:, keep] / np.sqrt(gam[keep])) @ vecs[:, keep].T
+def split_pseudo_sqrt(pc):
+    """Dense C* = D^(+1/2) of the block preconditioner held by ``pc``, column-stacked."""
+    cache = pc.cache
+    q = np.kron(cache.basis_t, cache.basis_s)
+    root = np.sqrt(pc.tau * cache.multiplier).ravel(order="F")
+    slack = np.concatenate([pc.slack_v.ravel(order="F"), pc.slack_h.ravel(order="F")])
+    nu = root.size
+    out = np.zeros((nu + slack.size, nu + slack.size))
+    out[:nu, :nu] = (q * root) @ q.T
+    out[nu:, nu:] = np.diag(1.0 / np.sqrt(slack))
+    return out
 
 
 def random_diagonal_weights(n, m, delta, seed):
@@ -81,7 +92,8 @@ def conditioning_report(n, m, delta, tau, seed):
     """Eigenvalue and conditioning comparison of A versus C* A C*.
 
     Raises ValueError before any dense work for a grid with a side below 1 or
-    without arcs (1 x 1), for a seed outside [0, 2^64), or above the size guard.
+    without arcs (1 x 1), for a seed outside [0, 2^64), or above the size guard;
+    and after it for a spectrum that ``positive_eigenvalues`` cannot resolve.
     """
     if n < 1 or m < 1:
         raise ValueError(f"grid dimensions must be >= 1, got {n} x {m}")
@@ -95,12 +107,10 @@ def conditioning_report(n, m, delta, tau, seed):
         )
     d = random_diagonal_weights(n, m, delta, seed)
     a = materialize_dense_system(n, m, d, tau)
-    dmat = materialize_dense_preconditioner(n, m, d, tau)
-    c_star = split_pseudo_sqrt(dmat)
-    pre = c_star @ a @ c_star
+    c_star = split_pseudo_sqrt(build_preconditioner(build_spectral_cache(n, m), d, tau))
 
     eig_a = positive_eigenvalues(a)
-    eig_pre = positive_eigenvalues(pre)
+    eig_pre = positive_eigenvalues(c_star @ a @ c_star)
     kappa_a = float(eig_a[-1] / eig_a[0])
     kappa_pre = float(eig_pre[-1] / eig_pre[0])
     return ConditioningReport(

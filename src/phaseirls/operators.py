@@ -1,4 +1,4 @@
-"""The block system map, its reduction, and their dense test oracles.
+"""The block system map, its reduction, and its dense matrix for small instances.
 
 The unknown is kept in matrix layout as a triple (u, vv, vh) of grids, one
 ``SystemVector``; the system map and its building blocks never materialize a
@@ -17,8 +17,9 @@ stays as the paper's formulation and as the gradient of the safeguard step.
 The gradients g, the weights c and w, and the diagonals d and W are
 ``phase.ArcField`` pairs (v, h).  Each map writes into buffers its caller
 owns, passed by keyword: ``out`` and, for the reduced system, ``flux``, a
-pair of scratch grids shaped like (vv, vh).  Dense materializations exist
-only as small-instance test oracles and follow the column-stacking vec()
+pair of scratch grids shaped like (vv, vh).  The one dense materialization,
+``materialize_dense_system``, serves the spectrum study of ``diagnostics``
+and the tests on small instances only; it follows the column-stacking vec()
 convention, so ``vec(X) = X.ravel(order="F")``.
 """
 
@@ -36,14 +37,13 @@ __all__ = [
     "build_reduced_rhs",
     "recover_slacks",
     "materialize_dense_system",
-    "materialize_dense_preconditioner",
 ]
 
 DENSE_CELL_LIMIT = 4096
 
 
 class SizeLimitExceeded(ValueError):
-    """Raised when a dense oracle materialization is requested above guard size."""
+    """Raised when a dense materialization is requested above guard size."""
 
 
 class SystemVector:
@@ -189,7 +189,7 @@ def recover_slacks(u, g: ArcField, wr, tau, *, out, flux):
 
 
 # ---------------------------------------------------------------------------
-# dense oracles (small instances only)
+# dense system matrix (small instances only)
 # ---------------------------------------------------------------------------
 
 def _dense_s(n):
@@ -208,18 +208,14 @@ def _dense_t(m):
     return t
 
 
-def _check_dense_request(n, m, tau):
+def materialize_dense_system(n, m, d, tau):
+    """Dense symmetric PSD matrix of the block system, for the spectrum study and tests."""
     if n * m > DENSE_CELL_LIMIT:
         raise SizeLimitExceeded(
             f"dense materialization limited to {DENSE_CELL_LIMIT} cells, got {n * m}"
         )
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
-
-
-def materialize_dense_system(n, m, d, tau):
-    """Dense symmetric PSD matrix of the block system, for oracle-scale tests."""
-    _check_dense_request(n, m, tau)
     s = _dense_s(n)
     t = _dense_t(m)
     i_n = np.eye(n)
@@ -237,21 +233,3 @@ def materialize_dense_system(n, m, d, tau):
             [-inv_tau * kt, np.zeros((kt.shape[0], ks.shape[0])), dh_diag + inv_tau * np.eye(kt.shape[0])],
         ]
     )
-
-
-def materialize_dense_preconditioner(n, m, d, tau):
-    """Dense block-diagonal preconditioner matching the same vec layout."""
-    _check_dense_request(n, m, tau)
-    s = _dense_s(n)
-    t = _dense_t(m)
-    inv_tau = 1.0 / tau
-    lap = np.kron(np.eye(m), s.T @ s) + np.kron(t @ t.T, np.eye(n))
-    nv = (n - 1) * m
-    nh = n * (m - 1)
-    out = np.zeros((n * m + nv + nh, n * m + nv + nh))
-    out[: n * m, : n * m] = inv_tau * lap
-    out[n * m : n * m + nv, n * m : n * m + nv] = np.diag(
-        d.v.ravel(order="F") + inv_tau
-    )
-    out[n * m + nv :, n * m + nv :] = np.diag(d.h.ravel(order="F") + inv_tau)
-    return out

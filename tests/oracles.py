@@ -103,11 +103,28 @@ def arc_count(n, m):
     return (n - 1) * m + n * (m - 1)
 
 
+def materialize_dense_preconditioner(n, m, d, tau):
+    """Dense block-diagonal preconditioner: (1/tau) Kt K on u, diag(d + 1/tau) on the slacks."""
+    k = dense_arc_map(n, m)
+    nu = n * m
+    out = np.zeros((nu + k.shape[0], nu + k.shape[0]))
+    out[:nu, :nu] = (1.0 / tau) * (k.T @ k)
+    out[nu:, nu:] = np.diag(np.concatenate([vec(d.v), vec(d.h)]) + 1.0 / tau)
+    return out
+
+
 def split_sqrt(matrix):
     """C with eigenvalues gamma_i^(1/2), the zero mode dropped (relative cutoff 1e-10)."""
     gam, vecs = np.linalg.eigh(matrix)
     keep = gam > 1e-10 * max(gam.max(), 1.0)
     return (vecs[:, keep] * np.sqrt(gam[keep])) @ vecs[:, keep].T
+
+
+def split_pseudo_sqrt(matrix):
+    """C* with eigenvalues gamma_i^(-1/2), the zero mode dropped (relative cutoff 1e-10)."""
+    gam, vecs = np.linalg.eigh(matrix)
+    keep = gam > 1e-10 * max(gam.max(), 1.0)
+    return (vecs[:, keep] / np.sqrt(gam[keep])) @ vecs[:, keep].T
 
 
 def dense_system_entrywise(n, m, d, tau):

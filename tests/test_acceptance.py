@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from phaseirls.cli import main as cli_main
-from phaseirls.diagnostics import conditioning_report, random_diagonal_weights, split_pseudo_sqrt
+from phaseirls.diagnostics import conditioning_report, random_diagonal_weights
 from phaseirls.irls import IrlsParams, cg_budget_update, unwrap
 from phaseirls.objective import (
     ModelParams,
@@ -24,7 +24,6 @@ from phaseirls.operators import (
     SystemVector,
     apply_system,
     build_rhs,
-    materialize_dense_preconditioner,
     materialize_dense_system,
 )
 from phaseirls.phase import TWO_PI, ArcField, WeightField, congruent_round, shift_error
@@ -41,6 +40,7 @@ from oracles import (
     dense_s,
     dense_t,
     h_delta_of,
+    materialize_dense_preconditioner,
     pcg_solve_blocks,
     plain_cg_dense,
     random_gradients,
@@ -48,6 +48,7 @@ from oracles import (
     random_weights,
     safeguard_bound_holds,
     spoil_proposals,
+    split_pseudo_sqrt,
     split_sqrt,
     stack_system,
     step_of,

@@ -373,6 +373,34 @@ class TestSpectrumCommand:
         assert run("spectrum", "--n", n, "--m", m, "--json-out", out) == 0
         assert len(json.loads(out.read_text())["eig_a"]) > 0
 
+    # each kept spectrum spans more than the ten decades that eigvalsh resolves
+    @pytest.mark.parametrize("flags", [
+        ("--n", 3, "--m", 3, "--delta", "1e-150"),
+        ("--n", 3, "--m", 3, "--tau", "1e-300"),
+        ("--n", 2, "--m", 1, "--tau", "1e300"),
+        ("--n", 4, "--m", 4, "--delta", "1e150"),
+    ])
+    def test_unresolvable_spectrum_exits_2(self, tmp_path, capsys, flags):
+        out = tmp_path / "spec.json"
+        assert run("spectrum", *flags, "--json-out", out) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: invalid spectrum request: ")
+        assert "spectrum not resolvable" in lines[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [
+        ("--n", 3, "--m", 3, "--delta", "1e-12"),
+        ("--n", 4, "--m", 4, "--tau", "1e-12"),
+    ])
+    def test_wide_but_resolvable_spectrum_exits_0(self, tmp_path, flags):
+        out = tmp_path / "spec.json"
+        assert run("spectrum", *flags, "--json-out", out) == 0
+        payload = json.loads(out.read_text())
+        assert len(payload["eig_a"]) == len(payload["eig_pre"])
+        assert 1.0 <= payload["kappa_a"] < 1e10
+
 
 # every output flag of every command; BAD is a path in a directory that does not exist
 UNWRITABLE_OUTPUTS = {

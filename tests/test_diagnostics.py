@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -6,11 +8,11 @@ from phaseirls.diagnostics import (
     conditioning_report,
     positive_eigenvalues,
     random_diagonal_weights,
-    split_pseudo_sqrt,
 )
 from phaseirls.operators import SizeLimitExceeded, materialize_dense_system
+from phaseirls.preconditioner import build_preconditioner, build_spectral_cache
 
-from oracles import split_sqrt
+from oracles import materialize_dense_preconditioner, split_pseudo_sqrt, split_sqrt
 
 
 class TestConditioningReport:
@@ -74,14 +76,47 @@ class TestConditioningReport:
         payload = rep.to_dict()
         assert payload["n"] == 4
         assert len(payload["eig_a"]) == len(rep.eig_a)
+        assert set(payload) == {
+            "n", "m", "eig_a", "eig_pre", "kappa_a", "kappa_pre", "rho_a", "rho_pre",
+        }
+        assert type(payload["n"]) is int and type(payload["kappa_a"]) is float
+        assert json.loads(json.dumps(payload)) == payload
+
+    def test_runs_no_eigendecomposition_of_the_preconditioner(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("C* is closed-form; eigh must not run")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        rep = conditioning_report(16, 16, 1e-6, 1e-2, seed=0)
+        assert rep.eig_a.size == rep.eig_pre.size == 3 * 16 * 16 - 2 * 16 - 1
+
+
+class TestPositiveEigenvalues:
+    def test_drops_exactly_the_smallest_at_any_scale(self):
+        vals = positive_eigenvalues(np.diag([5e-12, 0.0, 2e-12]))
+        assert np.array_equal(vals, [2e-12, 5e-12])
+
+    @pytest.mark.parametrize("second", [1e-11, 0.0, -1e-3])
+    def test_refuses_an_unresolvable_second_eigenvalue(self, second):
+        with pytest.raises(ValueError, match="spectrum not resolvable"):
+            positive_eigenvalues(np.diag([0.0, second, 1.0]))
+
+
+class TestClosedFormSplit:
+    @pytest.mark.parametrize("n, m", [(1, 5), (5, 1), (2, 2), (3, 7), (7, 3), (16, 16)])
+    def test_matches_eigh_of_dense_preconditioner(self, n, m):
+        tau = 1e-2
+        d = random_diagonal_weights(n, m, 1e-6, seed=n * 100 + m)
+        pc = build_preconditioner(build_spectral_cache(n, m), d, tau)
+        want = split_pseudo_sqrt(materialize_dense_preconditioner(n, m, d, tau))
+        got = diagnostics.split_pseudo_sqrt(pc)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 class TestSplitSqrt:
     def test_pseudo_sqrt_pair_inverts_on_range(self, rng):
         n = m = 4
         d = random_diagonal_weights(n, m, 1e-2, seed=2)
-        from phaseirls.operators import materialize_dense_preconditioner
-
         dmat = materialize_dense_preconditioner(n, m, d, 1e-2)
         c = split_sqrt(dmat)
         c_star = split_pseudo_sqrt(dmat)

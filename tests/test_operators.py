@@ -8,7 +8,6 @@ from phaseirls.operators import (
     apply_system,
     build_reduced_rhs,
     build_rhs,
-    materialize_dense_preconditioner,
     materialize_dense_system,
     recover_slacks,
     reduced_weights,
@@ -178,7 +177,7 @@ class TestDenseSystem:
         with pytest.raises(SizeLimitExceeded):
             materialize_dense_system(100, 100, d, 1.0)
 
-    @pytest.mark.parametrize("build", [materialize_dense_system, materialize_dense_preconditioner])
+    @pytest.mark.parametrize("build", [materialize_dense_system])
     @pytest.mark.parametrize("tau", [0.0, -1.0])
     def test_nonpositive_tau_is_refused(self, build, tau):
         d = ArcField(np.ones((1, 2)), np.ones((2, 1)))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from phaseirls.operators import SystemVector, apply_system, materialize_dense_preconditioner
+from phaseirls.operators import SystemVector, apply_system
 from phaseirls.irls import unwrap
 from phaseirls.phase import ArcField
 from phaseirls.preconditioner import (
@@ -12,7 +12,14 @@ from phaseirls.preconditioner import (
 )
 from phaseirls.synth import SceneSpec, generate_scene, wrap_scene
 
-from oracles import dense_s, dense_t, nan_vector, random_state, stack_system
+from oracles import (
+    dense_s,
+    dense_t,
+    materialize_dense_preconditioner,
+    nan_vector,
+    random_state,
+    stack_system,
+)
 
 
 class TestSpectralCache:
