@@ -1,6 +1,6 @@
 """L1-norm 2-D phase unwrapping via iteratively reweighted least squares."""
 
-from .diagnostics import ConditioningReport, conditioning_report
+from .diagnostics import ConditioningReport, conditioning_report, materialize_dense_system
 from .irls import BudgetDecision, IrlsParams, IrlsTrace, UnwrapResult, cg_budget_update, relative_improvement, unwrap
 from .objective import (
     ModelParams,
@@ -11,7 +11,7 @@ from .objective import (
     lipschitz_constant,
     update_weights,
 )
-from .operators import SystemVector, apply_system, build_rhs, materialize_dense_system
+from .operators import SystemVector, apply_system, build_rhs
 from .pcg import NumericalBreakdown, PcgOutcome, pcg_solve
 from .phase import (
     ArcField,

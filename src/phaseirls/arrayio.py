@@ -1,10 +1,12 @@
 """Reading and writing 2-D grids as NPY v1.0 files.
 
 The interchange format is the plain NPY v1.0 layout written by numpy: magic
-bytes 0x93 "NUMPY", version (1, 0), a header dict with a little-endian float
-descriptor, fortran_order False, and the (N, M) shape, followed by the
-row-major payload.  Grids are written as "<f8"; loading also accepts "<f4"
-and validates that the file holds a finite 2-D real float array.
+bytes 0x93 "NUMPY", version (1, 0), a header dict with the float
+descriptor, the fortran_order flag and the (N, M) shape, followed by the
+payload.  Grids are written as "<f8" with fortran_order False (row-major).
+Loading accepts float32 or float64 of either byte order ("<f8", ">f8",
+"<f4", ">f4") in either layout, validates that the file holds a finite 2-D
+real float array, and returns it as a C-contiguous native float64 grid.
 """
 
 import numpy as np

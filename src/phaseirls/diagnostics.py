@@ -1,33 +1,78 @@
-"""Dense spectral study of the system and its preconditioned counterpart.
+"""Dense matrices of small instances: the block system and its spectral study.
 
-For oracle-scale grids this materializes the system matrix A with random
-diagonal weights drawn uniformly from (0, 1/delta] and compares the spectra
-of A and C* A C*.  C* = D^(+1/2), the split pseudo square root of the block
-preconditioner D, is built in closed form from the solver's own
-``PreconditionerState``: sqrt(tau * multiplier) in the DCT-II eigenbasis on
-u, whose zero (0, 0) entry drops the constant mode, and one over the square
-roots of the slack divisors on the slacks.  Both matrices have the constant
-u mode as their only null vector, so exactly their smallest eigenvalue is
-dropped.  kappa, the ratio of the largest to the smallest kept eigenvalue,
-feeds the CG rate estimate rho = (sqrt(kappa) - 1) / (sqrt(kappa) + 1); a
-spectrum whose kappa is not below 1 / ``RESOLVABLE_RATIO`` is refused.
+This is the one module that forms dense matrices, all in the column-stacking
+vec() convention, ``vec(X) = X.ravel(order="F")``, and all under one size
+limit of ``DENSE_CELL_LIMIT`` grid cells.  ``materialize_dense_system``
+builds the block system matrix A from the arc map K, which stacks the
+vertical differences S u over the horizontal ones u T.
+
+The spectrum study draws random diagonal weights uniformly from
+(0, 1/delta] and compares the spectra of A and C* A C*.  C* = D^(+1/2), the
+split pseudo square root of the block preconditioner D, is built in closed
+form from the solver's own ``PreconditionerState``: sqrt(tau * multiplier) in
+the DCT-II eigenbasis on u, whose zero (0, 0) entry drops the constant mode,
+and one over the square roots of the slack divisors on the slacks.  Both
+matrices have the constant u mode as their only null vector, so exactly
+their smallest eigenvalue is dropped.  kappa, the ratio of the largest to the
+smallest kept eigenvalue, feeds the CG rate estimate
+rho = (sqrt(kappa) - 1) / (sqrt(kappa) + 1); a spectrum whose kappa is not
+below 1 / ``RESOLVABLE_RATIO`` is refused.
 """
 
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .operators import SizeLimitExceeded, materialize_dense_system
 from .phase import ArcField
 from .preconditioner import build_preconditioner, build_spectral_cache
 
-__all__ = ["ConditioningReport", "conditioning_report", "positive_eigenvalues"]
+__all__ = [
+    "ConditioningReport",
+    "SizeLimitExceeded",
+    "conditioning_report",
+    "materialize_dense_system",
+    "positive_eigenvalues",
+]
 
-DIAG_CELL_LIMIT = 1024
+DENSE_CELL_LIMIT = 1024
 
 # smallest-to-largest ratio of kept eigenvalues that eigvalsh, accurate to about
 # 1e-16 of the largest, still resolves to a few digits
 RESOLVABLE_RATIO = 1e-10
+
+
+class SizeLimitExceeded(ValueError):
+    """Raised when a dense matrix is requested for more than ``DENSE_CELL_LIMIT`` cells."""
+
+
+def _check_cells(n, m):
+    if n * m > DENSE_CELL_LIMIT:
+        raise SizeLimitExceeded(
+            f"dense matrices limited to {DENSE_CELL_LIMIT} cells, got {n * m}"
+        )
+
+
+def _diff_matrix(k):
+    """(k - 1, k) forward differences: row i is e_(i+1) - e_i."""
+    return np.diff(np.eye(k), axis=0)
+
+
+def materialize_dense_system(n, m, d, tau):
+    """Dense symmetric PSD matrix of the block system, for the spectrum study and tests.
+
+    With K the arc map, vec(u) -> (vec(S u), vec(u T)), and d the ArcField of
+    diagonal slack weights, A = [[K^T K, -K^T], [-K, tau diag(vec(d)) + I]] / tau.
+    """
+    _check_cells(n, m)
+    if tau <= 0:
+        raise ValueError(f"tau must be positive, got {tau}")
+    inv_tau = 1.0 / tau
+    k = np.vstack([np.kron(np.eye(m), _diff_matrix(n)), np.kron(_diff_matrix(m), np.eye(n))])
+    slack = np.concatenate([d.v.ravel(order="F"), d.h.ravel(order="F")])
+    return np.block([
+        [inv_tau * (k.T @ k), -inv_tau * k.T],
+        [-inv_tau * k, np.diag(slack + inv_tau)],
+    ])
 
 
 @dataclass(frozen=True)
@@ -92,8 +137,9 @@ def conditioning_report(n, m, delta, tau, seed):
     """Eigenvalue and conditioning comparison of A versus C* A C*.
 
     Raises ValueError before any dense work for a grid with a side below 1 or
-    without arcs (1 x 1), for a seed outside [0, 2^64), or above the size guard;
-    and after it for a spectrum that ``positive_eigenvalues`` cannot resolve.
+    without arcs (1 x 1), for a seed outside [0, 2^64), or above
+    ``DENSE_CELL_LIMIT`` cells; and after it for a spectrum that
+    ``positive_eigenvalues`` cannot resolve.
     """
     if n < 1 or m < 1:
         raise ValueError(f"grid dimensions must be >= 1, got {n} x {m}")
@@ -101,10 +147,7 @@ def conditioning_report(n, m, delta, tau, seed):
         raise ValueError("a 1 x 1 grid has no arcs")
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must be a nonnegative 64-bit integer, got {seed}")
-    if n * m > DIAG_CELL_LIMIT:
-        raise SizeLimitExceeded(
-            f"conditioning report limited to {DIAG_CELL_LIMIT} cells, got {n * m}"
-        )
+    _check_cells(n, m)
     d = random_diagonal_weights(n, m, delta, seed)
     a = materialize_dense_system(n, m, d, tau)
     c_star = split_pseudo_sqrt(build_preconditioner(build_spectral_cache(n, m), d, tau))

@@ -1,11 +1,11 @@
-"""The block system map, its reduction, and its dense matrix for small instances.
+"""The block system map and its reduction, all matrix-free.
 
 The unknown is kept in matrix layout as a triple (u, vv, vh) of grids, one
-``SystemVector``; the system map and its building blocks never materialize a
-matrix, and the difference maps S and T are the ``kernels`` stencils.  For
-fixed diagonal weights d each slack has a closed-form minimizer given u,
-``vv = (S u - gv) / (1 + tau dv)`` and likewise vh, so the block system
-reduces to the weighted Poisson problem in u alone
+``SystemVector``; no map here forms a matrix, and the difference maps S and
+T are the ``kernels`` stencils.  For fixed diagonal weights d each slack has
+a closed-form minimizer given u, ``vv = (S u - gv) / (1 + tau dv)`` and
+likewise vh, so the block system reduces to the weighted Poisson problem in
+u alone
 
   St (Wv * S u) + (Wh * u T) Tt = St (Wv * gv) + (Wh * gh) Tt,
   W = d / (1 + tau d) = c^2 / (w + tau c^2) <= 1/tau,
@@ -17,10 +17,8 @@ stays as the paper's formulation and as the gradient of the safeguard step.
 The gradients g, the weights c and w, and the diagonals d and W are
 ``phase.ArcField`` pairs (v, h).  Each map writes into buffers its caller
 owns, passed by keyword: ``out`` and, for the reduced system, ``flux``, a
-pair of scratch grids shaped like (vv, vh).  The one dense materialization,
-``materialize_dense_system``, serves the spectrum study of ``diagnostics``
-and the tests on small instances only; it follows the column-stacking vec()
-convention, so ``vec(X) = X.ravel(order="F")``.
+pair of scratch grids shaped like (vv, vh).  The dense matrix of the block
+map, for small instances, is ``diagnostics.materialize_dense_system``.
 """
 
 import numpy as np
@@ -29,21 +27,13 @@ from . import kernels
 from .phase import ArcField
 
 __all__ = [
-    "SizeLimitExceeded",
     "SystemVector",
     "apply_system",
     "build_rhs",
     "reduced_weights",
     "build_reduced_rhs",
     "recover_slacks",
-    "materialize_dense_system",
 ]
-
-DENSE_CELL_LIMIT = 4096
-
-
-class SizeLimitExceeded(ValueError):
-    """Raised when a dense materialization is requested above guard size."""
 
 
 class SystemVector:
@@ -186,50 +176,3 @@ def recover_slacks(u, g: ArcField, wr, tau, *, out, flux):
         f *= v
         v -= f
     return out
-
-
-# ---------------------------------------------------------------------------
-# dense system matrix (small instances only)
-# ---------------------------------------------------------------------------
-
-def _dense_s(n):
-    s = np.zeros((n - 1, n))
-    for i in range(n - 1):
-        s[i, i] = -1.0
-        s[i, i + 1] = 1.0
-    return s
-
-
-def _dense_t(m):
-    t = np.zeros((m, m - 1))
-    for j in range(m - 1):
-        t[j, j] = -1.0
-        t[j + 1, j] = 1.0
-    return t
-
-
-def materialize_dense_system(n, m, d, tau):
-    """Dense symmetric PSD matrix of the block system, for the spectrum study and tests."""
-    if n * m > DENSE_CELL_LIMIT:
-        raise SizeLimitExceeded(
-            f"dense materialization limited to {DENSE_CELL_LIMIT} cells, got {n * m}"
-        )
-    if tau <= 0:
-        raise ValueError(f"tau must be positive, got {tau}")
-    s = _dense_s(n)
-    t = _dense_t(m)
-    i_n = np.eye(n)
-    i_m = np.eye(m)
-    inv_tau = 1.0 / tau
-    lap = np.kron(i_m, s.T @ s) + np.kron(t @ t.T, i_n)
-    ks = np.kron(i_m, s)
-    kt = np.kron(t.T, i_n)
-    dv_diag = np.diag(d.v.ravel(order="F"))
-    dh_diag = np.diag(d.h.ravel(order="F"))
-    return np.block(
-        [
-            [inv_tau * lap, -inv_tau * ks.T, -inv_tau * kt.T],
-            [-inv_tau * ks, dv_diag + inv_tau * np.eye(ks.shape[0]), np.zeros((ks.shape[0], kt.shape[0]))],
-            [-inv_tau * kt, np.zeros((kt.shape[0], ks.shape[0])), dh_diag + inv_tau * np.eye(kt.shape[0])],
-        ]
-    )

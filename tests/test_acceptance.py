@@ -12,7 +12,11 @@ import numpy as np
 import pytest
 
 from phaseirls.cli import main as cli_main
-from phaseirls.diagnostics import conditioning_report, random_diagonal_weights
+from phaseirls.diagnostics import (
+    conditioning_report,
+    materialize_dense_system,
+    random_diagonal_weights,
+)
 from phaseirls.irls import IrlsParams, cg_budget_update, unwrap
 from phaseirls.objective import (
     ModelParams,
@@ -24,7 +28,6 @@ from phaseirls.operators import (
     SystemVector,
     apply_system,
     build_rhs,
-    materialize_dense_system,
 )
 from phaseirls.phase import TWO_PI, ArcField, WeightField, congruent_round, shift_error
 from phaseirls.preconditioner import (

@@ -34,6 +34,19 @@ class TestRoundTrip:
         assert out.dtype == np.float64
 
 
+    @pytest.mark.parametrize("dtype", [">f8", ">f4", "<f8", "<f4"])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_any_byte_order_and_layout_loads_as_c_float64(self, tmp_path, rng, dtype, order):
+        path = tmp_path / "grid.npy"
+        want = rng.standard_normal((5, 7)).astype(dtype)
+        with open(path, "wb") as fh:
+            np.save(fh, np.asarray(want, order=order))
+        assert (b"'fortran_order': True" in path.read_bytes()[:128]) == (order == "F")
+        out = load_grid(path)
+        assert out.dtype == np.float64 and out.flags.c_contiguous
+        assert np.array_equal(out, want.astype(np.float64))
+
+
 class TestValidation:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ArrayFileError):

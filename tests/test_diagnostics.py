@@ -5,11 +5,12 @@ import pytest
 
 from phaseirls import diagnostics
 from phaseirls.diagnostics import (
+    SizeLimitExceeded,
     conditioning_report,
+    materialize_dense_system,
     positive_eigenvalues,
     random_diagonal_weights,
 )
-from phaseirls.operators import SizeLimitExceeded, materialize_dense_system
 from phaseirls.preconditioner import build_preconditioner, build_spectral_cache
 
 from oracles import materialize_dense_preconditioner, split_pseudo_sqrt, split_sqrt
@@ -89,6 +90,33 @@ class TestConditioningReport:
         monkeypatch.setattr(np.linalg, "eigh", refuse)
         rep = conditioning_report(16, 16, 1e-6, 1e-2, seed=0)
         assert rep.eig_a.size == rep.eig_pre.size == 3 * 16 * 16 - 2 * 16 - 1
+
+
+
+class TestDenseCellLimit:
+    # one limit of DENSE_CELL_LIMIT = 1024 cells covers the builder and the report
+
+    @pytest.mark.parametrize("n, m", [(32, 32), (1, 1024)])
+    def test_builds_at_the_limit(self, n, m):
+        d = random_diagonal_weights(n, m, 1e-6, seed=0)
+        a = materialize_dense_system(n, m, d, 1e-2)
+        dim = n * m + (n - 1) * m + n * (m - 1)
+        assert a.shape == (dim, dim)
+
+    @pytest.mark.parametrize("n, m", [(32, 33), (1, 1025)])
+    def test_builder_refuses_one_row_or_cell_more(self, n, m):
+        d = random_diagonal_weights(n, m, 1e-6, seed=0)
+        with pytest.raises(SizeLimitExceeded, match="1024 cells"):
+            materialize_dense_system(n, m, d, 1e-2)
+
+    @pytest.mark.parametrize("n, m", [(32, 33), (10**6, 10**6)])
+    def test_report_refuses_before_drawing_weights(self, monkeypatch, n, m):
+        def refuse(*args):
+            raise AssertionError("weights drawn above the cell limit")
+
+        monkeypatch.setattr(diagnostics, "random_diagonal_weights", refuse)
+        with pytest.raises(SizeLimitExceeded, match="1024 cells"):
+            conditioning_report(n, m, 1e-6, 1e-2, seed=0)
 
 
 class TestPositiveEigenvalues:

@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -416,6 +417,27 @@ class TestObservability:
         res = unwrap(np.full((5, 6), 1.25))
         assert all(rec.cg_rel_residual == 0.0 for rec in res.trace.records)
         assert all(rec.cg_converged for rec in res.trace.records)
+
+
+class TestLargeGrid:
+    def test_noisy_non_square_grid_with_residues(self):
+        # the residues give PCG real work, unlike criterion 09's zero right-hand
+        # side; 4096 x 256 would cost about 10x, as the dense DCT costs n^2 m
+        sigma = 0.6
+        spec = SceneSpec("gaussian-bumps", 1024, 256, amplitude=10.0, feature_scale=28.0, seed=1)
+        truth = generate_scene(spec)
+        x = add_phase_noise(wrap_scene(truth), sigma, seed=7)
+        g = wrapped_gradients(x)
+        curl = g.v[:, :-1] + g.h[1:] - g.v[:, 1:] - g.h[:-1]
+        assert np.count_nonzero(np.abs(curl) > np.pi) > 0
+        t0 = time.perf_counter()
+        res = unwrap(x)
+        elapsed = time.perf_counter() - t0
+        h = res.trace.h_values()
+        assert all(b <= a * (1 + 1e-12) for a, b in zip(h, h[1:]))
+        assert res.stop_reason == "heuristic"
+        assert shift_error(res.u, truth).rmse <= 1.2 * sigma
+        assert elapsed <= 60.0
 
 
 def _noisy_bumps(rows, cols):

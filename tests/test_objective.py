@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from phaseirls import kernels
+from phaseirls.diagnostics import materialize_dense_system
 from phaseirls.objective import (
     ModelParams,
     candidate_step,
@@ -16,7 +17,6 @@ from phaseirls.operators import (
     SystemVector,
     apply_system,
     build_rhs,
-    materialize_dense_system,
 )
 from phaseirls.phase import ArcField, WeightField
 

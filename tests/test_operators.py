@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 
 from phaseirls import kernels
+from phaseirls.diagnostics import SizeLimitExceeded, materialize_dense_system
 from phaseirls.operators import (
-    SizeLimitExceeded,
     SystemVector,
     apply_system,
     build_reduced_rhs,
     build_rhs,
-    materialize_dense_system,
     recover_slacks,
     reduced_weights,
 )

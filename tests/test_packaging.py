@@ -168,3 +168,42 @@ def test_readme_trace_schema_is_the_iteration_record():
     from phaseirls.irls import IterationRecord
 
     assert readme_trace_keys() == [f.name for f in dataclasses.fields(IterationRecord)]
+
+
+# numpy calls that form or factor a dense matrix; np.linalg.norm and the
+# preconditioner's np.outer DCT basis are vector work and stay allowed
+DENSE_CALLS = {
+    f"np.{name}" for name in ("kron", "block", "eye", "identity", "diag")
+} | {
+    f"np.linalg.{name}"
+    for name in ("eig", "eigh", "eigvals", "eigvalsh", "inv", "pinv", "solve", "lstsq")
+}
+
+
+def _dotted(node):
+    """``a.b.c`` for a chain of attribute reads on a name, else None."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if not isinstance(node, ast.Name):
+        return None
+    return ".".join([node.id, *reversed(parts)])
+
+
+def dense_calls():
+    """``module: call`` for each dense-matrix numpy call in the package."""
+    return {
+        f"{path.stem}: {name}"
+        for path, tree in _trees(PACKAGE).items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and (name := _dotted(node.func)) in DENSE_CALLS
+    }
+
+
+def test_only_diagnostics_forms_dense_matrices():
+    calls = dense_calls()
+    assert {c for c in calls if not c.startswith("diagnostics: ")} == set()
+    # the check sees the calls it is meant to find
+    assert "diagnostics: np.kron" in calls and "diagnostics: np.linalg.eigvalsh" in calls

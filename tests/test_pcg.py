@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 from phaseirls import kernels
-from phaseirls.diagnostics import random_diagonal_weights
+from phaseirls.diagnostics import materialize_dense_system, random_diagonal_weights
 from phaseirls.objective import ModelParams
 from phaseirls.operators import (
     SystemVector,
     apply_system,
     build_reduced_rhs,
     build_rhs,
-    materialize_dense_system,
     recover_slacks,
     reduced_weights,
 )
