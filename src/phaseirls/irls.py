@@ -9,25 +9,31 @@ spectral Sylvester solve; the proposal is u with its optimal slacks.  The
 proposal is accepted only if it does at least as well as one explicit
 gradient step on the lifted objective (falling back to that step otherwise,
 which makes the sufficient-decrease condition hold at every accepted
-iterate).  That candidate step needs only the current state, so it and its
-objective value are formed before the solve, and the proposal is then written
-over the state.  The loop holds two system vectors (state and candidate),
-one scratch vector and the ``phase.ArcField`` pairs of the weights and the
-flux scratch, all allocated at set-up and passed by keyword to every
-collaborator that writes a grid.  PCG iterates in the
-state's u and the right-hand side grid, so after set-up the loop's only
-grid-sized allocations are the solve's search direction, one transform
-temporary per Sylvester apply and the two transient products inside the
-block-system apply of the gradient step.  Under
-refreshed weights the objective of the state is sum(w) plus its coupling
-penalty, so each outer iteration evaluates the lifted objective twice, for
-the candidate and for the proposal.  The CG budget and overall stopping
-follow the relative-improvement heuristic: keep the budget while weight
-updates still help, stop when they stall right after a budget increase, and
-otherwise grow the budget geometrically.
+iterate).  That candidate step needs only the current state, so it is formed
+before the solve, and the proposal is then written over the state.  Under
+fixed weights h is a convex quadratic with Hessian A, so the step x - s/L
+along the gradient s has h at least h(x) - ||s||^2/L: a proposal at or below
+that bound is accepted without evaluating the candidate, whose h is formed
+only when the bound fails.
+
+The proposal's evaluation also forms its refreshed weights and h under them
+(sum(w) plus its coupling penalty), so an accepted proposal carries both
+into the next outer iteration; ``update_weights`` and
+``eval_h_delta_refreshed`` run only at the start and after a fallback.  The
+loop holds two system vectors (state and candidate), one scratch vector and
+the ``phase.ArcField`` pairs of the weights and the flux scratch, all
+allocated at set-up and passed by keyword to every collaborator that writes
+a grid.  PCG iterates in the state's u and the right-hand side grid, so
+after set-up the loop's only grid-sized allocations are the solve's search
+direction, one transform temporary per Sylvester apply and the two
+transient products inside the block-system apply of the gradient step.  The
+CG budget and overall stopping follow the relative-improvement heuristic:
+keep the budget while weight updates still help, stop when they stall right
+after a budget increase, and otherwise grow the budget geometrically.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,6 +43,7 @@ from .objective import (
     ModelParams,
     candidate_step,
     eval_h_delta,
+    eval_h_delta_and_refresh,
     eval_h_delta_refreshed,
     lipschitz_constant,
     update_weights,
@@ -74,6 +81,11 @@ class IrlsParams:
     max_outer_iters: int = 100
 
     def __post_init__(self):
+        for name in ("max_iter_cg_start", "max_outer_iters"):
+            value = getattr(self, name)
+            # a bool is an int to Python, but no count
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if not 1 <= self.max_iter_cg_start <= MAX_CG_ITERS:
             raise ValueError(f"max_iter_cg_start must lie in [1, {MAX_CG_ITERS}]")
         if not 0 < self.rel_improvement_tol < math.inf:
@@ -192,9 +204,10 @@ def unwrap(x, c: WeightField | None = None, model: ModelParams | None = None,
     tau = model.tau
 
     # every grid of the outer loop, allocated once.  The scratch vector's slack
-    # blocks hold the candidate's d = c^2/w and then the reduced weights; its u
-    # block holds the candidate's b and then the CG map's output.  flux is the
-    # scratch of every evaluation and map apply.
+    # blocks hold the candidate's d = c^2/w, then the reduced weights and then
+    # the proposal's refreshed weights; its u block holds the candidate's b and
+    # then the CG map's output.  flux is the scratch of every evaluation and
+    # map apply.
     state = SystemVector.zeros(n, m)
     np.negative(g.v, out=state.vv)
     np.negative(g.h, out=state.vh)
@@ -210,17 +223,20 @@ def unwrap(x, c: WeightField | None = None, model: ModelParams | None = None,
     # the CG budgets of the last two outer iterations
     m_cg = m_prev = params.max_iter_cg_start
     stop_reason = "max_outer"
+    # h at the state under its refreshed weights w; None when w is not yet refreshed
+    h_state = None
 
     for k in range(params.max_outer_iters):
-        update_weights(state, c, model.delta, out=w)
+        if h_state is None:
+            update_weights(state, c, model.delta, out=w)
+            # under refreshed weights h is sum(w) plus the coupling penalty
+            h_state = eval_h_delta_refreshed(state, w, g, model, scratch=flux)
         delta_rel = None
         if k >= 1:
-            # the last record holds h at this state under the previous weights;
-            # under the refreshed ones h is sum(w) plus the coupling penalty
+            # the last record holds h at this state under the previous weights
             h_old_w = trace.records[-1].h_delta
-            h_new_w = eval_h_delta_refreshed(state, w, g, model, scratch=flux)
             # arc-free grids have an identically zero objective; nothing to improve
-            delta_rel = 0.0 if h_old_w == 0 else relative_improvement(h_old_w, h_new_w)
+            delta_rel = 0.0 if h_old_w == 0 else relative_improvement(h_old_w, h_state)
             decision = cg_budget_update(delta_rel, m_cg, m_prev, params)
             if decision.action == "stop":
                 stop_reason = "heuristic"
@@ -229,8 +245,7 @@ def unwrap(x, c: WeightField | None = None, model: ModelParams | None = None,
 
         # the candidate needs only the state, so it is formed before the solve
         # takes over the scratch vector
-        candidate_step(state, w, g, c, model, lip, out=cand, scratch=work)
-        h_cand = eval_h_delta(cand, w, g, c, model, scratch=flux)
+        _, grad_sq = candidate_step(state, w, g, c, model, lip, out=cand, scratch=work)
 
         reduced_weights(c, w, tau, out=wr, flux=flux)
         build_reduced_rhs(g, wr, out=rhs, flux=flux)
@@ -248,13 +263,24 @@ def unwrap(x, c: WeightField | None = None, model: ModelParams | None = None,
         cg_iters = outcome.iterations
         cg_converged = bool(outcome.converged)
         cg_rel_residual = outcome.residual_norms[-1] / rhs_norm if rhs_norm > 0 else 0.0
-        # the proposal: u from the solve with its optimal slacks
+        # the proposal: u from the solve with its optimal slacks; the reduced
+        # weights are spent, so the proposal's refreshed weights replace them
         recover_slacks(state.u, g, wr, tau, out=state, flux=flux)
-        h_prop = eval_h_delta(state, w, g, c, model, scratch=flux)
-        # written as a negation so that a NaN proposal value also falls back
-        fallback = not h_prop <= h_cand
+        h_prop, h_next = eval_h_delta_and_refresh(state, w, g, c, model, refreshed=wr, scratch=flux)
+        # the candidate's h is at least h_state - grad_sq / lip, so a proposal
+        # at or below that bound beats it.  Both tests are written as negations
+        # so that a NaN proposal value also falls back
+        fallback = not h_prop <= h_state - grad_sq / lip
+        if fallback:
+            h_cand = eval_h_delta(cand, w, g, c, model, scratch=flux)
+            fallback = not h_prop <= h_cand
         if fallback:
             state, cand = cand, state
+            h_state = None
+        else:
+            for dst, src in zip(w, wr):
+                np.copyto(dst, src)
+            h_state = h_next
         # h only sees differences of u, so centring changes it by round-off alone
         state.u -= state.u.mean()
 

@@ -9,10 +9,15 @@ weights its value is sum(w) plus the penalties (``eval_h_delta_refreshed``).
 
 The safeguard compares the inner solve's proposal with one explicit gradient
 step on the lifted quadratic.  That candidate needs only the current iterate
-and its weights, so ``irls.unwrap`` forms it and its h before the solve and
-then writes the proposal over the iterate.  The weights c, the auxiliary
+and its weights, so ``irls.unwrap`` forms it before the solve and then writes
+the proposal over the iterate.  ``candidate_step`` also returns the squared
+norm of the gradient it stepped along, which bounds the candidate's h from
+below, so the candidate's own h is needed only when the proposal misses that
+bound.  ``eval_h_delta_and_refresh`` evaluates the proposal and, from the
+same smoothed squares and penalty, its refreshed weights and h under them,
+which the next outer iteration starts from.  The weights c, the auxiliary
 weights w and the wrapped gradients g are ``phase.ArcField`` pairs (v, h).
-``update_weights``, ``eval_h_delta`` and ``candidate_step`` write into
+``update_weights``, the h evaluations and ``candidate_step`` write into
 ``out=``/``scratch=`` buffers the caller owns, so that loop reuses its grids;
 only ``eval_f`` and ``eval_f_delta``, the paper's two objectives, allocate
 their own.
@@ -34,6 +39,7 @@ __all__ = [
     "eval_f_delta",
     "eval_h_delta",
     "eval_h_delta_refreshed",
+    "eval_h_delta_and_refresh",
     "update_weights",
     "lipschitz_constant",
     "candidate_step",
@@ -88,6 +94,25 @@ def eval_f_delta(x, g, c, p):
     return eval_h_delta_refreshed(x, w, g, p, scratch=ArcField.empty(*x.shape))
 
 
+def _lifted_terms(x, w, c, p, *, squares, scratch):
+    """Sum over the arcs of ((c v)^2 + delta^2) / (2 w) + w / 2.
+
+    The smoothed squares (c v)^2 + delta^2 are left in ``squares``, which may
+    be ``scratch`` itself; the terms are formed in ``scratch``.
+    """
+    half_delta = 0.5 * p.delta
+    if any(ww.size and ww.min() < half_delta for ww in w):
+        raise ValueError("auxiliary weights must be >= delta/2")
+    d2 = p.delta * p.delta
+    h = 0.0
+    for cc, v, ww, sq, s in zip(c, (x.vv, x.vh), w, squares, scratch):
+        _smoothed_squares(cc, v, d2, sq)
+        np.divide(sq, ww, out=s)
+        s += ww
+        h += 0.5 * float(np.sum(s))
+    return h
+
+
 def eval_h_delta(x, w, g, c, p, *, scratch):
     """Lifted objective with explicit auxiliary weights.
 
@@ -95,17 +120,27 @@ def eval_h_delta(x, w, g, c, p, *, scratch):
     and upper-bounds it for any feasible ``w``.  ``scratch`` is a pair of
     grids shaped like (vv, vh) that every arc-sized temporary is written into.
     """
-    half_delta = 0.5 * p.delta
-    if any(ww.size and ww.min() < half_delta for ww in w):
-        raise ValueError("auxiliary weights must be >= delta/2")
-    d2 = p.delta * p.delta
-    h = 0.0
-    for cc, v, ww, s in zip(c, (x.vv, x.vh), w, scratch):
-        _smoothed_squares(cc, v, d2, s)
-        s /= ww
-        s += ww
-        h += 0.5 * float(np.sum(s))
+    h = _lifted_terms(x, w, c, p, squares=scratch, scratch=scratch)
     return h + _penalty_terms(x, g, p.tau, scratch=scratch)
+
+
+def eval_h_delta_and_refresh(x, w, g, c, p, *, refreshed, scratch):
+    """``eval_h_delta`` of ``x`` under ``w``, and h of ``x`` under its refreshed weights.
+
+    Writes ``update_weights(x, c, p.delta)`` into the pair ``refreshed`` and
+    returns ``(h, h_refreshed)``, each bit-equal to its separate evaluation:
+    ``eval_h_delta(x, w, ...)`` and ``eval_h_delta_refreshed(x, refreshed, ...)``.
+    The refreshed weights are the square roots of the smoothed squares that
+    h already forms, and both values share one coupling penalty.
+    ``refreshed`` may alias neither ``w`` nor ``scratch``, the pair of grids
+    of ``eval_h_delta``.
+    """
+    h = _lifted_terms(x, w, c, p, squares=refreshed, scratch=scratch)
+    penalty = _penalty_terms(x, g, p.tau, scratch=scratch)
+    rv, rh = refreshed
+    np.sqrt(rv, out=rv)
+    np.sqrt(rh, out=rh)
+    return h + penalty, float(np.sum(rv)) + float(np.sum(rh)) + penalty
 
 
 def eval_h_delta_refreshed(x, w, g, p, *, scratch):
@@ -151,7 +186,9 @@ def candidate_step(x, w, g, c, p, lipschitz, *, out, scratch):
 
     Writes the step into the SystemVector ``out`` and uses the SystemVector
     ``scratch`` for the diagonal weights and the right-hand side; neither may
-    alias ``x`` or the other.
+    alias ``x`` or the other.  Returns ``out`` and the squared norm
+    ``||A x - b||^2`` of the gradient.  As the Hessian A is positive
+    semidefinite, h at the step is at least h(x) minus that norm over L.
     """
     if lipschitz <= 0:
         raise ValueError(f"lipschitz constant must be positive, got {lipschitz}")
@@ -164,6 +201,7 @@ def candidate_step(x, w, g, c, p, lipschitz, *, out, scratch):
         o /= ww
     apply_system(x, d, p.tau, out=out)
     out.data -= build_rhs(g, p.tau, out=scratch).data
+    grad_sq = float(np.vdot(out.data, out.data))
     out.data *= -1.0 / lipschitz
     out.data += x.data
-    return out
+    return out, grad_sq

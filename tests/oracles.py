@@ -7,21 +7,30 @@ adapter that runs the solver's array PCG on the full block system;
 ``weights_of``, ``h_delta_of`` and ``step_of``, which call the solver's
 weight update, lifted objective and gradient step with new buffers;
 ``sufficient_decrease_holds``, which compares against that gradient step;
-and the outer-loop replays at the end, which rerun ``unwrap`` to recover the
-states it held.
+the outer-loop replays at the end, which rerun ``unwrap`` to recover the
+states it held; and ``unwrap_eager_safeguard``, the outer loop written out
+with the candidate's h evaluated at every iteration.
 """
 
 import numpy as np
 
-from phaseirls import irls
-from phaseirls.irls import IrlsParams, unwrap
+from phaseirls import irls, kernels, preconditioner
+from phaseirls.irls import (
+    CG_REL_TOL,
+    IrlsParams,
+    IterationRecord,
+    cg_budget_update,
+    relative_improvement,
+    unwrap,
+)
 from phaseirls.objective import (
     candidate_step,
     eval_h_delta,
+    eval_h_delta_refreshed,
     lipschitz_constant,
     update_weights,
 )
-from phaseirls.operators import SystemVector
+from phaseirls.operators import SystemVector, build_reduced_rhs, reduced_weights
 from phaseirls.pcg import pcg_solve
 from phaseirls.phase import ArcField, WeightField, wrapped_gradients
 
@@ -93,9 +102,10 @@ def h_delta_of(x, w, g, c, p):
 def step_of(x, w, g, c, p, lipschitz):
     """``candidate_step`` from ``x`` written into a new vector."""
     n, m = x.shape
-    return candidate_step(
+    step, _ = candidate_step(
         x, w, g, c, p, lipschitz, out=SystemVector.zeros(n, m), scratch=SystemVector.zeros(n, m)
     )
+    return step
 
 
 def arc_count(n, m):
@@ -333,3 +343,83 @@ def spoil_proposals(monkeypatch):
         return out
 
     monkeypatch.setattr(irls, "recover_slacks", spoiled)
+
+
+def stall_proposals(monkeypatch):
+    """Make every proposal of ``unwrap`` its own state: no CG iteration, slacks kept.
+
+    From a state that is not stationary the gradient step lowers h, so each
+    such proposal loses to it, though its h is no more than the state's.
+    """
+    solve = irls.pcg_solve
+    monkeypatch.setattr(irls, "pcg_solve", lambda **kwargs: solve(**{**kwargs, "max_iters": 0}))
+    monkeypatch.setattr(irls, "recover_slacks", lambda u, g, wr, tau, *, out, flux: out)
+
+
+def unwrap_eager_safeguard(x, c, model, params=IrlsParams()):
+    """The outer loop of ``unwrap``, evaluating the candidate's h at every iteration.
+
+    Each iteration refreshes the weights of its state, forms the gradient
+    step and its h, and accepts the PCG proposal only if its h is at most the
+    step's; no bound stands in for that comparison.  The arithmetic of every
+    array is that of ``unwrap``, each in new grids.  The solve and the slack
+    recovery are looked up in ``irls``, so ``spoil_proposals`` and
+    ``stall_proposals`` reach this loop too.  Returns the final state and the
+    ``IterationRecord`` list.
+    """
+    g = wrapped_gradients(x)
+    n, m = g.shape
+    lip = lipschitz_constant(c, model)
+    cache = preconditioner.build_spectral_cache(n, m)
+    tau = model.tau
+    state = SystemVector(np.zeros((n, m)), -g.v, -g.h)
+    records = []
+    m_cg = m_prev = params.max_iter_cg_start
+    for k in range(params.max_outer_iters):
+        w = weights_of(state, c, model.delta)
+        delta_rel = None
+        if k >= 1:
+            h_old = records[-1].h_delta
+            h_new = eval_h_delta_refreshed(state, w, g, model, scratch=arc_grids(n, m))
+            delta_rel = 0.0 if h_old == 0 else relative_improvement(h_old, h_new)
+            decision = cg_budget_update(delta_rel, m_cg, m_prev, params)
+            if decision.action == "stop":
+                break
+            m_prev, m_cg = m_cg, decision.m_cg
+        cand = step_of(state, w, g, c, model, lip)
+        h_cand = h_delta_of(cand, w, g, c, model)
+
+        flux = arc_grids(n, m)
+        wr = reduced_weights(c, w, tau, out=ArcField(*arc_grids(n, m)), flux=flux)
+        rhs = build_reduced_rhs(g, wr, out=np.empty((n, m)), flux=flux)
+        rhs_norm = np.linalg.norm(rhs)
+        ap, z = np.empty((n, m)), np.empty((n, m))
+        prop = state.copy()
+        outcome = irls.pcg_solve(
+            apply_a=lambda v: kernels.weighted_laplacian(v, *wr, *flux, ap),
+            apply_m=lambda r: preconditioner.sylvester_solve(r, tau, cache, out=z),
+            b=rhs,
+            x=prop.u,
+            max_iters=m_cg,
+            rel_tol=CG_REL_TOL,
+        )
+        irls.recover_slacks(prop.u, g, wr, tau, out=prop, flux=flux)
+        h_prop = h_delta_of(prop, w, g, c, model)
+        fallback = not h_prop <= h_cand
+        state = cand if fallback else prop
+        state.u -= state.u.mean()
+        records.append(
+            IterationRecord(
+                k=k,
+                m_cg=m_cg,
+                delta_rel=delta_rel,
+                h_delta=h_cand if fallback else h_prop,
+                cg_iters=outcome.iterations,
+                fallback=fallback,
+                cg_converged=bool(outcome.converged),
+                cg_rel_residual=float(
+                    outcome.residual_norms[-1] / rhs_norm if rhs_norm > 0 else 0.0
+                ),
+            )
+        )
+    return state, records

@@ -46,8 +46,10 @@ from oracles import (
     random_weights,
     safeguard_bound_holds,
     spoil_proposals,
+    stall_proposals,
     step_of,
     unstack_system,
+    unwrap_eager_safeguard,
     vec,
     weights_of,
 )
@@ -96,6 +98,18 @@ class TestBudgetRules:
     def test_rejects_bad_budget(self):
         with pytest.raises(ValueError):
             cg_budget_update(1e-4, 0, 0, DEFAULTS)
+
+    @pytest.mark.parametrize("field", ["max_iter_cg_start", "max_outer_iters"])
+    @pytest.mark.parametrize("value", [2.5, math.inf, math.nan, 3.0, True])
+    def test_rejects_counts_that_are_not_integers(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            IrlsParams(**{field: value})
+
+    @pytest.mark.parametrize("field", ["max_iter_cg_start", "max_outer_iters"])
+    def test_accepts_numpy_integer_counts(self, field):
+        spec = SceneSpec("gaussian-bumps", 8, 8, amplitude=3.0, feature_scale=3.0, seed=1)
+        x = wrap_scene(generate_scene(spec))
+        assert unwrap(x, params=IrlsParams(**{field: np.int64(3)})).trace.records
 
     def test_start_budget_above_cap_is_rejected(self):
         IrlsParams(max_iter_cg_start=MAX_CG_ITERS)
@@ -293,10 +307,11 @@ class TestUnwrap:
         monkeypatch.setattr(irls, "eval_h_delta", counting)
         spec = SceneSpec("gaussian-bumps", 32, 32, amplitude=5.0, feature_scale=7.0, seed=3)
         res = unwrap(wrap_scene(generate_scene(spec)))
-        # stopped by the budget heuristic, so the last pass evaluated only h(w_new)
+        # stopped by the budget heuristic, not by the outer cap
         assert len(res.trace) < DEFAULTS.max_outer_iters
-        # the candidate and the proposal; h at the state under refreshed weights is sum(w) + penalty
-        assert len(calls) <= 2 * len(res.trace)
+        # the proposal's h and its refreshed weights come from one fused evaluation, and
+        # the candidate's h only when the proposal misses the gradient-step lower bound
+        assert len(calls) < len(res.trace)
 
     def test_delta_rel_is_the_refresh_gain_at_each_state(self):
         spec = SceneSpec("gaussian-bumps", 24, 31, amplitude=5.0, feature_scale=6.0, seed=4)
@@ -379,6 +394,63 @@ class TestUnwrap:
         h = longer.trace.h_values()
         assert len(h) >= 2
         assert all(nxt <= prev * (1 + 1e-12) for prev, nxt in zip(h, h[1:]))
+
+
+def _eager_scene_clean():
+    spec = SceneSpec("gaussian-bumps", 64, 64, amplitude=6.0, feature_scale=10.0, seed=0)
+    x = wrap_scene(generate_scene(spec))
+    return x, WeightField.uniform(*x.shape)
+
+
+def _eager_scene_residues():
+    spec = SceneSpec("gaussian-bumps", 48, 40, amplitude=8.0, feature_scale=8.0, seed=2)
+    x = add_phase_noise(wrap_scene(generate_scene(spec)), 0.6, seed=3)
+    rng_local = np.random.Generator(np.random.Philox(key=np.uint64(26)))
+    n, m = x.shape
+    c = WeightField(
+        rng_local.uniform(0.1, 1.1, (n - 1, m)), rng_local.uniform(0.1, 1.1, (n, m - 1))
+    )
+    return x, c
+
+
+def _criterion_07_scene():
+    spec = SceneSpec("gaussian-bumps", 64, 64, amplitude=6.0, feature_scale=10.0, seed=0)
+    x = add_phase_noise(wrap_scene(generate_scene(spec)), 0.3, 1000)
+    return x, WeightField.uniform(*x.shape)
+
+
+class TestEagerSafeguard:
+    """``unwrap`` takes the same steps as the loop that evaluates every candidate's h."""
+
+    @pytest.mark.parametrize(
+        "scene, residues, spoil",
+        [
+            (_eager_scene_clean, False, None),
+            (_eager_scene_residues, True, None),
+            (_criterion_07_scene, False, spoil_proposals),
+            # each proposal is within the gradient-step bound of its state's h
+            # yet loses to the step, which a too-loose bound would not see
+            (_criterion_07_scene, False, stall_proposals),
+        ],
+        ids=["residue-free", "residues-weighted", "spoiled", "stalled"],
+    )
+    def test_matches_the_eager_safeguard(self, monkeypatch, scene, residues, spoil):
+        x, c = scene()
+        g = wrapped_gradients(x)
+        curl = g.v[:, :-1] + g.h[1:] - g.v[:, 1:] - g.h[:-1]
+        assert (np.count_nonzero(np.abs(curl) > np.pi) > 0) == residues
+        if spoil is not None:
+            spoil(monkeypatch)
+        model = ModelParams()
+        res = unwrap(x, c, model)
+        state, records = unwrap_eager_safeguard(x, c, model)
+        for got, want in ((res.u, state.u), (res.vv, state.vv), (res.vh, state.vh)):
+            assert got.tobytes() == want.tobytes()
+        assert len(res.trace.records) == len(records)
+        for got, want in zip(res.trace.records, records):
+            assert (got.cg_iters, got.fallback) == (want.cg_iters, want.fallback)
+            assert got.h_delta == pytest.approx(want.h_delta, rel=1e-12)
+        assert all(r.fallback for r in records) == (spoil is not None)
 
 
 class TestObservability:

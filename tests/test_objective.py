@@ -9,6 +9,7 @@ from phaseirls.objective import (
     eval_f,
     eval_f_delta,
     eval_h_delta,
+    eval_h_delta_and_refresh,
     eval_h_delta_refreshed,
     lipschitz_constant,
     update_weights,
@@ -159,6 +160,38 @@ class TestEvalHDeltaRefreshed:
             assert got == pytest.approx(h_delta_of(x, w, g, c, p), rel=1e-14)
 
 
+class TestEvalHDeltaAndRefresh:
+    @pytest.mark.parametrize("shape", [(6, 7), (1, 6), (6, 1), (1, 1)])
+    def test_bit_equal_to_the_separate_evaluations(self, rng, shape):
+        n, m = shape
+        p = ModelParams(tau=0.05, delta=1e-3)
+        for _ in range(10):
+            x = random_state(rng, n, m)
+            g = random_gradients(rng, n, m)
+            c = weights_with_cut_arcs(rng, n, m)
+            w = feasible_weights(rng, n, m, p.delta)
+            refreshed = ArcField(*arc_grids(n, m, np.nan))
+            h, h_refreshed = eval_h_delta_and_refresh(
+                x, w, g, c, p, refreshed=refreshed, scratch=arc_grids(n, m, np.nan)
+            )
+            assert h == h_delta_of(x, w, g, c, p)
+            fresh = weights_of(x, c, p.delta)
+            for got, want in zip(refreshed, fresh):
+                assert got.tobytes() == want.tobytes()
+            assert h_refreshed == eval_h_delta_refreshed(x, fresh, g, p, scratch=arc_grids(n, m))
+
+    def test_rejects_infeasible_weights(self, rng):
+        n, m = 3, 4
+        p = ModelParams(delta=1e-2)
+        x = random_state(rng, n, m)
+        w = ArcField(*arc_grids(n, m, p.delta / 4))
+        with pytest.raises(ValueError, match="delta/2"):
+            eval_h_delta_and_refresh(
+                x, w, random_gradients(rng, n, m), random_weights(rng, n, m), p,
+                refreshed=ArcField(*arc_grids(n, m)), scratch=arc_grids(n, m),
+            )
+
+
 def weights_with_cut_arcs(rng, n, m):
     """Random arc weights with about a third of the arcs at weight zero."""
     c = random_weights(rng, n, m)
@@ -195,7 +228,11 @@ class TestReusedBuffers:
 
         lip = lipschitz_constant(c, p)
         out, scratch = nan_vector(n, m), nan_vector(n, m)
-        assert candidate_step(x, w, g, c, p, lip, out=out, scratch=scratch) is out
+        step, grad_sq = candidate_step(x, w, g, c, p, lip, out=out, scratch=scratch)
+        assert step is out
+        assert grad_sq == candidate_step(
+            x, w, g, c, p, lip, out=SystemVector.zeros(n, m), scratch=SystemVector.zeros(n, m)
+        )[1]
         assert out.data.tobytes() == step_of(x, w, g, c, p, lip).data.tobytes()
         # the step as it was first written: x - (A x - b) / L with new grids throughout
         d = ArcField(c.v * c.v / w.v, c.h * c.h / w.h)
@@ -293,6 +330,31 @@ class TestCandidateStep:
         diff = stepped.copy()
         diff.data -= x_star.data
         assert np.linalg.norm(diff.data) < 1e-10 * max(1.0, np.linalg.norm(x_star.data))
+
+    @pytest.mark.parametrize("shape", [(4, 5), (1, 6), (6, 1), (3, 3)])
+    def test_returns_the_squared_norm_of_the_dense_gradient(self, rng, shape):
+        n, m = shape
+        p = ModelParams(tau=0.05, delta=1e-3)
+        c = random_weights(rng, n, m)
+        g = random_gradients(rng, n, m)
+        x = random_state(rng, n, m)
+        w = feasible_weights(rng, n, m, p.delta)
+        a = materialize_dense_system(n, m, ArcField(c.v**2 / w.v, c.h**2 / w.h), p.tau)
+        from oracles import dense_s, dense_t, vec
+
+        b = np.concatenate(
+            [
+                vec(dense_s(n).T @ g.v + g.h @ dense_t(m).T) / p.tau,
+                -vec(g.v) / p.tau,
+                -vec(g.h) / p.tau,
+            ]
+        )
+        grad = a @ stack_system(x) - b
+        _, grad_sq = candidate_step(
+            x, w, g, c, p, lipschitz_constant(c, p),
+            out=SystemVector.zeros(n, m), scratch=SystemVector.zeros(n, m),
+        )
+        assert grad_sq == pytest.approx(float(grad @ grad), rel=1e-12)
 
     def test_gradient_matches_central_differences(self, rng):
         n, m = 4, 5
