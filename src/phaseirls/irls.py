@@ -14,7 +14,10 @@ before the solve, and the proposal is then written over the state.  Under
 fixed weights h is a convex quadratic with Hessian A, so the step x - s/L
 along the gradient s has h at least h(x) - ||s||^2/L: a proposal at or below
 that bound is accepted without evaluating the candidate, whose h is formed
-only when the bound fails.
+only when the bound fails.  The gradient s is the residual A x - b in
+residual form, which ``kernels.apply_system_blocks`` computes from the
+coupling residual K u - g - v with the data g; ``operators.build_rhs`` and
+``operators.apply_system`` are off the solve path.
 
 The proposal's evaluation also forms its refreshed weights and h under them
 (sum(w) plus its coupling penalty), so an accepted proposal carries both
@@ -205,9 +208,8 @@ def unwrap(x, c: WeightField | None = None, model: ModelParams | None = None,
 
     # every grid of the outer loop, allocated once.  The scratch vector's slack
     # blocks hold the candidate's d = c^2/w, then the reduced weights and then
-    # the proposal's refreshed weights; its u block holds the candidate's b and
-    # then the CG map's output.  flux is the scratch of every evaluation and
-    # map apply.
+    # the proposal's refreshed weights; its u block holds the CG map's output.
+    # flux is the scratch of every evaluation and map apply.
     state = SystemVector.zeros(n, m)
     np.negative(g.v, out=state.vv)
     np.negative(g.h, out=state.vh)
@@ -243,9 +245,9 @@ def unwrap(x, c: WeightField | None = None, model: ModelParams | None = None,
                 break
             m_prev, m_cg = m_cg, decision.m_cg
 
-        # the candidate needs only the state, so it is formed before the solve
-        # takes over the scratch vector
-        _, grad_sq = candidate_step(state, w, g, c, model, lip, out=cand, scratch=work)
+        # the candidate needs only the state, so it is formed before the
+        # reduced weights and the solve take over the scratch vector
+        _, grad_sq = candidate_step(state, w, g, c, model, lip, out=cand, scratch=wr)
 
         reduced_weights(c, w, tau, out=wr, flux=flux)
         build_reduced_rhs(g, wr, out=rhs, flux=flux)

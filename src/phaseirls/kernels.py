@@ -4,8 +4,11 @@
 pair of the package: they write into arc and pixel grids the caller provides
 and allocate no grid-sized array.  The conjugate gradient loop of
 ``irls.unwrap`` calls ``weighted_laplacian``, the map of the reduced system
-in u, once per iteration; ``apply_system_blocks`` is the map of the full
-(u, vv, vh) block system.  Both are built from that pair, and the only
+in u, once per iteration.  ``apply_system_blocks`` is the residual A x - b of
+the full (u, vv, vh) block system for the data g, formed from the coupling
+residuals K u - g - v; with the data g it is the gradient of the safeguard
+step (``objective.candidate_step``), and with g = 0 the block map
+``operators.apply_system``.  Both maps are built from that pair, and the only
 grid-sized temporaries of ``apply_system_blocks`` are the products
 ``dv * vv`` and ``dh * vh``.
 ``diff_rows`` (S u), ``diff_cols`` (u T), ``adj_diff_rows`` and
@@ -54,10 +57,18 @@ def adj_diff_cols(v):
     return out
 
 
-def apply_system_blocks(u, vv, vh, dv, dh, inv_tau, au, avv, avh):
-    # avv and avh first hold the coupling residuals S u - vv and u T - vh
+def apply_system_blocks(u, vv, vh, dv, dh, gv, gh, inv_tau, au, avv, avh):
+    """The block system's residual A x - b for the data (gv, gh), in place.
+
+    With the coupling residuals rv = S u - gv - vv and rh = u T - gh - vh,
+    au = (St rv + rh Tt) / tau, avv = dv * vv - rv / tau and likewise avh.
+    The data g = 0 gives the map A x alone.
+    """
+    # avv and avh first hold the coupling residuals
     diffs(u, avv, avh)
+    avv -= gv
     avv -= vv
+    avh -= gh
     avh -= vh
     adj_diffs(avv, avh, au)
     au *= inv_tau

@@ -10,7 +10,10 @@ weights its value is sum(w) plus the penalties (``eval_h_delta_refreshed``).
 The safeguard compares the inner solve's proposal with one explicit gradient
 step on the lifted quadratic.  That candidate needs only the current iterate
 and its weights, so ``irls.unwrap`` forms it before the solve and then writes
-the proposal over the iterate.  ``candidate_step`` also returns the squared
+the proposal over the iterate.  Its gradient is the block system's residual
+A x - b in residual form, which ``kernels.apply_system_blocks`` computes from
+the coupling residual K u - g - v with the data g, so the step builds neither
+A x nor ``operators.build_rhs``.  ``candidate_step`` also returns the squared
 norm of the gradient it stepped along, which bounds the candidate's h from
 below, so the candidate's own h is needed only when the proposal misses that
 bound.  ``eval_h_delta_and_refresh`` evaluates the proposal and, from the
@@ -30,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .operators import SystemVector, apply_system, build_rhs
+from .operators import SystemVector
 from .phase import ArcField
 
 __all__ = [
@@ -184,23 +187,24 @@ def lipschitz_constant(c, p):
 def candidate_step(x, w, g, c, p, lipschitz, *, out, scratch):
     """Explicit gradient step with stepsize 1/L on the lifted quadratic.
 
-    Writes the step into the SystemVector ``out`` and uses the SystemVector
-    ``scratch`` for the diagonal weights and the right-hand side; neither may
-    alias ``x`` or the other.  Returns ``out`` and the squared norm
-    ``||A x - b||^2`` of the gradient.  As the Hessian A is positive
+    Writes the step into the SystemVector ``out``; ``scratch`` is a pair of
+    grids shaped like (vv, vh) that holds the diagonal weights d = c^2 / w.
+    Neither may alias ``x`` or the other.  Returns ``out`` and the squared norm
+    ``||A x - b||^2`` of the gradient.  The gradient is in residual form:
+    with the coupling residual r = K u - g - v it is (Kt r / tau, d v - r / tau),
+    which ``kernels.apply_system_blocks`` forms from the data g, so neither A x
+    nor the right-hand side b is built.  As the Hessian A is positive
     semidefinite, h at the step is at least h(x) minus that norm over L.
     """
     if lipschitz <= 0:
         raise ValueError(f"lipschitz constant must be positive, got {lipschitz}")
-    # the lifted quadratic's gradient is the block system's residual A x - b
-    # with d = c^2 / w; d fills the slack blocks of the scratch, which then
-    # holds b, and the step x - grad / L is built inside out
-    d = ArcField(scratch.vv, scratch.vh)
+    d = ArcField(*scratch)
     for cc, ww, o in zip(c, w, d):
         np.multiply(cc, cc, out=o)
         o /= ww
-    apply_system(x, d, p.tau, out=out)
-    out.data -= build_rhs(g, p.tau, out=scratch).data
+    kernels.apply_system_blocks(
+        x.u, x.vv, x.vh, d.v, d.h, g.v, g.h, 1.0 / p.tau, out.u, out.vv, out.vh
+    )
     grad_sq = float(np.vdot(out.data, out.data))
     out.data *= -1.0 / lipschitz
     out.data += x.data

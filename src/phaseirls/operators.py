@@ -13,7 +13,9 @@ u alone
 the classical weighted least squares unwrapping system (Ghiglia & Romero,
 JOSA A 11(1), 1994).  The solver runs its conjugate gradient on this system,
 whose map is ``kernels.weighted_laplacian`` with the weights W; the block map
-stays as the paper's formulation and as the gradient of the safeguard step.
+and ``build_rhs`` stay as the paper's formulation and are off the solve path,
+whose safeguard step takes the residual A x - b from
+``kernels.apply_system_blocks`` directly.
 The gradients g, the weights c and w, and the diagonals d and W are
 ``phase.ArcField`` pairs (v, h).  Each map writes into buffers its caller
 owns, passed by keyword: ``out`` and, for the reduced system, ``flux``, a
@@ -107,8 +109,9 @@ def apply_system(x, d, tau, *, out):
     """
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
+    # the residual for the data g = 0; x - 0.0 == x, so this is A x bit for bit
     kernels.apply_system_blocks(
-        x.u, x.vv, x.vh, d.v, d.h, 1.0 / tau, out.u, out.vv, out.vh
+        x.u, x.vv, x.vh, d.v, d.h, 0.0, 0.0, 1.0 / tau, out.u, out.vv, out.vh
     )
     return out
 

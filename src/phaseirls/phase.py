@@ -127,11 +127,15 @@ def wrap_to_principal(x, lo=-np.pi):
     arr = np.asarray(x, dtype=np.float64)
     if not np.all(np.isfinite(arr)):
         raise ValueError("cannot wrap non-finite values")
-    k = np.floor((arr - lo) / TWO_PI)
-    y = arr - TWO_PI * k
+    # y = arr - 2*pi * floor((arr - lo) / 2*pi), each step in the one buffer y
+    y = np.subtract(arr, lo, out=np.empty_like(arr))
+    y /= TWO_PI
+    np.floor(y, out=y)
+    y *= TWO_PI
+    np.subtract(arr, y, out=y)
     # floor may land one period off when (x - lo) sits on a multiple of 2*pi
-    y = np.where(y >= lo + TWO_PI, y - TWO_PI, y)
-    y = np.where(y < lo, y + TWO_PI, y)
+    np.subtract(y, TWO_PI, out=y, where=y >= lo + TWO_PI)
+    np.add(y, TWO_PI, out=y, where=y < lo)
     if np.isscalar(x) or arr.ndim == 0:
         return float(y)
     return y

@@ -66,7 +66,12 @@ def _eig_neumann(n):
     """
     k = np.arange(n)
     vals = 4.0 * np.sin(np.pi * k / (2 * n)) ** 2
-    vecs = np.sqrt(2.0 / n) * np.cos(np.pi * np.outer(np.arange(n) + 0.5, k) / n)
+    # sqrt(2/n) cos(pi (i + 1/2) k / n), each step in the one buffer vecs
+    vecs = np.outer(np.arange(n) + 0.5, k)
+    np.multiply(np.pi, vecs, out=vecs)
+    vecs /= n
+    np.cos(vecs, out=vecs)
+    np.multiply(np.sqrt(2.0 / n), vecs, out=vecs)
     vecs[:, 0] = 1.0 / np.sqrt(n)
     return vals, vecs
 
@@ -79,7 +84,7 @@ def build_spectral_cache(n, m):
     lam_t, p_t = _eig_neumann(m)
     denom = lam_s[:, None] + lam_t[None, :]
     denom[0, 0] = 1.0
-    mult = 1.0 / denom
+    mult = np.divide(1.0, denom, out=denom)
     mult[0, 0] = 0.0
     return SpectralCache(
         lambda_s=lam_s, lambda_t=lam_t, basis_s=p_s, basis_t=p_t, multiplier=mult

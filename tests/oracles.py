@@ -8,8 +8,11 @@ adapter that runs the solver's array PCG on the full block system;
 weight update, lifted objective and gradient step with new buffers;
 ``sufficient_decrease_holds``, which compares against that gradient step;
 the outer-loop replays at the end, which rerun ``unwrap`` to recover the
-states it held; and ``unwrap_eager_safeguard``, the outer loop written out
-with the candidate's h evaluated at every iteration.
+states it held; ``unwrap_eager_safeguard``, the outer loop written out
+with the candidate's h evaluated at every iteration; and the allocating forms
+(``wrap_to_principal_allocating``, ``spectral_cache_allocating`` and
+``apply_system_without_data``), the formulas of in-place code as first
+written, which that code must match bit for bit.
 """
 
 import numpy as np
@@ -32,7 +35,8 @@ from phaseirls.objective import (
 )
 from phaseirls.operators import SystemVector, build_reduced_rhs, reduced_weights
 from phaseirls.pcg import pcg_solve
-from phaseirls.phase import ArcField, WeightField, wrapped_gradients
+from phaseirls.phase import TWO_PI, ArcField, WeightField, wrapped_gradients
+from phaseirls.preconditioner import SpectralCache
 
 
 def dense_s(n):
@@ -103,9 +107,54 @@ def step_of(x, w, g, c, p, lipschitz):
     """``candidate_step`` from ``x`` written into a new vector."""
     n, m = x.shape
     step, _ = candidate_step(
-        x, w, g, c, p, lipschitz, out=SystemVector.zeros(n, m), scratch=SystemVector.zeros(n, m)
+        x, w, g, c, p, lipschitz, out=SystemVector.zeros(n, m), scratch=arc_grids(n, m)
     )
     return step
+
+
+def wrap_to_principal_allocating(x, lo):
+    """``phase.wrap_to_principal`` of an array as first written, one new array per step."""
+    arr = np.asarray(x, dtype=np.float64)
+    k = np.floor((arr - lo) / TWO_PI)
+    y = arr - TWO_PI * k
+    y = np.where(y >= lo + TWO_PI, y - TWO_PI, y)
+    return np.where(y < lo, y + TWO_PI, y)
+
+
+def _eig_neumann_allocating(n):
+    k = np.arange(n)
+    vals = 4.0 * np.sin(np.pi * k / (2 * n)) ** 2
+    vecs = np.sqrt(2.0 / n) * np.cos(np.pi * np.outer(np.arange(n) + 0.5, k) / n)
+    vecs[:, 0] = 1.0 / np.sqrt(n)
+    return vals, vecs
+
+
+def spectral_cache_allocating(n, m):
+    """``preconditioner.build_spectral_cache`` as first written, one new array per step."""
+    lam_s, p_s = _eig_neumann_allocating(n)
+    lam_t, p_t = _eig_neumann_allocating(m)
+    denom = lam_s[:, None] + lam_t[None, :]
+    denom[0, 0] = 1.0
+    mult = 1.0 / denom
+    mult[0, 0] = 0.0
+    return SpectralCache(
+        lambda_s=lam_s, lambda_t=lam_t, basis_s=p_s, basis_t=p_t, multiplier=mult
+    )
+
+
+def apply_system_without_data(x, d, tau):
+    """``operators.apply_system`` as written before the block kernel took the data g."""
+    inv_tau = 1.0 / tau
+    rv, rh = kernels.diffs(x.u, *arc_grids(*x.shape))
+    rv -= x.vv
+    rh -= x.vh
+    au = kernels.adj_diffs(rv, rh, np.empty(x.shape))
+    au *= inv_tau
+    rv *= -inv_tau
+    rv += d.v * x.vv
+    rh *= -inv_tau
+    rh += d.h * x.vh
+    return SystemVector(au, rv, rh)
 
 
 def arc_count(n, m):

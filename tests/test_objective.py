@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from phaseirls import kernels
+from phaseirls import kernels, operators
 from phaseirls.diagnostics import materialize_dense_system
 from phaseirls.objective import (
     ModelParams,
@@ -24,6 +24,8 @@ from phaseirls.phase import ArcField, WeightField
 from oracles import (
     arc_count,
     arc_grids,
+    dense_s,
+    dense_t,
     h_delta_of,
     nan_vector,
     objective_scalar_loops,
@@ -34,12 +36,32 @@ from oracles import (
     step_of,
     sufficient_decrease_holds,
     unstack_system,
+    vec,
     weights_of,
 )
 
 
 def zero_gradients(n, m):
     return ArcField(np.zeros((n - 1, m)), np.zeros((n, m - 1)))
+
+
+def dense_rhs(g, tau):
+    """The block system's right-hand side b, from the dense difference matrices."""
+    n, m = g.shape
+    return np.concatenate(
+        [
+            vec(dense_s(n).T @ g.v + g.h @ dense_t(m).T) / tau,
+            -vec(g.v) / tau,
+            -vec(g.h) / tau,
+        ]
+    )
+
+
+def dense_gradient(x, w, g, c, p):
+    """The lifted quadratic's gradient A x - b, from the dense block matrix."""
+    n, m = x.shape
+    a = materialize_dense_system(n, m, ArcField(c.v**2 / w.v, c.h**2 / w.h), p.tau)
+    return a @ stack_system(x) - dense_rhs(g, p.tau)
 
 
 def feasible_weights(rng, n, m, delta):
@@ -227,20 +249,35 @@ class TestReusedBuffers:
         )
 
         lip = lipschitz_constant(c, p)
-        out, scratch = nan_vector(n, m), nan_vector(n, m)
-        step, grad_sq = candidate_step(x, w, g, c, p, lip, out=out, scratch=scratch)
+        out = nan_vector(n, m)
+        step, grad_sq = candidate_step(
+            x, w, g, c, p, lip, out=out, scratch=arc_grids(n, m, np.nan)
+        )
         assert step is out
         assert grad_sq == candidate_step(
-            x, w, g, c, p, lip, out=SystemVector.zeros(n, m), scratch=SystemVector.zeros(n, m)
+            x, w, g, c, p, lip, out=SystemVector.zeros(n, m), scratch=arc_grids(n, m)
         )[1]
         assert out.data.tobytes() == step_of(x, w, g, c, p, lip).data.tobytes()
-        # the step as it was first written: x - (A x - b) / L with new grids throughout
+        # the step in residual form with new grids throughout: with r = K u - g - v
+        # and d = c^2 / w the gradient is (Kt r / tau, d v - r / tau)
         d = ArcField(c.v * c.v / w.v, c.h * c.h / w.h)
-        want = apply_system(x, d, p.tau, out=SystemVector.zeros(n, m))
-        want.data -= build_rhs(g, p.tau, out=SystemVector.zeros(n, m)).data
-        want.data *= -1.0 / lip
-        want.data += x.data
-        assert out.data.tobytes() == want.data.tobytes()
+        inv_tau = 1.0 / p.tau
+        rv = np.diff(x.u, axis=0) - g.v - x.vv
+        rh = np.diff(x.u, axis=1) - g.h - x.vh
+        grad = SystemVector(
+            kernels.adj_diffs(rv, rh, np.empty((n, m))) * inv_tau,
+            rv * -inv_tau + d.v * x.vv,
+            rh * -inv_tau + d.h * x.vh,
+        )
+        want = grad.data * (-1.0 / lip) + x.data
+        assert out.data.tobytes() == want.tobytes()
+        assert grad_sq == float(np.vdot(grad.data, grad.data))
+        # the step as it was first written, x - (A x - b) / L, agrees to round-off
+        first = apply_system(x, d, p.tau, out=SystemVector.zeros(n, m))
+        first.data -= build_rhs(g, p.tau, out=SystemVector.zeros(n, m)).data
+        first.data *= -1.0 / lip
+        first.data += x.data
+        assert np.max(np.abs(out.data - first.data)) <= 1e-15 * np.max(np.abs(first.data))
 
 
 class TestUpdateWeights:
@@ -315,15 +352,7 @@ class TestCandidateStep:
         w = weights_of(x, c, p.delta)
         d = ArcField(c.v**2 / w.v, c.h**2 / w.h)
         a = materialize_dense_system(n, m, d, p.tau)
-        from oracles import dense_s, dense_t, vec
-
-        b = np.concatenate(
-            [
-                vec(dense_s(n).T @ g.v + g.h @ dense_t(m).T) / p.tau,
-                -vec(g.v) / p.tau,
-                -vec(g.h) / p.tau,
-            ]
-        )
+        b = dense_rhs(g, p.tau)
         x_star = unstack_system(np.linalg.pinv(a) @ b, n, m)
         lip = lipschitz_constant(c, p)
         stepped = step_of(x_star, w, g, c, p, lip)
@@ -339,22 +368,47 @@ class TestCandidateStep:
         g = random_gradients(rng, n, m)
         x = random_state(rng, n, m)
         w = feasible_weights(rng, n, m, p.delta)
-        a = materialize_dense_system(n, m, ArcField(c.v**2 / w.v, c.h**2 / w.h), p.tau)
-        from oracles import dense_s, dense_t, vec
-
-        b = np.concatenate(
-            [
-                vec(dense_s(n).T @ g.v + g.h @ dense_t(m).T) / p.tau,
-                -vec(g.v) / p.tau,
-                -vec(g.h) / p.tau,
-            ]
-        )
-        grad = a @ stack_system(x) - b
+        grad = dense_gradient(x, w, g, c, p)
         _, grad_sq = candidate_step(
             x, w, g, c, p, lipschitz_constant(c, p),
-            out=SystemVector.zeros(n, m), scratch=SystemVector.zeros(n, m),
+            out=SystemVector.zeros(n, m), scratch=arc_grids(n, m),
         )
         assert grad_sq == pytest.approx(float(grad @ grad), rel=1e-12)
+
+    @pytest.mark.parametrize("shape", [(1, 9), (9, 1), (1, 1), (3, 7), (16, 16)])
+    def test_is_the_dense_gradient_step(self, rng, shape):
+        n, m = shape
+        p = ModelParams(tau=0.05, delta=1e-3)
+        c = random_weights(rng, n, m, lo=0.1, hi=1.1)
+        g = random_gradients(rng, n, m)
+        x = random_state(rng, n, m)
+        w = feasible_weights(rng, n, m, p.delta)
+        lip = lipschitz_constant(c, p)
+        want = stack_system(x) - dense_gradient(x, w, g, c, p) / lip
+        got = stack_system(step_of(x, w, g, c, p, lip))
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_builds_no_right_hand_side(self, rng, monkeypatch):
+        # the gradient is the residual form: one adjoint, and b is never formed
+        n, m = 5, 6
+        p = ModelParams(tau=0.05, delta=1e-3)
+        c = random_weights(rng, n, m)
+        x = random_state(rng, n, m)
+        adjoints = []
+        adj_diffs = kernels.adj_diffs
+
+        def counted(*args):
+            adjoints.append(args)
+            return adj_diffs(*args)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the gradient step must not build the right-hand side")
+
+        monkeypatch.setattr(kernels, "adj_diffs", counted)
+        monkeypatch.setattr(operators, "build_rhs", refuse)
+        step_of(x, weights_of(x, c, p.delta), random_gradients(rng, n, m), c, p,
+                lipschitz_constant(c, p))
+        assert len(adjoints) == 1
 
     def test_gradient_matches_central_differences(self, rng):
         n, m = 4, 5
@@ -414,15 +468,7 @@ class TestSufficientDecrease:
         p, c, g, x, w = self._setup(rng, n, m)
         d = ArcField(c.v**2 / w.v, c.h**2 / w.h)
         a = materialize_dense_system(n, m, d, p.tau)
-        from oracles import dense_s, dense_t, vec
-
-        b = np.concatenate(
-            [
-                vec(dense_s(n).T @ g.v + g.h @ dense_t(m).T) / p.tau,
-                -vec(g.v) / p.tau,
-                -vec(g.h) / p.tau,
-            ]
-        )
+        b = dense_rhs(g, p.tau)
         x_star = unstack_system(np.linalg.pinv(a) @ b, n, m)
         assert sufficient_decrease_holds(x_star, x, w, g, c, p, lipschitz_constant(c, p))
 

@@ -14,6 +14,7 @@ from phaseirls.operators import (
 from phaseirls.phase import ArcField, WeightField
 
 from oracles import (
+    apply_system_without_data,
     arc_grids,
     dense_arc_map,
     dense_s,
@@ -274,6 +275,15 @@ class TestApplySystemOut:
         assert np.array_equal(got.data, apply_system(x, d, tau, out=SystemVector.zeros(n, m)).data)
         want = materialize_dense_system(n, m, d, tau) @ stack_system(x)
         assert np.max(np.abs(stack_system(got) - want)) < 1e-10
+
+    @pytest.mark.parametrize("shape", [(1, 5), (5, 1), (12, 20)])
+    def test_bit_equal_to_the_map_without_data(self, rng, shape):
+        # the block kernel subtracts the data g = 0 before vv and vh, which keeps every bit
+        n, m = shape
+        d = random_diag(rng, n, m)
+        x = random_state(rng, n, m)
+        got = apply_system(x, d, 0.03, out=nan_vector(n, m))
+        assert got.data.tobytes() == apply_system_without_data(x, d, 0.03).data.tobytes()
 
     def test_reused_out_holds_only_the_last_result(self, rng):
         n, m = 5, 4

@@ -11,6 +11,8 @@ from phaseirls.phase import (
     wrapped_gradients,
 )
 
+from oracles import wrap_to_principal_allocating
+
 
 class TestWrapToPrincipal:
     def test_boundary_maps_to_lower_edge(self):
@@ -38,6 +40,36 @@ class TestWrapToPrincipal:
             shifted = wrap_to_principal(xs + TWO_PI * k, -np.pi)
             tol = 8 * np.spacing(TWO_PI * abs(k) + np.abs(xs))
             assert np.all(np.abs(shifted - base) <= tol)
+
+    def test_bit_equal_to_the_allocating_form(self, rng):
+        k = np.arange(-40.0, 41.0)
+        hit_up = hit_down = False
+        for lo in (0.0, -np.pi):
+            edges = np.concatenate([
+                TWO_PI * k,
+                np.nextafter(lo + TWO_PI * k, -np.inf),
+                np.nextafter(lo + TWO_PI * k, np.inf),
+                # tiny negatives, whose quotient by 2*pi rounds to -0 or to a subnormal
+                -5e-324 * np.arange(1.0, 10.0),
+            ])
+            # the floor lands one period off: y < lo is moved up, y >= lo + 2*pi down
+            y = edges - TWO_PI * np.floor((edges - lo) / TWO_PI)
+            hit_up |= bool(np.any(y < lo))
+            hit_down |= bool(np.any(y >= lo + TWO_PI))
+            for xs in (rng.uniform(-50, 50, (7, 9)), edges, edges.reshape(2, -1).T):
+                got = wrap_to_principal(xs, lo)
+                assert got.shape == xs.shape
+                assert got.tobytes() == wrap_to_principal_allocating(xs, lo).tobytes()
+        assert hit_up and hit_down
+
+    @pytest.mark.parametrize("lo", [0.0, -np.pi])
+    def test_scalar_zero_d_and_empty_inputs(self, lo):
+        for x in (7.5, -7.5, np.float64(7.5), np.array(-7.5)):
+            got = wrap_to_principal(x, lo)
+            assert type(got) is float
+            assert got == float(wrap_to_principal_allocating(x, lo))
+        empty = wrap_to_principal(np.empty((0, 3)), lo)
+        assert empty.shape == (0, 3) and empty.dtype == np.float64
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):

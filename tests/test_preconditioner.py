@@ -18,6 +18,7 @@ from oracles import (
     materialize_dense_preconditioner,
     nan_vector,
     random_state,
+    spectral_cache_allocating,
     stack_system,
 )
 
@@ -44,6 +45,14 @@ class TestSpectralCache:
         sts = dense_s(n).T @ dense_s(n)
         recon = p @ np.diag(cache.lambda_s) @ p.T
         assert np.max(np.abs(recon - sts)) < 1e-10
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 1023, 1024])
+    def test_bit_equal_to_the_allocating_form(self, n):
+        for m in (1, 3, n):
+            got = build_spectral_cache(n, m)
+            want = spectral_cache_allocating(n, m)
+            for name in ("lambda_s", "lambda_t", "basis_s", "basis_t", "multiplier"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
     @pytest.mark.parametrize("n", [2, 3, 9, 33, 2048])
     def test_exactly_one_zero_eigenvalue(self, n):
