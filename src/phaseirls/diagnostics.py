@@ -9,8 +9,9 @@ vertical differences S u over the horizontal ones u T.
 The spectrum study draws random diagonal weights uniformly from
 (0, 1/delta] and compares the spectra of A and C* A C*.  C* = D^(+1/2), the
 split pseudo square root of the block preconditioner D, is built in closed
-form from the solver's own ``PreconditionerState``: sqrt(tau * multiplier) in
-the DCT-II eigenbasis on u, whose zero (0, 0) entry drops the constant mode,
+form from the solver's own ``PreconditionerState``: sqrt(tau / (lambda_s[i] +
+lambda_t[j])) in the full closed-form DCT-II eigenbasis on u, in natural mode
+order, with the (0, 0) entry set to zero to drop the constant mode,
 and one over the square roots of the slack divisors on the slacks.  Both
 matrices have the constant u mode as their only null vector, so exactly
 their smallest eigenvalue is dropped.  kappa, the ratio of the largest to the
@@ -24,7 +25,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .phase import ArcField
-from .preconditioner import build_preconditioner, build_spectral_cache
+from .preconditioner import build_preconditioner, build_spectral_cache, dct_basis
 
 __all__ = [
     "ConditioningReport",
@@ -114,8 +115,13 @@ def _cg_rate(kappa):
 def split_pseudo_sqrt(pc):
     """Dense C* = D^(+1/2) of the block preconditioner held by ``pc``, column-stacked."""
     cache = pc.cache
-    q = np.kron(cache.basis_t, cache.basis_s)
-    root = np.sqrt(pc.tau * cache.multiplier).ravel(order="F")
+    n, m = cache.lambda_s.size, cache.lambda_t.size
+    q = np.kron(dct_basis(m, np.arange(m), np.arange(m)), dct_basis(n, np.arange(n), np.arange(n)))
+    denom = cache.lambda_s[:, None] + cache.lambda_t[None, :]
+    denom[0, 0] = 1.0
+    mult = 1.0 / denom
+    mult[0, 0] = 0.0
+    root = np.sqrt(pc.tau * mult).ravel(order="F")
     slack = np.concatenate([pc.slack_v.ravel(order="F"), pc.slack_h.ravel(order="F")])
     nu = root.size
     out = np.zeros((nu + slack.size, nu + slack.size))

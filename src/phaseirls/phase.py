@@ -133,9 +133,11 @@ def wrap_to_principal(x, lo=-np.pi):
     np.floor(y, out=y)
     y *= TWO_PI
     np.subtract(arr, y, out=y)
-    # floor may land one period off when (x - lo) sits on a multiple of 2*pi
-    np.subtract(y, TWO_PI, out=y, where=y >= lo + TWO_PI)
+    # floor may land one period off when (x - lo) sits on a multiple of 2*pi.
+    # Moving up first: a tiny negative below lo = 0 gains 2*pi and rounds to
+    # exactly 2*pi, which the move down then brings to 0
     np.add(y, TWO_PI, out=y, where=y < lo)
+    np.subtract(y, TWO_PI, out=y, where=y >= lo + TWO_PI)
     if np.isscalar(x) or arr.ndim == 0:
         return float(y)
     return y

@@ -12,7 +12,9 @@ states it held; ``unwrap_eager_safeguard``, the outer loop written out
 with the candidate's h evaluated at every iteration; and the allocating forms
 (``wrap_to_principal_allocating``, ``spectral_cache_allocating`` and
 ``apply_system_without_data``), the formulas of in-place code as first
-written, which that code must match bit for bit.
+written, which that code must match bit for bit.  ``sylvester_solve_dense``
+is the Sylvester solve with the full DCT-II bases, two dense products each
+way, which the even/odd split must match to round-off.
 """
 
 import numpy as np
@@ -121,7 +123,8 @@ def wrap_to_principal_allocating(x, lo):
     return np.where(y < lo, y + TWO_PI, y)
 
 
-def _eig_neumann_allocating(n):
+def eig_neumann_allocating(n):
+    """The closed-form Neumann eigenpairs with the full n x n DCT-II basis."""
     k = np.arange(n)
     vals = 4.0 * np.sin(np.pi * k / (2 * n)) ** 2
     vecs = np.sqrt(2.0 / n) * np.cos(np.pi * np.outer(np.arange(n) + 0.5, k) / n)
@@ -129,17 +132,49 @@ def _eig_neumann_allocating(n):
     return vals, vecs
 
 
-def spectral_cache_allocating(n, m):
-    """``preconditioner.build_spectral_cache`` as first written, one new array per step."""
-    lam_s, p_s = _eig_neumann_allocating(n)
-    lam_t, p_t = _eig_neumann_allocating(m)
+def pseudo_inverse_multiplier(lam_s, lam_t):
+    """1 / (lam_s[i] + lam_t[j]) with the constant-mode (0, 0) entry zero."""
     denom = lam_s[:, None] + lam_t[None, :]
     denom[0, 0] = 1.0
     mult = 1.0 / denom
     mult[0, 0] = 0.0
+    return mult
+
+
+def even_odd_coefficients(grid):
+    """A grid of natural-order spectral coefficients, flat in the cache's order.
+
+    Rows are taken even modes then odd; the block of even column modes,
+    row-major, precedes the block of odd ones.
+    """
+    rows = np.concatenate([grid[0::2], grid[1::2]])
+    return np.concatenate([rows[:, 0::2].ravel(), rows[:, 1::2].ravel()])
+
+
+def spectral_cache_allocating(n, m):
+    """``preconditioner.build_spectral_cache`` from slices of the full bases."""
+    lam_s, p_s = eig_neumann_allocating(n)
+    lam_t, p_t = eig_neumann_allocating(m)
     return SpectralCache(
-        lambda_s=lam_s, lambda_t=lam_t, basis_s=p_s, basis_t=p_t, multiplier=mult
+        lambda_s=lam_s,
+        lambda_t=lam_t,
+        even_s=p_s[: (n + 1) // 2, 0::2],
+        odd_s=p_s[: n // 2, 1::2],
+        even_t=p_t[: (m + 1) // 2, 0::2],
+        odd_t=p_t[: m // 2, 1::2],
+        multiplier=even_odd_coefficients(pseudo_inverse_multiplier(lam_s, lam_t)),
     )
+
+
+def sylvester_solve_dense(r, tau):
+    """``preconditioner.sylvester_solve`` as two dense products each way with the full bases."""
+    n, m = r.shape
+    lam_s, p_s = eig_neumann_allocating(n)
+    lam_t, p_t = eig_neumann_allocating(m)
+    coef = (p_s.T @ r) @ p_t
+    coef *= pseudo_inverse_multiplier(lam_s, lam_t)
+    coef *= tau
+    return (p_s @ coef) @ p_t.T
 
 
 def apply_system_without_data(x, d, tau):

@@ -49,7 +49,7 @@ def make_problem(rng, n, m, seed=0):
 
 def reduced_maps(wr, cache):
     """The reduced map and the Sylvester preconditioner, each writing into one grid."""
-    n, m = cache.multiplier.shape
+    n, m = cache.lambda_s.size, cache.lambda_t.size
     ap, z, flux = np.empty((n, m)), np.empty((n, m)), arc_grids(n, m)
     return (
         lambda v: kernels.weighted_laplacian(v, wr.v, wr.h, *flux, ap),

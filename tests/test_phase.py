@@ -59,8 +59,23 @@ class TestWrapToPrincipal:
             for xs in (rng.uniform(-50, 50, (7, 9)), edges, edges.reshape(2, -1).T):
                 got = wrap_to_principal(xs, lo)
                 assert got.shape == xs.shape
-                assert got.tobytes() == wrap_to_principal_allocating(xs, lo).tobytes()
+                want = wrap_to_principal_allocating(xs, lo)
+                # the first form moved down before up, so a tiny negative whose
+                # quotient rounds to -0 came out at exactly lo + 2*pi; it alone
+                # takes one more move down
+                above = want >= lo + TWO_PI
+                assert np.all(xs[above] < 0) and np.all(xs[above] > -1e-300)
+                want[above] -= TWO_PI
+                assert got.tobytes() == want.tobytes()
         assert hit_up and hit_down
+
+    @pytest.mark.parametrize("lo", [0.0, -np.pi])
+    def test_tiny_negatives_land_in_range(self, lo):
+        xs = np.array([-5e-324, -np.finfo(float).tiny, -1e-17])
+        for got in (wrap_to_principal(xs, lo), [wrap_to_principal(x, lo) for x in xs]):
+            assert np.all(lo <= np.asarray(got)) and np.all(np.asarray(got) < lo + TWO_PI)
+        if lo == 0.0:
+            assert wrap_to_principal(-5e-324, lo) == 0.0
 
     @pytest.mark.parametrize("lo", [0.0, -np.pi])
     def test_scalar_zero_d_and_empty_inputs(self, lo):

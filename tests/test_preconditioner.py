@@ -15,12 +15,31 @@ from phaseirls.synth import SceneSpec, generate_scene, wrap_scene
 from oracles import (
     dense_s,
     dense_t,
+    eig_neumann_allocating,
+    even_odd_coefficients,
     materialize_dense_preconditioner,
     nan_vector,
     random_state,
     spectral_cache_allocating,
     stack_system,
+    sylvester_solve_dense,
 )
+
+CACHE_ARRAYS = ("lambda_s", "lambda_t", "even_s", "odd_s", "even_t", "odd_t", "multiplier")
+
+
+def full_basis(even, odd):
+    """The n x n DCT-II basis rebuilt from its halves by P[n-1-i, k] = (-1)^k P[i, k]."""
+    he, ho = even.shape[0], odd.shape[0]
+    n = he + ho
+    p = np.full((n, n), np.nan)
+    p[:he, 0::2] = even
+    p[::-1][:he, 0::2] = even
+    p[:ho, 1::2] = odd
+    p[::-1][:ho, 1::2] = -odd
+    if n % 2:
+        p[ho, 1::2] = 0.0
+    return p
 
 
 class TestSpectralCache:
@@ -35,12 +54,13 @@ class TestSpectralCache:
     def test_single_point(self):
         cache = build_spectral_cache(1, 1)
         assert cache.lambda_s.tolist() == [0.0]
-        assert np.allclose(np.abs(cache.basis_s), [[1.0]])
+        assert np.allclose(np.abs(cache.even_s), [[1.0]])
+        assert cache.odd_s.shape == (0, 0)
 
     @pytest.mark.parametrize("n", [2, 5, 17, 513])
     def test_orthogonality_and_reconstruction(self, n):
         cache = build_spectral_cache(n, 3)
-        p = cache.basis_s
+        p = full_basis(cache.even_s, cache.odd_s)
         assert np.max(np.abs(p.T @ p - np.eye(n))) < 1e-10
         sts = dense_s(n).T @ dense_s(n)
         recon = p @ np.diag(cache.lambda_s) @ p.T
@@ -51,8 +71,29 @@ class TestSpectralCache:
         for m in (1, 3, n):
             got = build_spectral_cache(n, m)
             want = spectral_cache_allocating(n, m)
-            for name in ("lambda_s", "lambda_t", "basis_s", "basis_t", "multiplier"):
+            for name in CACHE_ARRAYS:
                 assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 1023, 1024])
+    def test_halves_are_slices_of_the_full_basis(self, n):
+        _, p = eig_neumann_allocating(n)
+        cache = build_spectral_cache(n, 2)
+        assert cache.even_s.shape == ((n + 1) // 2,) * 2
+        assert cache.odd_s.shape == (n // 2,) * 2
+        assert cache.even_s.tobytes() == np.ascontiguousarray(p[: (n + 1) // 2, 0::2]).tobytes()
+        assert cache.odd_s.tobytes() == np.ascontiguousarray(p[: n // 2, 1::2]).tobytes()
+        # the symmetry the split rests on holds for the whole closed-form basis,
+        # up to the round-off of cos at arguments up to pi * n
+        if n > 1:
+            assert np.max(np.abs(full_basis(cache.even_s, cache.odd_s) - p)) < 1e-13
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (2, 3), (17, 16), (64, 33), (513, 257)])
+    def test_cache_holds_no_full_basis(self, shape):
+        n, m = shape
+        cache = build_spectral_cache(n, m)
+        total = sum(getattr(cache, name).size for name in CACHE_ARRAYS)
+        bound = (n * n + 1) // 2 + (m * m + 1) // 2 + n * m + n + m
+        assert total <= bound
 
     @pytest.mark.parametrize("n", [2, 3, 9, 33, 2048])
     def test_exactly_one_zero_eigenvalue(self, n):
@@ -97,6 +138,17 @@ class TestSylvesterSolve:
             want = (pinv @ (tau * r.ravel(order="F"))).reshape((n, m), order="F")
             assert np.max(np.abs(z - want)) < 1e-10
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 16, 17, 33])
+    def test_matches_the_dense_two_product_solve(self, rng, n):
+        shapes = [(n, m) for m in (1, 2, 3, 4, 5, 16, 17, 33)]
+        if n == 1:
+            shapes += [(1, 1024), (1024, 1), (513, 257)]
+        for n_, m in shapes:
+            r = rng.standard_normal((n_, m))
+            got = sylvester_solve(r, 0.37, build_spectral_cache(n_, m), out=np.full((n_, m), np.nan))
+            want = sylvester_solve_dense(r, 0.37)
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), (n_, m)
+
     @pytest.mark.parametrize("shape", [(2, 2), (3, 8), (8, 3), (17, 2)])
     def test_residual_on_mean_zero_rhs(self, rng, shape):
         n, m = shape
@@ -116,6 +168,18 @@ class TestSylvesterSolve:
         cache = build_spectral_cache(2, 2)
         with pytest.raises(ValueError):
             sylvester_solve(np.zeros((2, 2)), -1.0, cache, out=np.zeros((2, 2)))
+
+    def test_rejects_an_out_that_is_not_c_contiguous(self):
+        cache = build_spectral_cache(3, 4)
+        with pytest.raises(ValueError, match="C-contiguous"):
+            sylvester_solve(np.ones((3, 4)), 1.0, cache, out=np.zeros((4, 3)).T)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (6, 1), (5, 8)])
+    def test_out_may_alias_the_input(self, rng, shape):
+        cache = build_spectral_cache(*shape)
+        r = rng.standard_normal(shape)
+        want = sylvester_solve(r, 0.37, cache, out=np.zeros(shape))
+        assert np.array_equal(sylvester_solve(r, 0.37, cache, out=r), want)
 
 
 def random_diag(rng, n, m, hi=5.0):
@@ -224,7 +288,11 @@ class TestOutArguments:
         assert np.max(np.abs(got - want)) < 1e-10
 
     def test_multiplier_pins_the_constant_mode(self):
-        cache = build_spectral_cache(5, 3)
-        assert cache.multiplier[0, 0] == 0.0
-        denom = cache.lambda_s[:, None] + cache.lambda_t[None, :]
-        assert np.array_equal(cache.multiplier.ravel()[1:], 1.0 / denom.ravel()[1:])
+        # 1 / (lambda_s + lambda_t) in the cache's even-then-odd order, constant mode first
+        for n, m in [(5, 3), (1, 1), (1, 6), (5, 1), (4, 6), (33, 16)]:
+            cache = build_spectral_cache(n, m)
+            assert cache.multiplier.shape == (n * m,)
+            assert cache.multiplier[0] == 0.0
+            assert np.count_nonzero(cache.multiplier == 0.0) == 1
+            denom = even_odd_coefficients(cache.lambda_s[:, None] + cache.lambda_t[None, :])
+            assert np.array_equal(cache.multiplier[1:], 1.0 / denom[1:])
