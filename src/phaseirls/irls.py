@@ -32,7 +32,11 @@ direction, one transform temporary per Sylvester apply and the two
 transient products inside the block-system apply of the gradient step.  The
 CG budget and overall stopping follow the relative-improvement heuristic:
 keep the budget while weight updates still help, stop when they stall right
-after a budget increase, and otherwise grow the budget geometrically.
+after a budget increase, and otherwise grow the budget geometrically.  A
+stall right after a solve that ran no CG iteration (and no fallback) also
+stops the loop in place of a grow: that solve started converged, so its
+proposal is the fixed point of the reweighting, and a larger budget would
+only re-solve an almost unchanged system from its own solution.
 """
 
 import math
@@ -145,7 +149,8 @@ class UnwrapResult:
     """Estimate and slacks (views into one buffer) plus the trace.
 
     ``stop_reason`` is ``"heuristic"`` when the CG-budget rule stopped the
-    loop and ``"max_outer"`` when ``max_outer_iters`` ran out first.
+    loop, either after a fruitless grow or on a stall after a solve that ran
+    no CG iteration, and ``"max_outer"`` when ``max_outer_iters`` ran out first.
     """
 
     u: np.ndarray
@@ -240,7 +245,12 @@ def unwrap(x, c: WeightField | None = None, model: ModelParams | None = None,
             # arc-free grids have an identically zero objective; nothing to improve
             delta_rel = 0.0 if h_old_w == 0 else relative_improvement(h_old_w, h_state)
             decision = cg_budget_update(delta_rel, m_cg, m_prev, params)
-            if decision.action == "stop":
+            # a larger budget cannot act on a solve that ran no CG iteration:
+            # its proposal already solved this system, so the state is the fixed point
+            last = trace.records[-1]
+            if decision.action == "stop" or (
+                decision.action == "grow" and last.cg_iters == 0 and not last.fallback
+            ):
                 stop_reason = "heuristic"
                 break
             m_prev, m_cg = m_cg, decision.m_cg

@@ -9,7 +9,9 @@ weight update, lifted objective and gradient step with new buffers;
 ``sufficient_decrease_holds``, which compares against that gradient step;
 the outer-loop replays at the end, which rerun ``unwrap`` to recover the
 states it held; ``unwrap_eager_safeguard``, the outer loop written out
-with the candidate's h evaluated at every iteration; and the allocating forms
+with the candidate's h evaluated at every iteration, and
+``replay_outer_iteration``, one more of its iterations from the state
+``unwrap`` returned; and the allocating forms
 (``wrap_to_principal_allocating``, ``spectral_cache_allocating`` and
 ``apply_system_without_data``), the formulas of in-place code as first
 written, which that code must match bit for bit.  ``sylvester_solve_dense``
@@ -455,7 +457,6 @@ def unwrap_eager_safeguard(x, c, model, params=IrlsParams()):
     n, m = g.shape
     lip = lipschitz_constant(c, model)
     cache = preconditioner.build_spectral_cache(n, m)
-    tau = model.tau
     state = SystemVector(np.zeros((n, m)), -g.v, -g.h)
     records = []
     m_cg = m_prev = params.max_iter_cg_start
@@ -469,41 +470,76 @@ def unwrap_eager_safeguard(x, c, model, params=IrlsParams()):
             decision = cg_budget_update(delta_rel, m_cg, m_prev, params)
             if decision.action == "stop":
                 break
+            last = records[-1]
+            if decision.action == "grow" and last.cg_iters == 0 and not last.fallback:
+                break
             m_prev, m_cg = m_cg, decision.m_cg
-        cand = step_of(state, w, g, c, model, lip)
-        h_cand = h_delta_of(cand, w, g, c, model)
-
-        flux = arc_grids(n, m)
-        wr = reduced_weights(c, w, tau, out=ArcField(*arc_grids(n, m)), flux=flux)
-        rhs = build_reduced_rhs(g, wr, out=np.empty((n, m)), flux=flux)
-        rhs_norm = np.linalg.norm(rhs)
-        ap, z = np.empty((n, m)), np.empty((n, m))
-        prop = state.copy()
-        outcome = irls.pcg_solve(
-            apply_a=lambda v: kernels.weighted_laplacian(v, *wr, *flux, ap),
-            apply_m=lambda r: preconditioner.sylvester_solve(r, tau, cache, out=z),
-            b=rhs,
-            x=prop.u,
-            max_iters=m_cg,
-            rel_tol=CG_REL_TOL,
-        )
-        irls.recover_slacks(prop.u, g, wr, tau, out=prop, flux=flux)
-        h_prop = h_delta_of(prop, w, g, c, model)
-        fallback = not h_prop <= h_cand
-        state = cand if fallback else prop
-        state.u -= state.u.mean()
-        records.append(
-            IterationRecord(
-                k=k,
-                m_cg=m_cg,
-                delta_rel=delta_rel,
-                h_delta=h_cand if fallback else h_prop,
-                cg_iters=outcome.iterations,
-                fallback=fallback,
-                cg_converged=bool(outcome.converged),
-                cg_rel_residual=float(
-                    outcome.residual_norms[-1] / rhs_norm if rhs_norm > 0 else 0.0
-                ),
-            )
-        )
+        state, rec = _eager_iteration(state, w, g, c, model, lip, cache, k, m_cg, delta_rel)
+        records.append(rec)
     return state, records
+
+
+def replay_outer_iteration(x, c, model, result, params=IrlsParams()):
+    """One more outer iteration of the eager loop from the state ``unwrap`` returned.
+
+    The budget decision is ``cg_budget_update``'s alone, without the loop's
+    stop on a grow after a solve that ran no CG iteration, so this is the
+    iteration that stop skips.  Returns the
+    budget decision, the state after the iteration, its ``IterationRecord``
+    and h at the returned state under its refreshed weights.
+    """
+    g = wrapped_gradients(x)
+    n, m = g.shape
+    records = result.trace.records
+    state = SystemVector(result.u.copy(), result.vv.copy(), result.vh.copy())
+    w = weights_of(state, c, model.delta)
+    h_state = eval_h_delta_refreshed(state, w, g, model, scratch=arc_grids(n, m))
+    h_old = records[-1].h_delta
+    delta_rel = 0.0 if h_old == 0 else relative_improvement(h_old, h_state)
+    # the budgets of the last two records; the first record's budget is the start budget
+    m_prev = records[-2].m_cg if len(records) >= 2 else records[-1].m_cg
+    decision = cg_budget_update(delta_rel, records[-1].m_cg, m_prev, params)
+    lip = lipschitz_constant(c, model)
+    cache = preconditioner.build_spectral_cache(n, m)
+    state, rec = _eager_iteration(
+        state, w, g, c, model, lip, cache, len(records), decision.m_cg, delta_rel
+    )
+    return decision, state, rec, h_state
+
+
+def _eager_iteration(state, w, g, c, model, lip, cache, k, m_cg, delta_rel):
+    """One iteration of the eager loop from ``state`` under its refreshed weights ``w``."""
+    n, m = g.shape
+    tau = model.tau
+    cand = step_of(state, w, g, c, model, lip)
+    h_cand = h_delta_of(cand, w, g, c, model)
+
+    flux = arc_grids(n, m)
+    wr = reduced_weights(c, w, tau, out=ArcField(*arc_grids(n, m)), flux=flux)
+    rhs = build_reduced_rhs(g, wr, out=np.empty((n, m)), flux=flux)
+    rhs_norm = np.linalg.norm(rhs)
+    ap, z = np.empty((n, m)), np.empty((n, m))
+    prop = state.copy()
+    outcome = irls.pcg_solve(
+        apply_a=lambda v: kernels.weighted_laplacian(v, *wr, *flux, ap),
+        apply_m=lambda r: preconditioner.sylvester_solve(r, tau, cache, out=z),
+        b=rhs,
+        x=prop.u,
+        max_iters=m_cg,
+        rel_tol=CG_REL_TOL,
+    )
+    irls.recover_slacks(prop.u, g, wr, tau, out=prop, flux=flux)
+    h_prop = h_delta_of(prop, w, g, c, model)
+    fallback = not h_prop <= h_cand
+    state = cand if fallback else prop
+    state.u -= state.u.mean()
+    return state, IterationRecord(
+        k=k,
+        m_cg=m_cg,
+        delta_rel=delta_rel,
+        h_delta=h_cand if fallback else h_prop,
+        cg_iters=outcome.iterations,
+        fallback=fallback,
+        cg_converged=bool(outcome.converged),
+        cg_rel_residual=float(outcome.residual_norms[-1] / rhs_norm if rhs_norm > 0 else 0.0),
+    )

@@ -44,6 +44,7 @@ from oracles import (
     random_gradients,
     random_state,
     random_weights,
+    replay_outer_iteration,
     safeguard_bound_holds,
     spoil_proposals,
     stall_proposals,
@@ -148,6 +149,9 @@ class TestUnwrap:
         res = unwrap(x)
         assert np.max(np.abs(res.u)) < 1e-12
         assert abs(res.u.mean()) < 1e-12
+        # the first solve has a zero right-hand side and runs no CG iteration,
+        # so the stall that follows stops the loop
+        assert (len(res.trace), res.stop_reason) == (1, "heuristic")
         # converged objective is the smoothing floor: one delta per arc
         assert res.trace.records[-1].h_delta == pytest.approx(
             1e-6 * arc_count(8, 9), rel=1e-6
@@ -489,6 +493,72 @@ class TestObservability:
         res = unwrap(np.full((5, 6), 1.25))
         assert all(rec.cg_rel_residual == 0.0 for rec in res.trace.records)
         assert all(rec.cg_converged for rec in res.trace.records)
+
+
+def _idle_bumps_clean():
+    spec = SceneSpec("gaussian-bumps", 32, 32, amplitude=5.0, feature_scale=7.0, seed=3)
+    return wrap_scene(generate_scene(spec))
+
+
+def _idle_bumps_noisy():
+    spec = SceneSpec("gaussian-bumps", 24, 31, amplitude=5.0, feature_scale=6.0, seed=4)
+    return add_phase_noise(wrap_scene(generate_scene(spec)), 0.3, seed=5)
+
+
+IDLE_SCENES = {
+    "plateau-40x24": lambda: _plateau(40, 24),
+    "bumps-32x32": _idle_bumps_clean,
+    "bumps-24x31-sigma0.3": _idle_bumps_noisy,
+}
+
+
+class TestFixedPointStop:
+    """The loop stops on a budget grow that follows a solve with no CG iteration."""
+
+    @pytest.mark.parametrize("scene", sorted(IDLE_SCENES))
+    def test_the_skipped_iteration_is_idle(self, scene):
+        # one more iteration under the budget rule alone, from the returned state,
+        # would grow the budget and then leave the state and its h as they are
+        x = IDLE_SCENES[scene]()
+        c = WeightField.uniform(*x.shape)
+        model = ModelParams()
+        res = unwrap(x, c, model)
+        assert res.stop_reason == "heuristic"
+        decision, state, rec, h_state = replay_outer_iteration(x, c, model, res)
+        assert decision.action == "grow"
+        assert rec.cg_iters == 0
+        assert np.max(np.abs(state.u - res.u)) <= 1e-12 * np.max(np.abs(res.u))
+        assert rec.h_delta == pytest.approx(h_state, rel=1e-12)
+
+    def test_residue_free_plateau_stops_after_two_records(self):
+        res = unwrap(IDLE_SCENES["plateau-40x24"]())
+        assert res.stop_reason == "heuristic"
+        assert len(res.trace) == 2
+
+    def test_outer_cap_wins_at_the_fixed_point(self):
+        # the heuristic stop would come right after the plateau's second record
+        res = unwrap(IDLE_SCENES["plateau-40x24"](), params=IrlsParams(max_outer_iters=2))
+        assert len(res.trace) == 2
+        assert res.stop_reason == "max_outer"
+
+    @pytest.mark.parametrize("scene", sorted(IDLE_SCENES) + ["residues"])
+    def test_no_grown_budget_follows_an_idle_solve(self, scene):
+        if scene == "residues":
+            x, c = _eager_scene_residues()
+        else:
+            x, c = IDLE_SCENES[scene](), None
+        records = unwrap(x, c).trace.records
+        for prev, nxt in zip(records, records[1:]):
+            assert not (nxt.m_cg > prev.m_cg and prev.cg_iters == 0 and not prev.fallback)
+
+    def test_residue_scene_stops_after_a_fruitless_grow(self):
+        # the σ 0.6 scene has residues, so its last solve still iterates and the loop
+        # ends through the budget rule's own stop, one record after a grow
+        res = unwrap(*_eager_scene_residues())
+        records = res.trace.records
+        assert res.stop_reason == "heuristic"
+        assert len(records) >= 2 and records[-1].m_cg > records[-2].m_cg
+        assert records[-1].cg_iters > 0
 
 
 class TestLargeGrid:
