@@ -1,6 +1,15 @@
 """L1-norm 2-D phase unwrapping via iteratively reweighted least squares."""
 
-from .diagnostics import ConditioningReport, conditioning_report, materialize_dense_system
+from .diagnostics import (
+    ConditioningReport,
+    PreconditionerState,
+    apply_preconditioner,
+    apply_system,
+    build_preconditioner,
+    build_rhs,
+    conditioning_report,
+    materialize_dense_system,
+)
 from .irls import BudgetDecision, IrlsParams, IrlsTrace, UnwrapResult, cg_budget_update, relative_improvement, unwrap
 from .objective import (
     ModelParams,
@@ -11,7 +20,7 @@ from .objective import (
     lipschitz_constant,
     update_weights,
 )
-from .operators import SystemVector, apply_system, build_rhs
+from .operators import SystemVector
 from .pcg import NumericalBreakdown, PcgOutcome, pcg_solve
 from .phase import (
     ArcField,
@@ -22,14 +31,7 @@ from .phase import (
     wrap_to_principal,
     wrapped_gradients,
 )
-from .preconditioner import (
-    PreconditionerState,
-    SpectralCache,
-    apply_preconditioner,
-    build_preconditioner,
-    build_spectral_cache,
-    sylvester_solve,
-)
+from .preconditioner import SpectralCache, build_spectral_cache, sylvester_solve
 from .synth import SceneSpec, add_phase_noise, generate_scene, wrap_scene
 
 __version__ = "0.1.0"

@@ -1,4 +1,13 @@
-"""Dense matrices of small instances: the block system and its spectral study.
+"""The paper's block formulation, matrix-free and dense, and its spectral study.
+
+The paper states each weighted least squares step as a block system A x = b
+in the triple x = (u, vv, vh), one ``operators.SystemVector``, with the
+block-diagonal preconditioner D: the spectral Sylvester solve on u and
+diagonal divisions on the slacks.  ``irls.unwrap`` solves the reduced system
+in u alone instead (``operators``), so the block map ``apply_system``, its
+right-hand side ``build_rhs`` and D (``build_preconditioner``,
+``apply_preconditioner``) run only in the spectrum study here and in the
+tests and acceptance criteria.
 
 This is the one module that forms dense matrices, all in the column-stacking
 vec() convention, ``vec(X) = X.ravel(order="F")``, and all under one size
@@ -8,32 +17,107 @@ vertical differences S u over the horizontal ones u T.
 
 The spectrum study draws random diagonal weights uniformly from
 (0, 1/delta] and compares the spectra of A and C* A C*.  C* = D^(+1/2), the
-split pseudo square root of the block preconditioner D, is built in closed
-form from the solver's own ``PreconditionerState``: sqrt(tau / (lambda_s[i] +
-lambda_t[j])) in the full closed-form DCT-II eigenbasis on u, in natural mode
-order, with the (0, 0) entry set to zero to drop the constant mode,
-and one over the square roots of the slack divisors on the slacks.  Both
-matrices have the constant u mode as their only null vector, so exactly
-their smallest eigenvalue is dropped.  kappa, the ratio of the largest to the
-smallest kept eigenvalue, feeds the CG rate estimate
-rho = (sqrt(kappa) - 1) / (sqrt(kappa) + 1); a spectrum whose kappa is not
-below 1 / ``RESOLVABLE_RATIO`` is refused.
+split pseudo square root of D, is built in closed form from its
+``PreconditionerState``: sqrt(tau / (lambda_s[i] + lambda_t[j])) in the full
+closed-form DCT-II eigenbasis on u, in natural mode order, with the (0, 0)
+entry set to zero to drop the constant mode, and one over the square roots
+of the slack divisors on the slacks.  Both matrices have the constant u mode
+as their only null vector, so exactly their smallest eigenvalue is dropped.
+kappa, the ratio of the largest to the smallest kept eigenvalue, feeds the
+CG rate estimate rho = (sqrt(kappa) - 1) / (sqrt(kappa) + 1); a spectrum
+whose kappa is not below 1 / ``RESOLVABLE_RATIO`` is refused.
 """
 
 from dataclasses import dataclass, fields
 
 import numpy as np
 
+from . import kernels
+from .operators import SystemVector
 from .phase import ArcField
-from .preconditioner import build_preconditioner, build_spectral_cache, dct_basis
+from .preconditioner import SpectralCache, build_spectral_cache, dct_basis, sylvester_solve
 
 __all__ = [
+    "PreconditionerState",
+    "apply_system",
+    "build_rhs",
+    "build_preconditioner",
+    "apply_preconditioner",
     "ConditioningReport",
     "SizeLimitExceeded",
     "conditioning_report",
     "materialize_dense_system",
     "positive_eigenvalues",
 ]
+
+def apply_system(x, d, tau, *, out):
+    """Apply the symmetric PSD block map of the weighted least squares system.
+
+    ``d`` is the ArcField of diagonal slack weights (dv, dh).  Writes into
+    ``out`` and returns it; ``out`` must not alias ``x``.  The result is the
+    triple
+
+      (1/tau) * (StS u + u TTt - St vv - vh Tt)
+      dv * vv + (1/tau) * (vv - S u)
+      dh * vh + (1/tau) * (vh - u T)
+
+    The map annihilates (c*1, 0, 0), so its nullspace contains the constant
+    mode of the u block.
+    """
+    if tau <= 0:
+        raise ValueError(f"tau must be positive, got {tau}")
+    # the residual for the data g = 0; x - 0.0 == x, so this is A x bit for bit
+    kernels.apply_system_blocks(
+        x.u, x.vv, x.vh, d.v, d.h, 0.0, 0.0, 1.0 / tau, out.u, out.vv, out.vh
+    )
+    return out
+
+
+def build_rhs(g: ArcField, tau, *, out):
+    """Right-hand side of the system; orthogonal to the constant-u mode.
+
+    Writes into the SystemVector ``out``.
+    """
+    if tau <= 0:
+        raise ValueError(f"tau must be positive, got {tau}")
+    inv_tau = 1.0 / tau
+    kernels.adj_diffs(g.v, g.h, out.u)
+    out.u *= inv_tau
+    np.multiply(-inv_tau, g.v, out=out.vv)
+    np.multiply(-inv_tau, g.h, out=out.vh)
+    return out
+
+
+@dataclass(frozen=True)
+class PreconditionerState:
+    """Spectral cache plus the diagonal slack divisors dv + 1/tau, dh + 1/tau."""
+
+    cache: SpectralCache
+    slack_v: np.ndarray
+    slack_h: np.ndarray
+    tau: float
+
+
+def build_preconditioner(cache, d: ArcField, tau):
+    if tau <= 0:
+        raise ValueError(f"tau must be positive, got {tau}")
+    inv_tau = 1.0 / tau
+    return PreconditionerState(
+        cache=cache, slack_v=d.v + inv_tau, slack_h=d.h + inv_tau, tau=tau
+    )
+
+
+def apply_preconditioner(r: SystemVector, pc: PreconditionerState, *, out):
+    """Pseudo-inverse of the block-diagonal preconditioner applied to ``r``.
+
+    Writes into the SystemVector ``out`` and returns it; ``out`` must not
+    alias ``r``.
+    """
+    sylvester_solve(r.u, pc.tau, pc.cache, out=out.u)
+    np.divide(r.vv, pc.slack_v, out=out.vv)
+    np.divide(r.vh, pc.slack_h, out=out.vh)
+    return out
+
 
 DENSE_CELL_LIMIT = 1024
 

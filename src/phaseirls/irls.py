@@ -16,20 +16,20 @@ along the gradient s has h at least h(x) - ||s||^2/L: a proposal at or below
 that bound is accepted without evaluating the candidate, whose h is formed
 only when the bound fails.  The gradient s is the residual A x - b in
 residual form, which ``kernels.apply_system_blocks`` computes from the
-coupling residual K u - g - v with the data g; ``operators.build_rhs`` and
-``operators.apply_system`` are off the solve path.
+coupling residual K u - g - v with the data g.
 
 The proposal's evaluation also forms its refreshed weights and h under them
 (sum(w) plus its coupling penalty), so an accepted proposal carries both
 into the next outer iteration; ``update_weights`` and
 ``eval_h_delta_refreshed`` run only at the start and after a fallback.  The
-loop holds two system vectors (state and candidate), one scratch vector and
-the ``phase.ArcField`` pairs of the weights and the flux scratch, all
-allocated at set-up and passed by keyword to every collaborator that writes
-a grid.  PCG iterates in the state's u and the right-hand side grid, so
-after set-up the loop's only grid-sized allocations are the solve's search
-direction, one transform temporary per Sylvester apply and the two
-transient products inside the block-system apply of the gradient step.  The
+loop holds two system vectors (state and candidate), the grid ``ap`` of the
+CG map's output and the ``phase.ArcField`` pairs ``w``, ``wr`` and ``flux``,
+all allocated at set-up and passed by keyword to every collaborator that
+writes a grid; an accepted proposal swaps ``w`` and ``wr``.  PCG iterates
+in the state's u and the right-hand side grid, so after set-up the loop's
+only grid-sized allocations are the solve's search direction, one transform
+temporary per Sylvester apply and the two transient products inside the
+block-system apply of the gradient step.  The
 CG budget and overall stopping follow the relative-improvement heuristic:
 keep the budget while weight updates still help, stop when they stall right
 after a budget increase, and otherwise grow the budget geometrically.  A
@@ -60,9 +60,8 @@ from .pcg import pcg_solve
 from .phase import ArcField, WeightField, wrapped_gradients
 from .preconditioner import build_spectral_cache
 
-# not called here; kept only as names of this module, which the traced benchmark run rebinds
-from .operators import apply_system, build_rhs  # noqa: F401
-from .preconditioner import apply_preconditioner, build_preconditioner  # noqa: F401
+# not called here; names of this module that the traced benchmark run rebinds
+from .diagnostics import apply_preconditioner, apply_system, build_preconditioner, build_rhs  # noqa: F401
 
 __all__ = [
     "IrlsParams",
@@ -211,18 +210,17 @@ def unwrap(x, c: WeightField | None = None, model: ModelParams | None = None,
     cache = build_spectral_cache(n, m)
     tau = model.tau
 
-    # every grid of the outer loop, allocated once.  The scratch vector's slack
-    # blocks hold the candidate's d = c^2/w, then the reduced weights and then
-    # the proposal's refreshed weights; its u block holds the CG map's output.
-    # flux is the scratch of every evaluation and map apply.
+    # every grid of the outer loop, allocated once.  wr holds the candidate's
+    # d = c^2/w, then the reduced weights and then the proposal's refreshed
+    # weights, which an accepted proposal swaps into w; ap holds the CG map's
+    # output.  flux is the scratch of every evaluation and map apply.
     state = SystemVector.zeros(n, m)
     np.negative(g.v, out=state.vv)
     np.negative(g.h, out=state.vh)
     cand = SystemVector.zeros(n, m)
     w = ArcField.empty(n, m)
-    work = SystemVector.zeros(n, m)
-    wr = ArcField(work.vv, work.vh)
-    ap = work.u
+    wr = ArcField.empty(n, m)
+    ap = np.empty((n, m))
     flux = ArcField.empty(n, m)
     rhs = np.empty((n, m))
     z = np.empty((n, m))
@@ -256,7 +254,7 @@ def unwrap(x, c: WeightField | None = None, model: ModelParams | None = None,
             m_prev, m_cg = m_cg, decision.m_cg
 
         # the candidate needs only the state, so it is formed before the
-        # reduced weights and the solve take over the scratch vector
+        # reduced weights and the solve take over wr
         _, grad_sq = candidate_step(state, w, g, c, model, lip, out=cand, scratch=wr)
 
         reduced_weights(c, w, tau, out=wr, flux=flux)
@@ -290,8 +288,7 @@ def unwrap(x, c: WeightField | None = None, model: ModelParams | None = None,
             state, cand = cand, state
             h_state = None
         else:
-            for dst, src in zip(w, wr):
-                np.copyto(dst, src)
+            w, wr = wr, w
             h_state = h_next
         # h only sees differences of u, so centring changes it by round-off alone
         state.u -= state.u.mean()

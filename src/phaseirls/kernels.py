@@ -7,17 +7,16 @@ and allocate no grid-sized array.  The conjugate gradient loop of
 in u, once per iteration.  ``apply_system_blocks`` is the residual A x - b of
 the full (u, vv, vh) block system for the data g, formed from the coupling
 residuals K u - g - v; with the data g it is the gradient of the safeguard
-step (``objective.candidate_step``), and with g = 0 the block map
-``operators.apply_system``.  Both maps are built from that pair, and the only
-grid-sized temporaries of ``apply_system_blocks`` are the products
-``dv * vv`` and ``dh * vh``.
+step (``objective.candidate_step``).  Both maps are built from that pair,
+and the only grid-sized temporaries of ``apply_system_blocks`` are the
+products ``dv * vv`` and ``dh * vh``.
 ``diff_rows`` (S u), ``diff_cols`` (u T), ``adj_diff_rows`` and
 ``adj_diff_cols`` are allocating forms of the same maps that no module of the
 package calls; the traced benchmark run looks them up by name.
-``irls``, ``operators``, ``objective`` and ``phase`` call the kernels as
-``kernels.<name>`` attributes, looked up at call time, so a caller may rebind
-a module attribute to wrap a kernel (the traced benchmark run does this to
-time each layer).
+The modules of the package call the kernels as ``kernels.<name>``
+attributes, looked up at call time, so a caller may rebind a module
+attribute to wrap a kernel (the traced benchmark run does this to time each
+layer).
 """
 
 import numpy as np

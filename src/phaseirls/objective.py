@@ -13,7 +13,7 @@ and its weights, so ``irls.unwrap`` forms it before the solve and then writes
 the proposal over the iterate.  Its gradient is the block system's residual
 A x - b in residual form, which ``kernels.apply_system_blocks`` computes from
 the coupling residual K u - g - v with the data g, so the step builds neither
-A x nor ``operators.build_rhs``.  ``candidate_step`` also returns the squared
+A x nor the right-hand side b.  ``candidate_step`` also returns the squared
 norm of the gradient it stepped along, which bounds the candidate's h from
 below, so the candidate's own h is needed only when the proposal misses that
 bound.  ``eval_h_delta_and_refresh`` evaluates the proposal and, from the

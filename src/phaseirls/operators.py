@@ -1,26 +1,21 @@
-"""The block system map and its reduction, all matrix-free.
+"""The system vector and the reduced weighted Poisson system, all matrix-free.
 
 The unknown is kept in matrix layout as a triple (u, vv, vh) of grids, one
 ``SystemVector``; no map here forms a matrix, and the difference maps S and
 T are the ``kernels`` stencils.  For fixed diagonal weights d each slack has
 a closed-form minimizer given u, ``vv = (S u - gv) / (1 + tau dv)`` and
-likewise vh, so the block system reduces to the weighted Poisson problem in
-u alone
+likewise vh, so the weighted least squares problem reduces to one in u alone
 
   St (Wv * S u) + (Wh * u T) Tt = St (Wv * gv) + (Wh * gh) Tt,
   W = d / (1 + tau d) = c^2 / (w + tau c^2) <= 1/tau,
 
 the classical weighted least squares unwrapping system (Ghiglia & Romero,
 JOSA A 11(1), 1994).  The solver runs its conjugate gradient on this system,
-whose map is ``kernels.weighted_laplacian`` with the weights W; the block map
-and ``build_rhs`` stay as the paper's formulation and are off the solve path,
-whose safeguard step takes the residual A x - b from
-``kernels.apply_system_blocks`` directly.
+whose map is ``kernels.weighted_laplacian`` with the weights W.
 The gradients g, the weights c and w, and the diagonals d and W are
-``phase.ArcField`` pairs (v, h).  Each map writes into buffers its caller
-owns, passed by keyword: ``out`` and, for the reduced system, ``flux``, a
-pair of scratch grids shaped like (vv, vh).  The dense matrix of the block
-map, for small instances, is ``diagnostics.materialize_dense_system``.
+``phase.ArcField`` pairs (v, h).  Each function writes into buffers its
+caller owns, passed by keyword: ``out`` and ``flux``, a pair of scratch
+grids shaped like (vv, vh).
 """
 
 import numpy as np
@@ -30,8 +25,6 @@ from .phase import ArcField
 
 __all__ = [
     "SystemVector",
-    "apply_system",
-    "build_rhs",
     "reduced_weights",
     "build_reduced_rhs",
     "recover_slacks",
@@ -91,44 +84,6 @@ class SystemVector:
 
 def _system_dim(n, m):
     return n * m + (n - 1) * m + n * (m - 1)
-
-
-def apply_system(x, d, tau, *, out):
-    """Apply the symmetric PSD block map of the weighted least squares system.
-
-    ``d`` is the ArcField of diagonal slack weights (dv, dh).  Writes into
-    ``out`` and returns it; ``out`` must not alias ``x``.  The result is the
-    triple
-
-      (1/tau) * (StS u + u TTt - St vv - vh Tt)
-      dv * vv + (1/tau) * (vv - S u)
-      dh * vh + (1/tau) * (vh - u T)
-
-    The map annihilates (c*1, 0, 0), so its nullspace contains the constant
-    mode of the u block.
-    """
-    if tau <= 0:
-        raise ValueError(f"tau must be positive, got {tau}")
-    # the residual for the data g = 0; x - 0.0 == x, so this is A x bit for bit
-    kernels.apply_system_blocks(
-        x.u, x.vv, x.vh, d.v, d.h, 0.0, 0.0, 1.0 / tau, out.u, out.vv, out.vh
-    )
-    return out
-
-
-def build_rhs(g: ArcField, tau, *, out):
-    """Right-hand side of the system; orthogonal to the constant-u mode.
-
-    Writes into the SystemVector ``out``.
-    """
-    if tau <= 0:
-        raise ValueError(f"tau must be positive, got {tau}")
-    inv_tau = 1.0 / tau
-    kernels.adj_diffs(g.v, g.h, out.u)
-    out.u *= inv_tau
-    np.multiply(-inv_tau, g.v, out=out.vv)
-    np.multiply(-inv_tau, g.h, out=out.vh)
-    return out
 
 
 def reduced_weights(c, w, tau, *, out, flux):

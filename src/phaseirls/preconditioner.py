@@ -1,4 +1,4 @@
-"""Spectral Sylvester solve, and the block-diagonal preconditioner built on it.
+"""Spectral Sylvester solve, the preconditioner of the reduced system.
 
 ``sylvester_solve`` applies the pseudo-inverse of the scaled Kronecker-sum
 Laplacian (1/tau) * (StS Z + Z TTt).  In the eigenbases of the two 1-D
@@ -8,27 +8,19 @@ which keeps every iterate orthogonal to the nullspace.  The eigenpairs are
 the closed-form DCT-II cosines (Ghiglia & Romero, JOSA A 11(1), 1994), so no
 eigendecomposition runs.  The cache keeps each basis only as its even and
 odd halves, so each transform runs four half-size products in place of two
-dense ones, half the flops.  The solver uses it alone as the preconditioner
-of the reduced system in u, whose weights are at most 1/tau.  The
-block-diagonal preconditioner of the full (u, vv, vh) system (the paper's
-formulation) adds plain diagonal divisions for the slack blocks.
+dense ones, half the flops.  The solver uses it as the preconditioner of
+the reduced system in u, whose weights are at most 1/tau.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import SystemVector
-from .phase import ArcField
-
 __all__ = [
     "SpectralCache",
-    "PreconditionerState",
     "build_spectral_cache",
     "dct_basis",
     "sylvester_solve",
-    "build_preconditioner",
-    "apply_preconditioner",
 ]
 
 
@@ -57,16 +49,6 @@ class SpectralCache:
     even_t: np.ndarray
     odd_t: np.ndarray
     multiplier: np.ndarray
-
-
-@dataclass(frozen=True)
-class PreconditionerState:
-    """Spectral cache plus the diagonal slack divisors dv + 1/tau, dh + 1/tau."""
-
-    cache: SpectralCache
-    slack_v: np.ndarray
-    slack_h: np.ndarray
-    tau: float
 
 
 def _neumann_eigenvalues(n):
@@ -204,24 +186,3 @@ def sylvester_solve(r, tau, cache, *, out):
     np.matmul(cache.even_s, out[:he], out=tmp[:he])
     np.matmul(cache.odd_s, out[he:], out=tmp[he:])
     return _unfold(tmp[:he], tmp[he:], out)
-
-
-def build_preconditioner(cache, d: ArcField, tau):
-    if tau <= 0:
-        raise ValueError(f"tau must be positive, got {tau}")
-    inv_tau = 1.0 / tau
-    return PreconditionerState(
-        cache=cache, slack_v=d.v + inv_tau, slack_h=d.h + inv_tau, tau=tau
-    )
-
-
-def apply_preconditioner(r: SystemVector, pc: PreconditionerState, *, out):
-    """Pseudo-inverse of the block-diagonal preconditioner applied to ``r``.
-
-    Writes into the SystemVector ``out`` and returns it; ``out`` must not
-    alias ``r``.
-    """
-    sylvester_solve(r.u, pc.tau, pc.cache, out=out.u)
-    np.divide(r.vv, pc.slack_v, out=out.vv)
-    np.divide(r.vh, pc.slack_h, out=out.vh)
-    return out

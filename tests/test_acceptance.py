@@ -13,6 +13,10 @@ import pytest
 
 from phaseirls.cli import main as cli_main
 from phaseirls.diagnostics import (
+    apply_preconditioner,
+    apply_system,
+    build_preconditioner,
+    build_rhs,
     conditioning_report,
     materialize_dense_system,
     random_diagonal_weights,
@@ -24,18 +28,9 @@ from phaseirls.objective import (
     eval_f_delta,
     lipschitz_constant,
 )
-from phaseirls.operators import (
-    SystemVector,
-    apply_system,
-    build_rhs,
-)
+from phaseirls.operators import SystemVector
 from phaseirls.phase import TWO_PI, ArcField, WeightField, congruent_round, shift_error
-from phaseirls.preconditioner import (
-    apply_preconditioner,
-    build_preconditioner,
-    build_spectral_cache,
-    sylvester_solve,
-)
+from phaseirls.preconditioner import build_spectral_cache, sylvester_solve
 from phaseirls.synth import SceneSpec, add_phase_noise, generate_scene, wrap_scene
 
 from oracles import (

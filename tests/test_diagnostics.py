@@ -6,12 +6,13 @@ import pytest
 from phaseirls import diagnostics
 from phaseirls.diagnostics import (
     SizeLimitExceeded,
+    build_preconditioner,
     conditioning_report,
     materialize_dense_system,
     positive_eigenvalues,
     random_diagonal_weights,
 )
-from phaseirls.preconditioner import build_preconditioner, build_spectral_cache
+from phaseirls.preconditioner import build_spectral_cache
 
 from oracles import materialize_dense_preconditioner, split_pseudo_sqrt, split_sqrt
 

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from phaseirls import irls
+from phaseirls import diagnostics, irls
 from phaseirls.irls import (
     CG_REL_TOL,
     MAX_CG_ITERS,
@@ -357,6 +357,25 @@ class TestUnwrap:
         finally:
             tracemalloc.stop()
         assert peak <= 22 * x.nbytes, f"peak of {peak / x.nbytes:.2f} grids"
+
+    @pytest.mark.parametrize("scene", ["bumps-24x31-sigma0.3", "plateau-40x24"])
+    def test_runs_none_of_the_block_formulation(self, monkeypatch, scene):
+        # the block map, its right-hand side, the block preconditioner and the
+        # dense matrix are not on the solve path: refusing them changes no bit
+        x = IDLE_SCENES[scene]()
+        want = unwrap(x)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("unwrap ran the block formulation")
+
+        for name in ("apply_system", "build_rhs", "PreconditionerState", "build_preconditioner",
+                     "apply_preconditioner", "materialize_dense_system"):
+            monkeypatch.setattr(diagnostics, name, refuse)
+            monkeypatch.setattr(irls, name, refuse, raising=False)
+        got = unwrap(x)
+        for block in ("u", "vv", "vh"):
+            assert getattr(got, block).tobytes() == getattr(want, block).tobytes()
+        assert got.trace.records == want.trace.records
 
     def test_recorded_objective_is_that_of_the_accepted_iterate(self):
         # the record reuses h from the acceptance test, evaluated before u is

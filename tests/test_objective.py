@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from phaseirls import kernels, operators
-from phaseirls.diagnostics import materialize_dense_system
+from phaseirls import diagnostics, kernels
+from phaseirls.diagnostics import apply_system, build_rhs, materialize_dense_system
 from phaseirls.objective import (
     ModelParams,
     candidate_step,
@@ -14,11 +14,7 @@ from phaseirls.objective import (
     lipschitz_constant,
     update_weights,
 )
-from phaseirls.operators import (
-    SystemVector,
-    apply_system,
-    build_rhs,
-)
+from phaseirls.operators import SystemVector
 from phaseirls.phase import ArcField, WeightField
 
 from oracles import (
@@ -405,7 +401,7 @@ class TestCandidateStep:
             raise AssertionError("the gradient step must not build the right-hand side")
 
         monkeypatch.setattr(kernels, "adj_diffs", counted)
-        monkeypatch.setattr(operators, "build_rhs", refuse)
+        monkeypatch.setattr(diagnostics, "build_rhs", refuse)
         step_of(x, weights_of(x, c, p.delta), random_gradients(rng, n, m), c, p,
                 lipschitz_constant(c, p))
         assert len(adjoints) == 1

@@ -2,12 +2,15 @@ import numpy as np
 import pytest
 
 from phaseirls import kernels
-from phaseirls.diagnostics import SizeLimitExceeded, materialize_dense_system
+from phaseirls.diagnostics import (
+    SizeLimitExceeded,
+    apply_system,
+    build_rhs,
+    materialize_dense_system,
+)
 from phaseirls.operators import (
     SystemVector,
-    apply_system,
     build_reduced_rhs,
-    build_rhs,
     recover_slacks,
     reduced_weights,
 )

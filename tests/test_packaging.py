@@ -93,16 +93,37 @@ def referenced_names():
     return refs
 
 
+def _read_by(qualified, refs):
+    """Whether ``module.name`` is read in ``refs`` other than inside its own definition."""
+    module, name = qualified.split(".")
+    # a read inside the name's own definition (recursion) is not a use
+    return any(n == name and (m, owner) != (module, name) for m, n, owner in refs)
+
+
 def test_every_public_name_is_used_by_the_program():
     refs = referenced_names()
-
-    def used(qualified):
-        module, name = qualified.split(".")
-        # a read inside the name's own definition (recursion) is not a use
-        return any(n == name and (m, owner) != (module, name) for m, n, owner in refs)
-
-    unused = {q for q in public_surface() if not used(q)}
+    unused = {q for q in public_surface() if not _read_by(q, refs)}
     assert unused == UNREFERENCED_BY_DESIGN
+
+
+# the solver modules, and the modules whose reads do not put a name on the solve path
+SOLVER_MODULES = {"operators", "preconditioner"}
+OFF_PATH_MODULES = {"diagnostics", "cli", "__init__"}
+
+
+def test_solver_modules_hold_only_the_solve_path():
+    # a public name that only the block formulation, the CLI or the re-exports
+    # read belongs in diagnostics
+    refs = {
+        (path.stem, name, owner)
+        for path, tree in _trees(PACKAGE).items()
+        if path.stem not in OFF_PATH_MODULES
+        for name, owner in _read_names(tree)
+    }
+    solver = {q for q in public_surface() if q.split(".")[0] in SOLVER_MODULES}
+    assert {q for q in solver if not _read_by(q, refs)} == set()
+    # the check sees the names it is meant to judge
+    assert {"operators.recover_slacks", "preconditioner.sylvester_solve"} <= solver
 
 
 # buffer parameters: the caller owns every grid a function writes into

@@ -4,24 +4,24 @@ import numpy as np
 import pytest
 
 from phaseirls import kernels
-from phaseirls.diagnostics import materialize_dense_system, random_diagonal_weights
+from phaseirls.diagnostics import (
+    apply_preconditioner,
+    apply_system,
+    build_preconditioner,
+    build_rhs,
+    materialize_dense_system,
+    random_diagonal_weights,
+)
 from phaseirls.objective import ModelParams
 from phaseirls.operators import (
     SystemVector,
-    apply_system,
     build_reduced_rhs,
-    build_rhs,
     recover_slacks,
     reduced_weights,
 )
 from phaseirls.pcg import NumericalBreakdown, pcg_solve
 from phaseirls.phase import ArcField, WeightField
-from phaseirls.preconditioner import (
-    apply_preconditioner,
-    build_preconditioner,
-    build_spectral_cache,
-    sylvester_solve,
-)
+from phaseirls.preconditioner import build_spectral_cache, sylvester_solve
 
 from oracles import (
     arc_grids,

@@ -1,15 +1,11 @@
 import numpy as np
 import pytest
 
-from phaseirls.operators import SystemVector, apply_system
+from phaseirls.diagnostics import apply_preconditioner, apply_system, build_preconditioner
 from phaseirls.irls import unwrap
+from phaseirls.operators import SystemVector
 from phaseirls.phase import ArcField
-from phaseirls.preconditioner import (
-    apply_preconditioner,
-    build_preconditioner,
-    build_spectral_cache,
-    sylvester_solve,
-)
+from phaseirls.preconditioner import build_spectral_cache, sylvester_solve
 from phaseirls.synth import SceneSpec, generate_scene, wrap_scene
 
 from oracles import (
