@@ -86,10 +86,19 @@ def diffs(u, fv, fh):
 
 
 def adj_diffs(fv, fh, out):
-    """out = St fv + fh Tt, the adjoint of both difference maps, in place."""
-    np.negative(fv, out=out[:-1, :])
-    out[-1, :] = 0.0
-    out[1:, :] += fv
+    """out = St fv + fh Tt, the adjoint of both difference maps, in place.
+
+    The row part ``out[i] = fv[i-1] - fv[i]`` is one pass over the interior
+    rows; the first and last rows, which meet one vertical arc each, are
+    ``-fv[0]`` and ``fv[-1] + 0.0`` (the ``+ 0.0`` turns -0.0 into 0.0, as
+    a sum with a zero row would).  A one-row grid has no vertical arcs.
+    """
+    if len(fv):
+        np.subtract(fv[:-1], fv[1:], out=out[1:-1])
+        np.negative(fv[0], out=out[0])
+        np.add(fv[-1], 0.0, out=out[-1])
+    else:
+        out[:] = 0.0
     out[:, :-1] -= fh
     out[:, 1:] += fh
     return out

@@ -9,7 +9,11 @@ preconditioner's job alone: the Sylvester pseudo-inverse zeroes it in every
 apply, so the search directions never gain a constant component and the
 solve needs no projection of its own.  The iteration runs in the caller's
 iterate and right-hand side arrays, so each solve allocates one grid, its
-search direction.
+search direction.  A solve that reaches its tolerance or its budget after
+k >= 1 iterations applies the preconditioner k times and the map k + 1
+times: the preconditioned residual only builds the next search direction,
+so the iteration that spends the budget stops once the iterate and the
+residual are updated, without forming a direction.
 """
 
 from dataclasses import dataclass, field
@@ -57,6 +61,11 @@ def pcg_solve(apply_a, apply_m, b, x, max_iters, rel_tol):
     as scratch and overwritten, so both may keep returning one preallocated
     buffer each (as ``out=`` closures do); a returned array must not alias
     the argument.  The solve itself allocates only the search direction.
+    A solve that reaches the tolerance or the budget after k >= 1 iterations
+    has applied ``apply_m`` k times and ``apply_a`` k + 1 times (once for the
+    starting residual); at the budget it stops without forming the next
+    direction, which no iteration would read.  A solve that starts converged
+    applies ``apply_a`` once only.
     """
     if max_iters < 0:
         raise ValueError("max_iters must be >= 0")
@@ -98,6 +107,9 @@ def pcg_solve(apply_a, apply_m, b, x, max_iters, rel_tol):
         res_norms.append(rn)
         if rn <= threshold:
             converged = True
+            break
+        if it == max_iters - 1:
+            # the budget is spent: z = M^-1 r would only build an unused direction
             break
         z = apply_m(r)
         rho_next = float(np.vdot(r, z))

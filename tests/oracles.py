@@ -14,7 +14,12 @@ with the candidate's h evaluated at every iteration, and
 ``unwrap`` returned; and the allocating forms
 (``wrap_to_principal_allocating``, ``spectral_cache_allocating`` and
 ``apply_system_without_data``), the formulas of in-place code as first
-written, which that code must match bit for bit.  ``sylvester_solve_dense``
+written, which that code must match bit for bit.  Likewise
+``pcg_solve_direction_at_budget``, the PCG loop that still forms a search
+direction after its last budgeted iteration, and ``adj_diffs_five_pass``,
+the adjoint stencil with its row part in three passes, are the earlier forms
+of ``pcg_solve`` and ``kernels.adj_diffs``, which those must match bit for
+bit.  ``sylvester_solve_dense``
 is the Sylvester solve with the full DCT-II bases, two dense products each
 way, which the even/odd split must match to round-off.
 """
@@ -38,7 +43,7 @@ from phaseirls.objective import (
     update_weights,
 )
 from phaseirls.operators import SystemVector, build_reduced_rhs, reduced_weights
-from phaseirls.pcg import pcg_solve
+from phaseirls.pcg import NumericalBreakdown, PcgOutcome, pcg_solve
 from phaseirls.phase import TWO_PI, ArcField, WeightField, wrapped_gradients
 from phaseirls.preconditioner import SpectralCache
 
@@ -177,6 +182,16 @@ def sylvester_solve_dense(r, tau):
     coef *= pseudo_inverse_multiplier(lam_s, lam_t)
     coef *= tau
     return (p_s @ coef) @ p_t.T
+
+
+def adj_diffs_five_pass(fv, fh, out):
+    """``kernels.adj_diffs`` with its row part as negate, zero and add."""
+    np.negative(fv, out=out[:-1, :])
+    out[-1, :] = 0.0
+    out[1:, :] += fv
+    out[:, :-1] -= fh
+    out[:, 1:] += fh
+    return out
 
 
 def apply_system_without_data(x, d, tau):
@@ -354,8 +369,71 @@ def plain_cg_dense(a, b, x0, iters):
     return iterates
 
 
-def pcg_solve_blocks(apply_a, apply_m, b, x0, max_iters, rel_tol):
-    """``pcg_solve`` on the full (u, vv, vh) system through its flat buffers.
+def pcg_solve_direction_at_budget(apply_a, apply_m, b, x, max_iters, rel_tol):
+    """``pcg.pcg_solve`` as it was while every unconverged iteration formed a direction.
+
+    After the iteration that spends the budget it still applies ``apply_m``
+    and updates the search direction, which nothing reads: k + 1
+    preconditioner applies for a solve that the budget ends after k.
+    """
+    if max_iters < 0:
+        raise ValueError("max_iters must be >= 0")
+    if rel_tol < 0:
+        raise ValueError("rel_tol must be >= 0")
+    threshold = rel_tol * np.linalg.norm(b)
+
+    r = b
+    r -= apply_a(x)
+    res_norms = [np.linalg.norm(r)]
+    if not np.isfinite(res_norms[0]):
+        raise NumericalBreakdown(0, "initial residual is not finite")
+    if res_norms[0] <= threshold or max_iters == 0:
+        return PcgOutcome(
+            iterations=0, residual_norms=res_norms, converged=res_norms[0] <= threshold
+        )
+
+    z = apply_m(r)
+    p = z.copy()
+    rho = float(np.vdot(r, z))
+    converged = False
+    for it in range(max_iters):
+        ap = apply_a(p)
+        pap = float(np.vdot(p, ap))
+        if not np.isfinite(pap):
+            raise NumericalBreakdown(it, "curvature p'Ap is not finite")
+        if pap <= 1e-300:
+            converged = res_norms[-1] <= threshold
+            break
+        alpha = rho / pap
+        ap *= -alpha
+        r += ap
+        np.multiply(p, alpha, out=ap)
+        x += ap
+        rn = np.linalg.norm(r)
+        if not np.isfinite(rn):
+            raise NumericalBreakdown(it + 1, "residual norm is not finite")
+        res_norms.append(rn)
+        if rn <= threshold:
+            converged = True
+            break
+        z = apply_m(r)
+        rho_next = float(np.vdot(r, z))
+        if not np.isfinite(rho_next):
+            raise NumericalBreakdown(it + 1, "preconditioned product is not finite")
+        if rho_next == 0.0:
+            break
+        beta = rho_next / rho
+        rho = rho_next
+        p *= beta
+        p += z
+
+    return PcgOutcome(
+        iterations=len(res_norms) - 1, residual_norms=res_norms, converged=converged
+    )
+
+
+def pcg_solve_blocks(apply_a, apply_m, b, x0, max_iters, rel_tol, solve=pcg_solve):
+    """``solve``, ``pcg_solve`` by default, on the full (u, vv, vh) system through its flat buffers.
 
     The maps take and return SystemVectors, as ``apply_system`` and
     ``apply_preconditioner`` do.  PCG runs in copies of ``b`` and ``x0``, so
@@ -368,7 +446,7 @@ def pcg_solve_blocks(apply_a, apply_m, b, x0, max_iters, rel_tol):
         return SystemVector.from_buffer(data, n, m)
 
     x, res = x0.copy(), b.copy()
-    out = pcg_solve(
+    out = solve(
         lambda v: apply_a(view(v)).data,
         lambda r: apply_m(view(r)).data,
         res.data,

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from phaseirls import diagnostics, irls
+from phaseirls import diagnostics, irls, preconditioner
 from phaseirls.irls import (
     CG_REL_TOL,
     MAX_CG_ITERS,
@@ -507,6 +507,23 @@ class TestObservability:
             assert type(rec.cg_converged) is bool and rec.cg_converged == converged
             assert rec.cg_rel_residual == rel
             assert rec.cg_converged == (rel <= CG_REL_TOL)
+
+    @pytest.mark.parametrize("scene", ["bumps-24x31-sigma0.3", "plateau-40x24"])
+    def test_one_preconditioner_apply_per_cg_iteration(self, monkeypatch, scene):
+        # a solve that the budget ends forms no direction after its last
+        # iteration, so it applies the preconditioner once per iteration too
+        calls = []
+        solve = preconditioner.sylvester_solve
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(preconditioner, "sylvester_solve", counted)
+        records = unwrap(IDLE_SCENES[scene]()).trace.records
+        if scene.startswith("bumps"):
+            assert any(r.cg_iters == r.m_cg and not r.cg_converged for r in records)
+        assert len(calls) == sum(r.cg_iters for r in records)
 
     def test_zero_rhs_reports_zero_residual(self):
         res = unwrap(np.full((5, 6), 1.25))

@@ -17,6 +17,7 @@ from phaseirls.operators import (
 from phaseirls.phase import ArcField, WeightField
 
 from oracles import (
+    adj_diffs_five_pass,
     apply_system_without_data,
     arc_grids,
     dense_arc_map,
@@ -95,6 +96,36 @@ class TestStencils:
         assert np.array_equal(fh, kernels.diff_cols(u))
         assert np.array_equal(fv, dense_s(n) @ u)
         assert np.array_equal(fh, u @ dense_t(m))
+
+
+def arc_values(rng, shape, kind):
+    """Arc values of one kind: signed zeros, small exact values, normals, or a mix."""
+    kinds = {
+        "zeros": lambda: rng.choice([0.0, -0.0], shape),
+        "exact": lambda: rng.integers(-3, 4, shape) * 0.5,
+        "normal": lambda: rng.standard_normal(shape),
+    }
+    if kind != "mixed":
+        return kinds[kind]()
+    pick = rng.integers(0, 3, shape)
+    return np.choose(pick, [kinds[k]() for k in ("zeros", "exact", "normal")])
+
+
+class TestAdjDiffs:
+    @pytest.mark.parametrize("kind", ["zeros", "exact", "normal", "mixed"])
+    @pytest.mark.parametrize(
+        "shape", [(1, 1), (1, 7), (7, 1), (2, 2), (2, 9), (9, 2), (33, 17), (64, 64)]
+    )
+    def test_bit_equal_to_the_five_pass_form(self, rng, shape, kind):
+        # NaN-filled outputs: every entry must be written, and -0.0 and 0.0 told apart
+        n, m = shape
+        for _ in range(5):
+            fv = arc_values(rng, (n - 1, m), kind)
+            fh = arc_values(rng, (n, m - 1), kind)
+            out = np.full((n, m), np.nan)
+            assert kernels.adj_diffs(fv, fh, out) is out
+            want = adj_diffs_five_pass(fv, fh, np.full((n, m), np.nan))
+            assert out.tobytes() == want.tobytes()
 
 
 class TestApplySystem:

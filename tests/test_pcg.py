@@ -27,6 +27,7 @@ from oracles import (
     arc_grids,
     dense_arc_map,
     pcg_solve_blocks,
+    pcg_solve_direction_at_budget,
     random_gradients,
     stack_system,
     unstack_system,
@@ -55,6 +56,26 @@ def reduced_maps(wr, cache):
         lambda v: kernels.weighted_laplacian(v, wr.v, wr.h, *flux, ap),
         lambda r: sylvester_solve(r, TAU, cache, out=z),
     )
+
+
+def counted(apply):
+    """``apply`` with a ``calls`` attribute that counts its applications."""
+
+    def wrapped(v):
+        wrapped.calls += 1
+        return apply(v)
+
+    wrapped.calls = 0
+    return wrapped
+
+
+def reduced_problem(rng, n=12, m=10):
+    """The right-hand side and both maps of a reduced system with random weights."""
+    wr = ArcField(rng.uniform(0.5, 2.0, (n - 1, m)), rng.uniform(0.5, 2.0, (n, m - 1)))
+    rhs = build_reduced_rhs(
+        random_gradients(rng, n, m), wr, out=np.zeros((n, m)), flux=arc_grids(n, m)
+    )
+    return rhs, *reduced_maps(wr, build_spectral_cache(n, m))
 
 
 class TestPcgBasics:
@@ -182,14 +203,9 @@ class TestReducedSolve:
 
 class TestInPlace:
     def test_x_ends_as_the_iterate_and_b_as_the_residual(self, rng):
-        n, m = 12, 10
-        wr = ArcField(rng.uniform(0.5, 2.0, (n - 1, m)), rng.uniform(0.5, 2.0, (n, m - 1)))
-        rhs = build_reduced_rhs(
-            random_gradients(rng, n, m), wr, out=np.zeros((n, m)), flux=arc_grids(n, m)
-        )
+        rhs, apply_a, apply_m = reduced_problem(rng)
         b = rhs.copy()
-        x = np.zeros((n, m))
-        apply_a, apply_m = reduced_maps(wr, build_spectral_cache(n, m))
+        x = np.zeros(rhs.shape)
         out = pcg_solve(
             apply_a,
             apply_m,
@@ -204,6 +220,65 @@ class TestInPlace:
         drift = rhs - apply_a(x) - b
         assert np.linalg.norm(drift) <= 1e-10 * np.linalg.norm(rhs)
         assert np.linalg.norm(b) < 1e-2 * np.linalg.norm(rhs)
+
+
+class TestApplyCounts:
+    """A solve of k >= 1 iterations applies the preconditioner k times and the map k + 1 times."""
+
+    @pytest.mark.parametrize("max_iters", range(1, 7))
+    def test_budget_ended_solve_forms_no_last_direction(self, rng, max_iters):
+        rhs, apply_a, apply_m = reduced_problem(rng)
+        apply_a, apply_m = counted(apply_a), counted(apply_m)
+        out = pcg_solve(apply_a, apply_m, rhs, np.zeros(rhs.shape), max_iters, 0.0)
+        assert out.iterations == max_iters and not out.converged
+        assert (apply_m.calls, apply_a.calls) == (max_iters, max_iters + 1)
+
+    def test_converged_solve(self, rng):
+        rhs, apply_a, apply_m = reduced_problem(rng)
+        apply_a, apply_m = counted(apply_a), counted(apply_m)
+        out = pcg_solve(apply_a, apply_m, rhs, np.zeros(rhs.shape), 500, 1e-8)
+        assert out.converged and out.iterations >= 2
+        k = out.iterations
+        assert (apply_m.calls, apply_a.calls) == (k, k + 1)
+
+    def test_solve_that_starts_converged(self, rng):
+        _, apply_a, apply_m = reduced_problem(rng)
+        apply_a, apply_m = counted(apply_a), counted(apply_m)
+        out = pcg_solve(apply_a, apply_m, np.zeros((12, 10)), np.zeros((12, 10)), 5, 1e-8)
+        assert out.converged and out.iterations == 0
+        assert (apply_m.calls, apply_a.calls) == (0, 1)
+
+
+class TestSameIteratesAsTheDirectionAtBudgetLoop:
+    """Stopping before the unused direction changes no bit of x, the residual or the norms."""
+
+    @pytest.mark.parametrize("max_iters, rel_tol", [(1, 0.0), (3, 0.0), (8, 0.0), (500, 1e-8)])
+    def test_block_system(self, rng, max_iters, rel_tol):
+        n, m = 6, 5
+        _, b, apply_a, apply_m = make_problem(rng, n, m, seed=3)
+        x0 = SystemVector(rng.standard_normal((n, m)), *arc_grids(n, m))
+        got = pcg_solve_blocks(apply_a, apply_m, b, x0, max_iters, rel_tol)
+        want = pcg_solve_blocks(
+            apply_a, apply_m, b, x0, max_iters, rel_tol, solve=pcg_solve_direction_at_budget
+        )
+        assert got.x.data.tobytes() == want.x.data.tobytes()
+        assert got.residual.data.tobytes() == want.residual.data.tobytes()
+        assert got.residual_norms == want.residual_norms
+        assert (got.iterations, got.converged) == (want.iterations, want.converged)
+
+    @pytest.mark.parametrize("max_iters, rel_tol", [(1, 0.0), (3, 0.0), (8, 0.0), (500, 1e-8)])
+    def test_reduced_system(self, rng, max_iters, rel_tol):
+        rhs, apply_a, apply_m = reduced_problem(rng)
+        x0 = rng.standard_normal(rhs.shape)
+        runs = []
+        for solve in (pcg_solve, pcg_solve_direction_at_budget):
+            b, x = rhs.copy(), x0.copy()
+            runs.append((solve(apply_a, apply_m, b, x, max_iters, rel_tol), b, x))
+        (got, got_b, got_x), (want, want_b, want_x) = runs
+        assert got_x.tobytes() == want_x.tobytes()
+        assert got_b.tobytes() == want_b.tobytes()
+        assert got.residual_norms == want.residual_norms
+        assert (got.iterations, got.converged) == (want.iterations, want.converged)
 
 
 class TestPreconditioningHelps:
