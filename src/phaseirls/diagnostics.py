@@ -68,7 +68,7 @@ def apply_system(x, d, tau, *, out):
         raise ValueError(f"tau must be positive, got {tau}")
     # the residual for the data g = 0; x - 0.0 == x, so this is A x bit for bit
     kernels.apply_system_blocks(
-        x.u, x.vv, x.vh, d.v, d.h, 0.0, 0.0, 1.0 / tau, out.u, out.vv, out.vh
+        x.u, x.vv, x.vh, d.v * x.vv, d.h * x.vh, 0.0, 0.0, 1.0 / tau, out.u, out.vv, out.vh
     )
     return out
 
@@ -113,7 +113,7 @@ def apply_preconditioner(r: SystemVector, pc: PreconditionerState, *, out):
     Writes into the SystemVector ``out`` and returns it; ``out`` must not
     alias ``r``.
     """
-    sylvester_solve(r.u, pc.tau, pc.cache, out=out.u)
+    sylvester_solve(r.u, pc.tau, pc.cache, out=out.u, scratch=np.empty(r.u.shape))
     np.divide(r.vv, pc.slack_v, out=out.vv)
     np.divide(r.vh, pc.slack_h, out=out.vh)
     return out

@@ -22,14 +22,17 @@ The proposal's evaluation also forms its refreshed weights and h under them
 (sum(w) plus its coupling penalty), so an accepted proposal carries both
 into the next outer iteration; ``update_weights`` and
 ``eval_h_delta_refreshed`` run only at the start and after a fallback.  The
-loop holds two system vectors (state and candidate), the grid ``ap`` of the
-CG map's output and the ``phase.ArcField`` pairs ``w``, ``wr`` and ``flux``,
-all allocated at set-up and passed by keyword to every collaborator that
-writes a grid; an accepted proposal swaps ``w`` and ``wr``.  PCG iterates
-in the state's u and the right-hand side grid, so after set-up the loop's
-only grid-sized allocations are the solve's search direction, one transform
-temporary per Sylvester apply and the two transient products inside the
-block-system apply of the gradient step.  The
+loop runs in 13 grids allocated at set-up and passed by keyword to every
+collaborator that writes one: two system vectors (state and candidate), the
+``phase.ArcField`` pairs ``w`` and ``wr``, the right-hand side, the search
+direction and ``zap``, the output of both the CG map and the preconditioner.
+A buffer that is dead for part of an iteration serves as scratch there: the
+state's slacks, dead from the candidate step until the proposal's slacks are
+written, are the arc scratch of the reduced system and the Sylvester
+transform grid, and after the solve the spent right-hand side and ``zap``
+are the arc scratch of the evaluations.  An accepted proposal swaps ``w``
+and ``wr``, and a fallback copies the candidate into the state, so every
+role keeps its buffer and the loop allocates no grid-sized temporaries.  The
 CG budget and overall stopping follow the relative-improvement heuristic:
 keep the budget while weight updates still help, stop when they stall right
 after a budget increase, and otherwise grow the budget geometrically.  A
@@ -211,19 +214,32 @@ def unwrap(x, c: WeightField | None = None, model: ModelParams | None = None,
     tau = model.tau
 
     # every grid of the outer loop, allocated once.  wr holds the candidate's
-    # d = c^2/w, then the reduced weights and then the proposal's refreshed
-    # weights, which an accepted proposal swaps into w; ap holds the CG map's
-    # output.  flux is the scratch of every evaluation and map apply.
-    state = SystemVector.zeros(n, m)
+    # slack products d v, then the reduced weights and then the proposal's
+    # refreshed weights, which an accepted proposal swaps into w; zap holds
+    # the output of the CG map and of the preconditioner.
+    cand = SystemVector.zeros(n, m)
+    dim = cand.data.size
+    # the state's buffer also holds the Sylvester scratch grid past u: on a
+    # single row or column the slacks alone are one element short of it
+    state_buf = np.zeros(max(dim, 2 * n * m))
+    state = SystemVector.from_buffer(state_buf[:dim], n, m)
     np.negative(g.v, out=state.vv)
     np.negative(g.h, out=state.vh)
-    cand = SystemVector.zeros(n, m)
     w = ArcField.empty(n, m)
     wr = ArcField.empty(n, m)
-    ap = np.empty((n, m))
-    flux = ArcField.empty(n, m)
     rhs = np.empty((n, m))
-    z = np.empty((n, m))
+    zap = np.empty((n, m))
+    direction = np.empty((n, m))
+    # scratch while the state's slacks are dead: the arcs of the reduced
+    # system and the Sylvester transform grid
+    slack_flux = ArcField(state.vv, state.vh)
+    transform = state_buf[n * m : 2 * n * m].reshape(n, m)
+    # scratch of the evaluations: rhs and zap are dead after the solve
+    # (their norms are in its outcome) until build_reduced_rhs writes rhs
+    spent_flux = ArcField(
+        rhs.reshape(-1)[: (n - 1) * m].reshape(n - 1, m),
+        zap.reshape(-1)[: n * (m - 1)].reshape(n, m - 1),
+    )
     trace = IrlsTrace()
     # the CG budgets of the last two outer iterations
     m_cg = m_prev = params.max_iter_cg_start
@@ -235,7 +251,7 @@ def unwrap(x, c: WeightField | None = None, model: ModelParams | None = None,
         if h_state is None:
             update_weights(state, c, model.delta, out=w)
             # under refreshed weights h is sum(w) plus the coupling penalty
-            h_state = eval_h_delta_refreshed(state, w, g, model, scratch=flux)
+            h_state = eval_h_delta_refreshed(state, w, g, model, scratch=spent_flux)
         delta_rel = None
         if k >= 1:
             # the last record holds h at this state under the previous weights
@@ -254,38 +270,43 @@ def unwrap(x, c: WeightField | None = None, model: ModelParams | None = None,
             m_prev, m_cg = m_cg, decision.m_cg
 
         # the candidate needs only the state, so it is formed before the
-        # reduced weights and the solve take over wr
+        # reduced weights and the solve take over wr and the state's slacks
         _, grad_sq = candidate_step(state, w, g, c, model, lip, out=cand, scratch=wr)
 
-        reduced_weights(c, w, tau, out=wr, flux=flux)
-        build_reduced_rhs(g, wr, out=rhs, flux=flux)
+        reduced_weights(c, w, tau, out=wr, flux=slack_flux)
+        build_reduced_rhs(g, wr, out=rhs, flux=slack_flux)
         rhs_norm = np.linalg.norm(rhs)
         # the solve warm-starts from the state's u and iterates in it; the
         # state is not needed any more, and rhs ends as the residual
         outcome = pcg_solve(
-            apply_a=lambda v: kernels.weighted_laplacian(v, *wr, *flux, ap),
-            apply_m=lambda r: preconditioner.sylvester_solve(r, tau, cache, out=z),
+            apply_a=lambda v: kernels.weighted_laplacian(v, *wr, *slack_flux, zap),
+            apply_m=lambda r: preconditioner.sylvester_solve(
+                r, tau, cache, out=zap, scratch=transform
+            ),
             b=rhs,
             x=state.u,
             max_iters=m_cg,
             rel_tol=CG_REL_TOL,
+            direction=direction,
         )
         cg_iters = outcome.iterations
         cg_converged = bool(outcome.converged)
         cg_rel_residual = outcome.residual_norms[-1] / rhs_norm if rhs_norm > 0 else 0.0
         # the proposal: u from the solve with its optimal slacks; the reduced
         # weights are spent, so the proposal's refreshed weights replace them
-        recover_slacks(state.u, g, wr, tau, out=state, flux=flux)
-        h_prop, h_next = eval_h_delta_and_refresh(state, w, g, c, model, refreshed=wr, scratch=flux)
+        recover_slacks(state.u, g, wr, tau, out=state, flux=spent_flux)
+        h_prop, h_next = eval_h_delta_and_refresh(
+            state, w, g, c, model, refreshed=wr, scratch=spent_flux
+        )
         # the candidate's h is at least h_state - grad_sq / lip, so a proposal
         # at or below that bound beats it.  Both tests are written as negations
         # so that a NaN proposal value also falls back
         fallback = not h_prop <= h_state - grad_sq / lip
         if fallback:
-            h_cand = eval_h_delta(cand, w, g, c, model, scratch=flux)
+            h_cand = eval_h_delta(cand, w, g, c, model, scratch=spent_flux)
             fallback = not h_prop <= h_cand
         if fallback:
-            state, cand = cand, state
+            state.data[...] = cand.data
             h_state = None
         else:
             w, wr = wr, w

@@ -7,9 +7,10 @@ and allocate no grid-sized array.  The conjugate gradient loop of
 in u, once per iteration.  ``apply_system_blocks`` is the residual A x - b of
 the full (u, vv, vh) block system for the data g, formed from the coupling
 residuals K u - g - v; with the data g it is the gradient of the safeguard
-step (``objective.candidate_step``).  Both maps are built from that pair,
-and the only grid-sized temporaries of ``apply_system_blocks`` are the
-products ``dv * vv`` and ``dh * vh``.
+step (``objective.candidate_step``).  Both maps are built from that pair
+and write into buffers their caller owns; ``apply_system_blocks`` takes the
+slack products ``d * v`` ready-made, so neither map allocates grid-sized
+temporaries.
 ``diff_rows`` (S u), ``diff_cols`` (u T), ``adj_diff_rows`` and
 ``adj_diff_cols`` are allocating forms of the same maps that no module of the
 package calls; the traced benchmark run looks them up by name.
@@ -56,12 +57,14 @@ def adj_diff_cols(v):
     return out
 
 
-def apply_system_blocks(u, vv, vh, dv, dh, gv, gh, inv_tau, au, avv, avh):
+def apply_system_blocks(u, vv, vh, dvv, dvh, gv, gh, inv_tau, au, avv, avh):
     """The block system's residual A x - b for the data (gv, gh), in place.
 
     With the coupling residuals rv = S u - gv - vv and rh = u T - gh - vh,
-    au = (St rv + rh Tt) / tau, avv = dv * vv - rv / tau and likewise avh.
-    The data g = 0 gives the map A x alone.
+    au = (St rv + rh Tt) / tau, avv = dvv - rv / tau and likewise avh, where
+    ``dvv = dv * vv`` and ``dvh = dh * vh`` are the slack products of the
+    diagonal weights d, which the caller forms.  The data g = 0 gives the
+    map A x alone.
     """
     # avv and avh first hold the coupling residuals
     diffs(u, avv, avh)
@@ -72,9 +75,9 @@ def apply_system_blocks(u, vv, vh, dv, dh, gv, gh, inv_tau, au, avv, avh):
     adj_diffs(avv, avh, au)
     au *= inv_tau
     avv *= -inv_tau
-    avv += dv * vv
+    avv += dvv
     avh *= -inv_tau
-    avh += dh * vh
+    avh += dvh
     return au, avv, avh
 
 

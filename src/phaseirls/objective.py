@@ -188,9 +188,10 @@ def candidate_step(x, w, g, c, p, lipschitz, *, out, scratch):
     """Explicit gradient step with stepsize 1/L on the lifted quadratic.
 
     Writes the step into the SystemVector ``out``; ``scratch`` is a pair of
-    grids shaped like (vv, vh) that holds the diagonal weights d = c^2 / w.
-    Neither may alias ``x`` or the other.  Returns ``out`` and the squared norm
-    ``||A x - b||^2`` of the gradient.  The gradient is in residual form:
+    grids shaped like (vv, vh) that holds the diagonal weights d = c^2 / w
+    and then the slack products d v, so the step allocates no grid-sized
+    temporaries.  Neither may alias ``x`` or the other.  Returns ``out`` and
+    the squared norm ``||A x - b||^2`` of the gradient.  The gradient is in residual form:
     with the coupling residual r = K u - g - v it is (Kt r / tau, d v - r / tau),
     which ``kernels.apply_system_blocks`` forms from the data g, so neither A x
     nor the right-hand side b is built.  As the Hessian A is positive
@@ -198,12 +199,13 @@ def candidate_step(x, w, g, c, p, lipschitz, *, out, scratch):
     """
     if lipschitz <= 0:
         raise ValueError(f"lipschitz constant must be positive, got {lipschitz}")
-    d = ArcField(*scratch)
-    for cc, ww, o in zip(c, w, d):
+    dv = ArcField(*scratch)
+    for cc, ww, v, o in zip(c, w, (x.vv, x.vh), dv):
         np.multiply(cc, cc, out=o)
         o /= ww
+        o *= v
     kernels.apply_system_blocks(
-        x.u, x.vv, x.vh, d.v, d.h, g.v, g.h, 1.0 / p.tau, out.u, out.vv, out.vh
+        x.u, x.vv, x.vh, dv.v, dv.h, g.v, g.h, 1.0 / p.tau, out.u, out.vv, out.vh
     )
     grad_sq = float(np.vdot(out.data, out.data))
     out.data *= -1.0 / lipschitz

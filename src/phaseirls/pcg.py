@@ -8,8 +8,9 @@ their range, so plain CG theory applies.  The constant mode is the
 preconditioner's job alone: the Sylvester pseudo-inverse zeroes it in every
 apply, so the search directions never gain a constant component and the
 solve needs no projection of its own.  The iteration runs in the caller's
-iterate and right-hand side arrays, so each solve allocates one grid, its
-search direction.  A solve that reaches its tolerance or its budget after
+iterate, right-hand side and search-direction arrays, and the maps write
+into buffers of their own, so a solve allocates no grid-sized temporaries.
+A solve that reaches its tolerance or its budget after
 k >= 1 iterations applies the preconditioner k times and the map k + 1
 times: the preconditioned residual only builds the next search direction,
 so the iteration that spends the budget stops once the iterate and the
@@ -44,7 +45,7 @@ class PcgOutcome:
     converged: bool = False
 
 
-def pcg_solve(apply_a, apply_m, b, x, max_iters, rel_tol):
+def pcg_solve(apply_a, apply_m, b, x, max_iters, rel_tol, *, direction):
     """Conjugate gradient on ``apply_a(x) = b`` preconditioned by ``apply_m``.
 
     Stops when the unpreconditioned residual norm drops to
@@ -53,14 +54,18 @@ def pcg_solve(apply_a, apply_m, b, x, max_iters, rel_tol):
     with convergence judged from the current residual, and a vanishing
     preconditioned product r'z = 0 ends it unconverged.
 
-    ``b`` and ``x`` are float64 arrays of one shape, and neither aliases the
-    other.  The iteration runs in them: ``x`` holds the starting iterate and
-    ends as the last iterate, and ``b`` ends as the recurrence residual,
-    whose norm is ``residual_norms[-1]``.  The maps take and return arrays of
-    that shape.  The arrays returned by ``apply_a`` and ``apply_m`` are used
-    as scratch and overwritten, so both may keep returning one preallocated
-    buffer each (as ``out=`` closures do); a returned array must not alias
-    the argument.  The solve itself allocates only the search direction.
+    ``b``, ``x`` and ``direction`` are float64 arrays of one shape, and none
+    aliases another.  The iteration runs in them: ``x`` holds the starting
+    iterate and ends as the last iterate, ``b`` ends as the recurrence
+    residual, whose norm is ``residual_norms[-1]``, and ``direction`` holds
+    the search direction (its content on entry is not read).  The maps take
+    and return arrays of that shape.  The arrays returned by ``apply_a`` and
+    ``apply_m`` are used as scratch and overwritten, so both may keep
+    returning one preallocated buffer, and may even return the same one:
+    the preconditioned residual is dead once it has entered the direction,
+    and the map's output once the iterate is updated.  A returned array must
+    not alias the argument, ``b``, ``x`` or ``direction``.  The solve itself
+    allocates no grid-sized temporaries.
     A solve that reaches the tolerance or the budget after k >= 1 iterations
     has applied ``apply_m`` k times and ``apply_a`` k + 1 times (once for the
     starting residual); at the budget it stops without forming the next
@@ -84,7 +89,8 @@ def pcg_solve(apply_a, apply_m, b, x, max_iters, rel_tol):
         )
 
     z = apply_m(r)
-    p = z.copy()
+    p = direction
+    p[...] = z
     rho = float(np.vdot(r, z))
     converged = False
     for it in range(max_iters):

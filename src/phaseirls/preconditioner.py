@@ -9,7 +9,9 @@ the closed-form DCT-II cosines (Ghiglia & Romero, JOSA A 11(1), 1994), so no
 eigendecomposition runs.  The cache keeps each basis only as its even and
 odd halves, so each transform runs four half-size products in place of two
 dense ones, half the flops.  The solver uses it as the preconditioner of
-the reduced system in u, whose weights are at most 1/tau.
+the reduced system in u, whose weights are at most 1/tau.  An apply runs in
+the output grid and one scratch grid, both the caller's, and allocates no
+grid-sized temporaries.
 """
 
 from dataclasses import dataclass
@@ -143,7 +145,7 @@ def build_spectral_cache(n, m):
     )
 
 
-def sylvester_solve(r, tau, cache, *, out):
+def sylvester_solve(r, tau, cache, *, out, scratch):
     """Solve StS Z + Z TTt = tau * (r - mean(r)) with mean(Z) = 0.
 
     The transform P_s^T r P_t and its inverse each run as four half-size
@@ -157,32 +159,38 @@ def sylvester_solve(r, tau, cache, *, out):
     pointwise product with ``cache.multiplier``, whose zero constant-mode
     entry makes it the pseudo-inverse of the singular operator.  Writes into
     the C-contiguous grid ``out`` and returns it; ``out`` may alias ``r``.
+    ``scratch`` is a C-contiguous grid of the same shape that holds the
+    butterflies and the half products in between; it may overlap neither
+    ``r`` nor ``out``.  The apply allocates no grid-sized temporaries.
     """
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
     if not out.flags.c_contiguous:
         raise ValueError("out must be a C-contiguous grid")
     n, m = r.shape
+    if scratch.shape != (n, m) or not scratch.flags.c_contiguous:
+        raise ValueError(f"scratch must be a C-contiguous {(n, m)} grid")
+    if np.may_share_memory(scratch, r) or np.may_share_memory(scratch, out):
+        raise ValueError("scratch must not overlap r or out")
     he, ge = cache.even_s.shape[0], cache.even_t.shape[0]
-    tmp = np.empty((n, m))
-    tmp_e, tmp_o = _column_blocks(tmp, ge)
+    scratch_e, scratch_o = _column_blocks(scratch, ge)
     out_e, out_o = _column_blocks(out, ge)
-    # rows: butterfly into tmp, half products into out
-    _fold(r, tmp[:he], tmp[he:])
-    np.matmul(cache.even_s.T, tmp[:he], out=out[:he])
-    np.matmul(cache.odd_s.T, tmp[he:], out=out[he:])
-    # columns: butterfly into tmp's two blocks, half products into out's
-    _fold(out.T, tmp_e.T, tmp_o.T)
-    np.matmul(tmp_e, cache.even_t, out=out_e)
-    np.matmul(tmp_o, cache.odd_t, out=out_o)
+    # rows: butterfly into scratch, half products into out
+    _fold(r, scratch[:he], scratch[he:])
+    np.matmul(cache.even_s.T, scratch[:he], out=out[:he])
+    np.matmul(cache.odd_s.T, scratch[he:], out=out[he:])
+    # columns: butterfly into scratch's two blocks, half products into out's
+    _fold(out.T, scratch_e.T, scratch_o.T)
+    np.matmul(scratch_e, cache.even_t, out=out_e)
+    np.matmul(scratch_o, cache.odd_t, out=out_o)
     coef = out.reshape(-1)
     coef *= cache.multiplier
     coef *= tau
-    # columns back: half products into tmp's blocks, butterfly into out
-    np.matmul(out_e, cache.even_t.T, out=tmp_e)
-    np.matmul(out_o, cache.odd_t.T, out=tmp_o)
-    _unfold(tmp_e.T, tmp_o.T, out.T)
-    # rows back: half products into tmp, butterfly into out
-    np.matmul(cache.even_s, out[:he], out=tmp[:he])
-    np.matmul(cache.odd_s, out[he:], out=tmp[he:])
-    return _unfold(tmp[:he], tmp[he:], out)
+    # columns back: half products into scratch's blocks, butterfly into out
+    np.matmul(out_e, cache.even_t.T, out=scratch_e)
+    np.matmul(out_o, cache.odd_t.T, out=scratch_o)
+    _unfold(scratch_e.T, scratch_o.T, out.T)
+    # rows back: half products into scratch, butterfly into out
+    np.matmul(cache.even_s, out[:he], out=scratch[:he])
+    np.matmul(cache.odd_s, out[he:], out=scratch[he:])
+    return _unfold(scratch[:he], scratch[he:], out)

@@ -369,7 +369,7 @@ def plain_cg_dense(a, b, x0, iters):
     return iterates
 
 
-def pcg_solve_direction_at_budget(apply_a, apply_m, b, x, max_iters, rel_tol):
+def pcg_solve_direction_at_budget(apply_a, apply_m, b, x, max_iters, rel_tol, *, direction):
     """``pcg.pcg_solve`` as it was while every unconverged iteration formed a direction.
 
     After the iteration that spends the budget it still applies ``apply_m``
@@ -393,7 +393,8 @@ def pcg_solve_direction_at_budget(apply_a, apply_m, b, x, max_iters, rel_tol):
         )
 
     z = apply_m(r)
-    p = z.copy()
+    p = direction
+    p[...] = z
     rho = float(np.vdot(r, z))
     converged = False
     for it in range(max_iters):
@@ -432,19 +433,22 @@ def pcg_solve_direction_at_budget(apply_a, apply_m, b, x, max_iters, rel_tol):
     )
 
 
-def pcg_solve_blocks(apply_a, apply_m, b, x0, max_iters, rel_tol, solve=pcg_solve):
+def pcg_solve_blocks(apply_a, apply_m, b, x0, max_iters, rel_tol, solve=pcg_solve, direction=None):
     """``solve``, ``pcg_solve`` by default, on the full (u, vv, vh) system through its flat buffers.
 
     The maps take and return SystemVectors, as ``apply_system`` and
     ``apply_preconditioner`` do.  PCG runs in copies of ``b`` and ``x0``, so
-    both stay as given; the outcome gains ``x`` and ``residual``, the
-    SystemVectors of those copies after the solve.
+    both stay as given, and in the search-direction SystemVector
+    ``direction``, a new one when None; the outcome gains ``x`` and
+    ``residual``, the SystemVectors of those copies after the solve.
     """
     n, m = b.shape
 
     def view(data):
         return SystemVector.from_buffer(data, n, m)
 
+    if direction is None:
+        direction = SystemVector.zeros(n, m)
     x, res = x0.copy(), b.copy()
     out = solve(
         lambda v: apply_a(view(v)).data,
@@ -453,6 +457,7 @@ def pcg_solve_blocks(apply_a, apply_m, b, x0, max_iters, rel_tol, solve=pcg_solv
         x.data,
         max_iters=max_iters,
         rel_tol=rel_tol,
+        direction=direction.data,
     )
     out.x, out.residual = x, res
     return out
@@ -514,10 +519,24 @@ def stall_proposals(monkeypatch):
 
     From a state that is not stationary the gradient step lowers h, so each
     such proposal loses to it, though its h is no more than the state's.
+    ``unwrap`` uses the state's slacks as scratch during the solve, so the
+    state is copied when the gradient step reads it, and the proposal is
+    written from that copy.
     """
-    solve = irls.pcg_solve
+    step, solve = irls.candidate_step, irls.pcg_solve
+    stash = []
+
+    def stashing_step(x, *args, **kwargs):
+        stash[:] = [x.copy()]
+        return step(x, *args, **kwargs)
+
+    def kept(u, g, wr, tau, *, out, flux):
+        out.data[...] = stash[0].data
+        return out
+
+    monkeypatch.setattr(irls, "candidate_step", stashing_step)
     monkeypatch.setattr(irls, "pcg_solve", lambda **kwargs: solve(**{**kwargs, "max_iters": 0}))
-    monkeypatch.setattr(irls, "recover_slacks", lambda u, g, wr, tau, *, out, flux: out)
+    monkeypatch.setattr(irls, "recover_slacks", kept)
 
 
 def unwrap_eager_safeguard(x, c, model, params=IrlsParams()):
@@ -526,10 +545,10 @@ def unwrap_eager_safeguard(x, c, model, params=IrlsParams()):
     Each iteration refreshes the weights of its state, forms the gradient
     step and its h, and accepts the PCG proposal only if its h is at most the
     step's; no bound stands in for that comparison.  The arithmetic of every
-    array is that of ``unwrap``, each in new grids.  The solve and the slack
-    recovery are looked up in ``irls``, so ``spoil_proposals`` and
-    ``stall_proposals`` reach this loop too.  Returns the final state and the
-    ``IterationRecord`` list.
+    array is that of ``unwrap``, each in new grids.  The gradient step, the
+    solve and the slack recovery are looked up in ``irls``, so
+    ``spoil_proposals`` and ``stall_proposals`` reach this loop too.  Returns
+    the final state and the ``IterationRecord`` list.
     """
     g = wrapped_gradients(x)
     n, m = g.shape
@@ -589,7 +608,9 @@ def _eager_iteration(state, w, g, c, model, lip, cache, k, m_cg, delta_rel):
     """One iteration of the eager loop from ``state`` under its refreshed weights ``w``."""
     n, m = g.shape
     tau = model.tau
-    cand = step_of(state, w, g, c, model, lip)
+    cand, _ = irls.candidate_step(
+        state, w, g, c, model, lip, out=SystemVector.zeros(n, m), scratch=arc_grids(n, m)
+    )
     h_cand = h_delta_of(cand, w, g, c, model)
 
     flux = arc_grids(n, m)
@@ -600,11 +621,14 @@ def _eager_iteration(state, w, g, c, model, lip, cache, k, m_cg, delta_rel):
     prop = state.copy()
     outcome = irls.pcg_solve(
         apply_a=lambda v: kernels.weighted_laplacian(v, *wr, *flux, ap),
-        apply_m=lambda r: preconditioner.sylvester_solve(r, tau, cache, out=z),
+        apply_m=lambda r: preconditioner.sylvester_solve(
+            r, tau, cache, out=z, scratch=np.empty((n, m))
+        ),
         b=rhs,
         x=prop.u,
         max_iters=m_cg,
         rel_tol=CG_REL_TOL,
+        direction=np.empty((n, m)),
     )
     irls.recover_slacks(prop.u, g, wr, tau, out=prop, flux=flux)
     h_prop = h_delta_of(prop, w, g, c, model)

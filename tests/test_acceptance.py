@@ -146,7 +146,7 @@ def test_criterion_04_sylvester_residuals():
         if solves >= 50:
             break
         r = rng.standard_normal((n, m))
-        z = sylvester_solve(r, tau, caches[(n, m)], out=np.zeros((n, m)))
+        z = sylvester_solve(r, tau, caches[(n, m)], out=np.zeros((n, m)), scratch=np.empty((n, m)))
         sts = dense_s(n).T @ dense_s(n)
         ttt = dense_t(m) @ dense_t(m).T
         projected = r - r.mean()

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import time
 import tracemalloc
@@ -241,6 +242,41 @@ class TestUnwrap:
         res = unwrap(wrap_to_principal(truth_col, 0.0))
         assert shift_error(res.u, truth_col).max_abs < 1e-10
 
+    @pytest.mark.parametrize(
+        "shape, weighted, digest",
+        [
+            ((1, 9), False, "9ff53adc0b1466e3"),
+            ((1, 9), True, "00700bc637cded68"),
+            ((9, 1), False, "9ff53adc0b1466e3"),
+            ((9, 1), True, "00700bc637cded68"),
+            ((1, 1), False, "af5570f5a1810b7a"),
+            ((1, 1), True, "af5570f5a1810b7a"),
+        ],
+    )
+    def test_degenerate_shapes_return_views_of_one_buffer(self, shape, weighted, digest):
+        # a single row or column leaves the state's slacks one element short
+        # of a grid; the Sylvester scratch must still fit past u.  The digests
+        # pin the bytes of (u, vv, vh) that unwrap gave with a Sylvester
+        # scratch and a search direction allocated per call
+        n, m = shape
+        rng_local = np.random.Generator(np.random.Philox(key=np.uint64(27)))
+        truth = 0.9 * np.arange(n * m).reshape(n, m) + rng_local.normal(0.0, 0.5, (n, m))
+        c = WeightField(
+            rng_local.uniform(0.2, 1.5, (n - 1, m)), rng_local.uniform(0.2, 1.5, (n, m - 1))
+        )
+        res = unwrap(wrap_to_principal(truth, 0.0), c if weighted else None)
+        assert (res.u.shape, res.vv.shape, res.vh.shape) == ((n, m), (n - 1, m), (n, m - 1))
+        # u, vv and vh lie back to back in one buffer, as the blocks of a SystemVector
+        offset = res.u.__array_interface__["data"][0]
+        for block in (res.u, res.vv, res.vh):
+            # numpy gives an empty view a data pointer of its own
+            if block.size:
+                assert block.__array_interface__["data"][0] == offset
+            offset += block.nbytes
+        assert res.u.base is not None and res.u.base is res.vv.base is res.vh.base
+        got = hashlib.sha256(res.u.tobytes() + res.vv.tobytes() + res.vh.tobytes())
+        assert got.hexdigest()[:16] == digest
+
     def test_single_pixel(self):
         res = unwrap(np.array([[1.0]]))
         assert res.u == np.zeros((1, 1))
@@ -342,12 +378,13 @@ class TestUnwrap:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 25 * x.nbytes, f"peak of {peak / x.nbytes:.2f} grids"
+        assert peak <= 19 * x.nbytes, f"peak of {peak / x.nbytes:.2f} grids"
 
     def test_solve_runs_in_the_loop_buffers(self):
-        # PCG iterates in the state's u and the right-hand side grid, so the
-        # peak is the loop's buffers plus the search direction and one
-        # Sylvester transform temporary
+        # PCG iterates in the state's u, the right-hand side grid and the
+        # direction grid, and the Sylvester transform runs in the state's
+        # slacks, so the peak is the loop's 13 grids plus the input, its
+        # gradients and the spectral cache (17.24 grids measured)
         spec = SceneSpec("gaussian-bumps", 256, 256, amplitude=10.0, feature_scale=28.0, seed=1)
         x = add_phase_noise(wrap_scene(generate_scene(spec)), 0.3, seed=7)
         tracemalloc.start()
@@ -356,7 +393,33 @@ class TestUnwrap:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 22 * x.nbytes, f"peak of {peak / x.nbytes:.2f} grids"
+        assert peak <= 18 * x.nbytes, f"peak of {peak / x.nbytes:.2f} grids"
+
+    def test_outer_loop_allocates_no_grid(self, monkeypatch):
+        # every loop buffer exists by the first gradient step; from there to
+        # the return the traced peak may grow only by numpy's fixed-size
+        # iterator buffers (about 128 KiB for the strided column stencils)
+        spec = SceneSpec("gaussian-bumps", 384, 320, amplitude=10.0, feature_scale=28.0, seed=2)
+        x = add_phase_noise(wrap_scene(generate_scene(spec)), 0.3, seed=8)
+        step = irls.candidate_step
+        entry = []
+
+        def marking(*args, **kwargs):
+            if not entry:
+                entry.append(tracemalloc.get_traced_memory()[0])
+                tracemalloc.reset_peak()
+            return step(*args, **kwargs)
+
+        monkeypatch.setattr(irls, "candidate_step", marking)
+        tracemalloc.start()
+        try:
+            res = unwrap(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(res.trace) >= 3 and sum(r.cg_iters for r in res.trace.records) >= 10
+        grown = (peak - entry[0]) / x.nbytes
+        assert grown < 0.25, f"the loop allocated {grown:.3f} grids"
 
     @pytest.mark.parametrize("scene", ["bumps-24x31-sigma0.3", "plateau-40x24"])
     def test_runs_none_of_the_block_formulation(self, monkeypatch, scene):

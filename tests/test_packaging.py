@@ -127,7 +127,7 @@ def test_solver_modules_hold_only_the_solve_path():
 
 
 # buffer parameters: the caller owns every grid a function writes into
-BUFFER_PARAMS = {"out", "flux", "scratch"}
+BUFFER_PARAMS = {"out", "flux", "scratch", "direction"}
 
 
 def defaulted_buffer_params():

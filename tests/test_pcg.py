@@ -52,9 +52,10 @@ def reduced_maps(wr, cache):
     """The reduced map and the Sylvester preconditioner, each writing into one grid."""
     n, m = cache.lambda_s.size, cache.lambda_t.size
     ap, z, flux = np.empty((n, m)), np.empty((n, m)), arc_grids(n, m)
+    transform = np.empty((n, m))
     return (
         lambda v: kernels.weighted_laplacian(v, wr.v, wr.h, *flux, ap),
-        lambda r: sylvester_solve(r, TAU, cache, out=z),
+        lambda r: sylvester_solve(r, TAU, cache, out=z, scratch=transform),
     )
 
 
@@ -164,6 +165,7 @@ class TestReducedSolve:
             x,
             max_iters=3 * n * m,
             rel_tol=1e-12,
+            direction=np.empty((n, m)),
         )
         assert out.converged
         got = recover_slacks(
@@ -190,6 +192,7 @@ class TestReducedSolve:
             x,
             max_iters=400,
             rel_tol=1e-13,
+            direction=np.empty((n, m)),
         )
         assert out.converged
         assert out.iterations > 50
@@ -213,6 +216,7 @@ class TestInPlace:
             x,
             max_iters=8,
             rel_tol=0.0,
+            direction=np.empty(rhs.shape),
         )
         assert out.iterations == 8
         assert np.linalg.norm(b) == out.residual_norms[-1]
@@ -229,14 +233,19 @@ class TestApplyCounts:
     def test_budget_ended_solve_forms_no_last_direction(self, rng, max_iters):
         rhs, apply_a, apply_m = reduced_problem(rng)
         apply_a, apply_m = counted(apply_a), counted(apply_m)
-        out = pcg_solve(apply_a, apply_m, rhs, np.zeros(rhs.shape), max_iters, 0.0)
+        out = pcg_solve(
+            apply_a, apply_m, rhs, np.zeros(rhs.shape), max_iters, 0.0,
+            direction=np.empty(rhs.shape),
+        )
         assert out.iterations == max_iters and not out.converged
         assert (apply_m.calls, apply_a.calls) == (max_iters, max_iters + 1)
 
     def test_converged_solve(self, rng):
         rhs, apply_a, apply_m = reduced_problem(rng)
         apply_a, apply_m = counted(apply_a), counted(apply_m)
-        out = pcg_solve(apply_a, apply_m, rhs, np.zeros(rhs.shape), 500, 1e-8)
+        out = pcg_solve(
+            apply_a, apply_m, rhs, np.zeros(rhs.shape), 500, 1e-8, direction=np.empty(rhs.shape)
+        )
         assert out.converged and out.iterations >= 2
         k = out.iterations
         assert (apply_m.calls, apply_a.calls) == (k, k + 1)
@@ -244,7 +253,10 @@ class TestApplyCounts:
     def test_solve_that_starts_converged(self, rng):
         _, apply_a, apply_m = reduced_problem(rng)
         apply_a, apply_m = counted(apply_a), counted(apply_m)
-        out = pcg_solve(apply_a, apply_m, np.zeros((12, 10)), np.zeros((12, 10)), 5, 1e-8)
+        out = pcg_solve(
+            apply_a, apply_m, np.zeros((12, 10)), np.zeros((12, 10)), 5, 1e-8,
+            direction=np.empty((12, 10)),
+        )
         assert out.converged and out.iterations == 0
         assert (apply_m.calls, apply_a.calls) == (0, 1)
 
@@ -273,7 +285,64 @@ class TestSameIteratesAsTheDirectionAtBudgetLoop:
         runs = []
         for solve in (pcg_solve, pcg_solve_direction_at_budget):
             b, x = rhs.copy(), x0.copy()
-            runs.append((solve(apply_a, apply_m, b, x, max_iters, rel_tol), b, x))
+            out = solve(
+                apply_a, apply_m, b, x, max_iters, rel_tol, direction=np.empty(rhs.shape)
+            )
+            runs.append((out, b, x))
+        (got, got_b, got_x), (want, want_b, want_x) = runs
+        assert got_x.tobytes() == want_x.tobytes()
+        assert got_b.tobytes() == want_b.tobytes()
+        assert got.residual_norms == want.residual_norms
+        assert (got.iterations, got.converged) == (want.iterations, want.converged)
+
+
+class TestSharedMapBuffer:
+    """Both maps may return one buffer: each output is dead before the other map runs."""
+
+    @pytest.mark.parametrize("max_iters, rel_tol", [(1, 0.0), (6, 0.0), (500, 1e-8)])
+    def test_block_system(self, rng, max_iters, rel_tol):
+        n, m = 6, 5
+        d, b, _, _ = make_problem(rng, n, m, seed=3)
+        pc = build_preconditioner(build_spectral_cache(n, m), d, TAU)
+        x0 = SystemVector(rng.standard_normal((n, m)), *arc_grids(n, m))
+        zap, ap, z = (SystemVector.zeros(n, m) for _ in range(3))
+        got = pcg_solve_blocks(
+            lambda v: apply_system(v, d, TAU, out=zap),
+            lambda r: apply_preconditioner(r, pc, out=zap),
+            b, x0, max_iters, rel_tol,
+        )
+        want = pcg_solve_blocks(
+            lambda v: apply_system(v, d, TAU, out=ap),
+            lambda r: apply_preconditioner(r, pc, out=z),
+            b, x0, max_iters, rel_tol,
+        )
+        assert got.x.data.tobytes() == want.x.data.tobytes()
+        assert got.residual.data.tobytes() == want.residual.data.tobytes()
+        assert got.residual_norms == want.residual_norms
+        assert (got.iterations, got.converged) == (want.iterations, want.converged)
+
+    @pytest.mark.parametrize("max_iters, rel_tol", [(1, 0.0), (6, 0.0), (500, 1e-8)])
+    def test_reduced_system(self, rng, max_iters, rel_tol):
+        n, m = 12, 10
+        wr = ArcField(rng.uniform(0.5, 2.0, (n - 1, m)), rng.uniform(0.5, 2.0, (n, m - 1)))
+        rhs = build_reduced_rhs(
+            random_gradients(rng, n, m), wr, out=np.zeros((n, m)), flux=arc_grids(n, m)
+        )
+        cache = build_spectral_cache(n, m)
+        zap, transform, flux = np.empty((n, m)), np.empty((n, m)), arc_grids(n, m)
+        shared = (
+            lambda v: kernels.weighted_laplacian(v, wr.v, wr.h, *flux, zap),
+            lambda r: sylvester_solve(r, TAU, cache, out=zap, scratch=transform),
+        )
+        x0 = rng.standard_normal((n, m))
+        runs = []
+        for apply_a, apply_m in (shared, reduced_maps(wr, cache)):
+            b, x = rhs.copy(), x0.copy()
+            # the direction's content on entry is not read
+            out = pcg_solve(
+                apply_a, apply_m, b, x, max_iters, rel_tol, direction=np.full((n, m), np.nan)
+            )
+            runs.append((out, b, x))
         (got, got_b, got_x), (want, want_b, want_x) = runs
         assert got_x.tobytes() == want_x.tobytes()
         assert got_b.tobytes() == want_b.tobytes()
@@ -318,6 +387,7 @@ class TestBreakdown:
             x,
             max_iters=10,
             rel_tol=1e-10,
+            direction=np.empty(2),
         )
         assert out.iterations == 1
         assert not out.converged
@@ -333,7 +403,7 @@ class TestBreakdown:
 
 
 class TestAllocations:
-    """The CG iteration reuses its vectors: it allocates only the search direction."""
+    """The CG iteration runs in the caller's vectors, its search direction included."""
 
     n, m = 96, 80
 
@@ -342,9 +412,11 @@ class TestAllocations:
         d = random_diagonal_weights(n, m, DELTA, seed=8)
         b = build_rhs(random_gradients(rng, n, m), TAU, out=SystemVector.zeros(n, m))
         pc = build_preconditioner(build_spectral_cache(n, m), d, TAU)
-        # one scratch vector per map, allocated once, as irls.unwrap does
+        # one scratch vector per map and the search direction, allocated
+        # once, as irls.unwrap does
         ap = SystemVector.zeros(n, m)
         z = SystemVector.zeros(n, m)
+        direction = SystemVector.zeros(n, m)
         x0 = SystemVector.zeros(n, m)
         tracemalloc.start()
         try:
@@ -352,7 +424,7 @@ class TestAllocations:
             out = pcg_solve_blocks(
                 lambda v: apply_system(v, d, TAU, out=ap),
                 lambda r: apply_preconditioner(r, pc, out=z),
-                b, x0, max_iters, 0.0,
+                b, x0, max_iters, 0.0, direction=direction,
             )
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -364,30 +436,31 @@ class TestAllocations:
         peak, vector, grid = self._solve_peak(rng, 20)
         assert peak <= 3 * vector + 3 * grid, f"peak {peak / grid:.1f} grids"
 
-    def test_solve_allocates_one_grid(self, rng):
-        # maps that write into preallocated grids, so the peak is PCG's own
+    def test_solve_allocates_no_grid(self, rng):
+        # the reduced map and the Sylvester preconditioner write into one
+        # shared grid, as in irls.unwrap, so the peak is PCG's own
         n, m = 256, 256
         wr = ArcField(rng.uniform(0.5, 2.0, (n - 1, m)), rng.uniform(0.5, 2.0, (n, m - 1)))
         flux = arc_grids(n, m)
         b = build_reduced_rhs(random_gradients(rng, n, m), wr, out=np.zeros((n, m)), flux=flux)
-        x = np.zeros((n, m))
-        ap, z = np.empty((n, m)), np.empty((n, m))
+        cache = build_spectral_cache(n, m)
+        x, zap, transform, direction = (np.zeros((n, m)) for _ in range(4))
         tracemalloc.start()
         try:
             entry = tracemalloc.get_traced_memory()[0]
             out = pcg_solve(
-                lambda v: kernels.weighted_laplacian(v, wr.v, wr.h, *flux, ap),
-                lambda r: np.multiply(r, 0.5, out=z),
-                b, x, 20, 0.0,
+                lambda v: kernels.weighted_laplacian(v, wr.v, wr.h, *flux, zap),
+                lambda r: sylvester_solve(r, TAU, cache, out=zap, scratch=transform),
+                b, x, 20, 0.0, direction=direction,
             )
             peak = tracemalloc.get_traced_memory()[1] - entry
         finally:
             tracemalloc.stop()
         assert out.iterations == 20
         grid = n * m * 8
-        # the search direction, plus numpy's fixed-size ufunc buffers (8192
-        # elements per operand) for the strided column stencils
-        assert peak <= grid + 2**18, f"peak {peak / grid:.2f} grids"
+        # numpy's fixed-size ufunc buffers (8192 elements per operand) for
+        # the strided column stencils and butterflies are all there is
+        assert peak <= 2**18, f"peak {peak / grid:.2f} grids"
 
     def test_peak_does_not_grow_with_iterations(self, rng):
         short, _, grid = self._solve_peak(rng, 4)

@@ -111,13 +111,15 @@ class TestSpectralCache:
 class TestSylvesterSolve:
     def test_zero_rhs(self):
         cache = build_spectral_cache(4, 5)
-        z = sylvester_solve(np.zeros((4, 5)), 1e-2, cache, out=np.full((4, 5), np.nan))
+        z = sylvester_solve(
+            np.zeros((4, 5)), 1e-2, cache, out=np.full((4, 5), np.nan), scratch=np.empty((4, 5))
+        )
         assert np.all(z == 0.0)
 
     def test_two_by_two_reference_value(self):
         cache = build_spectral_cache(2, 2)
         r = np.array([[1.0, -1.0], [-1.0, 1.0]])
-        z = sylvester_solve(r, 1.0, cache, out=np.zeros((2, 2)))
+        z = sylvester_solve(r, 1.0, cache, out=np.zeros((2, 2)), scratch=np.empty((2, 2)))
         assert np.allclose(z, [[0.25, -0.25], [-0.25, 0.25]], atol=1e-12)
 
     def test_matches_dense_pseudoinverse(self, rng):
@@ -130,7 +132,7 @@ class TestSylvesterSolve:
         pinv = np.linalg.pinv(kron_sum)
         for _ in range(10):
             r = rng.standard_normal((n, m))
-            z = sylvester_solve(r, tau, cache, out=np.zeros((n, m)))
+            z = sylvester_solve(r, tau, cache, out=np.zeros((n, m)), scratch=np.empty((n, m)))
             want = (pinv @ (tau * r.ravel(order="F"))).reshape((n, m), order="F")
             assert np.max(np.abs(z - want)) < 1e-10
 
@@ -141,7 +143,10 @@ class TestSylvesterSolve:
             shapes += [(1, 1024), (1024, 1), (513, 257)]
         for n_, m in shapes:
             r = rng.standard_normal((n_, m))
-            got = sylvester_solve(r, 0.37, build_spectral_cache(n_, m), out=np.full((n_, m), np.nan))
+            got = sylvester_solve(
+                r, 0.37, build_spectral_cache(n_, m), out=np.full((n_, m), np.nan),
+                scratch=np.empty((n_, m)),
+            )
             want = sylvester_solve_dense(r, 0.37)
             assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), (n_, m)
 
@@ -155,7 +160,7 @@ class TestSylvesterSolve:
         for _ in range(10):
             r = rng.standard_normal((n, m))
             r -= r.mean()
-            z = sylvester_solve(r, tau, cache, out=np.zeros((n, m)))
+            z = sylvester_solve(r, tau, cache, out=np.zeros((n, m)), scratch=np.empty((n, m)))
             resid = sts @ z + z @ ttt - tau * r
             assert np.linalg.norm(resid) <= 1e-9 * np.linalg.norm(tau * r)
             assert abs(z.mean()) < 1e-12 * max(1.0, np.abs(z).max())
@@ -163,19 +168,46 @@ class TestSylvesterSolve:
     def test_rejects_nonpositive_tau(self):
         cache = build_spectral_cache(2, 2)
         with pytest.raises(ValueError):
-            sylvester_solve(np.zeros((2, 2)), -1.0, cache, out=np.zeros((2, 2)))
+            sylvester_solve(
+                np.zeros((2, 2)), -1.0, cache, out=np.zeros((2, 2)), scratch=np.empty((2, 2))
+            )
 
     def test_rejects_an_out_that_is_not_c_contiguous(self):
         cache = build_spectral_cache(3, 4)
         with pytest.raises(ValueError, match="C-contiguous"):
-            sylvester_solve(np.ones((3, 4)), 1.0, cache, out=np.zeros((4, 3)).T)
+            sylvester_solve(
+                np.ones((3, 4)), 1.0, cache, out=np.zeros((4, 3)).T, scratch=np.empty((3, 4))
+            )
+
+    @pytest.mark.parametrize(
+        "scratch",
+        [np.empty((4, 3)), np.empty((3, 5)), np.empty((4, 3)).T, np.empty((3, 8))[:, ::2]],
+        ids=["wrong-shape", "wrong-width", "transposed", "strided"],
+    )
+    def test_rejects_a_scratch_that_is_not_a_c_contiguous_grid(self, scratch):
+        cache = build_spectral_cache(3, 4)
+        with pytest.raises(ValueError, match="scratch"):
+            sylvester_solve(np.ones((3, 4)), 1.0, cache, out=np.zeros((3, 4)), scratch=scratch)
+
+    @pytest.mark.parametrize("overlap", ["r", "out"])
+    def test_rejects_a_scratch_overlapping_r_or_out(self, overlap):
+        # a scratch sharing memory with either grid would corrupt the result silently
+        cache = build_spectral_cache(3, 4)
+        buf = np.ones(24)
+        grids = {"r": np.ones((3, 4)), "out": np.zeros((3, 4)), overlap: buf[:12].reshape(3, 4)}
+        with pytest.raises(ValueError, match="overlap"):
+            sylvester_solve(
+                grids["r"], 1.0, cache, out=grids["out"], scratch=buf[6:18].reshape(3, 4)
+            )
+        assert np.all(buf == 1.0)
 
     @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (6, 1), (5, 8)])
     def test_out_may_alias_the_input(self, rng, shape):
         cache = build_spectral_cache(*shape)
         r = rng.standard_normal(shape)
-        want = sylvester_solve(r, 0.37, cache, out=np.zeros(shape))
-        assert np.array_equal(sylvester_solve(r, 0.37, cache, out=r), want)
+        want = sylvester_solve(r, 0.37, cache, out=np.zeros(shape), scratch=np.empty(shape))
+        got = sylvester_solve(r, 0.37, cache, out=r, scratch=np.empty(shape))
+        assert np.array_equal(got, want)
 
 
 def random_diag(rng, n, m, hi=5.0):
@@ -274,9 +306,10 @@ class TestOutArguments:
         cache = build_spectral_cache(n, m)
         r = rng.standard_normal((n, m))
         buf = np.full((n, m), np.nan)
-        got = sylvester_solve(r, tau, cache, out=buf)
+        got = sylvester_solve(r, tau, cache, out=buf, scratch=np.empty((n, m)))
         assert got is buf
-        assert np.array_equal(got, sylvester_solve(r, tau, cache, out=np.zeros((n, m))))
+        want = sylvester_solve(r, tau, cache, out=np.zeros((n, m)), scratch=np.empty((n, m)))
+        assert np.array_equal(got, want)
         sts = dense_s(n).T @ dense_s(n)
         ttt = dense_t(m) @ dense_t(m).T
         kron_sum = np.kron(np.eye(m), sts) + np.kron(ttt, np.eye(n))
