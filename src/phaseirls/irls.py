@@ -5,7 +5,8 @@ PCG solve on the resulting weighted least squares problem, warm-started from
 the previous estimate.  For fixed weights each slack has a closed-form
 minimizer given u, so the solve runs on the reduced weighted Poisson system
 in u alone (``kernels.weighted_laplacian``), preconditioned by the
-spectral Sylvester solve; the proposal is u with its optimal slacks.  The
+spectral Sylvester solve; the proposal is u with its optimal slacks, which
+``recover_slacks`` writes over the state's from the arc misfit K u - g.  The
 proposal is accepted only if it does at least as well as one explicit
 gradient step on the lifted objective (falling back to that step otherwise,
 which makes the sufficient-decrease condition hold at every accepted
@@ -294,7 +295,7 @@ def unwrap(x, c: WeightField | None = None, model: ModelParams | None = None,
         cg_rel_residual = outcome.residual_norms[-1] / rhs_norm if rhs_norm > 0 else 0.0
         # the proposal: u from the solve with its optimal slacks; the reduced
         # weights are spent, so the proposal's refreshed weights replace them
-        recover_slacks(state.u, g, wr, tau, out=state, flux=spent_flux)
+        recover_slacks(state, g, wr, tau, flux=spent_flux)
         h_prop, h_next = eval_h_delta_and_refresh(
             state, w, g, c, model, refreshed=wr, scratch=spent_flux
         )

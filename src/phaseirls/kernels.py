@@ -1,16 +1,19 @@
-"""Hot inner-loop kernels: the arc stencil pair and the two system maps.
+"""Hot inner-loop kernels: the arc stencil pair, the arc misfit and the two system maps.
 
 ``diffs`` (S u and u T) and its adjoint ``adj_diffs`` are the one arc stencil
 pair of the package: they write into arc and pixel grids the caller provides
-and allocate no grid-sized array.  The conjugate gradient loop of
+and allocate no grid-sized array.  ``misfit`` is the arc misfit K u - g, the
+differences less the data, and the one place the package forms it: the
+block residual below, the coupling penalty of the objectives and the slack
+recovery all start from it.  The conjugate gradient loop of
 ``irls.unwrap`` calls ``weighted_laplacian``, the map of the reduced system
 in u, once per iteration.  ``apply_system_blocks`` is the residual A x - b of
 the full (u, vv, vh) block system for the data g, formed from the coupling
-residuals K u - g - v; with the data g it is the gradient of the safeguard
-step (``objective.candidate_step``).  Both maps are built from that pair
-and write into buffers their caller owns; ``apply_system_blocks`` takes the
-slack products ``d * v`` ready-made, so neither map allocates grid-sized
-temporaries.
+residuals K u - g - v, the misfit less the slacks; with the data g it is the
+gradient of the safeguard step (``objective.candidate_step``).  Both maps
+are built from that pair and write into buffers their caller owns;
+``apply_system_blocks`` takes the slack products ``d * v`` ready-made, so
+neither map allocates grid-sized temporaries.
 ``diff_rows`` (S u), ``diff_cols`` (u T), ``adj_diff_rows`` and
 ``adj_diff_cols`` are allocating forms of the same maps that no module of the
 package calls; the traced benchmark run looks them up by name.
@@ -29,6 +32,7 @@ __all__ = [
     "adj_diff_cols",
     "apply_system_blocks",
     "diffs",
+    "misfit",
     "adj_diffs",
     "weighted_laplacian",
     "current_backend",
@@ -61,16 +65,15 @@ def apply_system_blocks(u, vv, vh, dvv, dvh, gv, gh, inv_tau, au, avv, avh):
     """The block system's residual A x - b for the data (gv, gh), in place.
 
     With the coupling residuals rv = S u - gv - vv and rh = u T - gh - vh,
+    which are ``misfit`` less the slacks,
     au = (St rv + rh Tt) / tau, avv = dvv - rv / tau and likewise avh, where
     ``dvv = dv * vv`` and ``dvh = dh * vh`` are the slack products of the
     diagonal weights d, which the caller forms.  The data g = 0 gives the
     map A x alone.
     """
     # avv and avh first hold the coupling residuals
-    diffs(u, avv, avh)
-    avv -= gv
+    misfit(u, gv, gh, avv, avh)
     avv -= vv
-    avh -= gh
     avh -= vh
     adj_diffs(avv, avh, au)
     au *= inv_tau
@@ -85,6 +88,14 @@ def diffs(u, fv, fh):
     """fv = S u and fh = u T, both difference maps, in place."""
     np.subtract(u[1:, :], u[:-1, :], out=fv)
     np.subtract(u[:, 1:], u[:, :-1], out=fh)
+    return fv, fh
+
+
+def misfit(u, gv, gh, fv, fh):
+    """fv = S u - gv and fh = u T - gh, the arc misfit K u - g, in place."""
+    diffs(u, fv, fh)
+    fv -= gv
+    fh -= gh
     return fv, fh
 
 

@@ -67,11 +67,9 @@ class ModelParams:
 
 
 def _penalty_terms(x: SystemVector, g, tau, *, scratch):
-    # the coupling residuals S u - gv - vv and u T - gh - vh, formed in the scratch pair
-    rv, rh = kernels.diffs(x.u, *scratch)
-    rv -= g.v
+    """Coupling penalty ||K u - g - v||^2 / (2 tau): the misfit less the slacks, in the scratch."""
+    rv, rh = kernels.misfit(x.u, g.v, g.h, *scratch)
     rv -= x.vv
-    rh -= g.h
     rh -= x.vh
     return (float(np.vdot(rv, rv)) + float(np.vdot(rh, rh))) / (2.0 * tau)
 

@@ -11,11 +11,14 @@ likewise vh, so the weighted least squares problem reduces to one in u alone
 
 the classical weighted least squares unwrapping system (Ghiglia & Romero,
 JOSA A 11(1), 1994).  The solver runs its conjugate gradient on this system,
-whose map is ``kernels.weighted_laplacian`` with the weights W.
+whose map is ``kernels.weighted_laplacian`` with the weights W, and
+``recover_slacks`` then sets the slacks of the solved vector in place from
+its u and the arc misfit ``kernels.misfit``.
 The gradients g, the weights c and w, and the diagonals d and W are
 ``phase.ArcField`` pairs (v, h).  Each function writes into buffers its
-caller owns, passed by keyword: ``out`` and ``flux``, a pair of scratch
-grids shaped like (vv, vh).
+caller owns: ``reduced_weights`` and ``build_reduced_rhs`` into ``out``,
+``recover_slacks`` into the slacks of the vector it is given, and each takes
+``flux``, a pair of scratch grids shaped like (vv, vh), by keyword.
 """
 
 import numpy as np
@@ -116,21 +119,19 @@ def build_reduced_rhs(g: ArcField, wr, *, out, flux):
     return kernels.adj_diffs(*flux, out)
 
 
-def recover_slacks(u, g: ArcField, wr, tau, *, out, flux):
-    """The triple (u, vv, vh) with each slack at its minimizer given ``u``.
+def recover_slacks(x, g: ArcField, wr, tau, *, flux):
+    """Set each slack of the SystemVector ``x`` to its minimizer given ``x.u``.
 
     ``vv = (S u - gv) * (1 - tau Wv)`` and ``vh = (u T - gh) * (1 - tau Wh)``.
-    Writes into the SystemVector ``out``; ``flux`` is scratch as for
-    ``reduced_weights``.
+    Writes the slacks of ``x`` in place and returns ``x``; ``u`` is only
+    read.  ``flux`` is scratch as for ``reduced_weights``.
     """
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
-    out.u[...] = u
-    kernels.diffs(u, out.vv, out.vh)
-    for v, gg, ww, f in zip((out.vv, out.vh), g, wr, flux):
-        v -= gg
+    kernels.misfit(x.u, g.v, g.h, x.vv, x.vh)
+    for v, ww, f in zip((x.vv, x.vh), wr, flux):
         # v -= tau W v, the product formed in the scratch
         np.multiply(ww, tau, out=f)
         f *= v
         v -= f
-    return out
+    return x

@@ -506,10 +506,10 @@ def spoil_proposals(monkeypatch):
     """
     recover = irls.recover_slacks
 
-    def spoiled(u, *args, **kwargs):
-        out = recover(u, *args, **kwargs)
-        out.u += 10 * np.cos(np.arange(out.u.size)).reshape(out.u.shape)
-        return out
+    def spoiled(x, *args, **kwargs):
+        recover(x, *args, **kwargs)
+        x.u += 10 * np.cos(np.arange(x.u.size)).reshape(x.u.shape)
+        return x
 
     monkeypatch.setattr(irls, "recover_slacks", spoiled)
 
@@ -530,9 +530,9 @@ def stall_proposals(monkeypatch):
         stash[:] = [x.copy()]
         return step(x, *args, **kwargs)
 
-    def kept(u, g, wr, tau, *, out, flux):
-        out.data[...] = stash[0].data
-        return out
+    def kept(x, g, wr, tau, *, flux):
+        x.data[...] = stash[0].data
+        return x
 
     monkeypatch.setattr(irls, "candidate_step", stashing_step)
     monkeypatch.setattr(irls, "pcg_solve", lambda **kwargs: solve(**{**kwargs, "max_iters": 0}))
@@ -630,7 +630,7 @@ def _eager_iteration(state, w, g, c, model, lip, cache, k, m_cg, delta_rel):
         rel_tol=CG_REL_TOL,
         direction=np.empty((n, m)),
     )
-    irls.recover_slacks(prop.u, g, wr, tau, out=prop, flux=flux)
+    irls.recover_slacks(prop, g, wr, tau, flux=flux)
     h_prop = h_delta_of(prop, w, g, c, model)
     fallback = not h_prop <= h_cand
     state = cand if fallback else prop

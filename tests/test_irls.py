@@ -1,4 +1,3 @@
-import hashlib
 import math
 import time
 import tracemalloc
@@ -243,28 +242,22 @@ class TestUnwrap:
         assert shift_error(res.u, truth_col).max_abs < 1e-10
 
     @pytest.mark.parametrize(
-        "shape, weighted, digest",
-        [
-            ((1, 9), False, "9ff53adc0b1466e3"),
-            ((1, 9), True, "00700bc637cded68"),
-            ((9, 1), False, "9ff53adc0b1466e3"),
-            ((9, 1), True, "00700bc637cded68"),
-            ((1, 1), False, "af5570f5a1810b7a"),
-            ((1, 1), True, "af5570f5a1810b7a"),
-        ],
+        "shape, weighted",
+        [((1, 9), False), ((1, 9), True), ((9, 1), False), ((9, 1), True),
+         ((1, 1), False), ((1, 1), True)],
     )
-    def test_degenerate_shapes_return_views_of_one_buffer(self, shape, weighted, digest):
+    def test_degenerate_shapes_return_views_of_one_buffer(self, shape, weighted):
         # a single row or column leaves the state's slacks one element short
-        # of a grid; the Sylvester scratch must still fit past u.  The digests
-        # pin the bytes of (u, vv, vh) that unwrap gave with a Sylvester
-        # scratch and a search direction allocated per call
+        # of a grid; the Sylvester scratch must still fit past u.  The eager
+        # loop runs the same arithmetic with every grid allocated apart
         n, m = shape
         rng_local = np.random.Generator(np.random.Philox(key=np.uint64(27)))
         truth = 0.9 * np.arange(n * m).reshape(n, m) + rng_local.normal(0.0, 0.5, (n, m))
         c = WeightField(
             rng_local.uniform(0.2, 1.5, (n - 1, m)), rng_local.uniform(0.2, 1.5, (n, m - 1))
         )
-        res = unwrap(wrap_to_principal(truth, 0.0), c if weighted else None)
+        x = wrap_to_principal(truth, 0.0)
+        res = unwrap(x, c if weighted else None)
         assert (res.u.shape, res.vv.shape, res.vh.shape) == ((n, m), (n - 1, m), (n, m - 1))
         # u, vv and vh lie back to back in one buffer, as the blocks of a SystemVector
         offset = res.u.__array_interface__["data"][0]
@@ -274,8 +267,11 @@ class TestUnwrap:
                 assert block.__array_interface__["data"][0] == offset
             offset += block.nbytes
         assert res.u.base is not None and res.u.base is res.vv.base is res.vh.base
-        got = hashlib.sha256(res.u.tobytes() + res.vv.tobytes() + res.vh.tobytes())
-        assert got.hexdigest()[:16] == digest
+        want, _ = unwrap_eager_safeguard(
+            x, c if weighted else WeightField.uniform(n, m), ModelParams()
+        )
+        for got, ref in ((res.u, want.u), (res.vv, want.vv), (res.vh, want.vh)):
+            assert got.tobytes() == ref.tobytes()
 
     def test_single_pixel(self):
         res = unwrap(np.array([[1.0]]))

@@ -128,6 +128,37 @@ class TestAdjDiffs:
             assert out.tobytes() == want.tobytes()
 
 
+class TestMisfit:
+    @pytest.mark.parametrize("kind", ["zeros", "exact", "normal", "mixed"])
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (7, 1), (2, 9), (33, 17)])
+    def test_bit_equal_to_diffs_then_the_data(self, rng, shape, kind):
+        # NaN-filled outputs: every entry must be written, and -0.0 and 0.0 told apart
+        n, m = shape
+        for _ in range(5):
+            u = arc_values(rng, (n, m), kind)
+            gv = arc_values(rng, (n - 1, m), kind)
+            gh = arc_values(rng, (n, m - 1), kind)
+            fv, fh = arc_grids(n, m, np.nan)
+            got_v, got_h = kernels.misfit(u, gv, gh, fv, fh)
+            assert got_v is fv and got_h is fh
+            want_v, want_h = kernels.diffs(u, *arc_grids(n, m, np.nan))
+            want_v -= gv
+            want_h -= gh
+            assert fv.tobytes() == want_v.tobytes()
+            assert fh.tobytes() == want_h.tobytes()
+
+    @pytest.mark.parametrize("kind", ["zeros", "mixed"])
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (7, 1), (2, 9), (33, 17)])
+    def test_zero_data_gives_the_bytes_of_diffs(self, rng, shape, kind):
+        # the scalar data 0.0 of diagnostics.apply_system
+        n, m = shape
+        u = arc_values(rng, (n, m), kind)
+        fv, fh = kernels.misfit(u, 0.0, 0.0, *arc_grids(n, m, np.nan))
+        want_v, want_h = kernels.diffs(u, *arc_grids(n, m, np.nan))
+        assert fv.tobytes() == want_v.tobytes()
+        assert fh.tobytes() == want_h.tobytes()
+
+
 class TestApplySystem:
     def test_zero_maps_to_zero(self, rng):
         n, m = 4, 5
@@ -370,8 +401,9 @@ class TestReducedSystem:
         want = build_reduced_rhs(g, wr, out=np.zeros((n, m)), flux=arc_grids(n, m))
         assert np.array_equal(rhs, want)
         full = nan_vector(n, m)
-        assert recover_slacks(u, g, wr, 0.03, out=full, flux=arc_grids(n, m, np.nan)) is full
-        want = recover_slacks(u, g, wr, 0.03, out=SystemVector.zeros(n, m), flux=arc_grids(n, m))
+        full.u[...] = u
+        assert recover_slacks(full, g, wr, 0.03, flux=arc_grids(n, m, np.nan)) is full
+        want = recover_slacks(SystemVector(u, *arc_grids(n, m)), g, wr, 0.03, flux=arc_grids(n, m))
         assert full.data.tobytes() == want.data.tobytes()
         # the slacks as first written, each temporary a new grid
         for v, diff, gg, ww in ((full.vv, kernels.diff_rows(u), g.v, wr.v),
@@ -399,6 +431,18 @@ class TestReducedSystem:
             assert np.all(got <= 1 / tau)
         assert np.all(out.v[1, :] == 0.0)
 
+    @pytest.mark.parametrize("shape", [(4, 5), (1, 6), (6, 1), (1, 1)])
+    def test_recover_slacks_writes_only_the_slacks_of_x(self, rng, shape):
+        n, m = shape
+        wr = with_zero_arcs(rng, random_diag(rng, n, m))
+        g = random_gradients(rng, n, m)
+        x = nan_vector(n, m)
+        x.u[...] = arc_values(rng, (n, m), "mixed")
+        u_bytes = x.u.tobytes()
+        assert recover_slacks(x, g, wr, 0.03, flux=arc_grids(n, m, np.nan)) is x
+        assert x.u.tobytes() == u_bytes
+        assert not np.isnan(x.data).any()
+
     def test_recovered_slacks_minimize_the_lifted_penalty(self, rng):
         # d v + (v - (S u - g)) / tau = 0 at the minimizer, arc by arc
         n, m, tau = 4, 5, 0.03
@@ -409,7 +453,7 @@ class TestReducedSystem:
         )
         u = rng.standard_normal((n, m))
         g = random_gradients(rng, n, m)
-        x = recover_slacks(u, g, wr, tau, out=SystemVector.zeros(n, m), flux=arc_grids(n, m))
+        x = recover_slacks(SystemVector(u, *arc_grids(n, m)), g, wr, tau, flux=arc_grids(n, m))
         assert np.array_equal(x.u, u)
         stationary_v = d.v * x.vv + (x.vv - (kernels.diff_rows(u) - g.v)) / tau
         stationary_h = d.h * x.vh + (x.vh - (kernels.diff_cols(u) - g.h)) / tau
