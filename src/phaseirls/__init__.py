@@ -13,6 +13,7 @@ from .diagnostics import (
 from .irls import BudgetDecision, IrlsParams, IrlsTrace, UnwrapResult, cg_budget_update, relative_improvement, unwrap
 from .objective import (
     ModelParams,
+    SystemVector,
     candidate_step,
     eval_f,
     eval_f_delta,
@@ -20,7 +21,6 @@ from .objective import (
     lipschitz_constant,
     update_weights,
 )
-from .operators import SystemVector
 from .pcg import NumericalBreakdown, PcgOutcome, pcg_solve
 from .phase import (
     ArcField,

@@ -1,10 +1,10 @@
 """The paper's block formulation, matrix-free and dense, and its spectral study.
 
 The paper states each weighted least squares step as a block system A x = b
-in the triple x = (u, vv, vh), one ``operators.SystemVector``, with the
+in the triple x = (u, vv, vh), one ``objective.SystemVector``, with the
 block-diagonal preconditioner D: the spectral Sylvester solve on u and
 diagonal divisions on the slacks.  ``irls.unwrap`` solves the reduced system
-in u alone instead (``operators``), so the block map ``apply_system``, its
+in u alone instead (``objective``), so the block map ``apply_system``, its
 right-hand side ``build_rhs`` and D (``build_preconditioner``,
 ``apply_preconditioner``) run only in the spectrum study here and in the
 tests and acceptance criteria.
@@ -33,7 +33,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import kernels
-from .operators import SystemVector
+from .objective import SystemVector
 from .phase import ArcField
 from .preconditioner import SpectralCache, build_spectral_cache, dct_basis, sylvester_solve
 

@@ -52,14 +52,17 @@ import numpy as np
 from . import kernels, preconditioner
 from .objective import (
     ModelParams,
+    SystemVector,
+    build_reduced_rhs,
     candidate_step,
     eval_h_delta,
     eval_h_delta_and_refresh,
     eval_h_delta_refreshed,
     lipschitz_constant,
+    recover_slacks,
+    reduced_weights,
     update_weights,
 )
-from .operators import SystemVector, build_reduced_rhs, recover_slacks, reduced_weights
 from .pcg import pcg_solve
 from .phase import ArcField, WeightField, wrapped_gradients
 from .preconditioner import build_spectral_cache

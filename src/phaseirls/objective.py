@@ -1,29 +1,38 @@
-"""Objective values, closed-form weight updates, and the safeguarded step.
+"""The lifted model under fixed weights: objectives, weights, safeguard step, reduced system.
 
-Three closely related functionals appear here.  The base objective adds the
-weighted l1 norms of the slack fields to two quadratic coupling penalties.
-Its smoothed variant replaces each absolute value by sqrt((c*v)^2 + delta^2).
-The lifted variant introduces auxiliary weights w >= delta/2 whose pointwise
-minimization recovers the smoothed objective exactly, so under refreshed
-weights its value is sum(w) plus the penalties (``eval_h_delta_refreshed``).
+The unknown is the triple x = (u, vv, vh) of grids, one ``SystemVector``; the
+arc map K stacks the vertical differences S u over the horizontal ones u T,
+the ``kernels`` stencils, and nothing here forms a matrix.  The base
+objective adds the weighted l1 norms of the slacks to the coupling penalty
+||K u - g - v||^2 / (2 tau) (``eval_f``); its smoothed variant replaces each
+|c v| by sqrt((c v)^2 + delta^2) (``eval_f_delta``).  The lifted objective h
+adds auxiliary weights w >= delta/2 whose pointwise minimization
+(``update_weights``) recovers the smoothed objective exactly, so under
+refreshed weights h is sum(w) plus the penalty (``eval_h_delta_refreshed``).
 
-The safeguard compares the inner solve's proposal with one explicit gradient
-step on the lifted quadratic.  That candidate needs only the current iterate
-and its weights, so ``irls.unwrap`` forms it before the solve and then writes
-the proposal over the iterate.  Its gradient is the block system's residual
-A x - b in residual form, which ``kernels.apply_system_blocks`` computes from
-the coupling residual K u - g - v with the data g, so the step builds neither
-A x nor the right-hand side b.  ``candidate_step`` also returns the squared
-norm of the gradient it stepped along, which bounds the candidate's h from
-below, so the candidate's own h is needed only when the proposal misses that
-bound.  ``eval_h_delta_and_refresh`` evaluates the proposal and, from the
-same smoothed squares and penalty, its refreshed weights and h under them,
-which the next outer iteration starts from.  The weights c, the auxiliary
-weights w and the wrapped gradients g are ``phase.ArcField`` pairs (v, h).
-``update_weights``, the h evaluations and ``candidate_step`` write into
-``out=``/``scratch=`` buffers the caller owns, so that loop reuses its grids;
-only ``eval_f`` and ``eval_f_delta``, the paper's two objectives, allocate
-their own.
+Under fixed weights h is a convex quadratic in x with the diagonal slack
+weights d = c^2 / w, and given u each slack has the closed-form minimizer
+vv = (S u - gv) / (1 + tau dv), likewise vh.  Eliminating the slacks leaves
+a problem in u alone,
+
+  St (Wv * S u) + (Wh * u T) Tt = St (Wv * gv) + (Wh * gh) Tt,
+  W = d / (1 + tau d) = c^2 / (w + tau c^2) <= 1/tau,
+
+the classical weighted least squares unwrapping system (Ghiglia & Romero,
+JOSA A 11(1), 1994).  The solver runs its conjugate gradient on it, with the
+map ``kernels.weighted_laplacian`` under the weights ``reduced_weights`` and
+the right-hand side ``build_reduced_rhs``, and ``recover_slacks`` then sets
+the slacks of the solved vector from the arc misfit K u - g.  The safeguard's
+``candidate_step`` is one gradient step on the quadratic, whose gradient
+``kernels.apply_system_blocks`` forms in residual form from K u - g - v.
+
+The gradients g, the weights c and w, and the diagonals d and W are
+``phase.ArcField`` pairs (v, h).  Every function that writes a grid writes
+into buffers its caller owns, passed by keyword as ``out``, ``flux`` or
+``scratch`` (the last two are pairs of grids shaped like (vv, vh)), so the
+outer loop reuses its grids; ``recover_slacks`` writes the slacks of the
+vector it is given.  Only ``eval_f`` and ``eval_f_delta``, the paper's two
+objectives, allocate their own.
 """
 
 import math
@@ -33,10 +42,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .operators import SystemVector
 from .phase import ArcField
 
 __all__ = [
+    "SystemVector",
     "ModelParams",
     "eval_f",
     "eval_f_delta",
@@ -46,7 +55,65 @@ __all__ = [
     "update_weights",
     "lipschitz_constant",
     "candidate_step",
+    "reduced_weights",
+    "build_reduced_rhs",
+    "recover_slacks",
 ]
+
+
+class SystemVector:
+    """Triple (u, vv, vh) of grids viewed as one vector of the block system.
+
+    The vector owns one contiguous float64 buffer ``data``; ``u``, ``vv`` and
+    ``vh`` are reshaped views into it, so vector algebra is plain numpy on
+    ``data``.  The constructor copies its inputs.
+    """
+
+    __slots__ = ("data", "u", "vv", "vh")
+
+    def __init__(self, u, vv, vh):
+        n, m = np.shape(u)
+        if ArcField(np.asarray(vv), np.asarray(vh)).shape != (n, m):
+            raise ValueError(
+                f"inconsistent block shapes: u {np.shape(u)}, "
+                f"vv {np.shape(vv)}, vh {np.shape(vh)}"
+            )
+        self._bind(np.empty(_system_dim(n, m)), n, m)
+        self.u[...] = u
+        self.vv[...] = vv
+        self.vh[...] = vh
+
+    def _bind(self, data, n, m):
+        nu = n * m
+        nv = (n - 1) * m
+        self.data = data
+        self.u = data[:nu].reshape(n, m)
+        self.vv = data[nu : nu + nv].reshape(n - 1, m)
+        self.vh = data[nu + nv :].reshape(n, m - 1)
+
+    @classmethod
+    def from_buffer(cls, data, n, m):
+        """Vector whose blocks are views into the flat ``data``; nothing is copied."""
+        if data.shape != (_system_dim(n, m),):
+            raise ValueError(f"buffer of shape {data.shape} does not fit an ({n}, {m}) grid")
+        out = cls.__new__(cls)
+        out._bind(data, n, m)
+        return out
+
+    @classmethod
+    def zeros(cls, n, m):
+        return cls.from_buffer(np.zeros(_system_dim(n, m)), n, m)
+
+    @property
+    def shape(self):
+        return self.u.shape
+
+    def copy(self):
+        return SystemVector.from_buffer(self.data.copy(), *self.shape)
+
+
+def _system_dim(n, m):
+    return n * m + (n - 1) * m + n * (m - 1)
 
 
 @dataclass(frozen=True)
@@ -209,3 +276,51 @@ def candidate_step(x, w, g, c, p, lipschitz, *, out, scratch):
     out.data *= -1.0 / lipschitz
     out.data += x.data
     return out, grad_sq
+
+
+def reduced_weights(c, w, tau, *, out, flux):
+    """Weights ``c^2 / (w + tau c^2)`` of the reduced system; 0 where c = 0.
+
+    ``c`` holds the arc weights, ``w`` the auxiliary weights.  Writes into
+    the ArcField ``out``; ``flux`` is a pair of scratch grids shaped like
+    (vv, vh).
+    """
+    if tau <= 0:
+        raise ValueError(f"tau must be positive, got {tau}")
+    for cc, ww, o, f in zip(c, w, out, flux):
+        np.multiply(cc, cc, out=o)
+        # f = w + tau c^2, the denominator
+        np.multiply(o, tau, out=f)
+        f += ww
+        o /= f
+    return out
+
+
+def build_reduced_rhs(g: ArcField, wr, *, out, flux):
+    """Right-hand side ``St (Wv * gv) + (Wh * gh) Tt`` of the reduced system.
+
+    ``wr`` holds the reduced weights.  The result sums to zero, so it is
+    orthogonal to the constant mode.  Writes into the grid ``out``; ``flux``
+    is scratch as for ``reduced_weights``.
+    """
+    for ww, gg, f in zip(wr, g, flux):
+        np.multiply(ww, gg, out=f)
+    return kernels.adj_diffs(*flux, out)
+
+
+def recover_slacks(x, g: ArcField, wr, tau, *, flux):
+    """Set each slack of the SystemVector ``x`` to its minimizer given ``x.u``.
+
+    ``vv = (S u - gv) * (1 - tau Wv)`` and ``vh = (u T - gh) * (1 - tau Wh)``.
+    Writes the slacks of ``x`` in place and returns ``x``; ``u`` is only
+    read.  ``flux`` is scratch as for ``reduced_weights``.
+    """
+    if tau <= 0:
+        raise ValueError(f"tau must be positive, got {tau}")
+    kernels.misfit(x.u, g.v, g.h, x.vv, x.vh)
+    for v, ww, f in zip((x.vv, x.vh), wr, flux):
+        # v -= tau W v, the product formed in the scratch
+        np.multiply(ww, tau, out=f)
+        f *= v
+        v -= f
+    return x

@@ -92,6 +92,8 @@ def pcg_solve(apply_a, apply_m, b, x, max_iters, rel_tol, *, direction):
     p = direction
     p[...] = z
     rho = float(np.vdot(r, z))
+    if not np.isfinite(rho):
+        raise NumericalBreakdown(0, "preconditioned product is not finite")
     converged = False
     for it in range(max_iters):
         ap = apply_a(p)

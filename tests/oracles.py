@@ -36,13 +36,15 @@ from phaseirls.irls import (
     unwrap,
 )
 from phaseirls.objective import (
+    SystemVector,
+    build_reduced_rhs,
     candidate_step,
     eval_h_delta,
     eval_h_delta_refreshed,
     lipschitz_constant,
+    reduced_weights,
     update_weights,
 )
-from phaseirls.operators import SystemVector, build_reduced_rhs, reduced_weights
 from phaseirls.pcg import NumericalBreakdown, PcgOutcome, pcg_solve
 from phaseirls.phase import TWO_PI, ArcField, WeightField, wrapped_gradients
 from phaseirls.preconditioner import SpectralCache

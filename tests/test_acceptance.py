@@ -24,11 +24,11 @@ from phaseirls.diagnostics import (
 from phaseirls.irls import IrlsParams, cg_budget_update, unwrap
 from phaseirls.objective import (
     ModelParams,
+    SystemVector,
     eval_f,
     eval_f_delta,
     lipschitz_constant,
 )
-from phaseirls.operators import SystemVector
 from phaseirls.phase import TWO_PI, ArcField, WeightField, congruent_round, shift_error
 from phaseirls.preconditioner import build_spectral_cache, sylvester_solve
 from phaseirls.synth import SceneSpec, add_phase_noise, generate_scene, wrap_scene

@@ -78,3 +78,9 @@ class TestValidation:
             np.save(fh, np.full((2, 2), np.nan))
         with pytest.raises(ArrayFileError):
             load_grid(path)
+
+    def test_save_refuses_a_1d_array_and_creates_no_file(self, tmp_path):
+        path = tmp_path / "one_d.npy"
+        with pytest.raises(ValueError, match="2-D"):
+            save_grid(path, np.zeros(5))
+        assert not path.exists()

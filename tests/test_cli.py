@@ -244,6 +244,7 @@ OUT_OF_RANGE = {
     "cg-growth-nan": ("--cg-growth", "nan"),
     "cg-growth-inf": ("--cg-growth", "inf"),
     "eps-tol-nan": ("--eps-tol", "nan"),
+    "max-outer-zero": ("--max-outer", 0),
     "weights-1e154": ("WEIGHTS", 1e154),
     "weights-1e155": ("WEIGHTS", 1e155),
 }
@@ -281,6 +282,23 @@ def test_out_of_range_parameters_exit_2_before_the_solve(
     assert "Traceback" not in err
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: invalid parameters: ")
+    assert not out.exists()
+
+
+def test_negative_weight_exits_2_before_the_solve(tmp_path, capsys, monkeypatch, small_wrapped):
+    def never(*args, **kwargs):
+        raise AssertionError("unwrap ran with a negative weight")
+
+    monkeypatch.setattr(cli, "unwrap", never)
+    cv, ch = tmp_path / "cv.npy", tmp_path / "ch.npy"
+    weights = np.ones((15, 16))
+    weights[3, 4] = -0.5
+    save_grid(cv, weights)
+    save_grid(ch, np.ones((16, 15)))
+    out = tmp_path / "o.npy"
+    assert run("unwrap", "--input", small_wrapped, "--output", out, "--cv", cv, "--ch", ch) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: invalid weights: ")
     assert not out.exists()
 
 

@@ -16,12 +16,12 @@ from phaseirls.irls import (
 )
 from phaseirls.objective import (
     ModelParams,
+    SystemVector,
     eval_f,
     eval_f_delta,
     eval_h_delta,
     lipschitz_constant,
 )
-from phaseirls.operators import SystemVector
 from phaseirls.pcg import pcg_solve
 from phaseirls.phase import (
     TWO_PI,
@@ -116,6 +116,11 @@ class TestBudgetRules:
         IrlsParams(max_iter_cg_start=MAX_CG_ITERS)
         with pytest.raises(ValueError, match="max_iter_cg_start"):
             IrlsParams(max_iter_cg_start=MAX_CG_ITERS + 1)
+
+    def test_rejects_a_run_of_no_outer_iterations(self):
+        IrlsParams(max_outer_iters=1)
+        with pytest.raises(ValueError, match="max_outer_iters"):
+            IrlsParams(max_outer_iters=0)
 
 
 class TestRelativeImprovement:

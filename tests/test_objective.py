@@ -5,6 +5,7 @@ from phaseirls import diagnostics, kernels
 from phaseirls.diagnostics import apply_system, build_rhs, materialize_dense_system
 from phaseirls.objective import (
     ModelParams,
+    SystemVector,
     candidate_step,
     eval_f,
     eval_f_delta,
@@ -14,7 +15,6 @@ from phaseirls.objective import (
     lipschitz_constant,
     update_weights,
 )
-from phaseirls.operators import SystemVector
 from phaseirls.phase import ArcField, WeightField
 
 from oracles import (
@@ -305,6 +305,14 @@ class TestUpdateWeights:
         w = weights_of(x, random_weights(rng, 5, 5), 1e-6)
         assert w.v.min() >= 1e-6 and w.h.min() >= 1e-6
 
+    @pytest.mark.parametrize("delta", [0.0, -1e-6])
+    def test_nonpositive_delta_is_refused(self, rng, delta):
+        with pytest.raises(ValueError, match="delta must be positive"):
+            update_weights(
+                random_state(rng, 3, 4), random_weights(rng, 3, 4), delta,
+                out=ArcField(*arc_grids(3, 4)),
+            )
+
 
 class TestLipschitzConstant:
     def test_reference_value(self):
@@ -442,6 +450,18 @@ class TestCandidateStep:
             w = weights_of(x, c, p.delta)
             stepped = step_of(x, w, g, c, p, lip)
             assert h_delta_of(stepped, w, g, c, p) <= h_delta_of(x, w, g, c, p)
+
+    @pytest.mark.parametrize("lip", [0.0, -1.0])
+    def test_nonpositive_lipschitz_constant_is_refused(self, rng, lip):
+        n, m = 3, 4
+        c = random_weights(rng, n, m)
+        x = random_state(rng, n, m)
+        w = weights_of(x, c, ModelParams().delta)
+        with pytest.raises(ValueError, match="lipschitz constant must be positive"):
+            candidate_step(
+                x, w, random_gradients(rng, n, m), c, ModelParams(), lip,
+                out=SystemVector.zeros(n, m), scratch=arc_grids(n, m),
+            )
 
 
 class TestSufficientDecrease:

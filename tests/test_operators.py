@@ -5,16 +5,18 @@ from phaseirls import kernels
 from phaseirls.diagnostics import (
     SizeLimitExceeded,
     apply_system,
+    build_preconditioner,
     build_rhs,
     materialize_dense_system,
 )
-from phaseirls.operators import (
+from phaseirls.objective import (
     SystemVector,
     build_reduced_rhs,
     recover_slacks,
     reduced_weights,
 )
 from phaseirls.phase import ArcField, WeightField
+from phaseirls.preconditioner import build_spectral_cache
 
 from oracles import (
     adj_diffs_five_pass,
@@ -204,6 +206,14 @@ class TestApplySystem:
             apply_system(SystemVector.zeros(3, 3), d, 0.0, out=SystemVector.zeros(3, 3))
 
 
+def block_rhs(n, m, d, tau):
+    return build_rhs(ArcField(*arc_grids(n, m)), tau, out=SystemVector.zeros(n, m))
+
+
+def block_preconditioner(n, m, d, tau):
+    return build_preconditioner(build_spectral_cache(n, m), d, tau)
+
+
 class TestDenseSystem:
     def test_small_instance_shape_and_spectrum(self, rng):
         n = m = 2
@@ -242,7 +252,7 @@ class TestDenseSystem:
         with pytest.raises(SizeLimitExceeded):
             materialize_dense_system(100, 100, d, 1.0)
 
-    @pytest.mark.parametrize("build", [materialize_dense_system])
+    @pytest.mark.parametrize("build", [materialize_dense_system, block_rhs, block_preconditioner])
     @pytest.mark.parametrize("tau", [0.0, -1.0])
     def test_nonpositive_tau_is_refused(self, build, tau):
         d = ArcField(np.ones((1, 2)), np.ones((2, 1)))
@@ -313,6 +323,17 @@ class TestSystemVectorBuffer:
     def test_rejects_inconsistent_blocks(self):
         with pytest.raises(ValueError):
             SystemVector(np.zeros((3, 3)), np.zeros((3, 3)), np.zeros((3, 2)))
+
+    def test_rejects_slacks_of_another_grid(self):
+        # vv (2, 5) and vh (3, 4) are the slacks of a 3 x 5 grid, u is 3 x 4
+        with pytest.raises(ValueError, match="inconsistent block shapes"):
+            SystemVector(np.zeros((3, 4)), np.zeros((2, 5)), np.zeros((3, 4)))
+
+    @pytest.mark.parametrize("size", [32, 34])
+    def test_from_buffer_rejects_a_buffer_of_another_size(self, size):
+        # a 3 x 4 grid has 12 + 8 + 9 = 33 entries
+        with pytest.raises(ValueError, match="does not fit"):
+            SystemVector.from_buffer(np.zeros(size), 3, 4)
 
     @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (7, 1)])
     def test_zeros_with_empty_slack_blocks(self, shape):
@@ -459,3 +480,14 @@ class TestReducedSystem:
         stationary_h = d.h * x.vh + (x.vh - (kernels.diff_cols(u) - g.h)) / tau
         assert np.max(np.abs(stationary_v)) < 1e-10
         assert np.max(np.abs(stationary_h)) < 1e-10
+
+    @pytest.mark.parametrize("tau", [0.0, -0.03])
+    def test_nonpositive_tau_is_refused(self, rng, tau):
+        n, m = 3, 4
+        c = WeightField.uniform(n, m)
+        w = ArcField(*arc_grids(n, m, 1.0))
+        with pytest.raises(ValueError, match="tau must be positive"):
+            reduced_weights(c, w, tau, out=ArcField(*arc_grids(n, m)), flux=arc_grids(n, m))
+        x = random_state(rng, n, m)
+        with pytest.raises(ValueError, match="tau must be positive"):
+            recover_slacks(x, random_gradients(rng, n, m), w, tau, flux=arc_grids(n, m))

@@ -12,8 +12,8 @@ from phaseirls.diagnostics import (
     materialize_dense_system,
     random_diagonal_weights,
 )
-from phaseirls.objective import ModelParams
-from phaseirls.operators import (
+from phaseirls.objective import (
+    ModelParams,
     SystemVector,
     build_reduced_rhs,
     recover_slacks,
@@ -68,6 +68,23 @@ def counted(apply):
 
     wrapped.calls = 0
     return wrapped
+
+
+def spoiled(apply, call, spoil):
+    """``apply`` whose output of its ``call``-th application ``spoil`` edits in place."""
+    apply = counted(apply)
+
+    def wrapped(v):
+        out = apply(v)
+        if apply.calls == call:
+            spoil(out)
+        return out
+
+    return wrapped
+
+
+def set_nan(a):
+    a.flat[0] = np.nan
 
 
 def reduced_problem(rng, n=12, m=10):
@@ -375,6 +392,56 @@ class TestBreakdown:
         with pytest.raises(NumericalBreakdown) as err:
             pcg_solve_blocks(bad_apply, apply_m, b, SystemVector.zeros(n, m), 10, 1e-10)
         assert err.value.iteration == 0
+
+    def test_nonfinite_first_preconditioned_product_raises_at_iteration_0(self):
+        # r and z = r * 1e200 are finite, their product r'z overflows
+        with pytest.raises(NumericalBreakdown, match="preconditioned product") as err:
+            pcg_solve(
+                lambda v: 1e-300 * v,
+                lambda r: r * 1e200,
+                np.full(4, 1e100),
+                np.zeros(4),
+                10,
+                1e-12,
+                direction=np.empty(4),
+            )
+        assert err.value.iteration == 0
+
+    def test_nan_curvature_raises_with_its_iteration(self, rng):
+        # the third map apply is the curvature of iteration 1
+        rhs, apply_a, apply_m = reduced_problem(rng)
+        with pytest.raises(NumericalBreakdown, match="curvature") as err:
+            pcg_solve(
+                spoiled(apply_a, 3, set_nan), apply_m, rhs, np.zeros(rhs.shape), 10, 0.0,
+                direction=np.empty(rhs.shape),
+            )
+        assert err.value.iteration == 1
+
+    def test_overflowing_residual_raises_with_its_iteration(self):
+        # p'Ap = 1 is tiny next to the entries of Ap: the updated residual
+        # has finite entries of size 1e308 and an infinite norm, whose
+        # overflow warning is not what this checks
+        def apply_a(v):
+            return np.array([v[0], 1e308, 1e308]) if v.any() else np.zeros(3)
+
+        with np.errstate(over="ignore"), pytest.raises(
+            NumericalBreakdown, match="residual norm"
+        ) as err:
+            pcg_solve(
+                apply_a, lambda r: r.copy(), np.array([1.0, 0.0, 0.0]), np.zeros(3), 10, 0.0,
+                direction=np.empty(3),
+            )
+        assert err.value.iteration == 1
+
+    def test_nan_preconditioned_product_raises_with_its_iteration(self, rng):
+        # the second preconditioner apply ends iteration 0
+        rhs, apply_a, apply_m = reduced_problem(rng)
+        with pytest.raises(NumericalBreakdown, match="preconditioned product") as err:
+            pcg_solve(
+                apply_a, spoiled(apply_m, 2, set_nan), rhs, np.zeros(rhs.shape), 10, 0.0,
+                direction=np.empty(rhs.shape),
+            )
+        assert err.value.iteration == 1
 
     def test_vanishing_preconditioned_residual_stops_without_division(self):
         # r'z = 0 with z != 0: the step length is 0 and beta would be 0/0

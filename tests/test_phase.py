@@ -6,6 +6,7 @@ from phaseirls.phase import (
     ArcField,
     WeightField,
     congruent_round,
+    as_phase_grid,
     shift_error,
     wrap_to_principal,
     wrapped_gradients,
@@ -187,6 +188,23 @@ class TestCongruentRound:
         cycles = (congruent_round(u, x) - x) / TWO_PI
         assert np.max(np.abs(cycles - np.rint(cycles))) < 1e-12
 
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            congruent_round(np.zeros((3, 4)), np.zeros((4, 3)))
+
+
+class TestAsPhaseGrid:
+    @pytest.mark.parametrize("shape", [(2, 3, 4), (0, 3), (3, 0), (5,)])
+    def test_rejects_grids_that_are_not_2d_and_non_empty(self, shape):
+        with pytest.raises(ValueError, match="2-D and non-empty"):
+            as_phase_grid(np.zeros(shape))
+
+    def test_rejects_non_finite_values(self):
+        grid = np.zeros((3, 3))
+        grid[1, 2] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            as_phase_grid(grid)
+
 
 class TestWeightField:
     def test_rejects_negative(self):
@@ -196,6 +214,11 @@ class TestWeightField:
     def test_rejects_all_zero(self):
         with pytest.raises(ValueError):
             WeightField(np.zeros((1, 2)), np.zeros((2, 1)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            WeightField(np.array([[1.0, bad]]), np.ones((2, 1)))
 
     def test_max_weight(self):
         w = WeightField(np.array([[1.0, 3.0]]), np.array([[0.5], [2.0]]))

@@ -3,7 +3,7 @@ import pytest
 
 from phaseirls.diagnostics import apply_preconditioner, apply_system, build_preconditioner
 from phaseirls.irls import unwrap
-from phaseirls.operators import SystemVector
+from phaseirls.objective import SystemVector
 from phaseirls.phase import ArcField
 from phaseirls.preconditioner import build_spectral_cache, sylvester_solve
 from phaseirls.synth import SceneSpec, generate_scene, wrap_scene
@@ -52,6 +52,11 @@ class TestSpectralCache:
         assert cache.lambda_s.tolist() == [0.0]
         assert np.allclose(np.abs(cache.even_s), [[1.0]])
         assert cache.odd_s.shape == (0, 0)
+
+    @pytest.mark.parametrize("shape", [(0, 4), (4, 0)])
+    def test_rejects_an_empty_side(self, shape):
+        with pytest.raises(ValueError, match=">= 1"):
+            build_spectral_cache(*shape)
 
     @pytest.mark.parametrize("n", [2, 5, 17, 513])
     def test_orthogonality_and_reconstruction(self, n):
