@@ -261,7 +261,7 @@ def _cmd_error(args):
 def _cmd_spectrum(args):
     model = _model_params(args)
     try:
-        report = conditioning_report(args.n, args.m, model.delta, model.tau, args.seed)
+        report = conditioning_report(args.n, args.m, model, args.seed)
     except ValueError as exc:
         _fail(EXIT_BAD_INPUT, f"invalid spectrum request: {exc}")
     _emit_json(report.to_dict(), args.json_out)

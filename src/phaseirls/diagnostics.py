@@ -33,7 +33,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import kernels
-from .objective import SystemVector
+from .objective import ModelParams, SystemVector
 from .phase import ArcField
 from .preconditioner import SpectralCache, build_spectral_cache, dct_basis, sylvester_solve
 
@@ -50,7 +50,7 @@ __all__ = [
     "positive_eigenvalues",
 ]
 
-def apply_system(x, d, tau, *, out):
+def apply_system(x, d, p, *, out):
     """Apply the symmetric PSD block map of the weighted least squares system.
 
     ``d`` is the ArcField of diagonal slack weights (dv, dh).  Writes into
@@ -61,26 +61,24 @@ def apply_system(x, d, tau, *, out):
       dv * vv + (1/tau) * (vv - S u)
       dh * vh + (1/tau) * (vh - u T)
 
+    with tau = ``p.tau``.
+
     The map annihilates (c*1, 0, 0), so its nullspace contains the constant
     mode of the u block.
     """
-    if tau <= 0:
-        raise ValueError(f"tau must be positive, got {tau}")
     # the residual for the data g = 0; x - 0.0 == x, so this is A x bit for bit
     kernels.apply_system_blocks(
-        x.u, x.vv, x.vh, d.v * x.vv, d.h * x.vh, 0.0, 0.0, 1.0 / tau, out.u, out.vv, out.vh
+        x.u, x.vv, x.vh, d.v * x.vv, d.h * x.vh, 0.0, 0.0, 1.0 / p.tau, out.u, out.vv, out.vh
     )
     return out
 
 
-def build_rhs(g: ArcField, tau, *, out):
+def build_rhs(g: ArcField, p, *, out):
     """Right-hand side of the system; orthogonal to the constant-u mode.
 
     Writes into the SystemVector ``out``.
     """
-    if tau <= 0:
-        raise ValueError(f"tau must be positive, got {tau}")
-    inv_tau = 1.0 / tau
+    inv_tau = 1.0 / p.tau
     kernels.adj_diffs(g.v, g.h, out.u)
     out.u *= inv_tau
     np.multiply(-inv_tau, g.v, out=out.vv)
@@ -90,21 +88,17 @@ def build_rhs(g: ArcField, tau, *, out):
 
 @dataclass(frozen=True)
 class PreconditionerState:
-    """Spectral cache plus the diagonal slack divisors dv + 1/tau, dh + 1/tau."""
+    """Spectral cache plus the diagonal slack divisors dv + 1/tau, dh + 1/tau, tau = p.tau."""
 
     cache: SpectralCache
     slack_v: np.ndarray
     slack_h: np.ndarray
-    tau: float
+    p: ModelParams
 
 
-def build_preconditioner(cache, d: ArcField, tau):
-    if tau <= 0:
-        raise ValueError(f"tau must be positive, got {tau}")
-    inv_tau = 1.0 / tau
-    return PreconditionerState(
-        cache=cache, slack_v=d.v + inv_tau, slack_h=d.h + inv_tau, tau=tau
-    )
+def build_preconditioner(cache, d: ArcField, p):
+    inv_tau = 1.0 / p.tau
+    return PreconditionerState(cache=cache, slack_v=d.v + inv_tau, slack_h=d.h + inv_tau, p=p)
 
 
 def apply_preconditioner(r: SystemVector, pc: PreconditionerState, *, out):
@@ -113,7 +107,7 @@ def apply_preconditioner(r: SystemVector, pc: PreconditionerState, *, out):
     Writes into the SystemVector ``out`` and returns it; ``out`` must not
     alias ``r``.
     """
-    sylvester_solve(r.u, pc.tau, pc.cache, out=out.u, scratch=np.empty(r.u.shape))
+    sylvester_solve(r.u, pc.p, pc.cache, out=out.u, scratch=np.empty(r.u.shape))
     np.divide(r.vv, pc.slack_v, out=out.vv)
     np.divide(r.vh, pc.slack_h, out=out.vh)
     return out
@@ -142,16 +136,15 @@ def _diff_matrix(k):
     return np.diff(np.eye(k), axis=0)
 
 
-def materialize_dense_system(n, m, d, tau):
+def materialize_dense_system(n, m, d, p):
     """Dense symmetric PSD matrix of the block system, for the spectrum study and tests.
 
-    With K the arc map, vec(u) -> (vec(S u), vec(u T)), and d the ArcField of
-    diagonal slack weights, A = [[K^T K, -K^T], [-K, tau diag(vec(d)) + I]] / tau.
+    With K the arc map, vec(u) -> (vec(S u), vec(u T)), d the ArcField of
+    diagonal slack weights and tau = p.tau,
+    A = [[K^T K, -K^T], [-K, tau diag(vec(d)) + I]] / tau.
     """
     _check_cells(n, m)
-    if tau <= 0:
-        raise ValueError(f"tau must be positive, got {tau}")
-    inv_tau = 1.0 / tau
+    inv_tau = 1.0 / p.tau
     k = np.vstack([np.kron(np.eye(m), _diff_matrix(n)), np.kron(_diff_matrix(m), np.eye(n))])
     slack = np.concatenate([d.v.ravel(order="F"), d.h.ravel(order="F")])
     return np.block([
@@ -205,7 +198,7 @@ def split_pseudo_sqrt(pc):
     denom[0, 0] = 1.0
     mult = 1.0 / denom
     mult[0, 0] = 0.0
-    root = np.sqrt(pc.tau * mult).ravel(order="F")
+    root = np.sqrt(pc.p.tau * mult).ravel(order="F")
     slack = np.concatenate([pc.slack_v.ravel(order="F"), pc.slack_h.ravel(order="F")])
     nu = root.size
     out = np.zeros((nu + slack.size, nu + slack.size))
@@ -214,17 +207,17 @@ def split_pseudo_sqrt(pc):
     return out
 
 
-def random_diagonal_weights(n, m, delta, seed):
-    """Diagonal weight arc grids with entries uniform in (0, 1/delta]."""
+def random_diagonal_weights(n, m, p, seed):
+    """Diagonal weight arc grids with entries uniform in (0, 1/p.delta]."""
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-    hi = 1.0 / delta
+    hi = 1.0 / p.delta
     dv = (1.0 - rng.random((n - 1, m))) * hi
     dh = (1.0 - rng.random((n, m - 1))) * hi
     return ArcField(dv, dh)
 
 
-def conditioning_report(n, m, delta, tau, seed):
-    """Eigenvalue and conditioning comparison of A versus C* A C*.
+def conditioning_report(n, m, p, seed):
+    """Eigenvalue and conditioning comparison of A versus C* A C* under the model ``p``.
 
     Raises ValueError before any dense work for a grid with a side below 1 or
     without arcs (1 x 1), for a seed outside [0, 2^64), or above
@@ -238,9 +231,9 @@ def conditioning_report(n, m, delta, tau, seed):
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must be a nonnegative 64-bit integer, got {seed}")
     _check_cells(n, m)
-    d = random_diagonal_weights(n, m, delta, seed)
-    a = materialize_dense_system(n, m, d, tau)
-    c_star = split_pseudo_sqrt(build_preconditioner(build_spectral_cache(n, m), d, tau))
+    d = random_diagonal_weights(n, m, p, seed)
+    a = materialize_dense_system(n, m, d, p)
+    c_star = split_pseudo_sqrt(build_preconditioner(build_spectral_cache(n, m), d, p))
 
     eig_a = positive_eigenvalues(a)
     eig_pre = positive_eigenvalues(c_star @ a @ c_star)

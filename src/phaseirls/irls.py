@@ -215,7 +215,6 @@ def unwrap(x, c: WeightField | None = None, model: ModelParams | None = None,
 
     lip = lipschitz_constant(c, model)
     cache = build_spectral_cache(n, m)
-    tau = model.tau
 
     # every grid of the outer loop, allocated once.  wr holds the candidate's
     # slack products d v, then the reduced weights and then the proposal's
@@ -253,7 +252,7 @@ def unwrap(x, c: WeightField | None = None, model: ModelParams | None = None,
 
     for k in range(params.max_outer_iters):
         if h_state is None:
-            update_weights(state, c, model.delta, out=w)
+            update_weights(state, c, model, out=w)
             # under refreshed weights h is sum(w) plus the coupling penalty
             h_state = eval_h_delta_refreshed(state, w, g, model, scratch=spent_flux)
         delta_rel = None
@@ -277,7 +276,7 @@ def unwrap(x, c: WeightField | None = None, model: ModelParams | None = None,
         # reduced weights and the solve take over wr and the state's slacks
         _, grad_sq = candidate_step(state, w, g, c, model, lip, out=cand, scratch=wr)
 
-        reduced_weights(c, w, tau, out=wr, flux=slack_flux)
+        reduced_weights(c, w, model, out=wr, flux=slack_flux)
         build_reduced_rhs(g, wr, out=rhs, flux=slack_flux)
         rhs_norm = np.linalg.norm(rhs)
         # the solve warm-starts from the state's u and iterates in it; the
@@ -285,7 +284,7 @@ def unwrap(x, c: WeightField | None = None, model: ModelParams | None = None,
         outcome = pcg_solve(
             apply_a=lambda v: kernels.weighted_laplacian(v, *wr, *slack_flux, zap),
             apply_m=lambda r: preconditioner.sylvester_solve(
-                r, tau, cache, out=zap, scratch=transform
+                r, model, cache, out=zap, scratch=transform
             ),
             b=rhs,
             x=state.u,
@@ -298,7 +297,7 @@ def unwrap(x, c: WeightField | None = None, model: ModelParams | None = None,
         cg_rel_residual = outcome.residual_norms[-1] / rhs_norm if rhs_norm > 0 else 0.0
         # the proposal: u from the solve with its optimal slacks; the reduced
         # weights are spent, so the proposal's refreshed weights replace them
-        recover_slacks(state, g, wr, tau, flux=spent_flux)
+        recover_slacks(state, g, wr, model, flux=spent_flux)
         h_prop, h_next = eval_h_delta_and_refresh(
             state, w, g, c, model, refreshed=wr, scratch=spent_flux
         )

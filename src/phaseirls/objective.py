@@ -26,13 +26,15 @@ the slacks of the solved vector from the arc misfit K u - g.  The safeguard's
 ``candidate_step`` is one gradient step on the quadratic, whose gradient
 ``kernels.apply_system_blocks`` forms in residual form from K u - g - v.
 
-The gradients g, the weights c and w, and the diagonals d and W are
-``phase.ArcField`` pairs (v, h).  Every function that writes a grid writes
-into buffers its caller owns, passed by keyword as ``out``, ``flux`` or
-``scratch`` (the last two are pairs of grids shaped like (vv, vh)), so the
-outer loop reuses its grids; ``recover_slacks`` writes the slacks of the
-vector it is given.  Only ``eval_f`` and ``eval_f_delta``, the paper's two
-objectives, allocate their own.
+Every function of the model reads tau and delta from one ``ModelParams`` p,
+whose constructor is the one place their ranges are checked.  The gradients
+g, the weights c and w, and the diagonals d and W are ``phase.ArcField``
+pairs (v, h).  Every function that writes a grid writes into buffers its
+caller owns, passed by keyword as ``out``, ``flux`` or ``scratch`` (the last
+two are pairs of grids shaped like (vv, vh)), so the outer loop reuses its
+grids; ``recover_slacks`` writes the slacks of the vector it is given.  Only
+``eval_f`` and ``eval_f_delta``, the paper's two objectives, allocate their
+own.
 """
 
 import math
@@ -118,7 +120,7 @@ def _system_dim(n, m):
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Penalty strength tau and smoothing floor delta, both positive."""
+    """Penalty strength tau and smoothing floor delta, checked here and nowhere else."""
 
     tau: float = 1e-2
     delta: float = 1e-6
@@ -133,12 +135,12 @@ class ModelParams:
             )
 
 
-def _penalty_terms(x: SystemVector, g, tau, *, scratch):
+def _penalty_terms(x: SystemVector, g, p, *, scratch):
     """Coupling penalty ||K u - g - v||^2 / (2 tau): the misfit less the slacks, in the scratch."""
     rv, rh = kernels.misfit(x.u, g.v, g.h, *scratch)
     rv -= x.vv
     rh -= x.vh
-    return (float(np.vdot(rv, rv)) + float(np.vdot(rh, rh))) / (2.0 * tau)
+    return (float(np.vdot(rv, rv)) + float(np.vdot(rh, rh))) / (2.0 * p.tau)
 
 
 def _smoothed_squares(cc, v, d2, out):
@@ -152,13 +154,13 @@ def _smoothed_squares(cc, v, d2, out):
 def eval_f(x, g, c, p):
     """Weighted l1 objective plus quadratic coupling penalties."""
     l1 = float(np.sum(np.abs(c.v * x.vv))) + float(np.sum(np.abs(c.h * x.vh)))
-    return l1 + _penalty_terms(x, g, p.tau, scratch=ArcField.empty(*x.shape))
+    return l1 + _penalty_terms(x, g, p, scratch=ArcField.empty(*x.shape))
 
 
 def eval_f_delta(x, g, c, p):
     """Smoothed objective: each |c*v| replaced by sqrt((c*v)^2 + delta^2)."""
     # the refreshed weights are those square roots, arc by arc
-    w = update_weights(x, c, p.delta, out=ArcField.empty(*x.shape))
+    w = update_weights(x, c, p, out=ArcField.empty(*x.shape))
     return eval_h_delta_refreshed(x, w, g, p, scratch=ArcField.empty(*x.shape))
 
 
@@ -184,18 +186,18 @@ def _lifted_terms(x, w, c, p, *, squares, scratch):
 def eval_h_delta(x, w, g, c, p, *, scratch):
     """Lifted objective with explicit auxiliary weights.
 
-    Equals the smoothed objective when ``w = update_weights(x, c, delta)``
+    Equals the smoothed objective when ``w = update_weights(x, c, p)``
     and upper-bounds it for any feasible ``w``.  ``scratch`` is a pair of
     grids shaped like (vv, vh) that every arc-sized temporary is written into.
     """
     h = _lifted_terms(x, w, c, p, squares=scratch, scratch=scratch)
-    return h + _penalty_terms(x, g, p.tau, scratch=scratch)
+    return h + _penalty_terms(x, g, p, scratch=scratch)
 
 
 def eval_h_delta_and_refresh(x, w, g, c, p, *, refreshed, scratch):
     """``eval_h_delta`` of ``x`` under ``w``, and h of ``x`` under its refreshed weights.
 
-    Writes ``update_weights(x, c, p.delta)`` into the pair ``refreshed`` and
+    Writes ``update_weights(x, c, p)`` into the pair ``refreshed`` and
     returns ``(h, h_refreshed)``, each bit-equal to its separate evaluation:
     ``eval_h_delta(x, w, ...)`` and ``eval_h_delta_refreshed(x, refreshed, ...)``.
     The refreshed weights are the square roots of the smoothed squares that
@@ -204,7 +206,7 @@ def eval_h_delta_and_refresh(x, w, g, c, p, *, refreshed, scratch):
     of ``eval_h_delta``.
     """
     h = _lifted_terms(x, w, c, p, squares=refreshed, scratch=scratch)
-    penalty = _penalty_terms(x, g, p.tau, scratch=scratch)
+    penalty = _penalty_terms(x, g, p, scratch=scratch)
     rv, rh = refreshed
     np.sqrt(rv, out=rv)
     np.sqrt(rh, out=rh)
@@ -212,7 +214,7 @@ def eval_h_delta_and_refresh(x, w, g, c, p, *, refreshed, scratch):
 
 
 def eval_h_delta_refreshed(x, w, g, p, *, scratch):
-    """``eval_h_delta`` at the refreshed weights ``w = update_weights(x, c, p.delta)``.
+    """``eval_h_delta`` at the refreshed weights ``w = update_weights(x, c, p)``.
 
     There each arc's lifted term ((c v)^2 + delta^2) / (2 w) + w / 2 is exactly
     w, so h is sum(w) plus the coupling penalties, which is also the smoothed
@@ -220,17 +222,15 @@ def eval_h_delta_refreshed(x, w, g, p, *, scratch):
     must be the refreshed weights of ``x``: nothing here checks it.
     ``scratch`` is as for ``eval_h_delta``.
     """
-    return float(np.sum(w.v)) + float(np.sum(w.h)) + _penalty_terms(x, g, p.tau, scratch=scratch)
+    return float(np.sum(w.v)) + float(np.sum(w.h)) + _penalty_terms(x, g, p, scratch=scratch)
 
 
-def update_weights(x, c, delta, *, out):
+def update_weights(x, c, p, *, out):
     """Closed-form minimizer of the lifted objective over the weights.
 
-    Writes into the ArcField ``out`` and returns it; each entry is >= delta.
+    Writes into the ArcField ``out`` and returns it; each entry is >= p.delta.
     """
-    if delta <= 0:
-        raise ValueError(f"delta must be positive, got {delta}")
-    d2 = delta * delta
+    d2 = p.delta * p.delta
     for cc, v, o in zip(c, (x.vv, x.vh), out):
         np.sqrt(_smoothed_squares(cc, v, d2, o), out=o)
     return out
@@ -262,8 +262,8 @@ def candidate_step(x, w, g, c, p, lipschitz, *, out, scratch):
     nor the right-hand side b is built.  As the Hessian A is positive
     semidefinite, h at the step is at least h(x) minus that norm over L.
     """
-    if lipschitz <= 0:
-        raise ValueError(f"lipschitz constant must be positive, got {lipschitz}")
+    if not 0 < lipschitz < math.inf:
+        raise ValueError(f"lipschitz constant must be positive and finite, got {lipschitz}")
     dv = ArcField(*scratch)
     for cc, ww, v, o in zip(c, w, (x.vv, x.vh), dv):
         np.multiply(cc, cc, out=o)
@@ -278,19 +278,17 @@ def candidate_step(x, w, g, c, p, lipschitz, *, out, scratch):
     return out, grad_sq
 
 
-def reduced_weights(c, w, tau, *, out, flux):
-    """Weights ``c^2 / (w + tau c^2)`` of the reduced system; 0 where c = 0.
+def reduced_weights(c, w, p, *, out, flux):
+    """Weights ``c^2 / (w + p.tau c^2)`` of the reduced system; 0 where c = 0.
 
     ``c`` holds the arc weights, ``w`` the auxiliary weights.  Writes into
     the ArcField ``out``; ``flux`` is a pair of scratch grids shaped like
     (vv, vh).
     """
-    if tau <= 0:
-        raise ValueError(f"tau must be positive, got {tau}")
     for cc, ww, o, f in zip(c, w, out, flux):
         np.multiply(cc, cc, out=o)
         # f = w + tau c^2, the denominator
-        np.multiply(o, tau, out=f)
+        np.multiply(o, p.tau, out=f)
         f += ww
         o /= f
     return out
@@ -308,19 +306,17 @@ def build_reduced_rhs(g: ArcField, wr, *, out, flux):
     return kernels.adj_diffs(*flux, out)
 
 
-def recover_slacks(x, g: ArcField, wr, tau, *, flux):
+def recover_slacks(x, g: ArcField, wr, p, *, flux):
     """Set each slack of the SystemVector ``x`` to its minimizer given ``x.u``.
 
-    ``vv = (S u - gv) * (1 - tau Wv)`` and ``vh = (u T - gh) * (1 - tau Wh)``.
+    ``vv = (S u - gv) * (1 - p.tau Wv)`` and ``vh = (u T - gh) * (1 - p.tau Wh)``.
     Writes the slacks of ``x`` in place and returns ``x``; ``u`` is only
     read.  ``flux`` is scratch as for ``reduced_weights``.
     """
-    if tau <= 0:
-        raise ValueError(f"tau must be positive, got {tau}")
     kernels.misfit(x.u, g.v, g.h, x.vv, x.vh)
     for v, ww, f in zip((x.vv, x.vh), wr, flux):
         # v -= tau W v, the product formed in the scratch
-        np.multiply(ww, tau, out=f)
+        np.multiply(ww, p.tau, out=f)
         f *= v
         v -= f
     return x

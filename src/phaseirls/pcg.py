@@ -38,6 +38,12 @@ class NumericalBreakdown(RuntimeError):
         self.iteration = iteration
 
 
+def _norm(a):
+    """``||a||``; finite entries whose norm overflows give inf without a warning."""
+    with np.errstate(over="ignore"):
+        return np.linalg.norm(a)
+
+
 @dataclass
 class PcgOutcome:
     iterations: int
@@ -76,11 +82,11 @@ def pcg_solve(apply_a, apply_m, b, x, max_iters, rel_tol, *, direction):
         raise ValueError("max_iters must be >= 0")
     if rel_tol < 0:
         raise ValueError("rel_tol must be >= 0")
-    threshold = rel_tol * np.linalg.norm(b)
+    threshold = rel_tol * _norm(b)
 
     r = b  # the residual overwrites b
     r -= apply_a(x)
-    res_norms = [np.linalg.norm(r)]
+    res_norms = [_norm(r)]
     if not np.isfinite(res_norms[0]):
         raise NumericalBreakdown(0, "initial residual is not finite")
     if res_norms[0] <= threshold or max_iters == 0:
@@ -109,7 +115,7 @@ def pcg_solve(apply_a, apply_m, b, x, max_iters, rel_tol, *, direction):
         r += ap
         np.multiply(p, alpha, out=ap)
         x += ap
-        rn = np.linalg.norm(r)
+        rn = _norm(r)
         if not np.isfinite(rn):
             raise NumericalBreakdown(it + 1, "residual norm is not finite")
         res_norms.append(rn)

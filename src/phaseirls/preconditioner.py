@@ -1,17 +1,17 @@
 """Spectral Sylvester solve, the preconditioner of the reduced system.
 
 ``sylvester_solve`` applies the pseudo-inverse of the scaled Kronecker-sum
-Laplacian (1/tau) * (StS Z + Z TTt).  In the eigenbases of the two 1-D
-Neumann second-difference operators this is a pointwise product; the single
-(0, 0) spectral coefficient belonging to the shared constant mode is zeroed,
-which keeps every iterate orthogonal to the nullspace.  The eigenpairs are
-the closed-form DCT-II cosines (Ghiglia & Romero, JOSA A 11(1), 1994), so no
-eigendecomposition runs.  The cache keeps each basis only as its even and
-odd halves, so each transform runs four half-size products in place of two
-dense ones, half the flops.  The solver uses it as the preconditioner of
-the reduced system in u, whose weights are at most 1/tau.  An apply runs in
-the output grid and one scratch grid, both the caller's, and allocates no
-grid-sized temporaries.
+Laplacian (1/tau) * (StS Z + Z TTt), with tau from its ``ModelParams``.  In
+the eigenbases of the two 1-D Neumann second-difference operators this is a
+pointwise product; the single (0, 0) spectral coefficient belonging to the
+shared constant mode is zeroed, which keeps every iterate orthogonal to the
+nullspace.  The eigenpairs are the closed-form DCT-II cosines (Ghiglia &
+Romero, JOSA A 11(1), 1994), so no eigendecomposition runs.  The cache keeps
+each basis only as its even and odd halves, so each transform runs four
+half-size products in place of two dense ones, half the flops.  The solver
+uses it as the preconditioner of the reduced system in u, whose weights are
+at most 1/tau.  An apply runs in the output grid and one scratch grid, both
+the caller's, and allocates no grid-sized temporaries.
 """
 
 from dataclasses import dataclass
@@ -145,8 +145,8 @@ def build_spectral_cache(n, m):
     )
 
 
-def sylvester_solve(r, tau, cache, *, out, scratch):
-    """Solve StS Z + Z TTt = tau * (r - mean(r)) with mean(Z) = 0.
+def sylvester_solve(r, p, cache, *, out, scratch):
+    """Solve StS Z + Z TTt = p.tau * (r - mean(r)) with mean(Z) = 0.
 
     The transform P_s^T r P_t and its inverse each run as four half-size
     products, two per axis: a butterfly forms ``r[i] + r[n-1-i]`` (with the
@@ -163,8 +163,6 @@ def sylvester_solve(r, tau, cache, *, out, scratch):
     butterflies and the half products in between; it may overlap neither
     ``r`` nor ``out``.  The apply allocates no grid-sized temporaries.
     """
-    if tau <= 0:
-        raise ValueError(f"tau must be positive, got {tau}")
     if not out.flags.c_contiguous:
         raise ValueError("out must be a C-contiguous grid")
     n, m = r.shape
@@ -185,7 +183,7 @@ def sylvester_solve(r, tau, cache, *, out, scratch):
     np.matmul(scratch_o, cache.odd_t, out=out_o)
     coef = out.reshape(-1)
     coef *= cache.multiplier
-    coef *= tau
+    coef *= p.tau
     # columns back: half products into scratch's blocks, butterfly into out
     np.matmul(out_e, cache.even_t.T, out=scratch_e)
     np.matmul(out_o, cache.odd_t.T, out=scratch_o)

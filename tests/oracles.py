@@ -104,9 +104,9 @@ def nan_vector(n, m):
     return out
 
 
-def weights_of(x, c, delta):
+def weights_of(x, c, p):
     """``update_weights`` of ``x`` written into new grids."""
-    return update_weights(x, c, delta, out=ArcField(*arc_grids(*x.shape)))
+    return update_weights(x, c, p, out=ArcField(*arc_grids(*x.shape)))
 
 
 def h_delta_of(x, w, g, c, p):
@@ -197,7 +197,7 @@ def adj_diffs_five_pass(fv, fh, out):
 
 
 def apply_system_without_data(x, d, tau):
-    """``operators.apply_system`` as written before the block kernel took the data g."""
+    """``diagnostics.apply_system`` as written before the block kernel took the data g."""
     inv_tau = 1.0 / tau
     rv, rh = kernels.diffs(x.u, *arc_grids(*x.shape))
     rv -= x.vv
@@ -494,7 +494,7 @@ def safeguard_bound_holds(x, records, c, model):
     g, states = outer_states(x, c, model, len(records))
     lip = lipschitz_constant(c, model)
     for rec, state in zip(records, states):
-        w = weights_of(state, c, model.delta)
+        w = weights_of(state, c, model)
         bound = h_delta_of(step_of(state, w, g, c, model, lip), w, g, c, model)
         if not rec.h_delta <= bound * (1 + 1e-12):
             return False
@@ -532,7 +532,7 @@ def stall_proposals(monkeypatch):
         stash[:] = [x.copy()]
         return step(x, *args, **kwargs)
 
-    def kept(x, g, wr, tau, *, flux):
+    def kept(x, g, wr, p, *, flux):
         x.data[...] = stash[0].data
         return x
 
@@ -560,7 +560,7 @@ def unwrap_eager_safeguard(x, c, model, params=IrlsParams()):
     records = []
     m_cg = m_prev = params.max_iter_cg_start
     for k in range(params.max_outer_iters):
-        w = weights_of(state, c, model.delta)
+        w = weights_of(state, c, model)
         delta_rel = None
         if k >= 1:
             h_old = records[-1].h_delta
@@ -591,7 +591,7 @@ def replay_outer_iteration(x, c, model, result, params=IrlsParams()):
     n, m = g.shape
     records = result.trace.records
     state = SystemVector(result.u.copy(), result.vv.copy(), result.vh.copy())
-    w = weights_of(state, c, model.delta)
+    w = weights_of(state, c, model)
     h_state = eval_h_delta_refreshed(state, w, g, model, scratch=arc_grids(n, m))
     h_old = records[-1].h_delta
     delta_rel = 0.0 if h_old == 0 else relative_improvement(h_old, h_state)
@@ -609,14 +609,13 @@ def replay_outer_iteration(x, c, model, result, params=IrlsParams()):
 def _eager_iteration(state, w, g, c, model, lip, cache, k, m_cg, delta_rel):
     """One iteration of the eager loop from ``state`` under its refreshed weights ``w``."""
     n, m = g.shape
-    tau = model.tau
     cand, _ = irls.candidate_step(
         state, w, g, c, model, lip, out=SystemVector.zeros(n, m), scratch=arc_grids(n, m)
     )
     h_cand = h_delta_of(cand, w, g, c, model)
 
     flux = arc_grids(n, m)
-    wr = reduced_weights(c, w, tau, out=ArcField(*arc_grids(n, m)), flux=flux)
+    wr = reduced_weights(c, w, model, out=ArcField(*arc_grids(n, m)), flux=flux)
     rhs = build_reduced_rhs(g, wr, out=np.empty((n, m)), flux=flux)
     rhs_norm = np.linalg.norm(rhs)
     ap, z = np.empty((n, m)), np.empty((n, m))
@@ -624,7 +623,7 @@ def _eager_iteration(state, w, g, c, model, lip, cache, k, m_cg, delta_rel):
     outcome = irls.pcg_solve(
         apply_a=lambda v: kernels.weighted_laplacian(v, *wr, *flux, ap),
         apply_m=lambda r: preconditioner.sylvester_solve(
-            r, tau, cache, out=z, scratch=np.empty((n, m))
+            r, model, cache, out=z, scratch=np.empty((n, m))
         ),
         b=rhs,
         x=prop.u,
@@ -632,7 +631,7 @@ def _eager_iteration(state, w, g, c, model, lip, cache, k, m_cg, delta_rel):
         rel_tol=CG_REL_TOL,
         direction=np.empty((n, m)),
     )
-    irls.recover_slacks(prop, g, wr, tau, flux=flux)
+    irls.recover_slacks(prop, g, wr, model, flux=flux)
     h_prop = h_delta_of(prop, w, g, c, model)
     fallback = not h_prop <= h_cand
     state = cand if fallback else prop

@@ -89,7 +89,7 @@ def test_criterion_02_alternating_minimization():
     g = random_gradients(rng, n, m)
     c = random_weights(rng, n, m)
     fd = eval_f_delta(x, g, c, p)
-    w_star = weights_of(x, c, p.delta)
+    w_star = weights_of(x, c, p)
     tight = abs(h_delta_of(x, w_star, g, c, p) - fd) <= 1e-10 * max(1.0, abs(fd))
     dominated = all(
         h_delta_of(
@@ -112,15 +112,15 @@ def test_criterion_03_pcg_matches_dense_minimum_norm():
     t0 = time.time()
     rng = np.random.Generator(np.random.Philox(key=np.uint64(103)))
     n = m = 8
-    tau, delta = 1e-2, 1e-6
-    d = random_diagonal_weights(n, m, delta, seed=1030)
+    p = ModelParams(tau=1e-2, delta=1e-6)
+    d = random_diagonal_weights(n, m, p, seed=1030)
     g = random_gradients(rng, n, m)
-    b = build_rhs(g, tau, out=SystemVector.zeros(n, m))
-    a = materialize_dense_system(n, m, d, tau)
+    b = build_rhs(g, p, out=SystemVector.zeros(n, m))
+    a = materialize_dense_system(n, m, d, p)
     x_star = np.linalg.pinv(a) @ stack_system(b)
-    pc = build_preconditioner(build_spectral_cache(n, m), d, tau)
+    pc = build_preconditioner(build_spectral_cache(n, m), d, p)
     out = pcg_solve_blocks(
-        lambda v: apply_system(v, d, tau, out=SystemVector.zeros(n, m)),
+        lambda v: apply_system(v, d, p, out=SystemVector.zeros(n, m)),
         lambda r: apply_preconditioner(r, pc, out=SystemVector.zeros(n, m)),
         b,
         SystemVector.zeros(n, m),
@@ -137,7 +137,7 @@ def test_criterion_03_pcg_matches_dense_minimum_norm():
 def test_criterion_04_sylvester_residuals():
     t0 = time.time()
     rng = np.random.Generator(np.random.Philox(key=np.uint64(104)))
-    tau = 1e-2
+    p = ModelParams(tau=1e-2)
     shapes = list(itertools.product((2, 3, 8, 17), repeat=2))
     caches = {(n, m): build_spectral_cache(n, m) for n, m in shapes}
     worst = 0.0
@@ -146,19 +146,19 @@ def test_criterion_04_sylvester_residuals():
         if solves >= 50:
             break
         r = rng.standard_normal((n, m))
-        z = sylvester_solve(r, tau, caches[(n, m)], out=np.zeros((n, m)), scratch=np.empty((n, m)))
+        z = sylvester_solve(r, p, caches[(n, m)], out=np.zeros((n, m)), scratch=np.empty((n, m)))
         sts = dense_s(n).T @ dense_s(n)
         ttt = dense_t(m) @ dense_t(m).T
         projected = r - r.mean()
-        resid = np.linalg.norm(sts @ z + z @ ttt - tau * projected)
-        worst = max(worst, resid / np.linalg.norm(tau * r))
+        resid = np.linalg.norm(sts @ z + z @ ttt - p.tau * projected)
+        worst = max(worst, resid / np.linalg.norm(p.tau * r))
         solves += 1
     _finish(4, worst <= 1e-9, t0, 5.0, f"worst relative residual {worst:.2e} over {solves} solves")
 
 
 def test_criterion_05_preconditioner_study(tmp_path):
     t0 = time.time()
-    rep = conditioning_report(16, 16, 1e-6, 1e-2, seed=105)
+    rep = conditioning_report(16, 16, ModelParams(tau=1e-2, delta=1e-6), seed=105)
     path = tmp_path / "conditioning.json"
     path.write_text(json.dumps(rep.to_dict()))
     parsed = json.loads(path.read_text())
@@ -180,22 +180,22 @@ def test_criterion_06_preconditioned_cg_equivalence():
     t0 = time.time()
     rng = np.random.Generator(np.random.Philox(key=np.uint64(106)))
     n = m = 4
-    tau, delta = 1e-2, 1e-6
-    d = random_diagonal_weights(n, m, delta, seed=1060)
+    p = ModelParams(tau=1e-2, delta=1e-6)
+    d = random_diagonal_weights(n, m, p, seed=1060)
     g = random_gradients(rng, n, m)
-    b = build_rhs(g, tau, out=SystemVector.zeros(n, m))
-    a = materialize_dense_system(n, m, d, tau)
-    dmat = materialize_dense_preconditioner(n, m, d, tau)
+    b = build_rhs(g, p, out=SystemVector.zeros(n, m))
+    a = materialize_dense_system(n, m, d, p)
+    dmat = materialize_dense_preconditioner(n, m, d, p.tau)
     c_sqrt = split_sqrt(dmat)
     c_star = split_pseudo_sqrt(dmat)
-    pc = build_preconditioner(build_spectral_cache(n, m), d, tau)
+    pc = build_preconditioner(build_spectral_cache(n, m), d, p)
     x0 = SystemVector.zeros(n, m)
 
     tilde = plain_cg_dense(c_star @ a @ c_star, c_star @ stack_system(b), c_sqrt @ stack_system(x0), 10)
     worst = 0.0
     for l in range(min(11, len(tilde))):
         out = pcg_solve_blocks(
-            lambda v: apply_system(v, d, tau, out=SystemVector.zeros(n, m)),
+            lambda v: apply_system(v, d, p, out=SystemVector.zeros(n, m)),
             lambda r: apply_preconditioner(r, pc, out=SystemVector.zeros(n, m)),
             b,
             x0,
@@ -340,9 +340,9 @@ def test_criterion_11_gradient_checks():
     for size in (4, 6, 8):
         ch = random_weights(rng, size, size, lo=0.0, hi=1.0)
         xh = random_state(rng, size, size)
-        wh = weights_of(xh, ch, p.delta)
+        wh = weights_of(xh, ch, p)
         d = ArcField(ch.v**2 / wh.v, ch.h**2 / wh.h)
-        lam = np.linalg.eigvalsh(materialize_dense_system(size, size, d, p.tau)).max()
+        lam = np.linalg.eigvalsh(materialize_dense_system(size, size, d, p)).max()
         if lam > lipschitz_constant(ch, p):
             hessian_ok = False
     _finish(11, grad_ok and hessian_ok, t0, 30.0, f"gradient match: {grad_ok}, L bounds Hessian: {hessian_ok}")

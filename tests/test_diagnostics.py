@@ -12,6 +12,7 @@ from phaseirls.diagnostics import (
     positive_eigenvalues,
     random_diagonal_weights,
 )
+from phaseirls.objective import ModelParams
 from phaseirls.preconditioner import build_spectral_cache
 
 from oracles import materialize_dense_preconditioner, split_pseudo_sqrt, split_sqrt
@@ -19,34 +20,35 @@ from oracles import materialize_dense_preconditioner, split_pseudo_sqrt, split_s
 
 class TestConditioningReport:
     def test_preconditioning_improves_kappa(self):
-        rep = conditioning_report(16, 16, 1e-6, 1e-2, seed=0)
+        rep = conditioning_report(16, 16, ModelParams(tau=1e-2, delta=1e-6), seed=0)
         assert rep.kappa_pre < rep.kappa_a
         assert rep.kappa_a / rep.kappa_pre >= 10
         assert rep.rho_pre < rep.rho_a
 
     def test_preconditioned_spectrum_clusters(self):
-        rep = conditioning_report(16, 16, 1e-6, 1e-2, seed=1)
+        rep = conditioning_report(16, 16, ModelParams(tau=1e-2, delta=1e-6), seed=1)
         med = np.median(rep.eig_pre)
         within = np.abs(np.log10(rep.eig_pre) - np.log10(med)) <= 1.0
         assert within.mean() >= 0.9
 
     def test_tiny_uniform_instance_is_finite(self):
-        rep = conditioning_report(2, 2, 0.5, 1.0, seed=3)
+        rep = conditioning_report(2, 2, ModelParams(tau=1.0, delta=0.5), seed=3)
         assert np.isfinite(rep.kappa_a) and np.isfinite(rep.kappa_pre)
         assert rep.kappa_pre >= 1.0
         assert 0 < rep.rho_a < 1 and 0 <= rep.rho_pre < 1
 
     def test_rho_consistent_with_kappa(self):
-        rep = conditioning_report(8, 8, 1e-6, 1e-2, seed=4)
+        rep = conditioning_report(8, 8, ModelParams(tau=1e-2, delta=1e-6), seed=4)
         for kappa, rho in ((rep.kappa_a, rep.rho_a), (rep.kappa_pre, rep.rho_pre)):
             expect = (np.sqrt(kappa) - 1) / (np.sqrt(kappa) + 1)
             assert abs(rho - expect) < 1e-12
 
     def test_single_zero_eigenvalue(self):
         n = m = 6
-        d = random_diagonal_weights(n, m, 1e-3, seed=9)
+        p = ModelParams(tau=1e-2, delta=1e-3)
+        d = random_diagonal_weights(n, m, p, seed=9)
         assert d.v.min() > 0 and d.h.min() > 0
-        a = materialize_dense_system(n, m, d, 1e-2)
+        a = materialize_dense_system(n, m, d, p)
         vals = np.linalg.eigvalsh(a)
         cutoff = 1e-10 * vals.max()
         assert np.sum(vals < cutoff) == 1
@@ -54,7 +56,7 @@ class TestConditioningReport:
 
     def test_size_guard(self):
         with pytest.raises(SizeLimitExceeded):
-            conditioning_report(64, 64, 1e-6, 1e-2, seed=0)
+            conditioning_report(64, 64, ModelParams(tau=1e-2, delta=1e-6), seed=0)
 
     @pytest.mark.parametrize("n, m, seed, reason", [
         (1, 1, 0, "no arcs"),
@@ -71,10 +73,10 @@ class TestConditioningReport:
 
         monkeypatch.setattr(diagnostics, "materialize_dense_system", refuse)
         with pytest.raises(ValueError, match=reason):
-            conditioning_report(n, m, 1e-6, 1e-2, seed=seed)
+            conditioning_report(n, m, ModelParams(tau=1e-2, delta=1e-6), seed=seed)
 
     def test_report_serializes(self):
-        rep = conditioning_report(4, 4, 1e-4, 1e-2, seed=7)
+        rep = conditioning_report(4, 4, ModelParams(tau=1e-2, delta=1e-4), seed=7)
         payload = rep.to_dict()
         assert payload["n"] == 4
         assert len(payload["eig_a"]) == len(rep.eig_a)
@@ -89,7 +91,7 @@ class TestConditioningReport:
             raise AssertionError("C* is closed-form; eigh must not run")
 
         monkeypatch.setattr(np.linalg, "eigh", refuse)
-        rep = conditioning_report(16, 16, 1e-6, 1e-2, seed=0)
+        rep = conditioning_report(16, 16, ModelParams(tau=1e-2, delta=1e-6), seed=0)
         assert rep.eig_a.size == rep.eig_pre.size == 3 * 16 * 16 - 2 * 16 - 1
 
 
@@ -99,16 +101,18 @@ class TestDenseCellLimit:
 
     @pytest.mark.parametrize("n, m", [(32, 32), (1, 1024)])
     def test_builds_at_the_limit(self, n, m):
-        d = random_diagonal_weights(n, m, 1e-6, seed=0)
-        a = materialize_dense_system(n, m, d, 1e-2)
+        p = ModelParams(tau=1e-2, delta=1e-6)
+        d = random_diagonal_weights(n, m, p, seed=0)
+        a = materialize_dense_system(n, m, d, p)
         dim = n * m + (n - 1) * m + n * (m - 1)
         assert a.shape == (dim, dim)
 
     @pytest.mark.parametrize("n, m", [(32, 33), (1, 1025)])
     def test_builder_refuses_one_row_or_cell_more(self, n, m):
-        d = random_diagonal_weights(n, m, 1e-6, seed=0)
+        p = ModelParams(tau=1e-2, delta=1e-6)
+        d = random_diagonal_weights(n, m, p, seed=0)
         with pytest.raises(SizeLimitExceeded, match="1024 cells"):
-            materialize_dense_system(n, m, d, 1e-2)
+            materialize_dense_system(n, m, d, p)
 
     @pytest.mark.parametrize("n, m", [(32, 33), (10**6, 10**6)])
     def test_report_refuses_before_drawing_weights(self, monkeypatch, n, m):
@@ -117,7 +121,7 @@ class TestDenseCellLimit:
 
         monkeypatch.setattr(diagnostics, "random_diagonal_weights", refuse)
         with pytest.raises(SizeLimitExceeded, match="1024 cells"):
-            conditioning_report(n, m, 1e-6, 1e-2, seed=0)
+            conditioning_report(n, m, ModelParams(tau=1e-2, delta=1e-6), seed=0)
 
 
 class TestPositiveEigenvalues:
@@ -134,10 +138,10 @@ class TestPositiveEigenvalues:
 class TestClosedFormSplit:
     @pytest.mark.parametrize("n, m", [(1, 5), (5, 1), (2, 2), (3, 7), (7, 3), (16, 16)])
     def test_matches_eigh_of_dense_preconditioner(self, n, m):
-        tau = 1e-2
-        d = random_diagonal_weights(n, m, 1e-6, seed=n * 100 + m)
-        pc = build_preconditioner(build_spectral_cache(n, m), d, tau)
-        want = split_pseudo_sqrt(materialize_dense_preconditioner(n, m, d, tau))
+        p = ModelParams(tau=1e-2, delta=1e-6)
+        d = random_diagonal_weights(n, m, p, seed=n * 100 + m)
+        pc = build_preconditioner(build_spectral_cache(n, m), d, p)
+        want = split_pseudo_sqrt(materialize_dense_preconditioner(n, m, d, p.tau))
         got = diagnostics.split_pseudo_sqrt(pc)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -145,7 +149,7 @@ class TestClosedFormSplit:
 class TestSplitSqrt:
     def test_pseudo_sqrt_pair_inverts_on_range(self, rng):
         n = m = 4
-        d = random_diagonal_weights(n, m, 1e-2, seed=2)
+        d = random_diagonal_weights(n, m, ModelParams(delta=1e-2), seed=2)
         dmat = materialize_dense_preconditioner(n, m, d, 1e-2)
         c = split_sqrt(dmat)
         c_star = split_pseudo_sqrt(dmat)
@@ -156,6 +160,6 @@ class TestSplitSqrt:
         assert np.max(np.abs(c @ c - dmat)) < 1e-8
 
     def test_weights_land_in_half_open_interval(self):
-        d = random_diagonal_weights(5, 5, 0.25, seed=11)
+        d = random_diagonal_weights(5, 5, ModelParams(delta=0.25), seed=11)
         assert d.v.max() <= 4.0 and d.h.max() <= 4.0
         assert d.v.min() > 0.0 and d.h.min() > 0.0

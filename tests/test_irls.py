@@ -141,8 +141,8 @@ class TestRelativeImprovement:
             x = random_state(rng, n, m)
             g = random_gradients(rng, n, m)
             c = random_weights(rng, n, m)
-            w_old = weights_of(random_state(rng, n, m), c, p.delta)
-            w_new = weights_of(x, c, p.delta)
+            w_old = weights_of(random_state(rng, n, m), c, p)
+            w_new = weights_of(x, c, p)
             h_old = h_delta_of(x, w_old, g, c, p)
             h_new = h_delta_of(x, w_new, g, c, p)
             assert relative_improvement(h_old, h_new) >= -1e-12
@@ -363,7 +363,7 @@ class TestUnwrap:
         assert len(records) >= 3
         g, states = outer_states(x, c, model, len(records))
         for k in range(1, len(records)):
-            w = weights_of(states[k], c, model.delta)
+            w = weights_of(states[k], c, model)
             want = relative_improvement(
                 records[k - 1].h_delta, h_delta_of(states[k], w, g, c, model)
             )
@@ -452,7 +452,7 @@ class TestUnwrap:
         g = wrapped_gradients(x)
         initial = SystemVector(np.zeros(x.shape), -g.v, -g.h)
         final = SystemVector(res.u, res.vv, res.vh)
-        want = h_delta_of(final, weights_of(initial, c, model.delta), g, c, model)
+        want = h_delta_of(final, weights_of(initial, c, model), g, c, model)
         assert res.trace.records[0].h_delta == pytest.approx(want, rel=1e-12)
 
     def test_spoiled_proposal_falls_back_to_the_gradient_step(self, monkeypatch):
@@ -469,7 +469,7 @@ class TestUnwrap:
 
         g = wrapped_gradients(x)
         initial = SystemVector(np.zeros(x.shape), -g.v, -g.h)
-        w = weights_of(initial, c, model.delta)
+        w = weights_of(initial, c, model)
         cand = step_of(initial, w, g, c, model, lipschitz_constant(c, model))
         assert rec.h_delta == h_delta_of(cand, w, g, c, model)
         cand.u -= cand.u.mean()
@@ -739,7 +739,7 @@ class TestSmallInstanceOptimality:
         )
         state = SystemVector(np.zeros((n, m)), -g.v.copy(), -g.h.copy())
         for _ in range(5000):
-            w = weights_of(state, c, p.delta)
+            w = weights_of(state, c, p)
             from phaseirls.phase import ArcField
 
             d = ArcField(c.v**2 / w.v, c.h**2 / w.h)

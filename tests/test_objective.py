@@ -56,7 +56,7 @@ def dense_rhs(g, tau):
 def dense_gradient(x, w, g, c, p):
     """The lifted quadratic's gradient A x - b, from the dense block matrix."""
     n, m = x.shape
-    a = materialize_dense_system(n, m, ArcField(c.v**2 / w.v, c.h**2 / w.h), p.tau)
+    a = materialize_dense_system(n, m, ArcField(c.v**2 / w.v, c.h**2 / w.h), p)
     return a @ stack_system(x) - dense_rhs(g, p.tau)
 
 
@@ -131,7 +131,7 @@ class TestEvalHDelta:
             x = random_state(rng, n, m)
             g = random_gradients(rng, n, m)
             c = random_weights(rng, n, m)
-            w = weights_of(x, c, p.delta)
+            w = weights_of(x, c, p)
             fd = eval_f_delta(x, g, c, p)
             assert h_delta_of(x, w, g, c, p) == pytest.approx(fd, rel=1e-10)
 
@@ -172,7 +172,7 @@ class TestEvalHDeltaRefreshed:
             x = random_state(rng, n, m)
             g = random_gradients(rng, n, m)
             c = random_weights(rng, n, m)
-            w = weights_of(x, c, p.delta)
+            w = weights_of(x, c, p)
             got = eval_h_delta_refreshed(x, w, g, p, scratch=arc_grids(n, m))
             assert got == eval_f_delta(x, g, c, p)
             assert got == pytest.approx(h_delta_of(x, w, g, c, p), rel=1e-14)
@@ -193,7 +193,7 @@ class TestEvalHDeltaAndRefresh:
                 x, w, g, c, p, refreshed=refreshed, scratch=arc_grids(n, m, np.nan)
             )
             assert h == h_delta_of(x, w, g, c, p)
-            fresh = weights_of(x, c, p.delta)
+            fresh = weights_of(x, c, p)
             for got, want in zip(refreshed, fresh):
                 assert got.tobytes() == want.tobytes()
             assert h_refreshed == eval_h_delta_refreshed(x, fresh, g, p, scratch=arc_grids(n, m))
@@ -232,8 +232,8 @@ class TestReusedBuffers:
         d2 = p.delta * p.delta
 
         w = ArcField(*arc_grids(n, m, np.nan))
-        assert update_weights(x, c, p.delta, out=w) is w
-        fresh = update_weights(x, c, p.delta, out=ArcField(*arc_grids(n, m)))
+        assert update_weights(x, c, p, out=w) is w
+        fresh = update_weights(x, c, p, out=ArcField(*arc_grids(n, m)))
         for got, want, cc, v in ((w.v, fresh.v, c.v, x.vv), (w.h, fresh.h, c.h, x.vh)):
             assert got.tobytes() == want.tobytes()
             assert got.tobytes() == np.sqrt((cc * v) ** 2 + d2).tobytes()
@@ -269,8 +269,8 @@ class TestReusedBuffers:
         assert out.data.tobytes() == want.tobytes()
         assert grad_sq == float(np.vdot(grad.data, grad.data))
         # the step as it was first written, x - (A x - b) / L, agrees to round-off
-        first = apply_system(x, d, p.tau, out=SystemVector.zeros(n, m))
-        first.data -= build_rhs(g, p.tau, out=SystemVector.zeros(n, m)).data
+        first = apply_system(x, d, p, out=SystemVector.zeros(n, m))
+        first.data -= build_rhs(g, p, out=SystemVector.zeros(n, m)).data
         first.data *= -1.0 / lip
         first.data += x.data
         assert np.max(np.abs(out.data - first.data)) <= 1e-15 * np.max(np.abs(first.data))
@@ -279,12 +279,12 @@ class TestReusedBuffers:
 class TestUpdateWeights:
     def test_zero_slack(self):
         x = SystemVector.zeros(3, 3)
-        w = weights_of(x, WeightField.uniform(3, 3), 1e-6)
+        w = weights_of(x, WeightField.uniform(3, 3), ModelParams(delta=1e-6))
         assert np.all(w.v == 1e-6) and np.all(w.h == 1e-6)
 
     def test_three_four_five(self):
         x = SystemVector(np.zeros((2, 2)), 3.0 * np.ones((1, 2)), 3.0 * np.ones((2, 1)))
-        w = weights_of(x, WeightField.uniform(2, 2), 4.0)
+        w = weights_of(x, WeightField.uniform(2, 2), ModelParams(delta=4.0))
         assert np.all(w.v == 5.0) and np.all(w.h == 5.0)
 
     def test_matches_grid_search(self):
@@ -296,22 +296,14 @@ class TestUpdateWeights:
                 np.zeros((2, 2)), np.array([[float(v), 0.0]]), np.zeros((2, 1))
             )
             c = WeightField(np.array([[float(cv), 1.0]]), np.ones((2, 1)))
-            got = weights_of(x, c, delta).v[0, 0]
+            got = weights_of(x, c, ModelParams(delta=delta)).v[0, 0]
             brute = ws[np.argmin(((cv * v) ** 2 + delta**2) / ws + ws)]
             assert got == pytest.approx(brute, abs=resolution)
 
     def test_outputs_at_least_delta(self, rng):
         x = random_state(rng, 5, 5)
-        w = weights_of(x, random_weights(rng, 5, 5), 1e-6)
+        w = weights_of(x, random_weights(rng, 5, 5), ModelParams(delta=1e-6))
         assert w.v.min() >= 1e-6 and w.h.min() >= 1e-6
-
-    @pytest.mark.parametrize("delta", [0.0, -1e-6])
-    def test_nonpositive_delta_is_refused(self, rng, delta):
-        with pytest.raises(ValueError, match="delta must be positive"):
-            update_weights(
-                random_state(rng, 3, 4), random_weights(rng, 3, 4), delta,
-                out=ArcField(*arc_grids(3, 4)),
-            )
 
 
 class TestLipschitzConstant:
@@ -339,9 +331,9 @@ class TestLipschitzConstant:
         for n, m in [(4, 4), (8, 8), (5, 8)]:
             c = random_weights(rng, n, m, lo=0.0, hi=1.0)
             x = random_state(rng, n, m)
-            w = weights_of(x, c, p.delta)
+            w = weights_of(x, c, p)
             d = ArcField(c.v**2 / w.v, c.h**2 / w.h)
-            hess = materialize_dense_system(n, m, d, p.tau)
+            hess = materialize_dense_system(n, m, d, p)
             lam_max = np.linalg.eigvalsh(hess).max()
             assert lam_max <= lipschitz_constant(c, p)
 
@@ -353,9 +345,9 @@ class TestCandidateStep:
         c = random_weights(rng, n, m)
         g = random_gradients(rng, n, m)
         x = random_state(rng, n, m)
-        w = weights_of(x, c, p.delta)
+        w = weights_of(x, c, p)
         d = ArcField(c.v**2 / w.v, c.h**2 / w.h)
-        a = materialize_dense_system(n, m, d, p.tau)
+        a = materialize_dense_system(n, m, d, p)
         b = dense_rhs(g, p.tau)
         x_star = unstack_system(np.linalg.pinv(a) @ b, n, m)
         lip = lipschitz_constant(c, p)
@@ -410,7 +402,7 @@ class TestCandidateStep:
 
         monkeypatch.setattr(kernels, "adj_diffs", counted)
         monkeypatch.setattr(diagnostics, "build_rhs", refuse)
-        step_of(x, weights_of(x, c, p.delta), random_gradients(rng, n, m), c, p,
+        step_of(x, weights_of(x, c, p), random_gradients(rng, n, m), c, p,
                 lipschitz_constant(c, p))
         assert len(adjoints) == 1
 
@@ -447,16 +439,16 @@ class TestCandidateStep:
         lip = lipschitz_constant(c, p)
         for _ in range(100):
             x = random_state(rng, n, m)
-            w = weights_of(x, c, p.delta)
+            w = weights_of(x, c, p)
             stepped = step_of(x, w, g, c, p, lip)
             assert h_delta_of(stepped, w, g, c, p) <= h_delta_of(x, w, g, c, p)
 
-    @pytest.mark.parametrize("lip", [0.0, -1.0])
+    @pytest.mark.parametrize("lip", [0.0, -1.0, np.nan, np.inf])
     def test_nonpositive_lipschitz_constant_is_refused(self, rng, lip):
         n, m = 3, 4
         c = random_weights(rng, n, m)
         x = random_state(rng, n, m)
-        w = weights_of(x, c, ModelParams().delta)
+        w = weights_of(x, c, ModelParams())
         with pytest.raises(ValueError, match="lipschitz constant must be positive"):
             candidate_step(
                 x, w, random_gradients(rng, n, m), c, ModelParams(), lip,
@@ -470,7 +462,7 @@ class TestSufficientDecrease:
         c = random_weights(rng, n, m)
         g = random_gradients(rng, n, m)
         x = random_state(rng, n, m)
-        w = weights_of(x, c, p.delta)
+        w = weights_of(x, c, p)
         return p, c, g, x, w
 
     def test_candidate_itself_passes(self, rng):
@@ -483,7 +475,7 @@ class TestSufficientDecrease:
         n = m = 4
         p, c, g, x, w = self._setup(rng, n, m)
         d = ArcField(c.v**2 / w.v, c.h**2 / w.h)
-        a = materialize_dense_system(n, m, d, p.tau)
+        a = materialize_dense_system(n, m, d, p)
         b = dense_rhs(g, p.tau)
         x_star = unstack_system(np.linalg.pinv(a) @ b, n, m)
         assert sufficient_decrease_holds(x_star, x, w, g, c, p, lipschitz_constant(c, p))
@@ -503,6 +495,18 @@ class TestModelParams:
             ModelParams(tau=0.0)
         with pytest.raises(ValueError):
             ModelParams(delta=-1.0)
+
+    @pytest.mark.parametrize("tau", [0.0, -1.0, np.nan, np.inf, -np.inf])
+    def test_rejects_tau_that_is_not_positive_and_finite(self, tau):
+        # the one check of tau: every function of the model takes it from here
+        with pytest.raises(ValueError, match="tau must be positive and finite"):
+            ModelParams(tau=tau)
+
+    @pytest.mark.parametrize("delta", [0.0, -1e-6, np.nan, np.inf])
+    def test_rejects_delta_that_is_not_positive_and_finite(self, delta):
+        # the one check of delta: every function of the model takes it from here
+        with pytest.raises(ValueError, match="delta must be positive"):
+            ModelParams(delta=delta)
 
     @pytest.mark.parametrize("delta", [1e-300, 1e-162, 1e-155, 1e155, 1e300])
     def test_rejects_delta_whose_square_is_not_normal_and_finite(self, delta):

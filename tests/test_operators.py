@@ -1,3 +1,6 @@
+"""Tests of the ``kernels`` stencils, the block map, dense system and right-hand side of
+``diagnostics``, and the ``SystemVector`` and reduced system of ``objective``."""
+
 import numpy as np
 import pytest
 
@@ -5,18 +8,17 @@ from phaseirls import kernels
 from phaseirls.diagnostics import (
     SizeLimitExceeded,
     apply_system,
-    build_preconditioner,
     build_rhs,
     materialize_dense_system,
 )
 from phaseirls.objective import (
+    ModelParams,
     SystemVector,
     build_reduced_rhs,
     recover_slacks,
     reduced_weights,
 )
 from phaseirls.phase import ArcField, WeightField
-from phaseirls.preconditioner import build_spectral_cache
 
 from oracles import (
     adj_diffs_five_pass,
@@ -165,60 +167,48 @@ class TestApplySystem:
     def test_zero_maps_to_zero(self, rng):
         n, m = 4, 5
         d = random_diag(rng, n, m)
-        out = apply_system(SystemVector.zeros(n, m), d, 0.5, out=nan_vector(n, m))
+        out = apply_system(SystemVector.zeros(n, m), d, ModelParams(tau=0.5), out=nan_vector(n, m))
         assert np.linalg.norm(out.data) == 0.0
 
     def test_constant_u_in_nullspace(self, rng):
         n, m = 5, 4
         d = random_diag(rng, n, m)
         x = SystemVector(7.5 * np.ones((n, m)), np.zeros((n - 1, m)), np.zeros((n, m - 1)))
-        out = apply_system(x, d, 1e-2, out=nan_vector(n, m))
+        out = apply_system(x, d, ModelParams(tau=1e-2), out=nan_vector(n, m))
         assert np.linalg.norm(out.data) == 0.0
 
     def test_matches_dense_oracle(self, rng):
         n = m = 4
         d = random_diag(rng, n, m)
-        tau = 1e-2
-        a = materialize_dense_system(n, m, d, tau)
+        p = ModelParams(tau=1e-2)
+        a = materialize_dense_system(n, m, d, p)
         for _ in range(20):
             x = random_state(rng, n, m)
-            got = stack_system(apply_system(x, d, tau, out=SystemVector.zeros(n, m)))
+            got = stack_system(apply_system(x, d, p, out=SystemVector.zeros(n, m)))
             want = a @ stack_system(x)
             assert np.max(np.abs(got - want)) < 1e-10
 
     def test_symmetry_and_psd(self, rng):
         n, m = 6, 5
         d = random_diag(rng, n, m)
-        tau = 0.03
+        p = ModelParams(tau=0.03)
         for _ in range(25):
             x = random_state(rng, n, m)
             y = random_state(rng, n, m)
-            ax = apply_system(x, d, tau, out=SystemVector.zeros(n, m))
-            ay = apply_system(y, d, tau, out=SystemVector.zeros(n, m))
+            ax = apply_system(x, d, p, out=SystemVector.zeros(n, m))
+            ay = apply_system(y, d, p, out=SystemVector.zeros(n, m))
             assert np.vdot(ax.data, y.data) == pytest.approx(
                 np.vdot(x.data, ay.data), rel=1e-10, abs=1e-10
             )
             assert np.vdot(ax.data, x.data) >= -1e-10 * np.vdot(x.data, x.data)
 
-    def test_rejects_nonpositive_tau(self, rng):
-        d = random_diag(rng, 3, 3)
-        with pytest.raises(ValueError):
-            apply_system(SystemVector.zeros(3, 3), d, 0.0, out=SystemVector.zeros(3, 3))
-
-
-def block_rhs(n, m, d, tau):
-    return build_rhs(ArcField(*arc_grids(n, m)), tau, out=SystemVector.zeros(n, m))
-
-
-def block_preconditioner(n, m, d, tau):
-    return build_preconditioner(build_spectral_cache(n, m), d, tau)
 
 
 class TestDenseSystem:
     def test_small_instance_shape_and_spectrum(self, rng):
         n = m = 2
         d = random_diag(rng, n, m)
-        a = materialize_dense_system(n, m, d, 1.0)
+        a = materialize_dense_system(n, m, d, ModelParams(tau=1.0))
         # dimension is NM + (N-1)M + N(M-1) = 4 + 2 + 2
         assert a.shape == (8, 8)
         assert np.allclose(a, a.T)
@@ -227,7 +217,7 @@ class TestDenseSystem:
     def test_nullspace_vector(self, rng):
         n, m = 3, 4
         d = random_diag(rng, n, m)
-        a = materialize_dense_system(n, m, d, 1e-2)
+        a = materialize_dense_system(n, m, d, ModelParams(tau=1e-2))
         null = np.concatenate([np.ones(n * m), np.zeros((n - 1) * m + n * (m - 1))])
         assert np.max(np.abs(a @ null)) < 1e-12
 
@@ -236,50 +226,44 @@ class TestDenseSystem:
         d = ArcField(
             rng.uniform(0.1, 2.0, (n - 1, m)), rng.uniform(0.1, 2.0, (n, m - 1))
         )
-        a = materialize_dense_system(n, m, d, 1e-2)
+        a = materialize_dense_system(n, m, d, ModelParams(tau=1e-2))
         vals = np.linalg.eigvalsh(a)
         assert np.sum(vals < 1e-10) == 1
 
     def test_matches_entrywise_construction(self, rng):
         n = m = 3
         d = random_diag(rng, n, m)
-        a = materialize_dense_system(n, m, d, 0.07)
+        a = materialize_dense_system(n, m, d, ModelParams(tau=0.07))
         b = dense_system_entrywise(n, m, d, 0.07)
         assert np.max(np.abs(a - b)) < 1e-13
 
     def test_size_guard(self, rng):
         d = ArcField(np.ones((99, 100)), np.ones((100, 99)))
         with pytest.raises(SizeLimitExceeded):
-            materialize_dense_system(100, 100, d, 1.0)
-
-    @pytest.mark.parametrize("build", [materialize_dense_system, block_rhs, block_preconditioner])
-    @pytest.mark.parametrize("tau", [0.0, -1.0])
-    def test_nonpositive_tau_is_refused(self, build, tau):
-        d = ArcField(np.ones((1, 2)), np.ones((2, 1)))
-        with pytest.raises(ValueError, match="tau must be positive"):
-            build(2, 2, d, tau)
+            materialize_dense_system(100, 100, d, ModelParams(tau=1.0))
 
 
 class TestBuildRhs:
     def test_zero_gradients(self, rng):
         g = random_gradients(rng, 4, 4)
         zero = type(g)(np.zeros_like(g.v), np.zeros_like(g.h))
-        assert np.linalg.norm(build_rhs(zero, 1e-2, out=nan_vector(4, 4)).data) == 0.0
+        b = build_rhs(zero, ModelParams(tau=1e-2), out=nan_vector(4, 4))
+        assert np.linalg.norm(b.data) == 0.0
 
     def test_u_block_sums_to_zero(self, rng):
         g = random_gradients(rng, 9, 7)
-        b = build_rhs(g, 1e-2, out=SystemVector.zeros(9, 7))
+        b = build_rhs(g, ModelParams(tau=1e-2), out=SystemVector.zeros(9, 7))
         assert abs(b.u.sum()) <= 1e-9 * b.u.size
 
     def test_matches_dense_construction(self, rng):
         n = m = 3
         g = random_gradients(rng, n, m)
-        tau = 1e-2
-        b = stack_system(build_rhs(g, tau, out=SystemVector.zeros(n, m)))
+        p = ModelParams(tau=1e-2)
+        b = stack_system(build_rhs(g, p, out=SystemVector.zeros(n, m)))
         s = dense_s(n)
         t = dense_t(m)
         want = np.concatenate(
-            [vec(s.T @ g.v + g.h @ t.T) / tau, -vec(g.v) / tau, -vec(g.h) / tau]
+            [vec(s.T @ g.v + g.h @ t.T) / p.tau, -vec(g.v) / p.tau, -vec(g.h) / p.tau]
         )
         assert np.max(np.abs(b - want)) < 1e-12
 
@@ -353,13 +337,13 @@ class TestApplySystemOut:
     def test_writes_into_out_bit_for_bit(self, rng, shape):
         n, m = shape
         d = random_diag(rng, n, m)
-        tau = 0.03
+        p = ModelParams(tau=0.03)
         x = random_state(rng, n, m)
         buf = nan_vector(n, m)  # every entry must be overwritten
-        got = apply_system(x, d, tau, out=buf)
+        got = apply_system(x, d, p, out=buf)
         assert got is buf
-        assert np.array_equal(got.data, apply_system(x, d, tau, out=SystemVector.zeros(n, m)).data)
-        want = materialize_dense_system(n, m, d, tau) @ stack_system(x)
+        assert np.array_equal(got.data, apply_system(x, d, p, out=SystemVector.zeros(n, m)).data)
+        want = materialize_dense_system(n, m, d, p) @ stack_system(x)
         assert np.max(np.abs(stack_system(got) - want)) < 1e-10
 
     @pytest.mark.parametrize("shape", [(1, 5), (5, 1), (12, 20)])
@@ -368,17 +352,18 @@ class TestApplySystemOut:
         n, m = shape
         d = random_diag(rng, n, m)
         x = random_state(rng, n, m)
-        got = apply_system(x, d, 0.03, out=nan_vector(n, m))
+        got = apply_system(x, d, ModelParams(tau=0.03), out=nan_vector(n, m))
         assert got.data.tobytes() == apply_system_without_data(x, d, 0.03).data.tobytes()
 
     def test_reused_out_holds_only_the_last_result(self, rng):
         n, m = 5, 4
         d = random_diag(rng, n, m)
         buf = SystemVector.zeros(n, m)
-        apply_system(random_state(rng, n, m), d, 0.1, out=buf)
+        p = ModelParams(tau=0.1)
+        apply_system(random_state(rng, n, m), d, p, out=buf)
         x = random_state(rng, n, m)
-        apply_system(x, d, 0.1, out=buf)
-        assert np.array_equal(buf.data, apply_system(x, d, 0.1, out=SystemVector.zeros(n, m)).data)
+        apply_system(x, d, p, out=buf)
+        assert np.array_equal(buf.data, apply_system(x, d, p, out=SystemVector.zeros(n, m)).data)
 
 
 def with_zero_arcs(rng, wr):
@@ -407,6 +392,7 @@ class TestReducedSystem:
     @pytest.mark.parametrize("shape", [(4, 4), (3, 5), (1, 6), (6, 1)])
     def test_out_is_bit_equal_to_a_new_result(self, rng, shape):
         n, m = shape
+        p = ModelParams(tau=0.03)
         wr = with_zero_arcs(rng, random_diag(rng, n, m))
         u = rng.standard_normal((n, m))
         g = random_gradients(rng, n, m)
@@ -423,33 +409,33 @@ class TestReducedSystem:
         assert np.array_equal(rhs, want)
         full = nan_vector(n, m)
         full.u[...] = u
-        assert recover_slacks(full, g, wr, 0.03, flux=arc_grids(n, m, np.nan)) is full
-        want = recover_slacks(SystemVector(u, *arc_grids(n, m)), g, wr, 0.03, flux=arc_grids(n, m))
+        assert recover_slacks(full, g, wr, p, flux=arc_grids(n, m, np.nan)) is full
+        want = recover_slacks(SystemVector(u, *arc_grids(n, m)), g, wr, p, flux=arc_grids(n, m))
         assert full.data.tobytes() == want.data.tobytes()
         # the slacks as first written, each temporary a new grid
         for v, diff, gg, ww in ((full.vv, kernels.diff_rows(u), g.v, wr.v),
                                 (full.vh, kernels.diff_cols(u), g.h, wr.h)):
             want = diff - gg
-            want -= 0.03 * ww * want
+            want -= p.tau * ww * want
             assert v.tobytes() == want.tobytes()
         b = nan_vector(n, m)
-        assert build_rhs(g, 0.03, out=b) is b
-        assert b.data.tobytes() == build_rhs(g, 0.03, out=SystemVector.zeros(n, m)).data.tobytes()
+        assert build_rhs(g, p, out=b) is b
+        assert b.data.tobytes() == build_rhs(g, p, out=SystemVector.zeros(n, m)).data.tobytes()
 
     def test_reduced_weights_are_the_schur_weights(self, rng):
-        n, m, tau = 5, 4, 0.03
+        n, m, p = 5, 4, ModelParams(tau=0.03)
         c = WeightField(rng.uniform(0, 2, (n - 1, m)), rng.uniform(0, 2, (n, m - 1)))
         c.v[1, :] = 0.0
         w = ArcField(rng.uniform(1e-6, 3, (n - 1, m)), rng.uniform(1e-6, 3, (n, m - 1)))
         out = ArcField(*arc_grids(n, m, np.nan))
-        assert reduced_weights(c, w, tau, out=out, flux=arc_grids(n, m, np.nan)) is out
+        assert reduced_weights(c, w, p, out=out, flux=arc_grids(n, m, np.nan)) is out
         for cc, ww, got in ((c.v, w.v, out.v), (c.h, w.h, out.h)):
             first = cc * cc  # the weights as first written, the denominator a new grid
-            first /= ww + tau * first
+            first /= ww + p.tau * first
             assert got.tobytes() == first.tobytes()
             d = cc**2 / ww
-            assert np.allclose(got, d / (1 + tau * d), rtol=1e-14, atol=0)
-            assert np.all(got <= 1 / tau)
+            assert np.allclose(got, d / (1 + p.tau * d), rtol=1e-14, atol=0)
+            assert np.all(got <= 1 / p.tau)
         assert np.all(out.v[1, :] == 0.0)
 
     @pytest.mark.parametrize("shape", [(4, 5), (1, 6), (6, 1), (1, 1)])
@@ -460,34 +446,23 @@ class TestReducedSystem:
         x = nan_vector(n, m)
         x.u[...] = arc_values(rng, (n, m), "mixed")
         u_bytes = x.u.tobytes()
-        assert recover_slacks(x, g, wr, 0.03, flux=arc_grids(n, m, np.nan)) is x
+        assert recover_slacks(x, g, wr, ModelParams(tau=0.03), flux=arc_grids(n, m, np.nan)) is x
         assert x.u.tobytes() == u_bytes
         assert not np.isnan(x.data).any()
 
     def test_recovered_slacks_minimize_the_lifted_penalty(self, rng):
         # d v + (v - (S u - g)) / tau = 0 at the minimizer, arc by arc
-        n, m, tau = 4, 5, 0.03
+        n, m, p = 4, 5, ModelParams(tau=0.03)
         d = random_diag(rng, n, m)
         wr = reduced_weights(
-            WeightField.uniform(n, m), ArcField(1 / d.v, 1 / d.h), tau,
+            WeightField.uniform(n, m), ArcField(1 / d.v, 1 / d.h), p,
             out=ArcField(*arc_grids(n, m)), flux=arc_grids(n, m),
         )
         u = rng.standard_normal((n, m))
         g = random_gradients(rng, n, m)
-        x = recover_slacks(SystemVector(u, *arc_grids(n, m)), g, wr, tau, flux=arc_grids(n, m))
+        x = recover_slacks(SystemVector(u, *arc_grids(n, m)), g, wr, p, flux=arc_grids(n, m))
         assert np.array_equal(x.u, u)
-        stationary_v = d.v * x.vv + (x.vv - (kernels.diff_rows(u) - g.v)) / tau
-        stationary_h = d.h * x.vh + (x.vh - (kernels.diff_cols(u) - g.h)) / tau
+        stationary_v = d.v * x.vv + (x.vv - (kernels.diff_rows(u) - g.v)) / p.tau
+        stationary_h = d.h * x.vh + (x.vh - (kernels.diff_cols(u) - g.h)) / p.tau
         assert np.max(np.abs(stationary_v)) < 1e-10
         assert np.max(np.abs(stationary_h)) < 1e-10
-
-    @pytest.mark.parametrize("tau", [0.0, -0.03])
-    def test_nonpositive_tau_is_refused(self, rng, tau):
-        n, m = 3, 4
-        c = WeightField.uniform(n, m)
-        w = ArcField(*arc_grids(n, m, 1.0))
-        with pytest.raises(ValueError, match="tau must be positive"):
-            reduced_weights(c, w, tau, out=ArcField(*arc_grids(n, m)), flux=arc_grids(n, m))
-        x = random_state(rng, n, m)
-        with pytest.raises(ValueError, match="tau must be positive"):
-            recover_slacks(x, random_gradients(rng, n, m), w, tau, flux=arc_grids(n, m))

@@ -167,6 +167,27 @@ def test_buffer_parameters_have_no_default():
     assert defaulted_buffer_params() == set()
 
 
+def params_named(names):
+    """``module.function(param)`` for each function parameter of the package named in ``names``."""
+    found = set()
+    for path, tree in _trees(PACKAGE).items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                args = node.args
+                every = args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg]
+                name = getattr(node, "name", "<lambda>")
+                found.update(f"{path.stem}.{name}({a.arg})" for a in every if a and a.arg in names)
+    return found
+
+
+def test_tau_and_delta_arrive_only_in_model_params():
+    # ModelParams checks their ranges once; a bare float parameter would go round that check
+    assert params_named({"tau", "delta"}) == set()
+    # the check sees the parameters it is meant to find
+    seen = params_named({"p"})
+    assert {"objective.update_weights(p)", "preconditioner.sylvester_solve(p)"} <= seen
+
+
 def readme_cli_flags():
     """Each ``--flag`` token in README's ``## CLI`` section, its subsections included."""
     text = (ROOT / "README.md").read_text()

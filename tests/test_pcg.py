@@ -34,16 +34,15 @@ from oracles import (
     vec,
 )
 
-TAU = 1e-2
-DELTA = 1e-6
+P = ModelParams(tau=1e-2, delta=1e-6)
 
 
 def make_problem(rng, n, m, seed=0):
-    d = random_diagonal_weights(n, m, DELTA, seed=seed)
+    d = random_diagonal_weights(n, m, P, seed=seed)
     g = random_gradients(rng, n, m)
-    b = build_rhs(g, TAU, out=SystemVector.zeros(n, m))
-    pc = build_preconditioner(build_spectral_cache(n, m), d, TAU)
-    apply_a = lambda v: apply_system(v, d, TAU, out=SystemVector.zeros(n, m))
+    b = build_rhs(g, P, out=SystemVector.zeros(n, m))
+    pc = build_preconditioner(build_spectral_cache(n, m), d, P)
+    apply_a = lambda v: apply_system(v, d, P, out=SystemVector.zeros(n, m))
     apply_m = lambda r: apply_preconditioner(r, pc, out=SystemVector.zeros(n, m))
     return d, b, apply_a, apply_m
 
@@ -55,7 +54,7 @@ def reduced_maps(wr, cache):
     transform = np.empty((n, m))
     return (
         lambda v: kernels.weighted_laplacian(v, wr.v, wr.h, *flux, ap),
-        lambda r: sylvester_solve(r, TAU, cache, out=z, scratch=transform),
+        lambda r: sylvester_solve(r, P, cache, out=z, scratch=transform),
     )
 
 
@@ -110,7 +109,7 @@ class TestPcgBasics:
     def test_exact_start_converges_immediately(self, rng):
         n = m = 5
         d, b, apply_a, apply_m = make_problem(rng, n, m, seed=4)
-        a = materialize_dense_system(n, m, d, TAU)
+        a = materialize_dense_system(n, m, d, P)
         x_star = unstack_system(np.linalg.pinv(a) @ stack_system(b), n, m)
         out = pcg_solve_blocks(apply_a, apply_m, b, x_star, 50, 1e-8)
         assert out.iterations == 0
@@ -128,7 +127,7 @@ class TestPcgAgainstDenseOracle:
     def test_matches_minimum_norm_solution(self, rng):
         n = m = 8
         d, b, apply_a, apply_m = make_problem(rng, n, m, seed=11)
-        a = materialize_dense_system(n, m, d, TAU)
+        a = materialize_dense_system(n, m, d, P)
         x_star = np.linalg.pinv(a) @ stack_system(b)
         dim = b.data.size
         out = pcg_solve_blocks(apply_a, apply_m, b, SystemVector.zeros(n, m), 3 * dim, 1e-12)
@@ -151,7 +150,7 @@ class TestPcgAgainstDenseOracle:
     def test_error_monotone_in_a_seminorm(self, rng):
         n = m = 5
         d, b, apply_a, apply_m = make_problem(rng, n, m, seed=21)
-        a = materialize_dense_system(n, m, d, TAU)
+        a = materialize_dense_system(n, m, d, P)
         x_star = np.linalg.pinv(a) @ stack_system(b)
         x0 = SystemVector.zeros(n, m)
         energies = []
@@ -166,13 +165,13 @@ class TestPcgAgainstDenseOracle:
 class TestReducedSolve:
     def test_reduced_solution_with_its_slacks_is_the_full_minimum_norm_solution(self, rng):
         n = m = 8
-        d = random_diagonal_weights(n, m, DELTA, seed=12)
+        d = random_diagonal_weights(n, m, P, seed=12)
         g = random_gradients(rng, n, m)
-        b = build_rhs(g, TAU, out=SystemVector.zeros(n, m))
-        x_star = np.linalg.pinv(materialize_dense_system(n, m, d, TAU)) @ stack_system(b)
+        b = build_rhs(g, P, out=SystemVector.zeros(n, m))
+        x_star = np.linalg.pinv(materialize_dense_system(n, m, d, P)) @ stack_system(b)
         # c = 1 and w = 1/d give the reduced weights d / (1 + tau d)
         wr = reduced_weights(
-            WeightField.uniform(n, m), ArcField(1 / d.v, 1 / d.h), TAU,
+            WeightField.uniform(n, m), ArcField(1 / d.v, 1 / d.h), P,
             out=ArcField(*arc_grids(n, m)), flux=arc_grids(n, m),
         )
         x = np.zeros((n, m))
@@ -186,7 +185,7 @@ class TestReducedSolve:
         )
         assert out.converged
         got = recover_slacks(
-            SystemVector(x - x.mean(), *arc_grids(n, m)), g, wr, TAU, flux=arc_grids(n, m)
+            SystemVector(x - x.mean(), *arc_grids(n, m)), g, wr, P, flux=arc_grids(n, m)
         )
         rel = np.linalg.norm(stack_system(got) - x_star) / np.linalg.norm(x_star)
         assert rel < 1e-6
@@ -320,16 +319,16 @@ class TestSharedMapBuffer:
     def test_block_system(self, rng, max_iters, rel_tol):
         n, m = 6, 5
         d, b, _, _ = make_problem(rng, n, m, seed=3)
-        pc = build_preconditioner(build_spectral_cache(n, m), d, TAU)
+        pc = build_preconditioner(build_spectral_cache(n, m), d, P)
         x0 = SystemVector(rng.standard_normal((n, m)), *arc_grids(n, m))
         zap, ap, z = (SystemVector.zeros(n, m) for _ in range(3))
         got = pcg_solve_blocks(
-            lambda v: apply_system(v, d, TAU, out=zap),
+            lambda v: apply_system(v, d, P, out=zap),
             lambda r: apply_preconditioner(r, pc, out=zap),
             b, x0, max_iters, rel_tol,
         )
         want = pcg_solve_blocks(
-            lambda v: apply_system(v, d, TAU, out=ap),
+            lambda v: apply_system(v, d, P, out=ap),
             lambda r: apply_preconditioner(r, pc, out=z),
             b, x0, max_iters, rel_tol,
         )
@@ -349,7 +348,7 @@ class TestSharedMapBuffer:
         zap, transform, flux = np.empty((n, m)), np.empty((n, m)), arc_grids(n, m)
         shared = (
             lambda v: kernels.weighted_laplacian(v, wr.v, wr.h, *flux, zap),
-            lambda r: sylvester_solve(r, TAU, cache, out=zap, scratch=transform),
+            lambda r: sylvester_solve(r, P, cache, out=zap, scratch=transform),
         )
         x0 = rng.standard_normal((n, m))
         runs = []
@@ -419,19 +418,26 @@ class TestBreakdown:
 
     def test_overflowing_residual_raises_with_its_iteration(self):
         # p'Ap = 1 is tiny next to the entries of Ap: the updated residual
-        # has finite entries of size 1e308 and an infinite norm, whose
-        # overflow warning is not what this checks
+        # has finite entries of size 1e308 and an infinite norm, which raises
+        # without an overflow warning first
         def apply_a(v):
             return np.array([v[0], 1e308, 1e308]) if v.any() else np.zeros(3)
 
-        with np.errstate(over="ignore"), pytest.raises(
-            NumericalBreakdown, match="residual norm"
-        ) as err:
+        with pytest.raises(NumericalBreakdown, match="residual norm") as err:
             pcg_solve(
                 apply_a, lambda r: r.copy(), np.array([1.0, 0.0, 0.0]), np.zeros(3), 10, 0.0,
                 direction=np.empty(3),
             )
         assert err.value.iteration == 1
+
+    def test_overflowing_initial_residual_raises_at_iteration_0(self):
+        # finite entries of size 1e308 whose norm overflows, in b and in r
+        with pytest.raises(NumericalBreakdown, match="initial residual") as err:
+            pcg_solve(
+                lambda v: np.zeros(3), lambda r: r.copy(), np.full(3, 1e308), np.zeros(3), 10,
+                1e-10, direction=np.empty(3),
+            )
+        assert err.value.iteration == 0
 
     def test_nan_preconditioned_product_raises_with_its_iteration(self, rng):
         # the second preconditioner apply ends iteration 0
@@ -476,9 +482,9 @@ class TestAllocations:
 
     def _solve_peak(self, rng, max_iters):
         n, m = self.n, self.m
-        d = random_diagonal_weights(n, m, DELTA, seed=8)
-        b = build_rhs(random_gradients(rng, n, m), TAU, out=SystemVector.zeros(n, m))
-        pc = build_preconditioner(build_spectral_cache(n, m), d, TAU)
+        d = random_diagonal_weights(n, m, P, seed=8)
+        b = build_rhs(random_gradients(rng, n, m), P, out=SystemVector.zeros(n, m))
+        pc = build_preconditioner(build_spectral_cache(n, m), d, P)
         # one scratch vector per map and the search direction, allocated
         # once, as irls.unwrap does
         ap = SystemVector.zeros(n, m)
@@ -489,7 +495,7 @@ class TestAllocations:
         try:
             entry = tracemalloc.get_traced_memory()[0]
             out = pcg_solve_blocks(
-                lambda v: apply_system(v, d, TAU, out=ap),
+                lambda v: apply_system(v, d, P, out=ap),
                 lambda r: apply_preconditioner(r, pc, out=z),
                 b, x0, max_iters, 0.0, direction=direction,
             )
@@ -535,7 +541,7 @@ class TestAllocations:
             entry = tracemalloc.get_traced_memory()[0]
             out = pcg_solve(
                 lambda v: kernels.weighted_laplacian(v, wr.v, wr.h, *flux, zap),
-                lambda r: sylvester_solve(r, TAU, cache, out=zap, scratch=transform),
+                lambda r: sylvester_solve(r, P, cache, out=zap, scratch=transform),
                 b, x, 20, 0.0, direction=direction,
             )
             peak = tracemalloc.get_traced_memory()[1] - entry

@@ -3,7 +3,7 @@ import pytest
 
 from phaseirls.diagnostics import apply_preconditioner, apply_system, build_preconditioner
 from phaseirls.irls import unwrap
-from phaseirls.objective import SystemVector
+from phaseirls.objective import ModelParams, SystemVector
 from phaseirls.phase import ArcField
 from phaseirls.preconditioner import build_spectral_cache, sylvester_solve
 from phaseirls.synth import SceneSpec, generate_scene, wrap_scene
@@ -117,19 +117,22 @@ class TestSylvesterSolve:
     def test_zero_rhs(self):
         cache = build_spectral_cache(4, 5)
         z = sylvester_solve(
-            np.zeros((4, 5)), 1e-2, cache, out=np.full((4, 5), np.nan), scratch=np.empty((4, 5))
+            np.zeros((4, 5)), ModelParams(tau=1e-2), cache, out=np.full((4, 5), np.nan),
+            scratch=np.empty((4, 5)),
         )
         assert np.all(z == 0.0)
 
     def test_two_by_two_reference_value(self):
         cache = build_spectral_cache(2, 2)
         r = np.array([[1.0, -1.0], [-1.0, 1.0]])
-        z = sylvester_solve(r, 1.0, cache, out=np.zeros((2, 2)), scratch=np.empty((2, 2)))
+        z = sylvester_solve(
+            r, ModelParams(tau=1.0), cache, out=np.zeros((2, 2)), scratch=np.empty((2, 2))
+        )
         assert np.allclose(z, [[0.25, -0.25], [-0.25, 0.25]], atol=1e-12)
 
     def test_matches_dense_pseudoinverse(self, rng):
         n, m = 3, 5
-        tau = 0.37
+        p = ModelParams(tau=0.37)
         cache = build_spectral_cache(n, m)
         sts = dense_s(n).T @ dense_s(n)
         ttt = dense_t(m) @ dense_t(m).T
@@ -137,8 +140,8 @@ class TestSylvesterSolve:
         pinv = np.linalg.pinv(kron_sum)
         for _ in range(10):
             r = rng.standard_normal((n, m))
-            z = sylvester_solve(r, tau, cache, out=np.zeros((n, m)), scratch=np.empty((n, m)))
-            want = (pinv @ (tau * r.ravel(order="F"))).reshape((n, m), order="F")
+            z = sylvester_solve(r, p, cache, out=np.zeros((n, m)), scratch=np.empty((n, m)))
+            want = (pinv @ (p.tau * r.ravel(order="F"))).reshape((n, m), order="F")
             assert np.max(np.abs(z - want)) < 1e-10
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 16, 17, 33])
@@ -146,42 +149,37 @@ class TestSylvesterSolve:
         shapes = [(n, m) for m in (1, 2, 3, 4, 5, 16, 17, 33)]
         if n == 1:
             shapes += [(1, 1024), (1024, 1), (513, 257)]
+        p = ModelParams(tau=0.37)
         for n_, m in shapes:
             r = rng.standard_normal((n_, m))
             got = sylvester_solve(
-                r, 0.37, build_spectral_cache(n_, m), out=np.full((n_, m), np.nan),
+                r, p, build_spectral_cache(n_, m), out=np.full((n_, m), np.nan),
                 scratch=np.empty((n_, m)),
             )
-            want = sylvester_solve_dense(r, 0.37)
+            want = sylvester_solve_dense(r, p.tau)
             assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), (n_, m)
 
     @pytest.mark.parametrize("shape", [(2, 2), (3, 8), (8, 3), (17, 2)])
     def test_residual_on_mean_zero_rhs(self, rng, shape):
         n, m = shape
-        tau = 1e-2
+        p = ModelParams(tau=1e-2)
         cache = build_spectral_cache(n, m)
         sts = dense_s(n).T @ dense_s(n)
         ttt = dense_t(m) @ dense_t(m).T
         for _ in range(10):
             r = rng.standard_normal((n, m))
             r -= r.mean()
-            z = sylvester_solve(r, tau, cache, out=np.zeros((n, m)), scratch=np.empty((n, m)))
-            resid = sts @ z + z @ ttt - tau * r
-            assert np.linalg.norm(resid) <= 1e-9 * np.linalg.norm(tau * r)
+            z = sylvester_solve(r, p, cache, out=np.zeros((n, m)), scratch=np.empty((n, m)))
+            resid = sts @ z + z @ ttt - p.tau * r
+            assert np.linalg.norm(resid) <= 1e-9 * np.linalg.norm(p.tau * r)
             assert abs(z.mean()) < 1e-12 * max(1.0, np.abs(z).max())
-
-    def test_rejects_nonpositive_tau(self):
-        cache = build_spectral_cache(2, 2)
-        with pytest.raises(ValueError):
-            sylvester_solve(
-                np.zeros((2, 2)), -1.0, cache, out=np.zeros((2, 2)), scratch=np.empty((2, 2))
-            )
 
     def test_rejects_an_out_that_is_not_c_contiguous(self):
         cache = build_spectral_cache(3, 4)
         with pytest.raises(ValueError, match="C-contiguous"):
             sylvester_solve(
-                np.ones((3, 4)), 1.0, cache, out=np.zeros((4, 3)).T, scratch=np.empty((3, 4))
+                np.ones((3, 4)), ModelParams(tau=1.0), cache, out=np.zeros((4, 3)).T,
+                scratch=np.empty((3, 4)),
             )
 
     @pytest.mark.parametrize(
@@ -192,7 +190,9 @@ class TestSylvesterSolve:
     def test_rejects_a_scratch_that_is_not_a_c_contiguous_grid(self, scratch):
         cache = build_spectral_cache(3, 4)
         with pytest.raises(ValueError, match="scratch"):
-            sylvester_solve(np.ones((3, 4)), 1.0, cache, out=np.zeros((3, 4)), scratch=scratch)
+            sylvester_solve(
+                np.ones((3, 4)), ModelParams(tau=1.0), cache, out=np.zeros((3, 4)), scratch=scratch
+            )
 
     @pytest.mark.parametrize("overlap", ["r", "out"])
     def test_rejects_a_scratch_overlapping_r_or_out(self, overlap):
@@ -202,7 +202,8 @@ class TestSylvesterSolve:
         grids = {"r": np.ones((3, 4)), "out": np.zeros((3, 4)), overlap: buf[:12].reshape(3, 4)}
         with pytest.raises(ValueError, match="overlap"):
             sylvester_solve(
-                grids["r"], 1.0, cache, out=grids["out"], scratch=buf[6:18].reshape(3, 4)
+                grids["r"], ModelParams(tau=1.0), cache, out=grids["out"],
+                scratch=buf[6:18].reshape(3, 4),
             )
         assert np.all(buf == 1.0)
 
@@ -210,8 +211,9 @@ class TestSylvesterSolve:
     def test_out_may_alias_the_input(self, rng, shape):
         cache = build_spectral_cache(*shape)
         r = rng.standard_normal(shape)
-        want = sylvester_solve(r, 0.37, cache, out=np.zeros(shape), scratch=np.empty(shape))
-        got = sylvester_solve(r, 0.37, cache, out=r, scratch=np.empty(shape))
+        p = ModelParams(tau=0.37)
+        want = sylvester_solve(r, p, cache, out=np.zeros(shape), scratch=np.empty(shape))
+        got = sylvester_solve(r, p, cache, out=r, scratch=np.empty(shape))
         assert np.array_equal(got, want)
 
 
@@ -222,25 +224,27 @@ def random_diag(rng, n, m, hi=5.0):
 class TestApplyPreconditioner:
     def test_zero_maps_to_zero(self, rng):
         n, m = 4, 4
-        pc = build_preconditioner(build_spectral_cache(n, m), random_diag(rng, n, m), 1e-2)
+        pc = build_preconditioner(
+            build_spectral_cache(n, m), random_diag(rng, n, m), ModelParams(tau=1e-2)
+        )
         out = apply_preconditioner(SystemVector.zeros(n, m), pc, out=nan_vector(n, m))
         assert np.linalg.norm(out.data) == 0.0
 
     def test_zero_diagonals_scale_by_tau(self, rng):
-        n, m, tau = 3, 4, 0.2
+        n, m, p = 3, 4, ModelParams(tau=0.2)
         d = ArcField(np.zeros((n - 1, m)), np.zeros((n, m - 1)))
-        pc = build_preconditioner(build_spectral_cache(n, m), d, tau)
+        pc = build_preconditioner(build_spectral_cache(n, m), d, p)
         r = random_state(rng, n, m)
         out = apply_preconditioner(r, pc, out=SystemVector.zeros(n, m))
-        assert np.allclose(out.vv, tau * r.vv, atol=1e-14)
-        assert np.allclose(out.vh, tau * r.vh, atol=1e-14)
+        assert np.allclose(out.vv, p.tau * r.vv, atol=1e-14)
+        assert np.allclose(out.vh, p.tau * r.vh, atol=1e-14)
 
     def test_dense_roundtrip_on_range(self, rng):
         n = m = 4
-        tau = 1e-2
+        p = ModelParams(tau=1e-2)
         d = random_diag(rng, n, m)
-        pc = build_preconditioner(build_spectral_cache(n, m), d, tau)
-        dmat = materialize_dense_preconditioner(n, m, d, tau)
+        pc = build_preconditioner(build_spectral_cache(n, m), d, p)
+        dmat = materialize_dense_preconditioner(n, m, d, p.tau)
         null = np.concatenate(
             [np.ones(n * m), np.zeros((n - 1) * m + n * (m - 1))]
         ) / np.sqrt(n * m)
@@ -255,28 +259,29 @@ class TestApplyPreconditioner:
 
     def test_never_reintroduces_constant_mode(self, rng):
         n, m = 5, 6
-        tau = 1e-2
+        p = ModelParams(tau=1e-2)
         d = random_diag(rng, n, m)
-        pc = build_preconditioner(build_spectral_cache(n, m), d, tau)
+        pc = build_preconditioner(build_spectral_cache(n, m), d, p)
         for _ in range(20):
             x = random_state(rng, n, m)
-            ax = apply_system(x, d, tau, out=SystemVector.zeros(n, m))
+            ax = apply_system(x, d, p, out=SystemVector.zeros(n, m))
             z = apply_preconditioner(ax, pc, out=SystemVector.zeros(n, m))
             assert abs(z.u.mean()) < 1e-12 * max(1.0, np.abs(z.u).max())
 
     def test_annihilates_shared_nullspace(self, rng):
         n, m = 4, 3
         d = random_diag(rng, n, m)
-        pc = build_preconditioner(build_spectral_cache(n, m), d, 1e-2)
+        p = ModelParams(tau=1e-2)
+        pc = build_preconditioner(build_spectral_cache(n, m), d, p)
         const = SystemVector(np.ones((n, m)), np.zeros((n - 1, m)), np.zeros((n, m - 1)))
         out = apply_preconditioner(const, pc, out=nan_vector(n, m))
         assert np.max(np.abs(out.u)) < 1e-12
-        assert np.linalg.norm(apply_system(const, d, 1e-2, out=nan_vector(n, m)).data) == 0.0
+        assert np.linalg.norm(apply_system(const, d, p, out=nan_vector(n, m)).data) == 0.0
 
     def test_symmetric_psd_as_operator(self, rng):
         n = m = 4
         d = random_diag(rng, n, m)
-        pc = build_preconditioner(build_spectral_cache(n, m), d, 1e-2)
+        pc = build_preconditioner(build_spectral_cache(n, m), d, ModelParams(tau=1e-2))
         for _ in range(20):
             x = random_state(rng, n, m)
             y = random_state(rng, n, m)
@@ -292,33 +297,33 @@ class TestOutArguments:
     @pytest.mark.parametrize("shape", [(4, 4), (1, 6), (6, 1), (3, 5)])
     def test_apply_preconditioner_writes_into_out(self, rng, shape):
         n, m = shape
-        tau = 1e-2
+        p = ModelParams(tau=1e-2)
         d = random_diag(rng, n, m)
-        pc = build_preconditioner(build_spectral_cache(n, m), d, tau)
+        pc = build_preconditioner(build_spectral_cache(n, m), d, p)
         r = random_state(rng, n, m)
         buf = nan_vector(n, m)  # every entry must be overwritten
         got = apply_preconditioner(r, pc, out=buf)
         assert got is buf
         zeroed = apply_preconditioner(r, pc, out=SystemVector.zeros(n, m))
         assert np.array_equal(got.data, zeroed.data)
-        want = np.linalg.pinv(materialize_dense_preconditioner(n, m, d, tau)) @ stack_system(r)
+        want = np.linalg.pinv(materialize_dense_preconditioner(n, m, d, p.tau)) @ stack_system(r)
         assert np.max(np.abs(stack_system(got) - want)) <= 1e-10 * max(1.0, np.abs(want).max())
 
     @pytest.mark.parametrize("shape", [(4, 4), (1, 6), (6, 1), (3, 5)])
     def test_sylvester_solve_writes_into_out(self, rng, shape):
         n, m = shape
-        tau = 0.37
+        p = ModelParams(tau=0.37)
         cache = build_spectral_cache(n, m)
         r = rng.standard_normal((n, m))
         buf = np.full((n, m), np.nan)
-        got = sylvester_solve(r, tau, cache, out=buf, scratch=np.empty((n, m)))
+        got = sylvester_solve(r, p, cache, out=buf, scratch=np.empty((n, m)))
         assert got is buf
-        want = sylvester_solve(r, tau, cache, out=np.zeros((n, m)), scratch=np.empty((n, m)))
+        want = sylvester_solve(r, p, cache, out=np.zeros((n, m)), scratch=np.empty((n, m)))
         assert np.array_equal(got, want)
         sts = dense_s(n).T @ dense_s(n)
         ttt = dense_t(m) @ dense_t(m).T
         kron_sum = np.kron(np.eye(m), sts) + np.kron(ttt, np.eye(n))
-        want = (np.linalg.pinv(kron_sum) @ (tau * r.ravel(order="F"))).reshape((n, m), order="F")
+        want = (np.linalg.pinv(kron_sum) @ (p.tau * r.ravel(order="F"))).reshape((n, m), order="F")
         assert np.max(np.abs(got - want)) < 1e-10
 
     def test_multiplier_pins_the_constant_mode(self):
