@@ -143,7 +143,8 @@ def _load_image(path, role):
 
 
 def _emit_json(payload, path):
-    text = json.dumps(payload, indent=2, sort_keys=True)
+    # a non-finite value is a ValueError here, never invalid JSON in the output
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     if path:
         with _writing(path), open(path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -245,7 +246,10 @@ def _cmd_error(args):
     truth = _load_image(args.truth, "truth")
     if est.shape != truth.shape:
         _fail(EXIT_DIM_MISMATCH, f"shape mismatch: {est.shape} vs {truth.shape}")
-    report = shift_error(est, truth)
+    try:
+        report = shift_error(est, truth)
+    except ValueError as exc:
+        _fail(EXIT_BAD_INPUT, f"cannot compare: {exc}")
     _emit_json(
         {
             "alpha": report.alpha,

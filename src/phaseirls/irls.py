@@ -4,9 +4,10 @@ Each outer iteration refreshes the closed-form weights and runs a budgeted
 PCG solve on the resulting weighted least squares problem, warm-started from
 the previous estimate.  For fixed weights each slack has a closed-form
 minimizer given u, so the solve runs on the reduced weighted Poisson system
-in u alone (``kernels.weighted_laplacian``), preconditioned by the
-spectral Sylvester solve; the proposal is u with its optimal slacks, which
-``recover_slacks`` writes over the state's from the arc misfit K u - g.  The
+in u alone, which ``reduced_system`` writes (map
+``kernels.weighted_laplacian``), preconditioned by the spectral Sylvester
+solve.  The proposal is u with its optimal slacks, which ``propose`` writes
+over the state's from the arc misfit K u - g, formed once per proposal.  The
 proposal is accepted only if it does at least as well as one explicit
 gradient step on the lifted objective (falling back to that step otherwise,
 which makes the sufficient-decrease condition hold at every accepted
@@ -19,19 +20,20 @@ only when the bound fails.  The gradient s is the residual A x - b in
 residual form, which ``kernels.apply_system_blocks`` computes from the
 coupling residual K u - g - v with the data g.
 
-The proposal's evaluation also forms its refreshed weights and h under them
-(sum(w) plus its coupling penalty), so an accepted proposal carries both
-into the next outer iteration; ``update_weights`` and
-``eval_h_delta_refreshed`` run only at the start and after a fallback.  The
-loop runs in 13 grids allocated at set-up and passed by keyword to every
-collaborator that writes one: two system vectors (state and candidate), the
-``phase.ArcField`` pairs ``w`` and ``wr``, the right-hand side, the search
-direction and ``zap``, the output of both the CG map and the preconditioner.
+From the same misfit ``propose`` scores the proposal: h under the weights
+of the solve, its refreshed weights and h under them (sum(w) plus the one
+coupling penalty), so an accepted proposal carries both into the next outer
+iteration; ``update_weights`` and ``eval_h_delta_refreshed`` run only at the
+start and after a fallback.  The loop runs in 13 grids allocated at set-up
+and passed by keyword to every collaborator that writes one: two system
+vectors (state and candidate), the ``phase.ArcField`` pairs ``w`` and
+``wr``, the right-hand side, the search direction and ``zap``, the output
+of both the CG map and the preconditioner.
 A buffer that is dead for part of an iteration serves as scratch there: the
 state's slacks, dead from the candidate step until the proposal's slacks are
 written, are the arc scratch of the reduced system and the Sylvester
 transform grid, and after the solve the spent right-hand side and ``zap``
-are the arc scratch of the evaluations.  An accepted proposal swaps ``w``
+are the arc scratch of ``propose`` and the evaluations.  An accepted proposal swaps ``w``
 and ``wr``, and a fallback copies the candidate into the state, so every
 role keeps its buffer and the loop allocates no grid-sized temporaries.  The
 CG budget and overall stopping follow the relative-improvement heuristic:
@@ -53,14 +55,12 @@ from . import kernels, preconditioner
 from .objective import (
     ModelParams,
     SystemVector,
-    build_reduced_rhs,
     candidate_step,
     eval_h_delta,
-    eval_h_delta_and_refresh,
     eval_h_delta_refreshed,
     lipschitz_constant,
-    recover_slacks,
-    reduced_weights,
+    propose,
+    reduced_system,
     update_weights,
 )
 from .pcg import pcg_solve
@@ -237,8 +237,8 @@ def unwrap(x, c: WeightField | None = None, model: ModelParams | None = None,
     # system and the Sylvester transform grid
     slack_flux = ArcField(state.vv, state.vh)
     transform = state_buf[n * m : 2 * n * m].reshape(n, m)
-    # scratch of the evaluations: rhs and zap are dead after the solve
-    # (their norms are in its outcome) until build_reduced_rhs writes rhs
+    # scratch of propose and the evaluations: rhs and zap are dead after the solve
+    # (their norms are in its outcome) until reduced_system writes rhs
     spent_flux = ArcField(
         rhs.reshape(-1)[: (n - 1) * m].reshape(n - 1, m),
         zap.reshape(-1)[: n * (m - 1)].reshape(n, m - 1),
@@ -276,8 +276,7 @@ def unwrap(x, c: WeightField | None = None, model: ModelParams | None = None,
         # reduced weights and the solve take over wr and the state's slacks
         _, grad_sq = candidate_step(state, w, g, c, model, lip, out=cand, scratch=wr)
 
-        reduced_weights(c, w, model, out=wr, flux=slack_flux)
-        build_reduced_rhs(g, wr, out=rhs, flux=slack_flux)
+        reduced_system(c, w, g, model, weights=wr, rhs=rhs, flux=slack_flux)
         rhs_norm = np.linalg.norm(rhs)
         # the solve warm-starts from the state's u and iterates in it; the
         # state is not needed any more, and rhs ends as the residual
@@ -297,10 +296,7 @@ def unwrap(x, c: WeightField | None = None, model: ModelParams | None = None,
         cg_rel_residual = outcome.residual_norms[-1] / rhs_norm if rhs_norm > 0 else 0.0
         # the proposal: u from the solve with its optimal slacks; the reduced
         # weights are spent, so the proposal's refreshed weights replace them
-        recover_slacks(state, g, wr, model, flux=spent_flux)
-        h_prop, h_next = eval_h_delta_and_refresh(
-            state, w, g, c, model, refreshed=wr, scratch=spent_flux
-        )
+        h_prop, h_next = propose(state, g, c, w, model, weights=wr, scratch=spent_flux)
         # the candidate's h is at least h_state - grad_sq / lip, so a proposal
         # at or below that bound beats it.  Both tests are written as negations
         # so that a NaN proposal value also falls back

@@ -19,22 +19,25 @@ a problem in u alone,
   W = d / (1 + tau d) = c^2 / (w + tau c^2) <= 1/tau,
 
 the classical weighted least squares unwrapping system (Ghiglia & Romero,
-JOSA A 11(1), 1994).  The solver runs its conjugate gradient on it, with the
-map ``kernels.weighted_laplacian`` under the weights ``reduced_weights`` and
-the right-hand side ``build_reduced_rhs``, and ``recover_slacks`` then sets
-the slacks of the solved vector from the arc misfit K u - g.  The safeguard's
-``candidate_step`` is one gradient step on the quadratic, whose gradient
-``kernels.apply_system_blocks`` forms in residual form from K u - g - v.
+JOSA A 11(1), 1994).  ``reduced_system`` writes its weights W and its
+right-hand side, and the solver runs its conjugate gradient on the map
+``kernels.weighted_laplacian`` under W.  ``propose`` then forms the arc
+misfit K u - g of the solved u once: it sets the slacks from it, and the
+misfit less the slacks is the coupling residual of both h values it
+returns, under the old weights and under the refreshed ones it writes over
+W.  The safeguard's ``candidate_step`` is one gradient step on the
+quadratic, whose gradient ``kernels.apply_system_blocks`` forms in residual
+form from K u - g - v.
 
 Every function of the model reads tau and delta from one ``ModelParams`` p,
 whose constructor is the one place their ranges are checked.  The gradients
 g, the weights c and w, and the diagonals d and W are ``phase.ArcField``
 pairs (v, h).  Every function that writes a grid writes into buffers its
-caller owns, passed by keyword as ``out``, ``flux`` or ``scratch`` (the last
-two are pairs of grids shaped like (vv, vh)), so the outer loop reuses its
-grids; ``recover_slacks`` writes the slacks of the vector it is given.  Only
-``eval_f`` and ``eval_f_delta``, the paper's two objectives, allocate their
-own.
+caller owns, passed by keyword as ``out``, ``weights``, ``rhs``, ``flux`` or
+``scratch`` (the last two are pairs of grids shaped like (vv, vh)), so the
+outer loop reuses its grids; ``propose`` writes the slacks of the vector it
+is given.  Only ``eval_f`` and ``eval_f_delta``, the paper's two objectives,
+allocate their own.
 """
 
 import math
@@ -53,13 +56,11 @@ __all__ = [
     "eval_f_delta",
     "eval_h_delta",
     "eval_h_delta_refreshed",
-    "eval_h_delta_and_refresh",
     "update_weights",
     "lipschitz_constant",
     "candidate_step",
-    "reduced_weights",
-    "build_reduced_rhs",
-    "recover_slacks",
+    "reduced_system",
+    "propose",
 ]
 
 
@@ -136,11 +137,15 @@ class ModelParams:
 
 
 def _penalty_terms(x: SystemVector, g, p, *, scratch):
-    """Coupling penalty ||K u - g - v||^2 / (2 tau): the misfit less the slacks, in the scratch."""
-    rv, rh = kernels.misfit(x.u, g.v, g.h, *scratch)
-    rv -= x.vv
-    rh -= x.vh
-    return (float(np.vdot(rv, rv)) + float(np.vdot(rh, rh))) / (2.0 * p.tau)
+    """Coupling penalty ||K u - g - v||^2 / (2 tau), the misfit K u - g formed in the scratch."""
+    return _coupling_penalty(x, *kernels.misfit(x.u, g.v, g.h, *scratch), p)
+
+
+def _coupling_penalty(x, fv, fh, p):
+    """Coupling penalty of ``x`` from its arc misfit (fv, fh), which ends as the residual."""
+    fv -= x.vv
+    fh -= x.vh
+    return (float(np.vdot(fv, fv)) + float(np.vdot(fh, fh))) / (2.0 * p.tau)
 
 
 def _smoothed_squares(cc, v, d2, out):
@@ -192,25 +197,6 @@ def eval_h_delta(x, w, g, c, p, *, scratch):
     """
     h = _lifted_terms(x, w, c, p, squares=scratch, scratch=scratch)
     return h + _penalty_terms(x, g, p, scratch=scratch)
-
-
-def eval_h_delta_and_refresh(x, w, g, c, p, *, refreshed, scratch):
-    """``eval_h_delta`` of ``x`` under ``w``, and h of ``x`` under its refreshed weights.
-
-    Writes ``update_weights(x, c, p)`` into the pair ``refreshed`` and
-    returns ``(h, h_refreshed)``, each bit-equal to its separate evaluation:
-    ``eval_h_delta(x, w, ...)`` and ``eval_h_delta_refreshed(x, refreshed, ...)``.
-    The refreshed weights are the square roots of the smoothed squares that
-    h already forms, and both values share one coupling penalty.
-    ``refreshed`` may alias neither ``w`` nor ``scratch``, the pair of grids
-    of ``eval_h_delta``.
-    """
-    h = _lifted_terms(x, w, c, p, squares=refreshed, scratch=scratch)
-    penalty = _penalty_terms(x, g, p, scratch=scratch)
-    rv, rh = refreshed
-    np.sqrt(rv, out=rv)
-    np.sqrt(rh, out=rh)
-    return h + penalty, float(np.sum(rv)) + float(np.sum(rh)) + penalty
 
 
 def eval_h_delta_refreshed(x, w, g, p, *, scratch):
@@ -278,45 +264,45 @@ def candidate_step(x, w, g, c, p, lipschitz, *, out, scratch):
     return out, grad_sq
 
 
-def reduced_weights(c, w, p, *, out, flux):
-    """Weights ``c^2 / (w + p.tau c^2)`` of the reduced system; 0 where c = 0.
+def reduced_system(c, w, g: ArcField, p, *, weights, rhs, flux):
+    """The reduced system under fixed weights: its weights and its right-hand side.
 
-    ``c`` holds the arc weights, ``w`` the auxiliary weights.  Writes into
-    the ArcField ``out``; ``flux`` is a pair of scratch grids shaped like
-    (vv, vh).
+    Writes W = c^2 / (w + p.tau c^2), which is 0 where c = 0, into the
+    ArcField ``weights`` and St (Wv * gv) + (Wh * gh) Tt into the grid
+    ``rhs``, and returns ``rhs``.  The right-hand side sums to zero, so it is
+    orthogonal to the constant mode.  ``flux`` is a pair of scratch grids
+    shaped like (vv, vh) that holds the denominators and then the weighted data.
     """
-    for cc, ww, o, f in zip(c, w, out, flux):
+    for cc, ww, gg, o, f in zip(c, w, g, weights, flux):
         np.multiply(cc, cc, out=o)
         # f = w + tau c^2, the denominator
         np.multiply(o, p.tau, out=f)
         f += ww
         o /= f
-    return out
+        np.multiply(o, gg, out=f)
+    return kernels.adj_diffs(*flux, rhs)
 
 
-def build_reduced_rhs(g: ArcField, wr, *, out, flux):
-    """Right-hand side ``St (Wv * gv) + (Wh * gh) Tt`` of the reduced system.
+def propose(x, g, c, w, p, *, weights, scratch):
+    """Set the slacks of ``x`` to their minimizers given ``x.u`` and score it.
 
-    ``wr`` holds the reduced weights.  The result sums to zero, so it is
-    orthogonal to the constant mode.  Writes into the grid ``out``; ``flux``
-    is scratch as for ``reduced_weights``.
+    Forms the arc misfit f = K u - g once, in the pair ``scratch``, sets each
+    slack to f - (tau W) f from the reduced weights W that ``weights`` holds
+    on entry, and leaves ``x.u`` as it is.  Then overwrites ``weights`` with
+    ``update_weights(x, c, p)`` and returns ``(eval_h_delta(x, w, ...),
+    eval_h_delta_refreshed(x, weights, ...))``, each bit-equal to that
+    evaluation, from one coupling penalty.  No two of ``weights``,
+    ``scratch``, ``w`` and the slacks of ``x`` may alias.
     """
-    for ww, gg, f in zip(wr, g, flux):
-        np.multiply(ww, gg, out=f)
-    return kernels.adj_diffs(*flux, out)
-
-
-def recover_slacks(x, g: ArcField, wr, p, *, flux):
-    """Set each slack of the SystemVector ``x`` to its minimizer given ``x.u``.
-
-    ``vv = (S u - gv) * (1 - p.tau Wv)`` and ``vh = (u T - gh) * (1 - p.tau Wh)``.
-    Writes the slacks of ``x`` in place and returns ``x``; ``u`` is only
-    read.  ``flux`` is scratch as for ``reduced_weights``.
-    """
-    kernels.misfit(x.u, g.v, g.h, x.vv, x.vh)
-    for v, ww, f in zip((x.vv, x.vh), wr, flux):
-        # v -= tau W v, the product formed in the scratch
-        np.multiply(ww, p.tau, out=f)
-        f *= v
-        v -= f
-    return x
+    kernels.misfit(x.u, g.v, g.h, *scratch)
+    for v, ww, f in zip((x.vv, x.vh), weights, scratch):
+        # v = f - (tau W) f, the product formed in v
+        np.multiply(ww, p.tau, out=v)
+        v *= f
+        np.subtract(f, v, out=v)
+    penalty = _coupling_penalty(x, *scratch, p)
+    # the smoothed squares land in weights, whose square roots are the refreshed weights
+    h = _lifted_terms(x, w, c, p, squares=weights, scratch=scratch)
+    for r in weights:
+        np.sqrt(r, out=r)
+    return h + penalty, float(np.sum(weights.v)) + float(np.sum(weights.h)) + penalty

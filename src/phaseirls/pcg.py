@@ -82,7 +82,8 @@ def pcg_solve(apply_a, apply_m, b, x, max_iters, rel_tol, *, direction):
         raise ValueError("max_iters must be >= 0")
     if rel_tol < 0:
         raise ValueError("rel_tol must be >= 0")
-    threshold = rel_tol * _norm(b)
+    # a zero tolerance stays zero where ||b|| overflows, so such a b breaks down below
+    threshold = rel_tol * _norm(b) if rel_tol > 0 else 0.0
 
     r = b  # the residual overwrites b
     r -= apply_a(x)

@@ -156,21 +156,27 @@ def shift_error(u, x_u):
     ``x_u - u``.  Every reported quantity is computed from the shifted error
     grid and is therefore invariant under adding a constant to ``u``.  A pixel
     counts as congruent when its shifted error is within 1e-3 cycles of an
-    integer multiple of 2*pi.
+    integer multiple of 2*pi.  Raises ValueError when the shift or the RMSE
+    overflows float64.
     """
     ua = as_phase_grid(u)
     xa = as_phase_grid(x_u)
     if ua.shape != xa.shape:
         raise ValueError(f"dimension mismatch: {ua.shape} vs {xa.shape}")
-    alpha = float(np.mean(xa - ua))
-    err = xa - (ua + alpha)
+    # an overflow is reported once, as the error below, not as a warning per step
+    with np.errstate(over="ignore", invalid="ignore"):
+        alpha = float(np.mean(xa - ua))
+        err = xa - (ua + alpha)
+        rmse = float(np.sqrt(np.mean(err * err)))
+    if not (np.isfinite(alpha) and np.isfinite(rmse)):
+        raise ValueError(f"the error overflows float64: shift {alpha}, rmse {rmse}")
     cycles = err / TWO_PI
     frac = np.abs(cycles - np.rint(cycles))
     return ErrorReport(
         alpha=alpha,
         error_grid=err,
         max_abs=float(np.max(np.abs(err))) if err.size else 0.0,
-        rmse=float(np.sqrt(np.mean(err * err))),
+        rmse=rmse,
         congruent_fraction=float(np.mean(frac <= 1e-3)),
     )
 

@@ -37,12 +37,10 @@ from phaseirls.irls import (
 )
 from phaseirls.objective import (
     SystemVector,
-    build_reduced_rhs,
     candidate_step,
     eval_h_delta,
     eval_h_delta_refreshed,
     lipschitz_constant,
-    reduced_weights,
     update_weights,
 )
 from phaseirls.pcg import NumericalBreakdown, PcgOutcome, pcg_solve
@@ -504,16 +502,17 @@ def safeguard_bound_holds(x, records, c, model):
 def spoil_proposals(monkeypatch):
     """Move every proposal of ``unwrap`` far from the minimizer.
 
-    Each spoiled proposal then loses to the gradient step.
+    Each spoiled proposal then loses to the gradient step.  The spoiling
+    moves u before the slacks are set and the proposal is scored, so both
+    belong to the spoiled u.
     """
-    recover = irls.recover_slacks
+    propose = irls.propose
 
     def spoiled(x, *args, **kwargs):
-        recover(x, *args, **kwargs)
         x.u += 10 * np.cos(np.arange(x.u.size)).reshape(x.u.shape)
-        return x
+        return propose(x, *args, **kwargs)
 
-    monkeypatch.setattr(irls, "recover_slacks", spoiled)
+    monkeypatch.setattr(irls, "propose", spoiled)
 
 
 def stall_proposals(monkeypatch):
@@ -523,7 +522,7 @@ def stall_proposals(monkeypatch):
     such proposal loses to it, though its h is no more than the state's.
     ``unwrap`` uses the state's slacks as scratch during the solve, so the
     state is copied when the gradient step reads it, and the proposal is
-    written from that copy.
+    written from that copy and scored as ``irls.propose`` would score it.
     """
     step, solve = irls.candidate_step, irls.pcg_solve
     stash = []
@@ -532,13 +531,15 @@ def stall_proposals(monkeypatch):
         stash[:] = [x.copy()]
         return step(x, *args, **kwargs)
 
-    def kept(x, g, wr, p, *, flux):
+    def kept(x, g, c, w, p, *, weights, scratch):
         x.data[...] = stash[0].data
-        return x
+        h = eval_h_delta(x, w, g, c, p, scratch=scratch)
+        update_weights(x, c, p, out=weights)
+        return h, eval_h_delta_refreshed(x, weights, g, p, scratch=scratch)
 
     monkeypatch.setattr(irls, "candidate_step", stashing_step)
     monkeypatch.setattr(irls, "pcg_solve", lambda **kwargs: solve(**{**kwargs, "max_iters": 0}))
-    monkeypatch.setattr(irls, "recover_slacks", kept)
+    monkeypatch.setattr(irls, "propose", kept)
 
 
 def unwrap_eager_safeguard(x, c, model, params=IrlsParams()):
@@ -548,7 +549,7 @@ def unwrap_eager_safeguard(x, c, model, params=IrlsParams()):
     step and its h, and accepts the PCG proposal only if its h is at most the
     step's; no bound stands in for that comparison.  The arithmetic of every
     array is that of ``unwrap``, each in new grids.  The gradient step, the
-    solve and the slack recovery are looked up in ``irls``, so
+    reduced system, the solve and the proposal are looked up in ``irls``, so
     ``spoil_proposals`` and ``stall_proposals`` reach this loop too.  Returns
     the final state and the ``IterationRecord`` list.
     """
@@ -615,8 +616,8 @@ def _eager_iteration(state, w, g, c, model, lip, cache, k, m_cg, delta_rel):
     h_cand = h_delta_of(cand, w, g, c, model)
 
     flux = arc_grids(n, m)
-    wr = reduced_weights(c, w, model, out=ArcField(*arc_grids(n, m)), flux=flux)
-    rhs = build_reduced_rhs(g, wr, out=np.empty((n, m)), flux=flux)
+    wr = ArcField(*arc_grids(n, m))
+    rhs = irls.reduced_system(c, w, g, model, weights=wr, rhs=np.empty((n, m)), flux=flux)
     rhs_norm = np.linalg.norm(rhs)
     ap, z = np.empty((n, m)), np.empty((n, m))
     prop = state.copy()
@@ -631,8 +632,7 @@ def _eager_iteration(state, w, g, c, model, lip, cache, k, m_cg, delta_rel):
         rel_tol=CG_REL_TOL,
         direction=np.empty((n, m)),
     )
-    irls.recover_slacks(prop, g, wr, model, flux=flux)
-    h_prop = h_delta_of(prop, w, g, c, model)
+    h_prop, _ = irls.propose(prop, g, c, w, model, weights=wr, scratch=flux)
     fallback = not h_prop <= h_cand
     state = cand if fallback else prop
     state.u -= state.u.mean()

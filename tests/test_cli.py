@@ -344,6 +344,31 @@ class TestErrorCommand:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: estimate: empty grid")
 
+    @pytest.mark.parametrize(
+        "estimate",
+        [
+            # finite errors whose sum overflows: the shift is not a float64
+            np.full((2, 2), 1e308),
+            # a mean-zero error whose square overflows: the RMSE is not a float64
+            np.array([[1e200, -1e200], [0.0, 0.0]]),
+        ],
+        ids=["mean", "square"],
+    )
+    def test_overflowing_error_exits_2_without_output(self, tmp_path, capsys, estimate):
+        est, truth, out = tmp_path / "est.npy", tmp_path / "truth.npy", tmp_path / "err.json"
+        save_grid(est, estimate)
+        save_grid(truth, np.zeros((2, 2)))
+        assert run("error", "--estimate", est, "--truth", truth, "--json-out", out) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: cannot compare: the error overflows")
+
+    def test_json_output_refuses_non_finite_values(self, tmp_path):
+        out = tmp_path / "err.json"
+        with pytest.raises(ValueError):
+            cli._emit_json({"rmse": float("inf")}, out)
+        assert not out.exists()
+
 
 class TestSpectrumCommand:
     def test_report_shows_improvement(self, tmp_path):

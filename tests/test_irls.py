@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from phaseirls import diagnostics, irls, preconditioner
+from phaseirls import diagnostics, irls, kernels, preconditioner
 from phaseirls.irls import (
     CG_REL_TOL,
     MAX_CG_ITERS,
@@ -353,6 +353,34 @@ class TestUnwrap:
         # the proposal's h and its refreshed weights come from one fused evaluation, and
         # the candidate's h only when the proposal misses the gradient-step lower bound
         assert len(calls) < len(res.trace)
+
+    def test_arc_misfits_per_outer_iteration(self, monkeypatch):
+        # the gradient step and the proposal each form K u - g once; an
+        # iteration whose proposal meets the bound forms it nowhere else
+        misfit, step, evaluate = kernels.misfit, irls.candidate_step, irls.eval_h_delta
+        calls, starts, missed = [0], [], set()
+
+        def counting(*args):
+            calls[0] += 1
+            return misfit(*args)
+
+        def marking(*args, **kwargs):
+            starts.append(calls[0])
+            return step(*args, **kwargs)
+
+        def noting(*args, **kwargs):
+            missed.add(len(starts) - 1)
+            return evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(kernels, "misfit", counting)
+        monkeypatch.setattr(irls, "candidate_step", marking)
+        monkeypatch.setattr(irls, "eval_h_delta", noting)
+        records = unwrap(_idle_bumps_noisy()).trace.records
+        ends = starts[1:] + calls
+        met = [k for k, rec in enumerate(records) if k not in missed and not rec.fallback]
+        assert len(met) >= 3
+        counts = [ends[k] - starts[k] for k in met]
+        assert max(counts) <= 2, counts
 
     def test_delta_rel_is_the_refresh_gain_at_each_state(self):
         spec = SceneSpec("gaussian-bumps", 24, 31, amplitude=5.0, feature_scale=6.0, seed=4)

@@ -10,9 +10,10 @@ from phaseirls.objective import (
     eval_f,
     eval_f_delta,
     eval_h_delta,
-    eval_h_delta_and_refresh,
     eval_h_delta_refreshed,
     lipschitz_constant,
+    propose,
+    reduced_system,
     update_weights,
 )
 from phaseirls.phase import ArcField, WeightField
@@ -178,7 +179,7 @@ class TestEvalHDeltaRefreshed:
             assert got == pytest.approx(h_delta_of(x, w, g, c, p), rel=1e-14)
 
 
-class TestEvalHDeltaAndRefresh:
+class TestPropose:
     @pytest.mark.parametrize("shape", [(6, 7), (1, 6), (6, 1), (1, 1)])
     def test_bit_equal_to_the_separate_evaluations(self, rng, shape):
         n, m = shape
@@ -188,15 +189,26 @@ class TestEvalHDeltaAndRefresh:
             g = random_gradients(rng, n, m)
             c = weights_with_cut_arcs(rng, n, m)
             w = feasible_weights(rng, n, m, p.delta)
-            refreshed = ArcField(*arc_grids(n, m, np.nan))
-            h, h_refreshed = eval_h_delta_and_refresh(
-                x, w, g, c, p, refreshed=refreshed, scratch=arc_grids(n, m, np.nan)
+            weights = ArcField(*arc_grids(n, m, np.nan))
+            reduced_system(
+                c, w, g, p, weights=weights, rhs=np.empty((n, m)), flux=arc_grids(n, m)
             )
-            assert h == h_delta_of(x, w, g, c, p)
-            fresh = weights_of(x, c, p)
-            for got, want in zip(refreshed, fresh):
-                assert got.tobytes() == want.tobytes()
-            assert h_refreshed == eval_h_delta_refreshed(x, fresh, g, p, scratch=arc_grids(n, m))
+            wr = ArcField(weights.v.copy(), weights.h.copy())
+            want = x.copy()
+            h, h_refreshed = propose(
+                x, g, c, w, p, weights=weights, scratch=arc_grids(n, m, np.nan)
+            )
+            # the two-step form: the slacks from the misfit, then each evaluation on its own
+            for v, diff, gg, ww in ((want.vv, kernels.diff_rows(x.u), g.v, wr.v),
+                                    (want.vh, kernels.diff_cols(x.u), g.h, wr.h)):
+                misfit = diff - gg
+                v[...] = misfit - (p.tau * ww) * misfit
+            assert x.data.tobytes() == want.data.tobytes()
+            assert h == h_delta_of(want, w, g, c, p)
+            fresh = weights_of(want, c, p)
+            for got, ref in zip(weights, fresh):
+                assert got.tobytes() == ref.tobytes()
+            assert h_refreshed == eval_h_delta_refreshed(want, fresh, g, p, scratch=arc_grids(n, m))
 
     def test_rejects_infeasible_weights(self, rng):
         n, m = 3, 4
@@ -204,9 +216,9 @@ class TestEvalHDeltaAndRefresh:
         x = random_state(rng, n, m)
         w = ArcField(*arc_grids(n, m, p.delta / 4))
         with pytest.raises(ValueError, match="delta/2"):
-            eval_h_delta_and_refresh(
-                x, w, random_gradients(rng, n, m), random_weights(rng, n, m), p,
-                refreshed=ArcField(*arc_grids(n, m)), scratch=arc_grids(n, m),
+            propose(
+                x, random_gradients(rng, n, m), random_weights(rng, n, m), w, p,
+                weights=ArcField(*arc_grids(n, m, 1.0)), scratch=arc_grids(n, m),
             )
 
 

@@ -14,9 +14,8 @@ from phaseirls.diagnostics import (
 from phaseirls.objective import (
     ModelParams,
     SystemVector,
-    build_reduced_rhs,
-    recover_slacks,
-    reduced_weights,
+    propose,
+    reduced_system,
 )
 from phaseirls.phase import ArcField, WeightField
 
@@ -374,43 +373,70 @@ def with_zero_arcs(rng, wr):
     )
 
 
+def model_weights(rng, n, m):
+    """Arc weights c with about a third of the arcs cut, and feasible auxiliary weights w."""
+    c = with_zero_arcs(rng, random_diag(rng, n, m, hi=2.0))
+    return c, ArcField(rng.uniform(1e-6, 3, (n - 1, m)), rng.uniform(1e-6, 3, (n, m - 1)))
+
+
+def reduced_weights_of(c, w, g, p):
+    """The weights W that ``reduced_system`` writes, in new grids."""
+    n, m = g.shape
+    wr = ArcField(*arc_grids(n, m))
+    reduced_system(c, w, g, p, weights=wr, rhs=np.zeros((n, m)), flux=arc_grids(n, m))
+    return wr
+
+
 class TestReducedSystem:
     @pytest.mark.parametrize("shape", [(4, 4), (3, 5), (1, 6), (6, 1)])
     def test_matches_dense_kt_w_k(self, rng, shape):
         n, m = shape
-        wr = with_zero_arcs(rng, random_diag(rng, n, m))
+        # W = c^2 / (w + tau c^2) <= 1/tau = 5
+        p = ModelParams(tau=0.2)
+        c, w = model_weights(rng, n, m)
+        g = random_gradients(rng, n, m)
+        wr = ArcField(*arc_grids(n, m))
+        rhs = reduced_system(c, w, g, p, weights=wr, rhs=np.zeros((n, m)), flux=arc_grids(n, m))
+        d = np.concatenate([vec(c.v), vec(c.h)]) ** 2 / np.concatenate([vec(w.v), vec(w.h)])
+        diag = d / (1 + p.tau * d)
+        assert np.allclose(np.concatenate([vec(wr.v), vec(wr.h)]), diag, rtol=1e-14, atol=0)
         k = dense_arc_map(n, m)
-        kt_w_k = k.T @ np.diag(np.concatenate([vec(wr.v), vec(wr.h)])) @ k
+        kt_w_k = k.T @ np.diag(diag) @ k
         u = rng.standard_normal((n, m))
         got = kernels.weighted_laplacian(u, wr.v, wr.h, *arc_grids(n, m), np.zeros((n, m)))
         assert np.max(np.abs(vec(got) - kt_w_k @ vec(u))) < 1e-12
-        g = random_gradients(rng, n, m)
-        want_rhs = k.T @ np.concatenate([vec(wr.v * g.v), vec(wr.h * g.h)])
-        rhs = build_reduced_rhs(g, wr, out=np.zeros((n, m)), flux=arc_grids(n, m))
+        want_rhs = k.T @ (diag * np.concatenate([vec(g.v), vec(g.h)]))
         assert np.max(np.abs(vec(rhs) - want_rhs)) < 1e-12
 
     @pytest.mark.parametrize("shape", [(4, 4), (3, 5), (1, 6), (6, 1)])
     def test_out_is_bit_equal_to_a_new_result(self, rng, shape):
         n, m = shape
         p = ModelParams(tau=0.03)
-        wr = with_zero_arcs(rng, random_diag(rng, n, m))
+        c, w = model_weights(rng, n, m)
         u = rng.standard_normal((n, m))
         g = random_gradients(rng, n, m)
         # every entry of out and of the scratch must be overwritten: NaN-filled
         # buffers give the bits of zero-filled ones
+        wr, rhs = ArcField(*arc_grids(n, m, np.nan)), np.full((n, m), np.nan)
+        assert reduced_system(c, w, g, p, weights=wr, rhs=rhs, flux=arc_grids(n, m, np.nan)) is rhs
+        want_wr = ArcField(*arc_grids(n, m))
+        want = reduced_system(
+            c, w, g, p, weights=want_wr, rhs=np.zeros((n, m)), flux=arc_grids(n, m)
+        )
+        assert np.array_equal(rhs, want)
+        for got, ref in zip(wr, want_wr):
+            assert got.tobytes() == ref.tobytes()
         buf = np.full((n, m), np.nan)
         got = kernels.weighted_laplacian(u, wr.v, wr.h, *arc_grids(n, m, np.nan), buf)
         assert got is buf
         want = kernels.weighted_laplacian(u, wr.v, wr.h, *arc_grids(n, m), np.zeros((n, m)))
         assert np.array_equal(got, want)
-        rhs = np.full((n, m), np.nan)
-        assert build_reduced_rhs(g, wr, out=rhs, flux=arc_grids(n, m, np.nan)) is rhs
-        want = build_reduced_rhs(g, wr, out=np.zeros((n, m)), flux=arc_grids(n, m))
-        assert np.array_equal(rhs, want)
         full = nan_vector(n, m)
         full.u[...] = u
-        assert recover_slacks(full, g, wr, p, flux=arc_grids(n, m, np.nan)) is full
-        want = recover_slacks(SystemVector(u, *arc_grids(n, m)), g, wr, p, flux=arc_grids(n, m))
+        propose(full, g, c, w, p, weights=reduced_weights_of(c, w, g, p),
+                scratch=arc_grids(n, m, np.nan))
+        want = SystemVector(u, *arc_grids(n, m))
+        propose(want, g, c, w, p, weights=reduced_weights_of(c, w, g, p), scratch=arc_grids(n, m))
         assert full.data.tobytes() == want.data.tobytes()
         # the slacks as first written, each temporary a new grid
         for v, diff, gg, ww in ((full.vv, kernels.diff_rows(u), g.v, wr.v),
@@ -427,8 +453,9 @@ class TestReducedSystem:
         c = WeightField(rng.uniform(0, 2, (n - 1, m)), rng.uniform(0, 2, (n, m - 1)))
         c.v[1, :] = 0.0
         w = ArcField(rng.uniform(1e-6, 3, (n - 1, m)), rng.uniform(1e-6, 3, (n, m - 1)))
-        out = ArcField(*arc_grids(n, m, np.nan))
-        assert reduced_weights(c, w, p, out=out, flux=arc_grids(n, m, np.nan)) is out
+        out, rhs = ArcField(*arc_grids(n, m, np.nan)), np.full((n, m), np.nan)
+        g = random_gradients(rng, n, m)
+        assert reduced_system(c, w, g, p, weights=out, rhs=rhs, flux=arc_grids(n, m, np.nan)) is rhs
         for cc, ww, got in ((c.v, w.v, out.v), (c.h, w.h, out.h)):
             first = cc * cc  # the weights as first written, the denominator a new grid
             first /= ww + p.tau * first
@@ -440,27 +467,29 @@ class TestReducedSystem:
 
     @pytest.mark.parametrize("shape", [(4, 5), (1, 6), (6, 1), (1, 1)])
     def test_recover_slacks_writes_only_the_slacks_of_x(self, rng, shape):
+        # propose sets the slacks of x and reads its u
         n, m = shape
-        wr = with_zero_arcs(rng, random_diag(rng, n, m))
+        p = ModelParams(tau=0.03)
+        c, w = model_weights(rng, n, m)
         g = random_gradients(rng, n, m)
         x = nan_vector(n, m)
         x.u[...] = arc_values(rng, (n, m), "mixed")
         u_bytes = x.u.tobytes()
-        assert recover_slacks(x, g, wr, ModelParams(tau=0.03), flux=arc_grids(n, m, np.nan)) is x
+        weights = reduced_weights_of(c, w, g, p)
+        propose(x, g, c, w, p, weights=weights, scratch=arc_grids(n, m, np.nan))
         assert x.u.tobytes() == u_bytes
         assert not np.isnan(x.data).any()
+        assert not any(np.isnan(ww).any() for ww in weights)
 
     def test_recovered_slacks_minimize_the_lifted_penalty(self, rng):
         # d v + (v - (S u - g)) / tau = 0 at the minimizer, arc by arc
         n, m, p = 4, 5, ModelParams(tau=0.03)
         d = random_diag(rng, n, m)
-        wr = reduced_weights(
-            WeightField.uniform(n, m), ArcField(1 / d.v, 1 / d.h), p,
-            out=ArcField(*arc_grids(n, m)), flux=arc_grids(n, m),
-        )
+        c, w = WeightField.uniform(n, m), ArcField(1 / d.v, 1 / d.h)
         u = rng.standard_normal((n, m))
         g = random_gradients(rng, n, m)
-        x = recover_slacks(SystemVector(u, *arc_grids(n, m)), g, wr, p, flux=arc_grids(n, m))
+        x = SystemVector(u, *arc_grids(n, m))
+        propose(x, g, c, w, p, weights=reduced_weights_of(c, w, g, p), scratch=arc_grids(n, m))
         assert np.array_equal(x.u, u)
         stationary_v = d.v * x.vv + (x.vv - (kernels.diff_rows(u) - g.v)) / p.tau
         stationary_h = d.h * x.vh + (x.vh - (kernels.diff_cols(u) - g.h)) / p.tau

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -12,13 +13,7 @@ from phaseirls.diagnostics import (
     materialize_dense_system,
     random_diagonal_weights,
 )
-from phaseirls.objective import (
-    ModelParams,
-    SystemVector,
-    build_reduced_rhs,
-    recover_slacks,
-    reduced_weights,
-)
+from phaseirls.objective import ModelParams, SystemVector, propose, reduced_system
 from phaseirls.pcg import NumericalBreakdown, pcg_solve
 from phaseirls.phase import ArcField, WeightField
 from phaseirls.preconditioner import build_spectral_cache, sylvester_solve
@@ -86,12 +81,15 @@ def set_nan(a):
     a.flat[0] = np.nan
 
 
+def reduced_rhs(g, wr):
+    """St (Wv * gv) + (Wh * gh) Tt for given reduced weights W, in a new grid."""
+    return kernels.adj_diffs(wr.v * g.v, wr.h * g.h, np.zeros(g.shape))
+
+
 def reduced_problem(rng, n=12, m=10):
     """The right-hand side and both maps of a reduced system with random weights."""
     wr = ArcField(rng.uniform(0.5, 2.0, (n - 1, m)), rng.uniform(0.5, 2.0, (n, m - 1)))
-    rhs = build_reduced_rhs(
-        random_gradients(rng, n, m), wr, out=np.zeros((n, m)), flux=arc_grids(n, m)
-    )
+    rhs = reduced_rhs(random_gradients(rng, n, m), wr)
     return rhs, *reduced_maps(wr, build_spectral_cache(n, m))
 
 
@@ -170,23 +168,21 @@ class TestReducedSolve:
         b = build_rhs(g, P, out=SystemVector.zeros(n, m))
         x_star = np.linalg.pinv(materialize_dense_system(n, m, d, P)) @ stack_system(b)
         # c = 1 and w = 1/d give the reduced weights d / (1 + tau d)
-        wr = reduced_weights(
-            WeightField.uniform(n, m), ArcField(1 / d.v, 1 / d.h), P,
-            out=ArcField(*arc_grids(n, m)), flux=arc_grids(n, m),
-        )
+        c, w = WeightField.uniform(n, m), ArcField(1 / d.v, 1 / d.h)
+        wr = ArcField(*arc_grids(n, m))
+        rhs = reduced_system(c, w, g, P, weights=wr, rhs=np.zeros((n, m)), flux=arc_grids(n, m))
         x = np.zeros((n, m))
         out = pcg_solve(
             *reduced_maps(wr, build_spectral_cache(n, m)),
-            build_reduced_rhs(g, wr, out=np.zeros((n, m)), flux=arc_grids(n, m)),
+            rhs,
             x,
             max_iters=3 * n * m,
             rel_tol=1e-12,
             direction=np.empty((n, m)),
         )
         assert out.converged
-        got = recover_slacks(
-            SystemVector(x - x.mean(), *arc_grids(n, m)), g, wr, P, flux=arc_grids(n, m)
-        )
+        got = SystemVector(x - x.mean(), *arc_grids(n, m))
+        propose(got, g, c, w, P, weights=wr, scratch=arc_grids(n, m))
         rel = np.linalg.norm(stack_system(got) - x_star) / np.linalg.norm(x_star)
         assert rel < 1e-6
 
@@ -198,9 +194,7 @@ class TestReducedSolve:
         wr = ArcField(
             10 ** rng.uniform(-1, 2, (n - 1, m)), 10 ** rng.uniform(-1, 2, (n, m - 1))
         )
-        b = build_reduced_rhs(
-            random_gradients(rng, n, m), wr, out=np.zeros((n, m)), flux=arc_grids(n, m)
-        )
+        b = reduced_rhs(random_gradients(rng, n, m), wr)
         x = np.zeros((n, m))
         out = pcg_solve(
             *reduced_maps(wr, build_spectral_cache(n, m)),
@@ -341,9 +335,7 @@ class TestSharedMapBuffer:
     def test_reduced_system(self, rng, max_iters, rel_tol):
         n, m = 12, 10
         wr = ArcField(rng.uniform(0.5, 2.0, (n - 1, m)), rng.uniform(0.5, 2.0, (n, m - 1)))
-        rhs = build_reduced_rhs(
-            random_gradients(rng, n, m), wr, out=np.zeros((n, m)), flux=arc_grids(n, m)
-        )
+        rhs = reduced_rhs(random_gradients(rng, n, m), wr)
         cache = build_spectral_cache(n, m)
         zap, transform, flux = np.empty((n, m)), np.empty((n, m)), arc_grids(n, m)
         shared = (
@@ -437,6 +429,17 @@ class TestBreakdown:
                 lambda v: np.zeros(3), lambda r: r.copy(), np.full(3, 1e308), np.zeros(3), 10,
                 1e-10, direction=np.empty(3),
             )
+        assert err.value.iteration == 0
+
+    def test_overflowing_initial_residual_at_zero_tolerance_raises_without_a_warning(self):
+        # a zero tolerance times the overflowing ||b|| would be 0 * inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NumericalBreakdown, match="initial residual") as err:
+                pcg_solve(
+                    lambda v: np.zeros(3), lambda r: r.copy(), np.full(3, 1e308), np.zeros(3), 10,
+                    0.0, direction=np.empty(3),
+                )
         assert err.value.iteration == 0
 
     def test_nan_preconditioned_product_raises_with_its_iteration(self, rng):
@@ -533,7 +536,7 @@ class TestAllocations:
         n, m = 256, 256
         wr = ArcField(rng.uniform(0.5, 2.0, (n - 1, m)), rng.uniform(0.5, 2.0, (n, m - 1)))
         flux = arc_grids(n, m)
-        b = build_reduced_rhs(random_gradients(rng, n, m), wr, out=np.zeros((n, m)), flux=flux)
+        b = reduced_rhs(random_gradients(rng, n, m), wr)
         cache = build_spectral_cache(n, m)
         x, zap, transform, direction = (np.zeros((n, m)) for _ in range(4))
         tracemalloc.start()

@@ -171,6 +171,15 @@ class TestShiftError:
         with pytest.raises(ValueError):
             shift_error(np.zeros((2, 2)), np.zeros((3, 2)))
 
+    @pytest.mark.parametrize(
+        "u",
+        [np.full((2, 2), 1e308), np.array([[1e200, -1e200], [0.0, 0.0]])],
+        ids=["mean", "square"],
+    )
+    def test_overflowing_error_raises_without_a_warning(self, u):
+        with pytest.raises(ValueError, match="overflows float64"):
+            shift_error(u, np.zeros((2, 2)))
+
 
 class TestCongruentRound:
     def test_fixed_point(self, rng):
