@@ -35,14 +35,16 @@ written, are the arc scratch of the reduced system and the Sylvester
 transform grid, and after the solve the spent right-hand side and ``zap``
 are the arc scratch of ``propose`` and the evaluations.  An accepted proposal swaps ``w``
 and ``wr``, and a fallback copies the candidate into the state, so every
-role keeps its buffer and the loop allocates no grid-sized temporaries.  The
-CG budget and overall stopping follow the relative-improvement heuristic:
-keep the budget while weight updates still help, stop when they stall right
-after a budget increase, and otherwise grow the budget geometrically.  A
-stall right after a solve that ran no CG iteration (and no fallback) also
-stops the loop in place of a grow: that solve started converged, so its
-proposal is the fixed point of the reweighting, and a larger budget would
-only re-solve an almost unchanged system from its own solution.
+role keeps its buffer and the loop allocates no grid-sized temporaries.
+``start_state`` writes the start, u = 0 with slacks -g.  ``next_budget``
+reads the CG budget or the stop from the records and the state's h, by the
+relative-improvement heuristic: keep the budget while weight updates still
+help, stop when they stall right after a budget increase, and otherwise
+grow the budget geometrically.  A stall right after a solve that ran no CG
+iteration (and no fallback) also stops the loop in place of a grow: that
+solve started converged, so its proposal is the fixed point of the
+reweighting, and a larger budget would only re-solve an almost unchanged
+system from its own solution.
 """
 
 import math
@@ -77,7 +79,9 @@ __all__ = [
     "BudgetDecision",
     "UnwrapResult",
     "cg_budget_update",
+    "next_budget",
     "relative_improvement",
+    "start_state",
     "unwrap",
 ]
 
@@ -185,6 +189,37 @@ def cg_budget_update(delta_rel, m_prev, m_prev2, params: IrlsParams):
     return BudgetDecision("grow", math.ceil(min(params.cg_growth_factor * m_prev, MAX_CG_ITERS)))
 
 
+def start_state(g, *, out):
+    """Write the loop's start, u = 0 with slacks -g, into the ``SystemVector`` ``out``."""
+    out.u[...] = 0.0
+    np.negative(g.v, out=out.vv)
+    np.negative(g.h, out=out.vh)
+    return out
+
+
+def next_budget(records, h_state, params: IrlsParams):
+    """``(delta_rel, m_cg)`` of the next outer iteration; ``m_cg`` is None where the loop stops.
+
+    ``h_state`` is h at the state under its refreshed weights, and ``records``
+    the loop's records so far: none gives ``(None, max_iter_cg_start)``.
+    """
+    if not records:
+        return None, params.max_iter_cg_start
+    last = records[-1]
+    # the last record holds h at this state under the previous weights; arc-free
+    # grids have an identically zero objective, so there is nothing to improve
+    delta_rel = 0.0 if last.h_delta == 0 else relative_improvement(last.h_delta, h_state)
+    m_prev = records[-2].m_cg if len(records) >= 2 else last.m_cg
+    decision = cg_budget_update(delta_rel, last.m_cg, m_prev, params)
+    # a larger budget cannot act on a solve that ran no CG iteration: its
+    # proposal already solved this system, so the state is the fixed point
+    if decision.action == "stop" or (
+        decision.action == "grow" and last.cg_iters == 0 and not last.fallback
+    ):
+        return delta_rel, None
+    return delta_rel, decision.m_cg
+
+
 def unwrap(x, c: WeightField | None = None, model: ModelParams | None = None,
            params: IrlsParams | None = None):
     """Unwrap a wrapped phase grid; returns the mean-zero estimate and slacks.
@@ -225,9 +260,7 @@ def unwrap(x, c: WeightField | None = None, model: ModelParams | None = None,
     # the state's buffer also holds the Sylvester scratch grid past u: on a
     # single row or column the slacks alone are one element short of it
     state_buf = np.zeros(max(dim, 2 * n * m))
-    state = SystemVector.from_buffer(state_buf[:dim], n, m)
-    np.negative(g.v, out=state.vv)
-    np.negative(g.h, out=state.vh)
+    state = start_state(g, out=SystemVector.from_buffer(state_buf[:dim], n, m))
     w = ArcField.empty(n, m)
     wr = ArcField.empty(n, m)
     rhs = np.empty((n, m))
@@ -244,8 +277,6 @@ def unwrap(x, c: WeightField | None = None, model: ModelParams | None = None,
         zap.reshape(-1)[: n * (m - 1)].reshape(n, m - 1),
     )
     trace = IrlsTrace()
-    # the CG budgets of the last two outer iterations
-    m_cg = m_prev = params.max_iter_cg_start
     stop_reason = "max_outer"
     # h at the state under its refreshed weights w; None when w is not yet refreshed
     h_state = None
@@ -255,29 +286,16 @@ def unwrap(x, c: WeightField | None = None, model: ModelParams | None = None,
             update_weights(state, c, model, out=w)
             # under refreshed weights h is sum(w) plus the coupling penalty
             h_state = eval_h_delta_refreshed(state, w, g, model, scratch=spent_flux)
-        delta_rel = None
-        if k >= 1:
-            # the last record holds h at this state under the previous weights
-            h_old_w = trace.records[-1].h_delta
-            # arc-free grids have an identically zero objective; nothing to improve
-            delta_rel = 0.0 if h_old_w == 0 else relative_improvement(h_old_w, h_state)
-            decision = cg_budget_update(delta_rel, m_cg, m_prev, params)
-            # a larger budget cannot act on a solve that ran no CG iteration:
-            # its proposal already solved this system, so the state is the fixed point
-            last = trace.records[-1]
-            if decision.action == "stop" or (
-                decision.action == "grow" and last.cg_iters == 0 and not last.fallback
-            ):
-                stop_reason = "heuristic"
-                break
-            m_prev, m_cg = m_cg, decision.m_cg
+        delta_rel, m_cg = next_budget(trace.records, h_state, params)
+        if m_cg is None:
+            stop_reason = "heuristic"
+            break
 
         # the candidate needs only the state, so it is formed before the
         # reduced weights and the solve take over wr and the state's slacks
         _, grad_sq = candidate_step(state, w, g, c, model, lip, out=cand, scratch=wr)
 
         reduced_system(c, w, g, model, weights=wr, rhs=rhs, flux=slack_flux)
-        rhs_norm = np.linalg.norm(rhs)
         # the solve warm-starts from the state's u and iterates in it; the
         # state is not needed any more, and rhs ends as the residual
         outcome = pcg_solve(
@@ -291,9 +309,6 @@ def unwrap(x, c: WeightField | None = None, model: ModelParams | None = None,
             rel_tol=CG_REL_TOL,
             direction=direction,
         )
-        cg_iters = outcome.iterations
-        cg_converged = bool(outcome.converged)
-        cg_rel_residual = outcome.residual_norms[-1] / rhs_norm if rhs_norm > 0 else 0.0
         # the proposal: u from the solve with its optimal slacks; the reduced
         # weights are spent, so the proposal's refreshed weights replace them
         h_prop, h_next = propose(state, g, c, w, model, weights=wr, scratch=spent_flux)
@@ -319,10 +334,10 @@ def unwrap(x, c: WeightField | None = None, model: ModelParams | None = None,
                 m_cg=m_cg,
                 delta_rel=delta_rel,
                 h_delta=h_cand if fallback else h_prop,
-                cg_iters=cg_iters,
+                cg_iters=outcome.iterations,
                 fallback=fallback,
-                cg_converged=cg_converged,
-                cg_rel_residual=float(cg_rel_residual),
+                cg_converged=outcome.converged,
+                cg_rel_residual=outcome.rel_residual,
             )
         )
 

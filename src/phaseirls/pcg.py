@@ -17,7 +17,7 @@ so the iteration that spends the budget stops once the iterate and the
 residual are updated, without forming a direction.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,9 +46,17 @@ def _norm(a):
 
 @dataclass
 class PcgOutcome:
+    """``rel_residual`` is ``residual_norms[-1]`` over ``||b||``, 0.0 when ``b = 0``."""
+
     iterations: int
-    residual_norms: list = field(default_factory=list)
-    converged: bool = False
+    residual_norms: list
+    converged: bool
+    rel_residual: float
+
+
+def _outcome(res_norms, converged, b_norm):
+    rel = float(res_norms[-1] / b_norm) if b_norm > 0 else 0.0
+    return PcgOutcome(len(res_norms) - 1, res_norms, bool(converged), rel)
 
 
 def pcg_solve(apply_a, apply_m, b, x, max_iters, rel_tol, *, direction):
@@ -82,8 +90,9 @@ def pcg_solve(apply_a, apply_m, b, x, max_iters, rel_tol, *, direction):
         raise ValueError("max_iters must be >= 0")
     if rel_tol < 0:
         raise ValueError("rel_tol must be >= 0")
+    b_norm = _norm(b)
     # a zero tolerance stays zero where ||b|| overflows, so such a b breaks down below
-    threshold = rel_tol * _norm(b) if rel_tol > 0 else 0.0
+    threshold = rel_tol * b_norm if rel_tol > 0 else 0.0
 
     r = b  # the residual overwrites b
     r -= apply_a(x)
@@ -91,9 +100,7 @@ def pcg_solve(apply_a, apply_m, b, x, max_iters, rel_tol, *, direction):
     if not np.isfinite(res_norms[0]):
         raise NumericalBreakdown(0, "initial residual is not finite")
     if res_norms[0] <= threshold or max_iters == 0:
-        return PcgOutcome(
-            iterations=0, residual_norms=res_norms, converged=res_norms[0] <= threshold
-        )
+        return _outcome(res_norms, res_norms[0] <= threshold, b_norm)
 
     z = apply_m(r)
     p = direction
@@ -138,6 +145,4 @@ def pcg_solve(apply_a, apply_m, b, x, max_iters, rel_tol, *, direction):
         p *= beta
         p += z
 
-    return PcgOutcome(
-        iterations=len(res_norms) - 1, residual_norms=res_norms, converged=converged
-    )
+    return _outcome(res_norms, converged, b_norm)

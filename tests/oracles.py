@@ -32,7 +32,9 @@ from phaseirls.irls import (
     IrlsParams,
     IterationRecord,
     cg_budget_update,
+    next_budget,
     relative_improvement,
+    start_state,
     unwrap,
 )
 from phaseirls.objective import (
@@ -380,7 +382,8 @@ def pcg_solve_direction_at_budget(apply_a, apply_m, b, x, max_iters, rel_tol, *,
         raise ValueError("max_iters must be >= 0")
     if rel_tol < 0:
         raise ValueError("rel_tol must be >= 0")
-    threshold = rel_tol * np.linalg.norm(b)
+    b_norm = np.linalg.norm(b)
+    threshold = rel_tol * b_norm
 
     r = b
     r -= apply_a(x)
@@ -389,7 +392,10 @@ def pcg_solve_direction_at_budget(apply_a, apply_m, b, x, max_iters, rel_tol, *,
         raise NumericalBreakdown(0, "initial residual is not finite")
     if res_norms[0] <= threshold or max_iters == 0:
         return PcgOutcome(
-            iterations=0, residual_norms=res_norms, converged=res_norms[0] <= threshold
+            iterations=0,
+            residual_norms=res_norms,
+            converged=res_norms[0] <= threshold,
+            rel_residual=float(res_norms[0] / b_norm) if b_norm > 0 else 0.0,
         )
 
     z = apply_m(r)
@@ -429,7 +435,10 @@ def pcg_solve_direction_at_budget(apply_a, apply_m, b, x, max_iters, rel_tol, *,
         p += z
 
     return PcgOutcome(
-        iterations=len(res_norms) - 1, residual_norms=res_norms, converged=converged
+        iterations=len(res_norms) - 1,
+        residual_norms=res_norms,
+        converged=converged,
+        rel_residual=float(res_norms[-1] / b_norm) if b_norm > 0 else 0.0,
     )
 
 
@@ -467,10 +476,10 @@ def outer_states(x, c, model, count):
     """The gradients of ``x`` and the states of ``unwrap`` at its first ``count`` outer iterations.
 
     The state at the start of iteration k is the result of a run capped at k outer
-    iterations, and at k = 0 the initial state (0, -gv, -gh).
+    iterations, and at k = 0 ``irls.start_state``.
     """
     g = wrapped_gradients(x)
-    states = [SystemVector(np.zeros(x.shape), -g.v, -g.h)]
+    states = [start_state(g, out=SystemVector.zeros(*x.shape))]
     for k in range(1, count):
         res = unwrap(x, c, model, IrlsParams(max_outer_iters=k))
         states.append(SystemVector(res.u, res.vv, res.vh))
@@ -547,9 +556,10 @@ def unwrap_eager_safeguard(x, c, model, params=IrlsParams()):
 
     Each iteration refreshes the weights of its state, forms the gradient
     step and its h, and accepts the PCG proposal only if its h is at most the
-    step's; no bound stands in for that comparison.  The arithmetic of every
-    array is that of ``unwrap``, each in new grids.  The gradient step, the
-    reduced system, the solve and the proposal are looked up in ``irls``, so
+    step's; no bound stands in for that comparison.  ``irls.next_budget``
+    sets the budget and the stop.  The arithmetic of every array is that of
+    ``unwrap``, each in new grids.  The gradient step, the reduced system,
+    the solve and the proposal are looked up in ``irls``, so
     ``spoil_proposals`` and ``stall_proposals`` reach this loop too.  Returns
     the final state and the ``IterationRecord`` list.
     """
@@ -557,23 +567,14 @@ def unwrap_eager_safeguard(x, c, model, params=IrlsParams()):
     n, m = g.shape
     lip = lipschitz_constant(c, model)
     cache = preconditioner.build_spectral_cache(n, m)
-    state = SystemVector(np.zeros((n, m)), -g.v, -g.h)
+    state = start_state(g, out=SystemVector.zeros(n, m))
     records = []
-    m_cg = m_prev = params.max_iter_cg_start
     for k in range(params.max_outer_iters):
         w = weights_of(state, c, model)
-        delta_rel = None
-        if k >= 1:
-            h_old = records[-1].h_delta
-            h_new = eval_h_delta_refreshed(state, w, g, model, scratch=arc_grids(n, m))
-            delta_rel = 0.0 if h_old == 0 else relative_improvement(h_old, h_new)
-            decision = cg_budget_update(delta_rel, m_cg, m_prev, params)
-            if decision.action == "stop":
-                break
-            last = records[-1]
-            if decision.action == "grow" and last.cg_iters == 0 and not last.fallback:
-                break
-            m_prev, m_cg = m_cg, decision.m_cg
+        h_state = eval_h_delta_refreshed(state, w, g, model, scratch=arc_grids(n, m))
+        delta_rel, m_cg = next_budget(records, h_state, params)
+        if m_cg is None:
+            break
         state, rec = _eager_iteration(state, w, g, c, model, lip, cache, k, m_cg, delta_rel)
         records.append(rec)
     return state, records
@@ -618,7 +619,6 @@ def _eager_iteration(state, w, g, c, model, lip, cache, k, m_cg, delta_rel):
     flux = arc_grids(n, m)
     wr = ArcField(*arc_grids(n, m))
     rhs = irls.reduced_system(c, w, g, model, weights=wr, rhs=np.empty((n, m)), flux=flux)
-    rhs_norm = np.linalg.norm(rhs)
     ap, z = np.empty((n, m)), np.empty((n, m))
     prop = state.copy()
     outcome = irls.pcg_solve(
@@ -643,6 +643,6 @@ def _eager_iteration(state, w, g, c, model, lip, cache, k, m_cg, delta_rel):
         h_delta=h_cand if fallback else h_prop,
         cg_iters=outcome.iterations,
         fallback=fallback,
-        cg_converged=bool(outcome.converged),
-        cg_rel_residual=float(outcome.residual_norms[-1] / rhs_norm if rhs_norm > 0 else 0.0),
+        cg_converged=outcome.converged,
+        cg_rel_residual=outcome.rel_residual,
     )

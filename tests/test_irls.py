@@ -9,9 +9,13 @@ from phaseirls import diagnostics, irls, kernels, preconditioner
 from phaseirls.irls import (
     CG_REL_TOL,
     MAX_CG_ITERS,
+    BudgetDecision,
     IrlsParams,
+    IterationRecord,
     cg_budget_update,
+    next_budget,
     relative_improvement,
+    start_state,
     unwrap,
 )
 from phaseirls.objective import (
@@ -20,6 +24,7 @@ from phaseirls.objective import (
     eval_f,
     eval_f_delta,
     eval_h_delta,
+    eval_h_delta_refreshed,
     lipschitz_constant,
 )
 from phaseirls.pcg import pcg_solve
@@ -36,6 +41,7 @@ from phaseirls.synth import SceneSpec, add_phase_noise, generate_scene, wrap_sce
 from oracles import (
     GRID_SYMMETRIES,
     arc_count,
+    arc_grids,
     dense_s,
     dense_system_entrywise,
     dense_t,
@@ -121,6 +127,17 @@ class TestBudgetRules:
         IrlsParams(max_outer_iters=1)
         with pytest.raises(ValueError, match="max_outer_iters"):
             IrlsParams(max_outer_iters=0)
+
+    @pytest.mark.parametrize("fallback", [False, True])
+    def test_stall_after_an_idle_solve_stops_unless_it_fell_back(self, fallback):
+        # one record at the start budget and no gain: the budget rule grows, which
+        # only a fallback lets through, since an idle proposal is the fixed point
+        last = IterationRecord(
+            k=0, m_cg=5, delta_rel=None, h_delta=2.0, cg_iters=0, fallback=fallback,
+            cg_converged=True, cg_rel_residual=0.0,
+        )
+        assert cg_budget_update(0.0, 5, 5, DEFAULTS) == BudgetDecision("grow", 9)
+        assert next_budget([last], 2.0, DEFAULTS) == (0.0, 9 if fallback else None)
 
 
 class TestRelativeImprovement:
@@ -387,8 +404,10 @@ class TestUnwrap:
         x = add_phase_noise(wrap_scene(generate_scene(spec)), 0.3, seed=5)
         c = WeightField.uniform(*x.shape)
         model = ModelParams()
-        records = unwrap(x).trace.records
+        res = unwrap(x)
+        records = res.trace.records
         assert len(records) >= 3
+        assert res.stop_reason == "heuristic"
         g, states = outer_states(x, c, model, len(records))
         for k in range(1, len(records)):
             w = weights_of(states[k], c, model)
@@ -396,6 +415,18 @@ class TestUnwrap:
                 records[k - 1].h_delta, h_delta_of(states[k], w, g, c, model)
             )
             assert records[k].delta_rel == pytest.approx(want, rel=0, abs=1e-12)
+        # the budget rule read from the records so far gives each record's budget,
+        # and after the last record of a heuristic run it stops the loop
+        states.append(SystemVector(res.u, res.vv, res.vh))
+        for k, state in enumerate(states):
+            h_state = eval_h_delta_refreshed(
+                state, weights_of(state, c, model), g, model, scratch=arc_grids(*x.shape)
+            )
+            got = next_budget(records[:k], h_state, DEFAULTS)
+            if k < len(records):
+                assert got == (records[k].delta_rel, records[k].m_cg)
+            else:
+                assert got[1] is None
 
     def test_outer_loop_peak_memory(self):
         # the loop's buffers are allocated once; the peak is the PCG solve's
@@ -478,7 +509,7 @@ class TestUnwrap:
         c = WeightField.uniform(*x.shape)
         res = unwrap(x, c, model, IrlsParams(max_outer_iters=1))
         g = wrapped_gradients(x)
-        initial = SystemVector(np.zeros(x.shape), -g.v, -g.h)
+        initial = start_state(g, out=SystemVector.zeros(*x.shape))
         final = SystemVector(res.u, res.vv, res.vh)
         want = h_delta_of(final, weights_of(initial, c, model), g, c, model)
         assert res.trace.records[0].h_delta == pytest.approx(want, rel=1e-12)
@@ -496,7 +527,7 @@ class TestUnwrap:
         assert rec.fallback
 
         g = wrapped_gradients(x)
-        initial = SystemVector(np.zeros(x.shape), -g.v, -g.h)
+        initial = start_state(g, out=SystemVector.zeros(*x.shape))
         w = weights_of(initial, c, model)
         cand = step_of(initial, w, g, c, model, lipschitz_constant(c, model))
         assert rec.h_delta == h_delta_of(cand, w, g, c, model)
@@ -765,7 +796,7 @@ class TestSmallInstanceOptimality:
         b = np.concatenate(
             [vec(s.T @ g.v + g.h @ t.T) / p.tau, -vec(g.v) / p.tau, -vec(g.h) / p.tau]
         )
-        state = SystemVector(np.zeros((n, m)), -g.v.copy(), -g.h.copy())
+        state = start_state(g, out=SystemVector.zeros(n, m))
         for _ in range(5000):
             w = weights_of(state, c, p)
             from phaseirls.phase import ArcField

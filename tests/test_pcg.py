@@ -103,6 +103,31 @@ class TestPcgBasics:
         assert out.converged
         assert np.linalg.norm(out.x.data) == 0.0
         assert len(out.residual_norms) == 1
+        # the early return gives Python scalars, as the iteration's return does
+        assert type(out.converged) is bool and type(out.rel_residual) is float
+        assert out.rel_residual == 0.0
+
+    @pytest.mark.parametrize("rel_tol", [1e-10, 0.0])
+    @pytest.mark.parametrize("max_iters", [0, 3, 500])
+    @pytest.mark.parametrize("zero_rhs", [False, True])
+    def test_relative_residual_is_the_last_norm_over_the_rhs_norm(
+        self, rng, rel_tol, max_iters, zero_rhs
+    ):
+        rhs, apply_a, apply_m = reduced_problem(rng)
+        if zero_rhs:
+            rhs[...] = 0.0
+        # the solve overwrites b with its residual, so its norm is taken first
+        b_norm = np.linalg.norm(rhs)
+        out = pcg_solve(
+            apply_a, apply_m, rhs, np.zeros(rhs.shape), max_iters, rel_tol,
+            direction=np.empty(rhs.shape),
+        )
+        assert type(out.converged) is bool and type(out.rel_residual) is float
+        if zero_rhs:
+            assert out.rel_residual == 0.0 and out.converged
+        else:
+            assert out.rel_residual == out.residual_norms[-1] / b_norm
+            assert out.converged == (rel_tol > 0 and out.rel_residual <= rel_tol)
 
     def test_exact_start_converges_immediately(self, rng):
         n = m = 5
