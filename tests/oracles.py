@@ -295,6 +295,18 @@ def dense_system_entrywise(n, m, d, tau):
     return a
 
 
+def dense_rhs(g, tau):
+    """The block system's right-hand side b, from the dense difference matrices."""
+    n, m = g.shape
+    return np.concatenate(
+        [
+            vec(dense_s(n).T @ g.v + g.h @ dense_t(m).T) / tau,
+            -vec(g.v) / tau,
+            -vec(g.h) / tau,
+        ]
+    )
+
+
 def random_state(rng, n, m, scale=1.0):
     return SystemVector(
         scale * rng.standard_normal((n, m)),
@@ -324,6 +336,23 @@ def random_weights(rng, n, m, lo=0.2, hi=2.0):
         rng.uniform(lo, hi, (n - 1, m)),
         rng.uniform(lo, hi, (n, m - 1)),
     )
+
+
+def random_diag(rng, n, m, hi=5.0):
+    return ArcField(rng.uniform(0, hi, (n - 1, m)), rng.uniform(0, hi, (n, m - 1)))
+
+
+def arc_values(rng, shape, kind):
+    """Arc values of one kind: signed zeros, small exact values, normals, or a mix."""
+    kinds = {
+        "zeros": lambda: rng.choice([0.0, -0.0], shape),
+        "exact": lambda: rng.integers(-3, 4, shape) * 0.5,
+        "normal": lambda: rng.standard_normal(shape),
+    }
+    if kind != "mixed":
+        return kinds[kind]()
+    pick = rng.integers(0, 3, shape)
+    return np.choose(pick, [kinds[k]() for k in ("zeros", "exact", "normal")])
 
 
 def objective_scalar_loops(x, g, c, tau):

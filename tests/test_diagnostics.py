@@ -1,3 +1,5 @@
+"""Tests of ``diagnostics``: the block formulation, its preconditioner and the spectrum report."""
+
 import json
 
 import numpy as np
@@ -6,16 +8,32 @@ import pytest
 from phaseirls import diagnostics
 from phaseirls.diagnostics import (
     SizeLimitExceeded,
+    apply_preconditioner,
+    apply_system,
     build_preconditioner,
+    build_rhs,
     conditioning_report,
     materialize_dense_system,
     positive_eigenvalues,
     random_diagonal_weights,
 )
-from phaseirls.objective import ModelParams
+from phaseirls.objective import ModelParams, SystemVector
+from phaseirls.phase import ArcField
 from phaseirls.preconditioner import build_spectral_cache
 
-from oracles import materialize_dense_preconditioner, split_pseudo_sqrt, split_sqrt
+from oracles import (
+    apply_system_without_data,
+    dense_rhs,
+    dense_system_entrywise,
+    materialize_dense_preconditioner,
+    nan_vector,
+    random_diag,
+    random_gradients,
+    random_state,
+    split_pseudo_sqrt,
+    split_sqrt,
+    stack_system,
+)
 
 
 class TestConditioningReport:
@@ -163,3 +181,226 @@ class TestSplitSqrt:
         d = random_diagonal_weights(5, 5, ModelParams(delta=0.25), seed=11)
         assert d.v.max() <= 4.0 and d.h.max() <= 4.0
         assert d.v.min() > 0.0 and d.h.min() > 0.0
+
+
+class TestApplySystem:
+    def test_zero_maps_to_zero(self, rng):
+        n, m = 4, 5
+        d = random_diag(rng, n, m)
+        out = apply_system(SystemVector.zeros(n, m), d, ModelParams(tau=0.5), out=nan_vector(n, m))
+        assert np.linalg.norm(out.data) == 0.0
+
+    def test_constant_u_in_nullspace(self, rng):
+        n, m = 5, 4
+        d = random_diag(rng, n, m)
+        x = SystemVector(7.5 * np.ones((n, m)), np.zeros((n - 1, m)), np.zeros((n, m - 1)))
+        out = apply_system(x, d, ModelParams(tau=1e-2), out=nan_vector(n, m))
+        assert np.linalg.norm(out.data) == 0.0
+
+    def test_matches_dense_oracle(self, rng):
+        n = m = 4
+        d = random_diag(rng, n, m)
+        p = ModelParams(tau=1e-2)
+        a = materialize_dense_system(n, m, d, p)
+        for _ in range(20):
+            x = random_state(rng, n, m)
+            got = stack_system(apply_system(x, d, p, out=SystemVector.zeros(n, m)))
+            want = a @ stack_system(x)
+            assert np.max(np.abs(got - want)) < 1e-10
+
+    def test_symmetry_and_psd(self, rng):
+        n, m = 6, 5
+        d = random_diag(rng, n, m)
+        p = ModelParams(tau=0.03)
+        for _ in range(25):
+            x = random_state(rng, n, m)
+            y = random_state(rng, n, m)
+            ax = apply_system(x, d, p, out=SystemVector.zeros(n, m))
+            ay = apply_system(y, d, p, out=SystemVector.zeros(n, m))
+            assert np.vdot(ax.data, y.data) == pytest.approx(
+                np.vdot(x.data, ay.data), rel=1e-10, abs=1e-10
+            )
+            assert np.vdot(ax.data, x.data) >= -1e-10 * np.vdot(x.data, x.data)
+
+
+class TestDenseSystem:
+    def test_small_instance_shape_and_spectrum(self, rng):
+        n = m = 2
+        d = random_diag(rng, n, m)
+        a = materialize_dense_system(n, m, d, ModelParams(tau=1.0))
+        # dimension is NM + (N-1)M + N(M-1) = 4 + 2 + 2
+        assert a.shape == (8, 8)
+        assert np.allclose(a, a.T)
+        assert np.linalg.eigvalsh(a).min() >= -1e-10
+
+    def test_nullspace_vector(self, rng):
+        n, m = 3, 4
+        d = random_diag(rng, n, m)
+        a = materialize_dense_system(n, m, d, ModelParams(tau=1e-2))
+        null = np.concatenate([np.ones(n * m), np.zeros((n - 1) * m + n * (m - 1))])
+        assert np.max(np.abs(a @ null)) < 1e-12
+
+    def test_nullspace_is_one_dimensional(self, rng):
+        n = m = 3
+        d = ArcField(
+            rng.uniform(0.1, 2.0, (n - 1, m)), rng.uniform(0.1, 2.0, (n, m - 1))
+        )
+        a = materialize_dense_system(n, m, d, ModelParams(tau=1e-2))
+        vals = np.linalg.eigvalsh(a)
+        assert np.sum(vals < 1e-10) == 1
+
+    def test_matches_entrywise_construction(self, rng):
+        n = m = 3
+        d = random_diag(rng, n, m)
+        a = materialize_dense_system(n, m, d, ModelParams(tau=0.07))
+        b = dense_system_entrywise(n, m, d, 0.07)
+        assert np.max(np.abs(a - b)) < 1e-13
+
+    def test_size_guard(self, rng):
+        d = ArcField(np.ones((99, 100)), np.ones((100, 99)))
+        with pytest.raises(SizeLimitExceeded):
+            materialize_dense_system(100, 100, d, ModelParams(tau=1.0))
+
+
+
+class TestBuildRhs:
+    def test_zero_gradients(self, rng):
+        g = random_gradients(rng, 4, 4)
+        zero = type(g)(np.zeros_like(g.v), np.zeros_like(g.h))
+        b = build_rhs(zero, ModelParams(tau=1e-2), out=nan_vector(4, 4))
+        assert np.linalg.norm(b.data) == 0.0
+
+    def test_u_block_sums_to_zero(self, rng):
+        g = random_gradients(rng, 9, 7)
+        b = build_rhs(g, ModelParams(tau=1e-2), out=SystemVector.zeros(9, 7))
+        assert abs(b.u.sum()) <= 1e-9 * b.u.size
+
+    def test_matches_dense_construction(self, rng):
+        n = m = 3
+        g = random_gradients(rng, n, m)
+        p = ModelParams(tau=1e-2)
+        b = stack_system(build_rhs(g, p, out=SystemVector.zeros(n, m)))
+        assert np.max(np.abs(b - dense_rhs(g, p.tau))) < 1e-12
+
+
+class TestApplySystemOut:
+    @pytest.mark.parametrize("shape", [(4, 4), (1, 6), (6, 1), (3, 5)])
+    def test_writes_into_out_bit_for_bit(self, rng, shape):
+        n, m = shape
+        d = random_diag(rng, n, m)
+        p = ModelParams(tau=0.03)
+        x = random_state(rng, n, m)
+        buf = nan_vector(n, m)  # every entry must be overwritten
+        got = apply_system(x, d, p, out=buf)
+        assert got is buf
+        assert np.array_equal(got.data, apply_system(x, d, p, out=SystemVector.zeros(n, m)).data)
+        want = materialize_dense_system(n, m, d, p) @ stack_system(x)
+        assert np.max(np.abs(stack_system(got) - want)) < 1e-10
+
+    @pytest.mark.parametrize("shape", [(1, 5), (5, 1), (12, 20)])
+    def test_bit_equal_to_the_map_without_data(self, rng, shape):
+        # the block kernel subtracts the data g = 0 before vv and vh, which keeps every bit
+        n, m = shape
+        d = random_diag(rng, n, m)
+        x = random_state(rng, n, m)
+        got = apply_system(x, d, ModelParams(tau=0.03), out=nan_vector(n, m))
+        assert got.data.tobytes() == apply_system_without_data(x, d, 0.03).data.tobytes()
+
+    def test_reused_out_holds_only_the_last_result(self, rng):
+        n, m = 5, 4
+        d = random_diag(rng, n, m)
+        buf = SystemVector.zeros(n, m)
+        p = ModelParams(tau=0.1)
+        apply_system(random_state(rng, n, m), d, p, out=buf)
+        x = random_state(rng, n, m)
+        apply_system(x, d, p, out=buf)
+        assert np.array_equal(buf.data, apply_system(x, d, p, out=SystemVector.zeros(n, m)).data)
+
+
+class TestApplyPreconditioner:
+    def test_zero_maps_to_zero(self, rng):
+        n, m = 4, 4
+        pc = build_preconditioner(
+            build_spectral_cache(n, m), random_diag(rng, n, m), ModelParams(tau=1e-2)
+        )
+        out = apply_preconditioner(SystemVector.zeros(n, m), pc, out=nan_vector(n, m))
+        assert np.linalg.norm(out.data) == 0.0
+
+    def test_zero_diagonals_scale_by_tau(self, rng):
+        n, m, p = 3, 4, ModelParams(tau=0.2)
+        d = ArcField(np.zeros((n - 1, m)), np.zeros((n, m - 1)))
+        pc = build_preconditioner(build_spectral_cache(n, m), d, p)
+        r = random_state(rng, n, m)
+        out = apply_preconditioner(r, pc, out=SystemVector.zeros(n, m))
+        assert np.allclose(out.vv, p.tau * r.vv, atol=1e-14)
+        assert np.allclose(out.vh, p.tau * r.vh, atol=1e-14)
+
+    def test_dense_roundtrip_on_range(self, rng):
+        n = m = 4
+        p = ModelParams(tau=1e-2)
+        d = random_diag(rng, n, m)
+        pc = build_preconditioner(build_spectral_cache(n, m), d, p)
+        dmat = materialize_dense_preconditioner(n, m, d, p.tau)
+        null = np.concatenate(
+            [np.ones(n * m), np.zeros((n - 1) * m + n * (m - 1))]
+        ) / np.sqrt(n * m)
+        for _ in range(10):
+            r = random_state(rng, n, m)
+            r.u -= r.u.mean()
+            z = stack_system(apply_preconditioner(r, pc, out=SystemVector.zeros(n, m)))
+            back = dmat @ z
+            rs = stack_system(r)
+            projected = rs - (null @ rs) * null
+            assert np.linalg.norm(back - projected) <= 1e-9 * max(1.0, np.linalg.norm(rs))
+
+    def test_never_reintroduces_constant_mode(self, rng):
+        n, m = 5, 6
+        p = ModelParams(tau=1e-2)
+        d = random_diag(rng, n, m)
+        pc = build_preconditioner(build_spectral_cache(n, m), d, p)
+        for _ in range(20):
+            x = random_state(rng, n, m)
+            ax = apply_system(x, d, p, out=SystemVector.zeros(n, m))
+            z = apply_preconditioner(ax, pc, out=SystemVector.zeros(n, m))
+            assert abs(z.u.mean()) < 1e-12 * max(1.0, np.abs(z.u).max())
+
+    def test_annihilates_shared_nullspace(self, rng):
+        n, m = 4, 3
+        d = random_diag(rng, n, m)
+        p = ModelParams(tau=1e-2)
+        pc = build_preconditioner(build_spectral_cache(n, m), d, p)
+        const = SystemVector(np.ones((n, m)), np.zeros((n - 1, m)), np.zeros((n, m - 1)))
+        out = apply_preconditioner(const, pc, out=nan_vector(n, m))
+        assert np.max(np.abs(out.u)) < 1e-12
+        assert np.linalg.norm(apply_system(const, d, p, out=nan_vector(n, m)).data) == 0.0
+
+    def test_symmetric_psd_as_operator(self, rng):
+        n = m = 4
+        d = random_diag(rng, n, m)
+        pc = build_preconditioner(build_spectral_cache(n, m), d, ModelParams(tau=1e-2))
+        for _ in range(20):
+            x = random_state(rng, n, m)
+            y = random_state(rng, n, m)
+            mx = apply_preconditioner(x, pc, out=SystemVector.zeros(n, m))
+            my = apply_preconditioner(y, pc, out=SystemVector.zeros(n, m))
+            assert np.vdot(mx.data, y.data) == pytest.approx(
+                np.vdot(x.data, my.data), rel=1e-9, abs=1e-9
+            )
+            assert np.vdot(mx.data, x.data) >= -1e-10 * np.vdot(x.data, x.data)
+
+
+class TestOutArguments:
+    @pytest.mark.parametrize("shape", [(4, 4), (1, 6), (6, 1), (3, 5)])
+    def test_apply_preconditioner_writes_into_out(self, rng, shape):
+        n, m = shape
+        p = ModelParams(tau=1e-2)
+        d = random_diag(rng, n, m)
+        pc = build_preconditioner(build_spectral_cache(n, m), d, p)
+        r = random_state(rng, n, m)
+        buf = nan_vector(n, m)  # every entry must be overwritten
+        got = apply_preconditioner(r, pc, out=buf)
+        assert got is buf
+        zeroed = apply_preconditioner(r, pc, out=SystemVector.zeros(n, m))
+        assert np.array_equal(got.data, zeroed.data)
+        want = np.linalg.pinv(materialize_dense_preconditioner(n, m, d, p.tau)) @ stack_system(r)
+        assert np.max(np.abs(stack_system(got) - want)) <= 1e-10 * max(1.0, np.abs(want).max())

@@ -21,7 +21,6 @@ from phaseirls.irls import (
 from phaseirls.objective import (
     ModelParams,
     SystemVector,
-    eval_f,
     eval_f_delta,
     eval_h_delta,
     eval_h_delta_refreshed,
@@ -30,6 +29,7 @@ from phaseirls.objective import (
 from phaseirls.pcg import pcg_solve
 from phaseirls.phase import (
     TWO_PI,
+    ArcField,
     WeightField,
     congruent_round,
     shift_error,
@@ -42,9 +42,8 @@ from oracles import (
     GRID_SYMMETRIES,
     arc_count,
     arc_grids,
-    dense_s,
+    dense_rhs,
     dense_system_entrywise,
-    dense_t,
     h_delta_of,
     outer_states,
     random_gradients,
@@ -57,7 +56,6 @@ from oracles import (
     step_of,
     unstack_system,
     unwrap_eager_safeguard,
-    vec,
     weights_of,
 )
 
@@ -788,19 +786,11 @@ class TestSmallInstanceOptimality:
         c = WeightField.uniform(n, m)
 
         # reference: plain alternating scheme with exact dense inner solves
-        from phaseirls.phase import wrapped_gradients
-
         g = wrapped_gradients(x)
-        s = dense_s(n)
-        t = dense_t(m)
-        b = np.concatenate(
-            [vec(s.T @ g.v + g.h @ t.T) / p.tau, -vec(g.v) / p.tau, -vec(g.h) / p.tau]
-        )
+        b = dense_rhs(g, p.tau)
         state = start_state(g, out=SystemVector.zeros(n, m))
         for _ in range(5000):
             w = weights_of(state, c, p)
-            from phaseirls.phase import ArcField
-
             d = ArcField(c.v**2 / w.v, c.h**2 / w.h)
             a = dense_system_entrywise(n, m, d, p.tau)
             state = unstack_system(np.linalg.lstsq(a, b, rcond=None)[0], n, m)

@@ -1,3 +1,5 @@
+"""Tests of ``objective``: the lifted model, its system vector, reduced system and proposal."""
+
 import numpy as np
 import pytest
 
@@ -21,11 +23,13 @@ from phaseirls.phase import ArcField, WeightField
 from oracles import (
     arc_count,
     arc_grids,
-    dense_s,
-    dense_t,
+    arc_values,
+    dense_arc_map,
+    dense_rhs,
     h_delta_of,
     nan_vector,
     objective_scalar_loops,
+    random_diag,
     random_gradients,
     random_state,
     random_weights,
@@ -40,18 +44,6 @@ from oracles import (
 
 def zero_gradients(n, m):
     return ArcField(np.zeros((n - 1, m)), np.zeros((n, m - 1)))
-
-
-def dense_rhs(g, tau):
-    """The block system's right-hand side b, from the dense difference matrices."""
-    n, m = g.shape
-    return np.concatenate(
-        [
-            vec(dense_s(n).T @ g.v + g.h @ dense_t(m).T) / tau,
-            -vec(g.v) / tau,
-            -vec(g.h) / tau,
-        ]
-    )
 
 
 def dense_gradient(x, w, g, c, p):
@@ -222,13 +214,17 @@ class TestPropose:
             )
 
 
+def with_zero_arcs(rng, wr):
+    """The weights with about a third of the arcs cut (weight exactly zero)."""
+    return type(wr)(
+        np.where(rng.random(wr.v.shape) < 1 / 3, 0.0, wr.v),
+        np.where(rng.random(wr.h.shape) < 1 / 3, 0.0, wr.h),
+    )
+
+
 def weights_with_cut_arcs(rng, n, m):
     """Random arc weights with about a third of the arcs at weight zero."""
-    c = random_weights(rng, n, m)
-    return WeightField(
-        np.where(rng.random(c.v.shape) < 1 / 3, 0.0, c.v),
-        np.where(rng.random(c.h.shape) < 1 / 3, 0.0, c.h),
-    )
+    return with_zero_arcs(rng, random_weights(rng, n, m))
 
 
 class TestReusedBuffers:
@@ -529,3 +525,191 @@ class TestModelParams:
     @pytest.mark.parametrize("delta", [1e-150, 1e150])
     def test_accepts_delta_with_a_normal_finite_square(self, delta):
         assert ModelParams(delta=delta).delta == delta
+
+
+class TestStacking:
+    def test_roundtrip(self, rng):
+        x = random_state(rng, 5, 3)
+        back = unstack_system(stack_system(x), 5, 3)
+        assert np.array_equal(back.u, x.u)
+        assert np.array_equal(back.vv, x.vv)
+        assert np.array_equal(back.vh, x.vh)
+
+
+class TestSystemVectorBuffer:
+    def test_blocks_are_views_into_one_buffer(self, rng):
+        x = random_state(rng, 5, 4)
+        assert x.data.flags.c_contiguous and x.data.dtype == np.float64
+        assert x.data.size == 5 * 4 + 4 * 4 + 5 * 3
+        for block in (x.u, x.vv, x.vh):
+            assert np.shares_memory(x.data, block)
+        x.data[:] = 3.0
+        assert np.all(x.u == 3.0) and np.all(x.vv == 3.0) and np.all(x.vh == 3.0)
+
+    def test_constructor_copies_its_inputs(self, rng):
+        u = rng.standard_normal((4, 3))
+        vv = rng.standard_normal((3, 3))
+        vh = rng.standard_normal((4, 2))
+        x = SystemVector(u, vv, vh)
+        want = stack_system(x)
+        u[:] = np.nan
+        vv[:] = np.nan
+        vh[:] = np.nan
+        assert np.array_equal(stack_system(x), want)
+
+    def test_copy_owns_a_new_buffer(self, rng):
+        x = random_state(rng, 3, 5)
+        y = x.copy()
+        assert not np.shares_memory(x.data, y.data)
+        assert np.array_equal(x.data, y.data)
+
+    def test_rejects_inconsistent_blocks(self):
+        with pytest.raises(ValueError):
+            SystemVector(np.zeros((3, 3)), np.zeros((3, 3)), np.zeros((3, 2)))
+
+    def test_rejects_slacks_of_another_grid(self):
+        # vv (2, 5) and vh (3, 4) are the slacks of a 3 x 5 grid, u is 3 x 4
+        with pytest.raises(ValueError, match="inconsistent block shapes"):
+            SystemVector(np.zeros((3, 4)), np.zeros((2, 5)), np.zeros((3, 4)))
+
+    @pytest.mark.parametrize("size", [32, 34])
+    def test_from_buffer_rejects_a_buffer_of_another_size(self, size):
+        # a 3 x 4 grid has 12 + 8 + 9 = 33 entries
+        with pytest.raises(ValueError, match="does not fit"):
+            SystemVector.from_buffer(np.zeros(size), 3, 4)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (7, 1)])
+    def test_zeros_with_empty_slack_blocks(self, shape):
+        n, m = shape
+        x = SystemVector.zeros(n, m)
+        assert x.u.shape == (n, m)
+        assert x.vv.shape == (n - 1, m)
+        assert x.vh.shape == (n, m - 1)
+        assert x.data.size == n * m + (n - 1) * m + n * (m - 1)
+        assert np.linalg.norm(x.data) == 0.0
+        x.data += 1.0
+        assert np.vdot(x.data, x.data) == float(x.data.size)
+
+
+def model_weights(rng, n, m):
+    """Arc weights c with about a third of the arcs cut, and feasible auxiliary weights w."""
+    c = with_zero_arcs(rng, random_diag(rng, n, m, hi=2.0))
+    return c, ArcField(rng.uniform(1e-6, 3, (n - 1, m)), rng.uniform(1e-6, 3, (n, m - 1)))
+
+
+def reduced_weights_of(c, w, g, p):
+    """The weights W that ``reduced_system`` writes, in new grids."""
+    n, m = g.shape
+    wr = ArcField(*arc_grids(n, m))
+    reduced_system(c, w, g, p, weights=wr, rhs=np.zeros((n, m)), flux=arc_grids(n, m))
+    return wr
+
+
+class TestReducedSystem:
+    @pytest.mark.parametrize("shape", [(4, 4), (3, 5), (1, 6), (6, 1)])
+    def test_matches_dense_kt_w_k(self, rng, shape):
+        n, m = shape
+        # W = c^2 / (w + tau c^2) <= 1/tau = 5
+        p = ModelParams(tau=0.2)
+        c, w = model_weights(rng, n, m)
+        g = random_gradients(rng, n, m)
+        wr = ArcField(*arc_grids(n, m))
+        rhs = reduced_system(c, w, g, p, weights=wr, rhs=np.zeros((n, m)), flux=arc_grids(n, m))
+        d = np.concatenate([vec(c.v), vec(c.h)]) ** 2 / np.concatenate([vec(w.v), vec(w.h)])
+        diag = d / (1 + p.tau * d)
+        assert np.allclose(np.concatenate([vec(wr.v), vec(wr.h)]), diag, rtol=1e-14, atol=0)
+        k = dense_arc_map(n, m)
+        kt_w_k = k.T @ np.diag(diag) @ k
+        u = rng.standard_normal((n, m))
+        got = kernels.weighted_laplacian(u, wr.v, wr.h, *arc_grids(n, m), np.zeros((n, m)))
+        assert np.max(np.abs(vec(got) - kt_w_k @ vec(u))) < 1e-12
+        want_rhs = k.T @ (diag * np.concatenate([vec(g.v), vec(g.h)]))
+        assert np.max(np.abs(vec(rhs) - want_rhs)) < 1e-12
+
+    @pytest.mark.parametrize("shape", [(4, 4), (3, 5), (1, 6), (6, 1)])
+    def test_out_is_bit_equal_to_a_new_result(self, rng, shape):
+        n, m = shape
+        p = ModelParams(tau=0.03)
+        c, w = model_weights(rng, n, m)
+        u = rng.standard_normal((n, m))
+        g = random_gradients(rng, n, m)
+        # every entry of out and of the scratch must be overwritten: NaN-filled
+        # buffers give the bits of zero-filled ones
+        wr, rhs = ArcField(*arc_grids(n, m, np.nan)), np.full((n, m), np.nan)
+        assert reduced_system(c, w, g, p, weights=wr, rhs=rhs, flux=arc_grids(n, m, np.nan)) is rhs
+        want_wr = ArcField(*arc_grids(n, m))
+        want = reduced_system(
+            c, w, g, p, weights=want_wr, rhs=np.zeros((n, m)), flux=arc_grids(n, m)
+        )
+        assert np.array_equal(rhs, want)
+        for got, ref in zip(wr, want_wr):
+            assert got.tobytes() == ref.tobytes()
+        buf = np.full((n, m), np.nan)
+        got = kernels.weighted_laplacian(u, wr.v, wr.h, *arc_grids(n, m, np.nan), buf)
+        assert got is buf
+        want = kernels.weighted_laplacian(u, wr.v, wr.h, *arc_grids(n, m), np.zeros((n, m)))
+        assert np.array_equal(got, want)
+        full = nan_vector(n, m)
+        full.u[...] = u
+        propose(full, g, c, w, p, weights=reduced_weights_of(c, w, g, p),
+                scratch=arc_grids(n, m, np.nan))
+        want = SystemVector(u, *arc_grids(n, m))
+        propose(want, g, c, w, p, weights=reduced_weights_of(c, w, g, p), scratch=arc_grids(n, m))
+        assert full.data.tobytes() == want.data.tobytes()
+        # the slacks as first written, each temporary a new grid
+        for v, diff, gg, ww in ((full.vv, kernels.diff_rows(u), g.v, wr.v),
+                                (full.vh, kernels.diff_cols(u), g.h, wr.h)):
+            want = diff - gg
+            want -= p.tau * ww * want
+            assert v.tobytes() == want.tobytes()
+        b = nan_vector(n, m)
+        assert build_rhs(g, p, out=b) is b
+        assert b.data.tobytes() == build_rhs(g, p, out=SystemVector.zeros(n, m)).data.tobytes()
+
+    def test_reduced_weights_are_the_schur_weights(self, rng):
+        n, m, p = 5, 4, ModelParams(tau=0.03)
+        c = WeightField(rng.uniform(0, 2, (n - 1, m)), rng.uniform(0, 2, (n, m - 1)))
+        c.v[1, :] = 0.0
+        w = ArcField(rng.uniform(1e-6, 3, (n - 1, m)), rng.uniform(1e-6, 3, (n, m - 1)))
+        out, rhs = ArcField(*arc_grids(n, m, np.nan)), np.full((n, m), np.nan)
+        g = random_gradients(rng, n, m)
+        assert reduced_system(c, w, g, p, weights=out, rhs=rhs, flux=arc_grids(n, m, np.nan)) is rhs
+        for cc, ww, got in ((c.v, w.v, out.v), (c.h, w.h, out.h)):
+            first = cc * cc  # the weights as first written, the denominator a new grid
+            first /= ww + p.tau * first
+            assert got.tobytes() == first.tobytes()
+            d = cc**2 / ww
+            assert np.allclose(got, d / (1 + p.tau * d), rtol=1e-14, atol=0)
+            assert np.all(got <= 1 / p.tau)
+        assert np.all(out.v[1, :] == 0.0)
+
+    @pytest.mark.parametrize("shape", [(4, 5), (1, 6), (6, 1), (1, 1)])
+    def test_recover_slacks_writes_only_the_slacks_of_x(self, rng, shape):
+        # propose sets the slacks of x and reads its u
+        n, m = shape
+        p = ModelParams(tau=0.03)
+        c, w = model_weights(rng, n, m)
+        g = random_gradients(rng, n, m)
+        x = nan_vector(n, m)
+        x.u[...] = arc_values(rng, (n, m), "mixed")
+        u_bytes = x.u.tobytes()
+        weights = reduced_weights_of(c, w, g, p)
+        propose(x, g, c, w, p, weights=weights, scratch=arc_grids(n, m, np.nan))
+        assert x.u.tobytes() == u_bytes
+        assert not np.isnan(x.data).any()
+        assert not any(np.isnan(ww).any() for ww in weights)
+
+    def test_recovered_slacks_minimize_the_lifted_penalty(self, rng):
+        # d v + (v - (S u - g)) / tau = 0 at the minimizer, arc by arc
+        n, m, p = 4, 5, ModelParams(tau=0.03)
+        d = random_diag(rng, n, m)
+        c, w = WeightField.uniform(n, m), ArcField(1 / d.v, 1 / d.h)
+        u = rng.standard_normal((n, m))
+        g = random_gradients(rng, n, m)
+        x = SystemVector(u, *arc_grids(n, m))
+        propose(x, g, c, w, p, weights=reduced_weights_of(c, w, g, p), scratch=arc_grids(n, m))
+        assert np.array_equal(x.u, u)
+        stationary_v = d.v * x.vv + (x.vv - (kernels.diff_rows(u) - g.v)) / p.tau
+        stationary_h = d.h * x.vh + (x.vh - (kernels.diff_cols(u) - g.h)) / p.tau
+        assert np.max(np.abs(stationary_v)) < 1e-10
+        assert np.max(np.abs(stationary_h)) < 1e-10

@@ -265,3 +265,14 @@ def test_only_diagnostics_forms_dense_matrices():
     assert {c for c in calls if not c.startswith("diagnostics: ")} == set()
     # the check sees the calls it is meant to find
     assert "diagnostics: np.kron" in calls and "diagnostics: np.linalg.eigvalsh" in calls
+
+
+# test files that span modules instead of testing one
+CROSS_MODULE_TESTS = {"acceptance", "packaging", "properties"}
+
+
+def test_each_test_file_is_named_for_a_module():
+    # tests/test_<module>.py tests src/phaseirls/<module>.py; oracles.py holds the shared references
+    modules = {path.stem for path in PACKAGE.glob("*.py")} - {"__init__"}
+    named = {path.stem.removeprefix("test_") for path in (ROOT / "tests").glob("test_*.py")}
+    assert named - CROSS_MODULE_TESTS == modules

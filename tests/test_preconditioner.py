@@ -1,10 +1,10 @@
+"""Tests of ``preconditioner``: the closed-form spectral cache and the Sylvester solve."""
+
 import numpy as np
 import pytest
 
-from phaseirls.diagnostics import apply_preconditioner, apply_system, build_preconditioner
 from phaseirls.irls import unwrap
-from phaseirls.objective import ModelParams, SystemVector
-from phaseirls.phase import ArcField
+from phaseirls.objective import ModelParams
 from phaseirls.preconditioner import build_spectral_cache, sylvester_solve
 from phaseirls.synth import SceneSpec, generate_scene, wrap_scene
 
@@ -13,11 +13,7 @@ from oracles import (
     dense_t,
     eig_neumann_allocating,
     even_odd_coefficients,
-    materialize_dense_preconditioner,
-    nan_vector,
-    random_state,
     spectral_cache_allocating,
-    stack_system,
     sylvester_solve_dense,
 )
 
@@ -217,98 +213,7 @@ class TestSylvesterSolve:
         assert np.array_equal(got, want)
 
 
-def random_diag(rng, n, m, hi=5.0):
-    return ArcField(rng.uniform(0, hi, (n - 1, m)), rng.uniform(0, hi, (n, m - 1)))
-
-
-class TestApplyPreconditioner:
-    def test_zero_maps_to_zero(self, rng):
-        n, m = 4, 4
-        pc = build_preconditioner(
-            build_spectral_cache(n, m), random_diag(rng, n, m), ModelParams(tau=1e-2)
-        )
-        out = apply_preconditioner(SystemVector.zeros(n, m), pc, out=nan_vector(n, m))
-        assert np.linalg.norm(out.data) == 0.0
-
-    def test_zero_diagonals_scale_by_tau(self, rng):
-        n, m, p = 3, 4, ModelParams(tau=0.2)
-        d = ArcField(np.zeros((n - 1, m)), np.zeros((n, m - 1)))
-        pc = build_preconditioner(build_spectral_cache(n, m), d, p)
-        r = random_state(rng, n, m)
-        out = apply_preconditioner(r, pc, out=SystemVector.zeros(n, m))
-        assert np.allclose(out.vv, p.tau * r.vv, atol=1e-14)
-        assert np.allclose(out.vh, p.tau * r.vh, atol=1e-14)
-
-    def test_dense_roundtrip_on_range(self, rng):
-        n = m = 4
-        p = ModelParams(tau=1e-2)
-        d = random_diag(rng, n, m)
-        pc = build_preconditioner(build_spectral_cache(n, m), d, p)
-        dmat = materialize_dense_preconditioner(n, m, d, p.tau)
-        null = np.concatenate(
-            [np.ones(n * m), np.zeros((n - 1) * m + n * (m - 1))]
-        ) / np.sqrt(n * m)
-        for _ in range(10):
-            r = random_state(rng, n, m)
-            r.u -= r.u.mean()
-            z = stack_system(apply_preconditioner(r, pc, out=SystemVector.zeros(n, m)))
-            back = dmat @ z
-            rs = stack_system(r)
-            projected = rs - (null @ rs) * null
-            assert np.linalg.norm(back - projected) <= 1e-9 * max(1.0, np.linalg.norm(rs))
-
-    def test_never_reintroduces_constant_mode(self, rng):
-        n, m = 5, 6
-        p = ModelParams(tau=1e-2)
-        d = random_diag(rng, n, m)
-        pc = build_preconditioner(build_spectral_cache(n, m), d, p)
-        for _ in range(20):
-            x = random_state(rng, n, m)
-            ax = apply_system(x, d, p, out=SystemVector.zeros(n, m))
-            z = apply_preconditioner(ax, pc, out=SystemVector.zeros(n, m))
-            assert abs(z.u.mean()) < 1e-12 * max(1.0, np.abs(z.u).max())
-
-    def test_annihilates_shared_nullspace(self, rng):
-        n, m = 4, 3
-        d = random_diag(rng, n, m)
-        p = ModelParams(tau=1e-2)
-        pc = build_preconditioner(build_spectral_cache(n, m), d, p)
-        const = SystemVector(np.ones((n, m)), np.zeros((n - 1, m)), np.zeros((n, m - 1)))
-        out = apply_preconditioner(const, pc, out=nan_vector(n, m))
-        assert np.max(np.abs(out.u)) < 1e-12
-        assert np.linalg.norm(apply_system(const, d, p, out=nan_vector(n, m)).data) == 0.0
-
-    def test_symmetric_psd_as_operator(self, rng):
-        n = m = 4
-        d = random_diag(rng, n, m)
-        pc = build_preconditioner(build_spectral_cache(n, m), d, ModelParams(tau=1e-2))
-        for _ in range(20):
-            x = random_state(rng, n, m)
-            y = random_state(rng, n, m)
-            mx = apply_preconditioner(x, pc, out=SystemVector.zeros(n, m))
-            my = apply_preconditioner(y, pc, out=SystemVector.zeros(n, m))
-            assert np.vdot(mx.data, y.data) == pytest.approx(
-                np.vdot(x.data, my.data), rel=1e-9, abs=1e-9
-            )
-            assert np.vdot(mx.data, x.data) >= -1e-10 * np.vdot(x.data, x.data)
-
-
 class TestOutArguments:
-    @pytest.mark.parametrize("shape", [(4, 4), (1, 6), (6, 1), (3, 5)])
-    def test_apply_preconditioner_writes_into_out(self, rng, shape):
-        n, m = shape
-        p = ModelParams(tau=1e-2)
-        d = random_diag(rng, n, m)
-        pc = build_preconditioner(build_spectral_cache(n, m), d, p)
-        r = random_state(rng, n, m)
-        buf = nan_vector(n, m)  # every entry must be overwritten
-        got = apply_preconditioner(r, pc, out=buf)
-        assert got is buf
-        zeroed = apply_preconditioner(r, pc, out=SystemVector.zeros(n, m))
-        assert np.array_equal(got.data, zeroed.data)
-        want = np.linalg.pinv(materialize_dense_preconditioner(n, m, d, p.tau)) @ stack_system(r)
-        assert np.max(np.abs(stack_system(got) - want)) <= 1e-10 * max(1.0, np.abs(want).max())
-
     @pytest.mark.parametrize("shape", [(4, 4), (1, 6), (6, 1), (3, 5)])
     def test_sylvester_solve_writes_into_out(self, rng, shape):
         n, m = shape
