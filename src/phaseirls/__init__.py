@@ -10,7 +10,7 @@ from .diagnostics import (
     conditioning_report,
     materialize_dense_system,
 )
-from .irls import BudgetDecision, IrlsParams, IrlsTrace, UnwrapResult, cg_budget_update, relative_improvement, unwrap
+from .irls import IrlsParams, IrlsTrace, UnwrapResult, unwrap
 from .objective import (
     ModelParams,
     SystemVector,

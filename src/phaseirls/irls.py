@@ -37,14 +37,11 @@ are the arc scratch of ``propose`` and the evaluations.  An accepted proposal sw
 and ``wr``, and a fallback copies the candidate into the state, so every
 role keeps its buffer and the loop allocates no grid-sized temporaries.
 ``start_state`` writes the start, u = 0 with slacks -g.  ``next_budget``
-reads the CG budget or the stop from the records and the state's h, by the
-relative-improvement heuristic: keep the budget while weight updates still
-help, stop when they stall right after a budget increase, and otherwise
-grow the budget geometrically.  A stall right after a solve that ran no CG
-iteration (and no fallback) also stops the loop in place of a grow: that
-solve started converged, so its proposal is the fixed point of the
-reweighting, and a larger budget would only re-solve an almost unchanged
-system from its own solution.
+alone reads the CG budget or the stop from the records and the state's h:
+keep it while the weight refresh gains more than ``rel_improvement_tol``;
+on a stall, stop right after a grow, at ``MAX_CG_ITERS``, or after a solve
+that ran no CG iteration and took no fallback (its proposal is the fixed
+point of the reweighting); otherwise grow the budget geometrically.
 """
 
 import math
@@ -76,11 +73,8 @@ __all__ = [
     "IrlsParams",
     "IterationRecord",
     "IrlsTrace",
-    "BudgetDecision",
     "UnwrapResult",
-    "cg_budget_update",
     "next_budget",
-    "relative_improvement",
     "start_state",
     "unwrap",
 ]
@@ -92,6 +86,13 @@ CG_REL_TOL = 1e-10
 
 @dataclass(frozen=True)
 class IrlsParams:
+    """Outer-loop controls, each with its ``phaseirls unwrap`` flag.
+
+    ``max_iter_cg_start`` (``--cg-start``): the first CG budget; ``rel_improvement_tol``
+    (``--eps-tol``): the gain that keeps the budget; ``cg_growth_factor`` (``--cg-growth``):
+    the budget's growth on a stall; ``max_outer_iters`` (``--max-outer``): the outer cap.
+    """
+
     max_iter_cg_start: int = 5
     rel_improvement_tol: float = 1e-3
     cg_growth_factor: float = 1.7
@@ -147,20 +148,12 @@ class IrlsTrace:
 
 
 @dataclass(frozen=True)
-class BudgetDecision:
-    """One of "keep", "stop" or "grow"; ``m_cg`` is the budget going forward."""
-
-    action: str
-    m_cg: int
-
-
-@dataclass(frozen=True)
 class UnwrapResult:
     """Estimate and slacks (views into one buffer) plus the trace.
 
-    ``stop_reason`` is ``"heuristic"`` when the CG-budget rule stopped the
-    loop, either after a fruitless grow or on a stall after a solve that ran
-    no CG iteration, and ``"max_outer"`` when ``max_outer_iters`` ran out first.
+    ``stop_reason`` is ``"heuristic"`` when ``next_budget`` stopped the loop (a stall
+    right after a grow, at ``MAX_CG_ITERS``, or after a solve that ran no CG iteration
+    and took no fallback) and ``"max_outer"`` when ``max_outer_iters`` ran out first.
     """
 
     u: np.ndarray
@@ -168,25 +161,6 @@ class UnwrapResult:
     vh: np.ndarray
     trace: IrlsTrace
     stop_reason: str
-
-
-def relative_improvement(h_old_w, h_new_w):
-    """Relative drop of the lifted objective caused by a weight refresh."""
-    if h_old_w <= 0:
-        raise ValueError(f"reference objective value must be positive, got {h_old_w}")
-    return (h_old_w - h_new_w) / h_old_w
-
-
-def cg_budget_update(delta_rel, m_prev, m_prev2, params: IrlsParams):
-    """Keep while improving, stop after a fruitless grow or at the cap, else grow."""
-    if m_prev < 1:
-        raise ValueError("m_prev must be >= 1")
-    if delta_rel > params.rel_improvement_tol:
-        return BudgetDecision("keep", m_prev)
-    if m_prev != m_prev2 or m_prev >= MAX_CG_ITERS:
-        return BudgetDecision("stop", m_prev)
-    # capped before the ceiling, so a huge factor cannot overflow to inf
-    return BudgetDecision("grow", math.ceil(min(params.cg_growth_factor * m_prev, MAX_CG_ITERS)))
 
 
 def start_state(g, *, out):
@@ -200,24 +174,26 @@ def start_state(g, *, out):
 def next_budget(records, h_state, params: IrlsParams):
     """``(delta_rel, m_cg)`` of the next outer iteration; ``m_cg`` is None where the loop stops.
 
-    ``h_state`` is h at the state under its refreshed weights, and ``records``
-    the loop's records so far: none gives ``(None, max_iter_cg_start)``.
+    ``h_state`` is h at the state under its refreshed weights; the last record holds h at
+    this state under the previous weights, and ``delta_rel`` is the relative drop from it to
+    ``h_state``.  In order: no records give ``(None, max_iter_cg_start)``; the budget is
+    kept while ``delta_rel > rel_improvement_tol``; a stall stops the loop right after a
+    budget grow, at ``MAX_CG_ITERS``, or after a solve that ran no CG iteration and took no
+    fallback; otherwise the budget grows by ``cg_growth_factor``, rounded up and capped.
     """
     if not records:
         return None, params.max_iter_cg_start
     last = records[-1]
-    # the last record holds h at this state under the previous weights; arc-free
-    # grids have an identically zero objective, so there is nothing to improve
-    delta_rel = 0.0 if last.h_delta == 0 else relative_improvement(last.h_delta, h_state)
-    m_prev = records[-2].m_cg if len(records) >= 2 else last.m_cg
-    decision = cg_budget_update(delta_rel, last.m_cg, m_prev, params)
-    # a larger budget cannot act on a solve that ran no CG iteration: its
-    # proposal already solved this system, so the state is the fixed point
-    if decision.action == "stop" or (
-        decision.action == "grow" and last.cg_iters == 0 and not last.fallback
-    ):
+    # arc-free grids have an identically zero objective, so there is nothing to improve
+    delta_rel = 0.0 if last.h_delta == 0 else (last.h_delta - h_state) / last.h_delta
+    if delta_rel > params.rel_improvement_tol:
+        return delta_rel, last.m_cg
+    grew = len(records) >= 2 and records[-2].m_cg != last.m_cg
+    # a solve that ran no CG iteration already solved this system: a fixed point
+    if grew or last.m_cg >= MAX_CG_ITERS or (last.cg_iters == 0 and not last.fallback):
         return delta_rel, None
-    return delta_rel, decision.m_cg
+    # capped before the ceiling, so a huge factor cannot overflow to inf
+    return delta_rel, math.ceil(min(params.cg_growth_factor * last.m_cg, MAX_CG_ITERS))
 
 
 def unwrap(x, c: WeightField | None = None, model: ModelParams | None = None,
@@ -230,12 +206,15 @@ def unwrap(x, c: WeightField | None = None, model: ModelParams | None = None,
         Wrapped phase grid with values in [0, 2*pi).  Its neighbor
         differences are reduced into [-pi, pi).
     c : WeightField, optional
-        Arc weights; ``WeightField.uniform`` when omitted.
+        Arc weights; ``WeightField.uniform`` when omitted.  Any other type,
+        even an ``ArcField``, raises ``TypeError`` before any work.
     model : ModelParams, optional
         Penalty and smoothing parameters.
     params : IrlsParams, optional
         Outer-loop and CG budget controls.
     """
+    if c is not None and not isinstance(c, WeightField):
+        raise TypeError(f"c must be a WeightField, got {type(c).__name__}")
     # validates x: a finite, non-empty 2-D grid with values in [0, 2*pi)
     g = wrapped_gradients(x)
     n, m = g.shape

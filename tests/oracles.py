@@ -24,16 +24,17 @@ is the Sylvester solve with the full DCT-II bases, two dense products each
 way, which the even/odd split must match to round-off.
 """
 
+import math
+
 import numpy as np
 
 from phaseirls import irls, kernels, preconditioner
 from phaseirls.irls import (
     CG_REL_TOL,
+    MAX_CG_ITERS,
     IrlsParams,
     IterationRecord,
-    cg_budget_update,
     next_budget,
-    relative_improvement,
     start_state,
     unwrap,
 )
@@ -612,11 +613,11 @@ def unwrap_eager_safeguard(x, c, model, params=IrlsParams()):
 def replay_outer_iteration(x, c, model, result, params=IrlsParams()):
     """One more outer iteration of the eager loop from the state ``unwrap`` returned.
 
-    The budget decision is ``cg_budget_update``'s alone, without the loop's
-    stop on a grow after a solve that ran no CG iteration, so this is the
-    iteration that stop skips.  Returns the
-    budget decision, the state after the iteration, its ``IterationRecord``
-    and h at the returned state under its refreshed weights.
+    The budget is the last record's grown by the growth factor, as
+    ``next_budget`` grows it on a stall, so this is the iteration that the
+    stop after a solve that ran no CG iteration skips.  Returns that budget,
+    the state after the iteration, its ``IterationRecord`` and h at the
+    returned state under its refreshed weights.
     """
     g = wrapped_gradients(x)
     n, m = g.shape
@@ -625,16 +626,14 @@ def replay_outer_iteration(x, c, model, result, params=IrlsParams()):
     w = weights_of(state, c, model)
     h_state = eval_h_delta_refreshed(state, w, g, model, scratch=arc_grids(n, m))
     h_old = records[-1].h_delta
-    delta_rel = 0.0 if h_old == 0 else relative_improvement(h_old, h_state)
-    # the budgets of the last two records; the first record's budget is the start budget
-    m_prev = records[-2].m_cg if len(records) >= 2 else records[-1].m_cg
-    decision = cg_budget_update(delta_rel, records[-1].m_cg, m_prev, params)
+    delta_rel = 0.0 if h_old == 0 else (h_old - h_state) / h_old
+    grown = math.ceil(min(params.cg_growth_factor * records[-1].m_cg, MAX_CG_ITERS))
     lip = lipschitz_constant(c, model)
     cache = preconditioner.build_spectral_cache(n, m)
     state, rec = _eager_iteration(
-        state, w, g, c, model, lip, cache, len(records), decision.m_cg, delta_rel
+        state, w, g, c, model, lip, cache, len(records), grown, delta_rel
     )
-    return decision, state, rec, h_state
+    return grown, state, rec, h_state
 
 
 def _eager_iteration(state, w, g, c, model, lip, cache, k, m_cg, delta_rel):

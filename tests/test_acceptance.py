@@ -21,7 +21,7 @@ from phaseirls.diagnostics import (
     materialize_dense_system,
     random_diagonal_weights,
 )
-from phaseirls.irls import IrlsParams, cg_budget_update, unwrap
+from phaseirls.irls import IrlsParams, IterationRecord, next_budget, unwrap
 from phaseirls.objective import (
     ModelParams,
     SystemVector,
@@ -293,17 +293,20 @@ def test_criterion_09_discontinuity_confinement():
 def test_criterion_10_budget_heuristic_rules():
     t0 = time.time()
     params = IrlsParams(max_iter_cg_start=5, rel_improvement_tol=1e-3, cg_growth_factor=1.7)
-    keep = cg_budget_update(1e-2, 5, 5, params)
-    stop = cg_budget_update(1e-4, 9, 5, params)
-    grow = cg_budget_update(1e-4, 5, 5, params)
-    ok = (
-        keep.action == "keep"
-        and keep.m_cg == 5
-        and stop.action == "stop"
-        and grow.action == "grow"
-        and grow.m_cg == 9
-    )
-    _finish(10, ok, t0, 1.0, f"keep/stop/grow -> {keep.action}/{stop.action}/{grow.action}({grow.m_cg})")
+
+    def decide(budgets, gain):
+        # records of h 1 at the given budgets, each solve running its whole budget
+        records = [
+            IterationRecord(k=k, m_cg=m, delta_rel=None, h_delta=1.0, cg_iters=m,
+                            fallback=False, cg_converged=False, cg_rel_residual=1.0)
+            for k, m in enumerate(budgets)
+        ]
+        m_cg = next_budget(records, 1.0 - gain, params)[1]
+        return "stop" if m_cg is None else "keep" if m_cg == budgets[-1] else "grow", m_cg
+
+    keep, stop, grow = decide([5, 5], 1e-2), decide([5, 9], 1e-4), decide([5, 5], 1e-4)
+    ok = keep == ("keep", 5) and stop == ("stop", None) and grow == ("grow", 9)
+    _finish(10, ok, t0, 1.0, f"keep/stop/grow -> {keep[0]}/{stop[0]}/{grow[0]}({grow[1]})")
 
 
 def test_criterion_11_gradient_checks():

@@ -313,6 +313,19 @@ class TestUpdateWeights:
         w = weights_of(x, random_weights(rng, 5, 5), ModelParams(delta=1e-6))
         assert w.v.min() >= 1e-6 and w.h.min() >= 1e-6
 
+    def test_weight_update_never_increases_objective(self, rng):
+        n, m = 6, 7
+        p = ModelParams()
+        for _ in range(20):
+            x = random_state(rng, n, m)
+            g = random_gradients(rng, n, m)
+            c = random_weights(rng, n, m)
+            w_old = weights_of(random_state(rng, n, m), c, p)
+            w_new = weights_of(x, c, p)
+            h_old = h_delta_of(x, w_old, g, c, p)
+            h_new = h_delta_of(x, w_new, g, c, p)
+            assert h_new <= h_old * (1 + 1e-12)
+
 
 class TestLipschitzConstant:
     def test_reference_value(self):
