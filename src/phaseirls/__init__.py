@@ -1,14 +1,11 @@
 """L1-norm 2-D phase unwrapping via iteratively reweighted least squares."""
 
 from .diagnostics import (
-    ConditioningReport,
     PreconditionerState,
     apply_preconditioner,
     apply_system,
     build_preconditioner,
     build_rhs,
-    conditioning_report,
-    materialize_dense_system,
 )
 from .irls import IrlsParams, IrlsTrace, UnwrapResult, unwrap
 from .objective import (

@@ -1,4 +1,4 @@
-"""Command-line interface: unwrap, synth, error, and spectrum subcommands.
+"""Command-line interface: unwrap, synth and error subcommands.
 
 Exit codes: 0 success, 2 malformed input file or unwritable output path,
 3 dimension mismatch between grids, 4 numerical breakdown.  Diagnostics go
@@ -14,7 +14,6 @@ import sys
 from contextlib import contextmanager
 
 from .arrayio import ArrayFileError, load_grid, save_grid
-from .diagnostics import conditioning_report
 from .irls import IrlsParams, unwrap
 from .objective import ModelParams, lipschitz_constant
 from .pcg import NumericalBreakdown
@@ -116,14 +115,6 @@ def _build_parser():
     p_error.add_argument("--truth", required=True)
     p_error.add_argument("--json-out", help="write metrics JSON here instead of stdout")
 
-    p_spec = sub.add_parser("spectrum", help="conditioning study of the dense system")
-    p_spec.add_argument("--n", type=int, required=True)
-    p_spec.add_argument("--m", type=int, required=True)
-    p_spec.add_argument("--delta", type=float, default=ModelParams.delta)
-    p_spec.add_argument("--tau", type=float, default=ModelParams.tau)
-    p_spec.add_argument("--seed", type=int, default=0)
-    p_spec.add_argument("--json-out", help="write the report JSON here instead of stdout")
-
     return parser
 
 
@@ -152,18 +143,10 @@ def _emit_json(payload, path):
         print(text)
 
 
-def _model_params(args):
-    """``ModelParams`` from ``--tau`` and ``--delta``; exit 2 when out of range."""
-    try:
-        return ModelParams(tau=args.tau, delta=args.delta)
-    except ValueError as exc:
-        _fail(EXIT_BAD_INPUT, f"invalid parameters: {exc}")
-
-
 def _solver_params(args, weights):
     """``unwrap``'s model and loop parameters from the flags; exit 2 when out of range."""
-    model = _model_params(args)
     try:
+        model = ModelParams(tau=args.tau, delta=args.delta)
         params = IrlsParams(
             max_iter_cg_start=args.cg_start,
             rel_improvement_tol=args.eps_tol,
@@ -262,22 +245,11 @@ def _cmd_error(args):
     return EXIT_OK
 
 
-def _cmd_spectrum(args):
-    model = _model_params(args)
-    try:
-        report = conditioning_report(args.n, args.m, model, args.seed)
-    except ValueError as exc:
-        _fail(EXIT_BAD_INPUT, f"invalid spectrum request: {exc}")
-    _emit_json(report.to_dict(), args.json_out)
-    return EXIT_OK
-
-
 # each command's handler, then the flags naming the files it reads and writes
 _COMMANDS = {
     "unwrap": (_cmd_unwrap, ("input", "cv", "ch"), ("output", "trace")),
     "synth": (_cmd_synth, (), ("out_truth", "out_wrapped")),
     "error": (_cmd_error, ("estimate", "truth"), ("json_out",)),
-    "spectrum": (_cmd_spectrum, (), ("json_out",)),
 }
 
 

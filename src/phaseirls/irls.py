@@ -119,6 +119,8 @@ class IterationRecord:
     """One outer iteration, and in field order the keys of a ``--trace`` line.
 
     ``fallback`` is true when the gradient step was taken in place of the PCG proposal.
+    ``ritz_min`` and ``ritz_max`` are the solve's Ritz extremes (``PcgOutcome``), None
+    when it ran no CG iteration and by default.
     """
 
     k: int
@@ -129,6 +131,8 @@ class IterationRecord:
     fallback: bool
     cg_converged: bool
     cg_rel_residual: float
+    ritz_min: float | None = None
+    ritz_max: float | None = None
 
 
 @dataclass
@@ -206,15 +210,19 @@ def unwrap(x, c: WeightField | None = None, model: ModelParams | None = None,
         Wrapped phase grid with values in [0, 2*pi).  Its neighbor
         differences are reduced into [-pi, pi).
     c : WeightField, optional
-        Arc weights; ``WeightField.uniform`` when omitted.  Any other type,
-        even an ``ArcField``, raises ``TypeError`` before any work.
+        Arc weights; ``WeightField.uniform`` when omitted.
     model : ModelParams, optional
         Penalty and smoothing parameters.
     params : IrlsParams, optional
         Outer-loop and CG budget controls.
+
+    ``c``, ``model`` or ``params`` of any other type, even an ``ArcField`` for
+    ``c``, raises ``TypeError`` before any work.
     """
-    if c is not None and not isinstance(c, WeightField):
-        raise TypeError(f"c must be a WeightField, got {type(c).__name__}")
+    for name, value, kind in (("c", c, WeightField), ("model", model, ModelParams),
+                              ("params", params, IrlsParams)):
+        if value is not None and not isinstance(value, kind):
+            raise TypeError(f"{name} must be {kind.__name__} or None, got {type(value).__name__}")
     # validates x: a finite, non-empty 2-D grid with values in [0, 2*pi)
     g = wrapped_gradients(x)
     n, m = g.shape
@@ -317,6 +325,8 @@ def unwrap(x, c: WeightField | None = None, model: ModelParams | None = None,
                 fallback=fallback,
                 cg_converged=outcome.converged,
                 cg_rel_residual=outcome.rel_residual,
+                ritz_min=outcome.ritz_min,
+                ritz_max=outcome.ritz_max,
             )
         )
 

@@ -22,13 +22,24 @@ of ``pcg_solve`` and ``kernels.adj_diffs``, which those must match bit for
 bit.  ``sylvester_solve_dense``
 is the Sylvester solve with the full DCT-II bases, two dense products each
 way, which the even/odd split must match to round-off.
+
+The dense matrices the package no longer forms live here too:
+``materialize_dense_system`` and the spectrum study ``conditioning_report``,
+under one limit of ``DENSE_CELL_LIMIT`` cells.  The study's closed-form
+``C* = D^(+1/2)`` is built from the solver's block preconditioner state and
+DCT basis, and ``TestClosedFormSplit`` checks it against the ``eigh``-based
+``split_pseudo_sqrt``.  ``preconditioned_spectrum`` forms the dense matrices
+of the maps it is given, one apply per column, and ``lanczos_tridiagonal``
+the dense T_k whose extremes ``pcg.ritz_extremes`` finds by bisection.
 """
 
 import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from phaseirls import irls, kernels, preconditioner
+from phaseirls.diagnostics import build_preconditioner
 from phaseirls.irls import (
     CG_REL_TOL,
     MAX_CG_ITERS,
@@ -48,7 +59,7 @@ from phaseirls.objective import (
 )
 from phaseirls.pcg import NumericalBreakdown, PcgOutcome, pcg_solve
 from phaseirls.phase import TWO_PI, ArcField, WeightField, wrapped_gradients
-from phaseirls.preconditioner import SpectralCache
+from phaseirls.preconditioner import SpectralCache, build_spectral_cache, dct_basis
 
 
 def dense_s(n):
@@ -241,6 +252,187 @@ def split_pseudo_sqrt(matrix):
     return (vecs[:, keep] / np.sqrt(gam[keep])) @ vecs[:, keep].T
 
 
+DENSE_CELL_LIMIT = 1024
+
+# smallest-to-largest ratio of kept eigenvalues that eigvalsh, accurate to about
+# 1e-16 of the largest, still resolves to a few digits
+RESOLVABLE_RATIO = 1e-10
+
+
+class SizeLimitExceeded(ValueError):
+    """Raised when a dense matrix is requested for more than ``DENSE_CELL_LIMIT`` cells."""
+
+
+def _check_cells(n, m):
+    if n * m > DENSE_CELL_LIMIT:
+        raise SizeLimitExceeded(
+            f"dense matrices limited to {DENSE_CELL_LIMIT} cells, got {n * m}"
+        )
+
+
+def materialize_dense_system(n, m, d, p):
+    """Dense symmetric PSD matrix of the block system.
+
+    With K the arc map, vec(u) -> (vec(S u), vec(u T)), d the ArcField of
+    diagonal slack weights and tau = p.tau,
+    A = [[K^T K, -K^T], [-K, tau diag(vec(d)) + I]] / tau.
+    """
+    _check_cells(n, m)
+    inv_tau = 1.0 / p.tau
+    k = dense_arc_map(n, m)
+    slack = np.concatenate([vec(d.v), vec(d.h)])
+    return np.block([
+        [inv_tau * (k.T @ k), -inv_tau * k.T],
+        [-inv_tau * k, np.diag(slack + inv_tau)],
+    ])
+
+
+@dataclass(frozen=True)
+class ConditioningReport:
+    n: int
+    m: int
+    eig_a: np.ndarray
+    eig_pre: np.ndarray
+    kappa_a: float
+    kappa_pre: float
+    rho_a: float
+    rho_pre: float
+
+    def to_dict(self):
+        """Each field by name as a plain Python value; the eigenvalues become lists."""
+        return {f.name: np.asarray(getattr(self, f.name)).tolist() for f in fields(self)}
+
+
+def positive_eigenvalues(matrix):
+    """Ascending eigenvalues of a PSD matrix with one null vector, the smallest dropped.
+
+    Raises ValueError when the smallest kept eigenvalue is not above
+    ``RESOLVABLE_RATIO`` times the largest.
+    """
+    vals = np.linalg.eigvalsh(matrix)[1:]
+    if not vals[0] > RESOLVABLE_RATIO * vals[-1]:
+        raise ValueError(
+            f"spectrum not resolvable: the smallest kept eigenvalue {vals[0]:.3e} "
+            f"is not above {RESOLVABLE_RATIO:g} times the largest {vals[-1]:.3e}"
+        )
+    return vals
+
+
+def _cg_rate(kappa):
+    root = np.sqrt(kappa)
+    return (root - 1.0) / (root + 1.0)
+
+
+def split_pseudo_sqrt_closed_form(pc):
+    """Dense C* = D^(+1/2) of the block preconditioner held by ``pc``, column-stacked.
+
+    Built from the DCT eigenpairs and the slack divisors: sqrt(tau / (lambda_s[i]
+    + lambda_t[j])) on u, with the constant (0, 0) mode zero, and one over the
+    square roots of the slack divisors on the slacks.
+    """
+    cache = pc.cache
+    n, m = cache.lambda_s.size, cache.lambda_t.size
+    q = np.kron(dct_basis(m, np.arange(m), np.arange(m)), dct_basis(n, np.arange(n), np.arange(n)))
+    root = np.sqrt(pc.p.tau * pseudo_inverse_multiplier(cache.lambda_s, cache.lambda_t))
+    root = vec(root)
+    slack = np.concatenate([vec(pc.slack_v), vec(pc.slack_h)])
+    nu = root.size
+    out = np.zeros((nu + slack.size, nu + slack.size))
+    out[:nu, :nu] = (q * root) @ q.T
+    out[nu:, nu:] = np.diag(1.0 / np.sqrt(slack))
+    return out
+
+
+def random_diagonal_weights(n, m, p, seed):
+    """Diagonal weight arc grids with entries uniform in (0, 1/p.delta]."""
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    hi = 1.0 / p.delta
+    dv = (1.0 - rng.random((n - 1, m))) * hi
+    dh = (1.0 - rng.random((n, m - 1))) * hi
+    return ArcField(dv, dh)
+
+
+def conditioning_report(n, m, p, seed):
+    """Eigenvalue and conditioning comparison of A versus C* A C* under the model ``p``.
+
+    The weights are drawn uniformly from (0, 1/p.delta], so the reduced
+    weights sit near 1/tau: the report describes the preconditioner on the
+    near-unweighted Laplacian.  Both matrices have the constant u mode as
+    their only null vector, so exactly their smallest eigenvalue is dropped,
+    and kappa feeds the CG rate (sqrt(kappa) - 1) / (sqrt(kappa) + 1).
+
+    Raises ValueError before any dense work for a grid with a side below 1 or
+    without arcs (1 x 1), for a seed outside [0, 2^64), or above
+    ``DENSE_CELL_LIMIT`` cells; and after it for a spectrum that
+    ``positive_eigenvalues`` cannot resolve.
+    """
+    if n < 1 or m < 1:
+        raise ValueError(f"grid dimensions must be >= 1, got {n} x {m}")
+    if n == m == 1:
+        raise ValueError("a 1 x 1 grid has no arcs")
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be a nonnegative 64-bit integer, got {seed}")
+    _check_cells(n, m)
+    d = random_diagonal_weights(n, m, p, seed)
+    a = materialize_dense_system(n, m, d, p)
+    c_star = split_pseudo_sqrt_closed_form(build_preconditioner(build_spectral_cache(n, m), d, p))
+
+    eig_a = positive_eigenvalues(a)
+    eig_pre = positive_eigenvalues(c_star @ a @ c_star)
+    kappa_a = float(eig_a[-1] / eig_a[0])
+    kappa_pre = float(eig_pre[-1] / eig_pre[0])
+    return ConditioningReport(
+        n=n,
+        m=m,
+        eig_a=eig_a,
+        eig_pre=eig_pre,
+        kappa_a=kappa_a,
+        kappa_pre=kappa_pre,
+        rho_a=float(_cg_rate(kappa_a)),
+        rho_pre=float(_cg_rate(kappa_pre)),
+    )
+
+
+def dense_matrix_of(apply, n, m):
+    """The dense matrix of a grid map on row-major vec(u), one application per column."""
+    cols = []
+    for i in range(n * m):
+        e = np.zeros(n * m)
+        e[i] = 1.0
+        cols.append(apply(e.reshape(n, m)).ravel().copy())
+    return np.column_stack(cols)
+
+
+def preconditioned_spectrum(apply_a, apply_m, n, m):
+    """Ascending eigenvalues of M A on the complement of the constant mode, from dense M and A.
+
+    ``apply_a`` is a reduced map and ``apply_m`` its PSD preconditioner, both with the
+    constant grid as their one null vector; the spectrum is that of M^(1/2) A M^(1/2).
+    """
+    a = dense_matrix_of(apply_a, n, m)
+    root = split_sqrt(dense_matrix_of(apply_m, n, m))
+    return positive_eigenvalues(root @ a @ root)
+
+
+def lanczos_tridiagonal(alphas, betas):
+    """Dense Lanczos tridiagonal T_k of CG steps alpha_1..alpha_k and beta_1..beta_(k-1)."""
+    a = np.asarray(alphas, dtype=float)
+    b = np.asarray(betas, dtype=float)
+    diag = 1.0 / a
+    diag[1:] += b / a[:-1]
+    off = np.sqrt(b) / a[:-1]
+    return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+
+
+def ritz_extremes_dense(alphas, betas):
+    """Extreme eigenvalues of T_k by ``eigvalsh``, k = len(alphas); later betas are not read."""
+    k = len(alphas)
+    if k == 0:
+        return None, None
+    vals = np.linalg.eigvalsh(lanczos_tridiagonal(alphas, betas[: k - 1]))
+    return float(vals[0]), float(vals[-1])
+
+
 def dense_system_entrywise(n, m, d, tau):
     """System matrix written entry by entry from the banded stencil rules.
 
@@ -406,7 +598,10 @@ def pcg_solve_direction_at_budget(apply_a, apply_m, b, x, max_iters, rel_tol, *,
 
     After the iteration that spends the budget it still applies ``apply_m``
     and updates the search direction, which nothing reads: k + 1
-    preconditioner applies for a solve that the budget ends after k.
+    preconditioner applies for a solve that the budget ends after k.  The
+    outcome gains ``alphas`` and ``betas``, every step length and direction
+    update the loop formed, and its Ritz values are ``ritz_extremes_dense``
+    of them.
     """
     if max_iters < 0:
         raise ValueError("max_iters must be >= 0")
@@ -418,15 +613,11 @@ def pcg_solve_direction_at_budget(apply_a, apply_m, b, x, max_iters, rel_tol, *,
     r = b
     r -= apply_a(x)
     res_norms = [np.linalg.norm(r)]
+    alphas, betas = [], []
     if not np.isfinite(res_norms[0]):
         raise NumericalBreakdown(0, "initial residual is not finite")
     if res_norms[0] <= threshold or max_iters == 0:
-        return PcgOutcome(
-            iterations=0,
-            residual_norms=res_norms,
-            converged=res_norms[0] <= threshold,
-            rel_residual=float(res_norms[0] / b_norm) if b_norm > 0 else 0.0,
-        )
+        return _outcome_with_coefficients(res_norms, res_norms[0] <= threshold, b_norm, [], [])
 
     z = apply_m(r)
     p = direction
@@ -442,6 +633,7 @@ def pcg_solve_direction_at_budget(apply_a, apply_m, b, x, max_iters, rel_tol, *,
             converged = res_norms[-1] <= threshold
             break
         alpha = rho / pap
+        alphas.append(alpha)
         ap *= -alpha
         r += ap
         np.multiply(p, alpha, out=ap)
@@ -460,16 +652,24 @@ def pcg_solve_direction_at_budget(apply_a, apply_m, b, x, max_iters, rel_tol, *,
         if rho_next == 0.0:
             break
         beta = rho_next / rho
+        betas.append(beta)
         rho = rho_next
         p *= beta
         p += z
 
-    return PcgOutcome(
-        iterations=len(res_norms) - 1,
-        residual_norms=res_norms,
-        converged=converged,
-        rel_residual=float(res_norms[-1] / b_norm) if b_norm > 0 else 0.0,
+    return _outcome_with_coefficients(res_norms, converged, b_norm, alphas, betas)
+
+
+def _outcome_with_coefficients(res_norms, converged, b_norm, alphas, betas):
+    out = PcgOutcome(
+        len(res_norms) - 1,
+        res_norms,
+        converged,
+        float(res_norms[-1] / b_norm) if b_norm > 0 else 0.0,
+        *ritz_extremes_dense(alphas, betas),
     )
+    out.alphas, out.betas = alphas, betas
+    return out
 
 
 def pcg_solve_blocks(apply_a, apply_m, b, x0, max_iters, rel_tol, solve=pcg_solve, direction=None):
@@ -673,4 +873,6 @@ def _eager_iteration(state, w, g, c, model, lip, cache, k, m_cg, delta_rel):
         fallback=fallback,
         cg_converged=outcome.converged,
         cg_rel_residual=outcome.rel_residual,
+        ritz_min=outcome.ritz_min,
+        ritz_max=outcome.ritz_max,
     )

@@ -17,9 +17,6 @@ from phaseirls.diagnostics import (
     apply_system,
     build_preconditioner,
     build_rhs,
-    conditioning_report,
-    materialize_dense_system,
-    random_diagonal_weights,
 )
 from phaseirls.irls import IrlsParams, IterationRecord, next_budget, unwrap
 from phaseirls.objective import (
@@ -35,12 +32,15 @@ from phaseirls.synth import SceneSpec, add_phase_noise, generate_scene, wrap_sce
 
 from oracles import (
     arc_count,
+    conditioning_report,
     dense_s,
     dense_t,
     h_delta_of,
     materialize_dense_preconditioner,
+    materialize_dense_system,
     pcg_solve_blocks,
     plain_cg_dense,
+    random_diagonal_weights,
     random_gradients,
     random_state,
     random_weights,

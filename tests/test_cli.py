@@ -114,7 +114,7 @@ class TestUnwrapCommand:
         assert records
         assert set(records[0]) == {
             "k", "m_cg", "delta_rel", "h_delta", "cg_iters", "fallback",
-            "cg_converged", "cg_rel_residual",
+            "cg_converged", "cg_rel_residual", "ritz_min", "ritz_max",
         }
         assert records[0]["k"] == 0
         assert records[0]["delta_rel"] is None
@@ -233,8 +233,6 @@ def test_defaults_are_the_dataclass_defaults():
     parser = cli._build_parser()
     args = parser.parse_args(["unwrap", "--input", "i.npy", "--output", "o.npy"])
     assert cli._solver_params(args, None) == (ModelParams(), IrlsParams())
-    args = parser.parse_args(["spectrum", "--n", "4", "--m", "4"])
-    assert (args.tau, args.delta) == (ModelParams().tau, ModelParams().delta)
 
 
 # flags whose values the solver cannot run with; each stops before the solve
@@ -370,81 +368,6 @@ class TestErrorCommand:
         assert not out.exists()
 
 
-class TestSpectrumCommand:
-    def test_report_shows_improvement(self, tmp_path):
-        out = tmp_path / "spec.json"
-        assert run(
-            "spectrum", "--n", 16, "--m", 16, "--delta", 1e-6, "--tau", 1e-2,
-            "--seed", 5, "--json-out", out,
-        ) == 0
-        payload = json.loads(out.read_text())
-        assert payload["kappa_pre"] < payload["kappa_a"]
-        assert payload["rho_pre"] < payload["rho_a"]
-        assert len(payload["eig_a"]) > 0
-
-    def test_oversize_request_exits_2(self, tmp_path):
-        assert run("spectrum", "--n", 64, "--m", 64) == 2
-
-    @pytest.mark.parametrize("flags", [("--delta", "1e-320"), ("--delta", "nan"), ("--tau", "inf")])
-    def test_out_of_range_model_parameters_exit_2(self, capsys, monkeypatch, flags):
-        def never(*args):
-            raise AssertionError("the report ran with out-of-range parameters")
-
-        monkeypatch.setattr(cli, "conditioning_report", never)
-        assert run("spectrum", "--n", 4, "--m", 4, *flags) == 2
-        lines = capsys.readouterr().err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: invalid parameters: ")
-
-    @pytest.mark.parametrize("flags, reason", [
-        (("--n", 1, "--m", 1), "no arcs"),
-        (("--n", 0, "--m", 4), "dimensions must be >= 1"),
-        (("--n", 4, "--m", -2), "dimensions must be >= 1"),
-        (("--n", 4, "--m", 4, "--seed", -1), "seed"),
-        (("--n", 4, "--m", 4, "--seed", 2**64), "seed"),
-    ])
-    def test_grid_without_arcs_or_bad_seed_exits_2(self, capsys, flags, reason):
-        assert run("spectrum", *flags) == 2
-        err = capsys.readouterr().err
-        assert "Traceback" not in err
-        lines = err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: invalid spectrum request: ")
-        assert reason in lines[0]
-
-    @pytest.mark.parametrize("n, m", [(1, 5), (5, 1)])
-    def test_single_row_or_column_exits_0(self, tmp_path, n, m):
-        out = tmp_path / "spec.json"
-        assert run("spectrum", "--n", n, "--m", m, "--json-out", out) == 0
-        assert len(json.loads(out.read_text())["eig_a"]) > 0
-
-    # each kept spectrum spans more than the ten decades that eigvalsh resolves
-    @pytest.mark.parametrize("flags", [
-        ("--n", 3, "--m", 3, "--delta", "1e-150"),
-        ("--n", 3, "--m", 3, "--tau", "1e-300"),
-        ("--n", 2, "--m", 1, "--tau", "1e300"),
-        ("--n", 4, "--m", 4, "--delta", "1e150"),
-    ])
-    def test_unresolvable_spectrum_exits_2(self, tmp_path, capsys, flags):
-        out = tmp_path / "spec.json"
-        assert run("spectrum", *flags, "--json-out", out) == 2
-        err = capsys.readouterr().err
-        assert "Traceback" not in err
-        lines = err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: invalid spectrum request: ")
-        assert "spectrum not resolvable" in lines[0]
-        assert not out.exists()
-
-    @pytest.mark.parametrize("flags", [
-        ("--n", 3, "--m", 3, "--delta", "1e-12"),
-        ("--n", 4, "--m", 4, "--tau", "1e-12"),
-    ])
-    def test_wide_but_resolvable_spectrum_exits_0(self, tmp_path, flags):
-        out = tmp_path / "spec.json"
-        assert run("spectrum", *flags, "--json-out", out) == 0
-        payload = json.loads(out.read_text())
-        assert len(payload["eig_a"]) == len(payload["eig_pre"])
-        assert 1.0 <= payload["kappa_a"] < 1e10
-
-
 # every output flag of every command; BAD is a path in a directory that does not exist
 UNWRITABLE_OUTPUTS = {
     "unwrap-output": ("unwrap", "--input", "WRAPPED", "--output", "BAD"),
@@ -454,7 +377,6 @@ UNWRITABLE_OUTPUTS = {
         "synth", "--kind", "ramp", "--rows", 4, "--cols", 5, "--out-wrapped", "BAD",
     ),
     "error-json-out": ("error", "--estimate", "TRUTH", "--truth", "TRUTH", "--json-out", "BAD"),
-    "spectrum-json-out": ("spectrum", "--n", 4, "--m", 4, "--json-out", "BAD"),
 }
 
 
@@ -541,11 +463,13 @@ CLASHING_OUTPUTS = {
         ("error", "--estimate", "WRAPPED", "--truth", "TRUTH", "--json-out", "ALIAS_WRAPPED"),
         "ALIAS_WRAPPED", "WRAPPED",
     ),
-    "spectrum-json-out-is-directory": (
-        ("spectrum", "--n", 4, "--m", 4, "--json-out", "DIR"), "DIR", "EISDIR",
+    "error-json-out-is-directory": (
+        ("error", "--estimate", "WRAPPED", "--truth", "TRUTH", "--json-out", "DIR"),
+        "DIR", "EISDIR",
     ),
-    "spectrum-json-out-in-missing-directory": (
-        ("spectrum", "--n", 4, "--m", 4, "--json-out", "MISSING"), "MISSING", "ENOENT",
+    "error-json-out-in-missing-directory": (
+        ("error", "--estimate", "WRAPPED", "--truth", "TRUTH", "--json-out", "MISSING"),
+        "MISSING", "ENOENT",
     ),
 }
 
@@ -557,7 +481,7 @@ def test_clashing_destinations_fail_before_the_work(
     def never(*args, **kwargs):
         raise AssertionError("the work ran although the outputs cannot be written")
 
-    for work in ("unwrap", "generate_scene", "shift_error", "conditioning_report"):
+    for work in ("unwrap", "generate_scene", "shift_error"):
         monkeypatch.setattr(cli, work, never)
     truth, wrapped = ramp_files
     (tmp_path / "sub").mkdir()

@@ -1,36 +1,41 @@
-"""Tests of ``diagnostics``: the block formulation, its preconditioner and the spectrum report."""
+"""Tests of ``diagnostics``, the block formulation and its preconditioner.
+
+Also tests the dense references in ``oracles`` that check it: the dense
+system, the split square roots and the spectrum report.
+"""
 
 import json
 
 import numpy as np
 import pytest
 
-from phaseirls import diagnostics
+import oracles
 from phaseirls.diagnostics import (
-    SizeLimitExceeded,
     apply_preconditioner,
     apply_system,
     build_preconditioner,
     build_rhs,
-    conditioning_report,
-    materialize_dense_system,
-    positive_eigenvalues,
-    random_diagonal_weights,
 )
 from phaseirls.objective import ModelParams, SystemVector
 from phaseirls.phase import ArcField
 from phaseirls.preconditioner import build_spectral_cache
 
 from oracles import (
+    SizeLimitExceeded,
     apply_system_without_data,
+    conditioning_report,
     dense_rhs,
     dense_system_entrywise,
     materialize_dense_preconditioner,
+    materialize_dense_system,
     nan_vector,
+    positive_eigenvalues,
     random_diag,
+    random_diagonal_weights,
     random_gradients,
     random_state,
     split_pseudo_sqrt,
+    split_pseudo_sqrt_closed_form,
     split_sqrt,
     stack_system,
 )
@@ -89,7 +94,7 @@ class TestConditioningReport:
         def refuse(*args):
             raise AssertionError("dense work started")
 
-        monkeypatch.setattr(diagnostics, "materialize_dense_system", refuse)
+        monkeypatch.setattr(oracles, "materialize_dense_system", refuse)
         with pytest.raises(ValueError, match=reason):
             conditioning_report(n, m, ModelParams(tau=1e-2, delta=1e-6), seed=seed)
 
@@ -137,7 +142,7 @@ class TestDenseCellLimit:
         def refuse(*args):
             raise AssertionError("weights drawn above the cell limit")
 
-        monkeypatch.setattr(diagnostics, "random_diagonal_weights", refuse)
+        monkeypatch.setattr(oracles, "random_diagonal_weights", refuse)
         with pytest.raises(SizeLimitExceeded, match="1024 cells"):
             conditioning_report(n, m, ModelParams(tau=1e-2, delta=1e-6), seed=0)
 
@@ -160,7 +165,7 @@ class TestClosedFormSplit:
         d = random_diagonal_weights(n, m, p, seed=n * 100 + m)
         pc = build_preconditioner(build_spectral_cache(n, m), d, p)
         want = split_pseudo_sqrt(materialize_dense_preconditioner(n, m, d, p.tau))
-        got = diagnostics.split_pseudo_sqrt(pc)
+        got = split_pseudo_sqrt_closed_form(pc)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 

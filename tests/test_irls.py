@@ -37,6 +37,7 @@ from phaseirls.phase import (
 from phaseirls.synth import SceneSpec, add_phase_noise, generate_scene, wrap_scene
 
 from oracles import (
+    DENSE_CELL_LIMIT,
     GRID_SYMMETRIES,
     arc_count,
     arc_grids,
@@ -44,6 +45,7 @@ from oracles import (
     dense_system_entrywise,
     h_delta_of,
     outer_states,
+    preconditioned_spectrum,
     random_weights,
     replay_outer_iteration,
     safeguard_bound_holds,
@@ -221,6 +223,23 @@ class TestUnwrap:
         v, h = -np.ones((3, 4)), np.ones((4, 3))
         with pytest.raises(TypeError, match=kind):
             unwrap(x, ArcField(v, h) if kind == "ArcField" else (v, h))
+
+    @pytest.mark.parametrize("model, params, message", [
+        ((1e-2, 1e-6), None, "model must be ModelParams or None, got tuple"),
+        ({"tau": 1e-2}, None, "model must be ModelParams or None, got dict"),
+        (None, {"max_outer_iters": 2}, "params must be IrlsParams or None, got dict"),
+        (None, ModelParams(), "params must be IrlsParams or None, got ModelParams"),
+    ])
+    def test_rejects_model_and_params_of_another_type_before_any_work(
+        self, monkeypatch, model, params, message
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("unwrap started work")
+
+        monkeypatch.setattr(irls, "wrapped_gradients", refuse)
+        x = wrap_to_principal(np.zeros((4, 4)), 0.0)
+        with pytest.raises(TypeError, match=message):
+            unwrap(x, model=model, params=params)
 
     @pytest.mark.parametrize("weight", [1e154, 1e155])
     def test_rejects_weights_whose_curvature_bound_is_not_finite(self, weight):
@@ -472,8 +491,8 @@ class TestUnwrap:
 
     @pytest.mark.parametrize("scene", ["bumps-24x31-sigma0.3", "plateau-40x24"])
     def test_runs_none_of_the_block_formulation(self, monkeypatch, scene):
-        # the block map, its right-hand side, the block preconditioner and the
-        # dense matrix are not on the solve path: refusing them changes no bit
+        # the block map, its right-hand side and the block preconditioner are
+        # not on the solve path: refusing them changes no bit
         x = IDLE_SCENES[scene]()
         want = unwrap(x)
 
@@ -481,7 +500,7 @@ class TestUnwrap:
             raise AssertionError("unwrap ran the block formulation")
 
         for name in ("apply_system", "build_rhs", "PreconditionerState", "build_preconditioner",
-                     "apply_preconditioner", "materialize_dense_system"):
+                     "apply_preconditioner"):
             monkeypatch.setattr(diagnostics, name, refuse)
             monkeypatch.setattr(irls, name, refuse, raising=False)
         got = unwrap(x)
@@ -648,9 +667,13 @@ def _idle_bumps_clean():
     return wrap_scene(generate_scene(spec))
 
 
+def _bumps_noisy(rows, cols, sigma):
+    spec = SceneSpec("gaussian-bumps", rows, cols, amplitude=5.0, feature_scale=6.0, seed=4)
+    return add_phase_noise(wrap_scene(generate_scene(spec)), sigma, seed=5)
+
+
 def _idle_bumps_noisy():
-    spec = SceneSpec("gaussian-bumps", 24, 31, amplitude=5.0, feature_scale=6.0, seed=4)
-    return add_phase_noise(wrap_scene(generate_scene(spec)), 0.3, seed=5)
+    return _bumps_noisy(24, 31, 0.3)
 
 
 IDLE_SCENES = {
@@ -658,6 +681,51 @@ IDLE_SCENES = {
     "bumps-32x32": _idle_bumps_clean,
     "bumps-24x31-sigma0.3": _idle_bumps_noisy,
 }
+
+
+class TestRitzValues:
+    """Each record carries the Ritz extremes of its own solve."""
+
+    @pytest.mark.parametrize(
+        "shape, sigma", [((24, 31), 0.3), ((16, 16), 0.6)], ids=["24x31-sigma0.3", "16x16-sigma0.6"]
+    )
+    def test_each_solve_lies_inside_the_dense_preconditioned_spectrum(
+        self, monkeypatch, shape, sigma
+    ):
+        x = _bumps_noisy(*shape, sigma)
+        n, m = x.shape
+        assert n * m <= DENSE_CELL_LIMIT
+        want = unwrap(x).trace.records
+        seen = []
+
+        def probing(**kwargs):
+            # both maps write only scratch that the solve overwrites before reading it
+            spectrum = preconditioned_spectrum(kwargs["apply_a"], kwargs["apply_m"], n, m)
+            out = pcg_solve(**kwargs)
+            seen.append((spectrum, out))
+            return out
+
+        monkeypatch.setattr(irls, "pcg_solve", probing)
+        records = unwrap(x).trace.records
+        assert records == want and len(seen) == len(records)
+        assert sum(1 for r in records if r.cg_iters) >= 4
+        for rec, (spectrum, out) in zip(records, seen):
+            assert (rec.ritz_min, rec.ritz_max) == (out.ritz_min, out.ritz_max)
+            if rec.cg_iters:
+                assert spectrum[0] * (1 - 1e-8) <= rec.ritz_min <= rec.ritz_max
+                assert rec.ritz_max <= spectrum[-1] * (1 + 1e-8)
+
+    @pytest.mark.parametrize("scene", sorted(IDLE_SCENES) + ["bumps-64x48-sigma0.9"])
+    def test_ritz_values_lie_in_the_unit_interval_or_are_none_without_iterations(self, scene):
+        # every reduced weight is at most 1/tau, so the preconditioned spectrum lies in (0, 1]
+        x = _bumps_noisy(64, 48, 0.9) if scene.endswith("0.9") else IDLE_SCENES[scene]()
+        records = unwrap(x).trace.records
+        for rec in records:
+            if rec.cg_iters == 0:
+                assert rec.ritz_min is None and rec.ritz_max is None
+            else:
+                assert 0 < rec.ritz_min <= rec.ritz_max <= 1 + 1e-12
+        assert any(rec.cg_iters for rec in records)
 
 
 class TestFixedPointStop:

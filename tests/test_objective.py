@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from phaseirls import diagnostics, kernels
-from phaseirls.diagnostics import apply_system, build_rhs, materialize_dense_system
+from phaseirls.diagnostics import apply_system, build_rhs
 from phaseirls.objective import (
     ModelParams,
     SystemVector,
@@ -27,6 +27,7 @@ from oracles import (
     dense_arc_map,
     dense_rhs,
     h_delta_of,
+    materialize_dense_system,
     nan_vector,
     objective_scalar_loops,
     random_diag,

@@ -10,20 +10,22 @@ from phaseirls.diagnostics import (
     apply_system,
     build_preconditioner,
     build_rhs,
-    materialize_dense_system,
-    random_diagonal_weights,
 )
 from phaseirls.objective import ModelParams, SystemVector, propose, reduced_system
-from phaseirls.pcg import NumericalBreakdown, pcg_solve
+from phaseirls.pcg import NumericalBreakdown, pcg_solve, ritz_extremes
 from phaseirls.phase import ArcField, WeightField
 from phaseirls.preconditioner import build_spectral_cache, sylvester_solve
 
 from oracles import (
     arc_grids,
     dense_arc_map,
+    materialize_dense_system,
     pcg_solve_blocks,
     pcg_solve_direction_at_budget,
+    preconditioned_spectrum,
+    random_diagonal_weights,
     random_gradients,
+    ritz_extremes_dense,
     stack_system,
     unstack_system,
     vec,
@@ -79,6 +81,10 @@ def spoiled(apply, call, spoil):
 
 def set_nan(a):
     a.flat[0] = np.nan
+
+
+def set_zero(a):
+    a[...] = 0.0
 
 
 def reduced_rhs(g, wr):
@@ -237,6 +243,90 @@ class TestReducedSolve:
         got = vec(x - x.mean())
         assert np.linalg.norm(got - x_star) / np.linalg.norm(x_star) < 1e-9
         assert abs(x.mean()) <= 1e-12 * np.abs(x).max()
+
+
+class TestRitzValues:
+    """A solve's Ritz values are the extremes of the Lanczos tridiagonal T_k of its own steps."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 8, 40, 200])
+    def test_bisection_matches_eigvalsh_of_the_tridiagonal(self, rng, k):
+        # step lengths and updates over several decades, as badly conditioned solves give
+        alphas = (10 ** rng.uniform(-2, 2, k)).tolist()
+        betas = (10 ** rng.uniform(-3, 0.5, k - 1)).tolist()
+        got = ritz_extremes(alphas, betas)
+        want = ritz_extremes_dense(alphas, betas)
+        assert all(type(v) is float for v in got)
+        scale = max(abs(v) for v in want)
+        assert all(abs(a - b) <= 1e-12 * scale for a, b in zip(got, want))
+
+    def test_no_iteration_or_a_zero_step_gives_none(self):
+        assert ritz_extremes([], []) == (None, None)
+        assert ritz_extremes([0.0, 1.0], [0.5]) == (None, None)
+
+    # each ending, its budget and tolerance, the map call whose output is zeroed
+    # (a curvature of 0, or r'z = 0), and whether the copy that forms a direction
+    # after its last step holds one more beta than T_k reads
+    @pytest.mark.parametrize("max_iters, rel_tol, zero_a, zero_m, extra_beta", [
+        (4, 0.0, None, None, True),
+        (500, 1e-8, None, None, False),
+        (500, 0.0, 5, None, True),
+        (500, 0.0, None, 4, False),
+    ], ids=["budget", "tolerance", "tiny-curvature", "vanishing-rz"])
+    def test_tridiagonal_takes_the_steps_of_the_solve_however_it_ends(
+        self, rng, max_iters, rel_tol, zero_a, zero_m, extra_beta
+    ):
+        rhs, apply_a, apply_m = reduced_problem(rng)
+        runs = []
+        for solve in (pcg_solve, pcg_solve_direction_at_budget):
+            out = solve(
+                apply_a if zero_a is None else spoiled(apply_a, zero_a, set_zero),
+                apply_m if zero_m is None else spoiled(apply_m, zero_m, set_zero),
+                rhs.copy(), np.zeros(rhs.shape), max_iters, rel_tol,
+                direction=np.empty(rhs.shape),
+            )
+            runs.append(out)
+        got, want = runs
+        k = got.iterations
+        assert k == want.iterations >= 3 and len(want.alphas) == k
+        assert len(want.betas) == k - 1 + extra_beta
+        lo, hi = ritz_extremes_dense(want.alphas[:k], want.betas[: k - 1])
+        assert got.ritz_min == pytest.approx(lo, rel=1e-12)
+        assert got.ritz_max == pytest.approx(hi, rel=1e-12)
+
+    def test_solve_that_starts_converged_gives_none(self, rng):
+        _, apply_a, apply_m = reduced_problem(rng)
+        out = pcg_solve(
+            apply_a, apply_m, np.zeros((12, 10)), np.zeros((12, 10)), 5, 1e-8,
+            direction=np.empty((12, 10)),
+        )
+        assert out.iterations == 0 and (out.ritz_min, out.ritz_max) == (None, None)
+
+    def test_long_solve_reaches_the_ends_of_the_dense_spectrum(self, rng):
+        # reduced weights over three decades up to 1/tau: a spectrum in (0, 1]
+        # whose small end takes a few hundred iterations to resolve
+        n, m = 32, 24
+        wr = ArcField(
+            10 ** rng.uniform(-1, 2, (n - 1, m)), 10 ** rng.uniform(-1, 2, (n, m - 1))
+        )
+        b = reduced_rhs(random_gradients(rng, n, m), wr)
+        apply_a, apply_m = reduced_maps(wr, build_spectral_cache(n, m))
+        spectrum = preconditioned_spectrum(apply_a, apply_m, n, m)
+        assert 0 < spectrum[0] and spectrum[-1] <= 1
+        short, long = (
+            pcg_solve(
+                apply_a, apply_m, b.copy(), np.zeros((n, m)), max_iters, 1e-12,
+                direction=np.empty((n, m)),
+            )
+            for max_iters in (5, 2000)
+        )
+        assert long.converged and long.iterations > 50 and not short.converged
+        for out in (short, long):
+            assert spectrum[0] * (1 - 1e-8) <= out.ritz_min <= out.ritz_max
+            assert out.ritz_max <= spectrum[-1] * (1 + 1e-8)
+        # five steps see neither end; the long solve reaches both
+        assert short.ritz_min > 2 * spectrum[0] and short.ritz_max < 0.99 * spectrum[-1]
+        assert long.ritz_min == pytest.approx(spectrum[0], rel=1e-4)
+        assert long.ritz_max == pytest.approx(spectrum[-1], rel=1e-10)
 
 
 class TestInPlace:
