@@ -1,24 +1,12 @@
-"""L1-norm 2-D phase unwrapping via iteratively reweighted least squares."""
+"""L1-norm 2-D phase unwrapping via iteratively reweighted least squares.
 
-from .diagnostics import (
-    PreconditionerState,
-    apply_preconditioner,
-    apply_system,
-    build_preconditioner,
-    build_rhs,
-)
+The top level holds ``unwrap`` and the scene and error tools around it; the
+solver's internals are imported from their modules.
+"""
+
 from .irls import IrlsParams, IrlsTrace, UnwrapResult, unwrap
-from .objective import (
-    ModelParams,
-    SystemVector,
-    candidate_step,
-    eval_f,
-    eval_f_delta,
-    eval_h_delta,
-    lipschitz_constant,
-    update_weights,
-)
-from .pcg import NumericalBreakdown, PcgOutcome, pcg_solve
+from .objective import ModelParams
+from .pcg import NumericalBreakdown
 from .phase import (
     ArcField,
     ErrorReport,
@@ -28,7 +16,6 @@ from .phase import (
     wrap_to_principal,
     wrapped_gradients,
 )
-from .preconditioner import SpectralCache, build_spectral_cache, sylvester_solve
 from .synth import SceneSpec, add_phase_noise, generate_scene, wrap_scene
 
 __version__ = "0.1.0"

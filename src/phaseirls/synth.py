@@ -8,6 +8,7 @@ budget, and piecewise-constant plateaus whose seam violates it.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +33,8 @@ class SceneSpec:
     def __post_init__(self):
         if self.kind not in SCENE_KINDS:
             raise ValueError(f"kind must be one of {SCENE_KINDS}, got {self.kind!r}")
+        for name in ("rows", "cols", "seed"):
+            _check_integer(name, getattr(self, name))
         if self.rows < 1 or self.cols < 1:
             raise ValueError("rows and cols must be >= 1")
         if not 0 <= self.amplitude < math.inf:
@@ -40,6 +43,12 @@ class SceneSpec:
             raise ValueError(f"feature_scale must be positive and finite, got {self.feature_scale}")
         if not 0 <= self.seed < SEED_LIMIT:
             raise ValueError(f"seed must be a nonnegative 64-bit integer, got {self.seed}")
+
+
+def _check_integer(name, value):
+    # a bool is an int to Python, but no size or seed; a float would be truncated
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _rng(seed):
@@ -118,6 +127,7 @@ def add_phase_noise(x, sigma, seed):
         raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
     if sigma == 0:
         return arr.copy()
+    _check_integer("noise seed", seed)
     if not 0 <= seed < SEED_LIMIT:
         raise ValueError(f"noise seed must be a nonnegative 64-bit integer, got {seed}")
     noise = sigma * _rng(seed).standard_normal(arr.shape)

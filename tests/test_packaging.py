@@ -4,6 +4,7 @@ import dataclasses
 import importlib.util
 import re
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -269,13 +270,54 @@ def test_package_forms_no_dense_matrices():
 
 # test files that span modules instead of testing one
 CROSS_MODULE_TESTS = {"acceptance", "packaging", "properties"}
-# test files that keep an older name, so that their test IDs stay stable
-RENAMED_MODULE_TESTS = {"operators": "kernels"}
 
 
 def test_each_test_file_is_named_for_a_module():
     # tests/test_<module>.py tests src/phaseirls/<module>.py; oracles.py holds the shared references
     modules = {path.stem for path in PACKAGE.glob("*.py")} - {"__init__"}
     named = (path.stem.removeprefix("test_") for path in (ROOT / "tests").glob("test_*.py"))
-    tested = [RENAMED_MODULE_TESTS.get(n, n) for n in named if n not in CROSS_MODULE_TESTS]
-    assert sorted(tested) == sorted(modules)
+    assert sorted(n for n in named if n not in CROSS_MODULE_TESTS) == sorted(modules)
+
+
+# the top level: unwrap and the scene and error tools around it
+TOP_LEVEL = {
+    "unwrap", "UnwrapResult", "IrlsParams", "IrlsTrace", "ModelParams", "NumericalBreakdown",
+    "ArcField", "WeightField", "ErrorReport", "shift_error", "congruent_round",
+    "wrap_to_principal", "wrapped_gradients",
+    "SceneSpec", "generate_scene", "wrap_scene", "add_phase_noise",
+}
+# names that refactors removed, under each module that defined or re-exported them
+GONE = {
+    # the dense spectrum study lives in the test oracles
+    ("phaseirls", "phaseirls.diagnostics"): (
+        "conditioning_report", "ConditioningReport", "materialize_dense_system",
+    ),
+    # next_budget alone is the budget rule
+    ("phaseirls", "phaseirls.irls"): ("cg_budget_update", "BudgetDecision", "relative_improvement"),
+    # the reduced system and the proposal are one call each
+    ("phaseirls.objective",): (
+        "recover_slacks", "eval_h_delta_and_refresh", "reduced_weights", "build_reduced_rhs",
+    ),
+}
+
+
+def test_top_level_is_the_user_api_and_removed_names_stay_gone():
+    import phaseirls
+
+    # the solver's internals are imported from their modules, not from the top level
+    public = {
+        name
+        for name, value in vars(phaseirls).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert public == TOP_LEVEL
+    present = {
+        (module, name)
+        for modules, names in GONE.items()
+        for module in modules
+        for name in names
+        if hasattr(importlib.import_module(module), name)
+    }
+    assert present == set()
+    # the lifted model under fixed weights has one module, objective
+    assert importlib.util.find_spec("phaseirls.operators") is None

@@ -26,6 +26,24 @@ class TestSceneSpec:
             SceneSpec("gaussian-bumps", 4, 4, amplitude, scale, seed)
 
 
+    @pytest.mark.parametrize("kind, rows, cols, seed, name", [
+        ("gaussian-bumps", 8, 8, 1.9, "seed"),
+        ("ramp", 2.5, 3, 0, "rows"),
+        ("plateau-discontinuity", 4, 3.0, 0, "cols"),
+        ("ramp", True, 3, 0, "rows"),
+        ("gaussian-bumps", 8, 8, False, "seed"),
+    ])
+    def test_rejects_non_integral_and_bool_sizes_and_seeds(self, kind, rows, cols, seed, name):
+        # a float would be truncated (seed 1.9 drew the scene of seed 1), and a bool is no count
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            SceneSpec(kind, rows, cols, 3.0, 3.0, seed)
+
+    def test_accepts_numpy_integers(self):
+        want = generate_scene(SceneSpec("gaussian-bumps", 8, 8, 3.0, 3.0, 1))
+        spec = SceneSpec("gaussian-bumps", np.int64(8), np.int32(8), 3.0, 3.0, np.int64(1))
+        assert np.array_equal(generate_scene(spec), want)
+
+
 class TestGenerateScene:
     @pytest.mark.parametrize("spec", [
         SceneSpec("gaussian-bumps", 8, 8, amplitude=1e308, feature_scale=8.0, seed=0),
@@ -135,6 +153,8 @@ class TestPhaseNoise:
 
     @pytest.mark.parametrize("sigma, seed, reason", [
         (np.nan, 0, "sigma"), (np.inf, 0, "sigma"), (0.4, 2**64, "seed"), (0.4, -1, "seed"),
+        # a float seed would be truncated (1.5 drew the noise of seed 1), and a bool is no seed
+        (0.4, 1.5, "integer"), (0.4, True, "integer"),
     ])
     def test_rejects_non_finite_sigma_and_bad_seeds(self, rng, sigma, seed, reason):
         x = wrap_scene(rng.uniform(0, 6, (4, 4)))
