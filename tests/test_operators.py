@@ -1,4 +1,8 @@
-"""Tests of ``kernels``: the difference stencils, their adjoint and the misfit."""
+"""Tests of ``kernels``: the difference stencils, their adjoint and the misfit.
+
+The file keeps the name it had when the stencils lived in ``operators``, so
+that the IDs of its tests stay stable.
+"""
 
 import numpy as np
 import pytest
