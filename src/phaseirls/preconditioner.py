@@ -8,15 +8,23 @@ shared constant mode is zeroed, which keeps every iterate orthogonal to the
 nullspace.  The eigenpairs are the closed-form DCT-II cosines (Ghiglia &
 Romero, JOSA A 11(1), 1994), so no eigendecomposition runs.  The cache keeps
 each basis only as its even and odd halves, so each transform runs four
-half-size products in place of two dense ones, half the flops.  The solver
-uses it as the preconditioner of the reduced system in u, whose weights are
-at most 1/tau.  An apply runs in the output grid and one scratch grid, both
-the caller's, and allocates no grid-sized temporaries.
+half-size products in place of two dense ones, half the flops, and it holds
+no multiplier grid: each apply forms ``1 / (lambda_s[k] + lambda_t[l])``
+from the O(n + m) eigenvalues, band by band of ``BAND_ROWS`` rows, in the
+scratch grid, which is dead between the forward and the back column
+products.  The cache is O(n^2 + m^2) floats.  The solver uses it as the
+preconditioner of the reduced system in u, whose weights are at most 1/tau.
+An apply runs in the output grid and one scratch grid, both the caller's,
+and allocates no grid-sized temporaries.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+
+# rows of coefficients scaled per band: 64 rows of a 512-column block
+# (2048 x 1024 grids) are 2^15 doubles, 256 KiB, which stay cache-resident
+BAND_ROWS = 64
 
 __all__ = [
     "SpectralCache",
@@ -38,10 +46,11 @@ class SpectralCache:
     the m columns), so no full basis is held.  Spectral coefficients are
     ordered even-then-odd on each axis: rows even k then odd k, and the
     n x ceil(m/2) block of even column modes, row-major, then the
-    n x floor(m/2) block of odd ones.  ``multiplier`` holds
-    ``1 / (lambda_s[k] + lambda_t[l])`` flat in that order, its first entry,
-    the constant mode, set to zero: the spectral pseudo-inverse of the
-    Kronecker-sum Laplacian.
+    n x floor(m/2) block of odd ones.  No n x m array is held:
+    ``sylvester_solve`` forms the spectral pseudo-inverse of the
+    Kronecker-sum Laplacian, ``1 / (lambda_s[k] + lambda_t[l])`` with the
+    constant mode zero, band by band from the eigenvalues, so the cache is
+    O(n^2 + m^2) floats.
     """
 
     lambda_s: np.ndarray
@@ -50,7 +59,6 @@ class SpectralCache:
     odd_s: np.ndarray
     even_t: np.ndarray
     odd_t: np.ndarray
-    multiplier: np.ndarray
 
 
 def _neumann_eigenvalues(n):
@@ -118,6 +126,34 @@ def _unfold(even, odd, x):
     return x
 
 
+def _scale(out_e, out_o, cache, p, scratch):
+    """Multiply the coefficients by ``p.tau / (lambda_s[k] + lambda_t[l])``, the constant mode by 0.
+
+    The rows run in bands of at most ``BAND_ROWS``: the even column block,
+    then the odd one, each by its even row modes, then its odd ones.  Each
+    band's ``1 / (lambda_s + lambda_t)`` is formed from views of the
+    eigenvalues in the front of ``scratch``, so no grid is allocated; the
+    coefficient is multiplied by it, then by ``p.tau``, the rounding steps of
+    scaling by a whole stored multiplier.
+    """
+    flat = scratch.reshape(-1)
+    he = cache.even_s.shape[0]
+    row_lams = (cache.lambda_s[0::2, None], cache.lambda_s[1::2, None])
+    first = True
+    for block, lam_cols in ((out_e, cache.lambda_t[0::2]), (out_o, cache.lambda_t[1::2])):
+        for rows, lam_rows in zip((block[:he], block[he:]), row_lams):
+            for a in range(0, rows.shape[0], BAND_ROWS):
+                coef = rows[a : a + BAND_ROWS]
+                t = flat[: coef.size].reshape(coef.shape)
+                np.add(lam_rows[a : a + BAND_ROWS], lam_cols, out=t)
+                if first:  # the constant mode: 1 / inf = 0 in place of 1 / 0
+                    t[0, 0] = np.inf
+                    first = False
+                np.divide(1.0, t, out=t)
+                coef *= t
+                coef *= p.tau
+
+
 def build_spectral_cache(n, m):
     """Precompute the eigenpairs used by every Sylvester solve."""
     if n < 1 or m < 1:
@@ -126,14 +162,6 @@ def build_spectral_cache(n, m):
     lam_t = _neumann_eigenvalues(m)
     even_s, odd_s = _half_bases(n)
     even_t, odd_t = _half_bases(m)
-    lam_rows = np.concatenate([lam_s[0::2], lam_s[1::2]])[:, None]
-    mult = np.empty(n * m)
-    blocks = _column_blocks(mult.reshape(n, m), even_t.shape[0])
-    for block, lam_cols in zip(blocks, (lam_t[0::2], lam_t[1::2])):
-        np.add(lam_rows, lam_cols, out=block)
-    mult[0] = 1.0
-    np.divide(1.0, mult, out=mult)
-    mult[0] = 0.0
     return SpectralCache(
         lambda_s=lam_s,
         lambda_t=lam_t,
@@ -141,7 +169,6 @@ def build_spectral_cache(n, m):
         odd_s=odd_s,
         even_t=even_t,
         odd_t=odd_t,
-        multiplier=mult,
     )
 
 
@@ -156,8 +183,10 @@ def sylvester_solve(r, p, cache, *, out, scratch):
     back to rows (columns) i and n-1-i.  This is the first stage of the fast
     DCT (Chen, Smith & Fralick, IEEE Trans. Commun. 25(9), 1977) and halves
     the flops of the dense products.  The spectral system in between is a
-    pointwise product with ``cache.multiplier``, whose zero constant-mode
-    entry makes it the pseudo-inverse of the singular operator.  Writes into
+    pointwise product with ``1 / (lambda_s[k] + lambda_t[l])``, then with
+    ``p.tau``; its zero constant-mode entry makes it the pseudo-inverse of the
+    singular operator.  The multiplier is formed band by band in the front of
+    ``scratch``, dead at that point, so it is never held whole.  Writes into
     the C-contiguous grid ``out`` and returns it; ``out`` may alias ``r``.
     ``scratch`` is a C-contiguous grid of the same shape that holds the
     butterflies and the half products in between; it may overlap neither
@@ -181,9 +210,8 @@ def sylvester_solve(r, p, cache, *, out, scratch):
     _fold(out.T, scratch_e.T, scratch_o.T)
     np.matmul(scratch_e, cache.even_t, out=out_e)
     np.matmul(scratch_o, cache.odd_t, out=out_o)
-    coef = out.reshape(-1)
-    coef *= cache.multiplier
-    coef *= p.tau
+    # the spectral pseudo-inverse, in scratch, dead until the products back
+    _scale(out_e, out_o, cache, p, scratch)
     # columns back: half products into scratch's blocks, butterfly into out
     np.matmul(out_e, cache.even_t.T, out=scratch_e)
     np.matmul(out_o, cache.odd_t.T, out=scratch_o)

@@ -19,7 +19,10 @@ written, which that code must match bit for bit.  Likewise
 direction after its last budgeted iteration, and ``adj_diffs_five_pass``,
 the adjoint stencil with its row part in three passes, are the earlier forms
 of ``pcg_solve`` and ``kernels.adj_diffs``, which those must match bit for
-bit.  ``sylvester_solve_dense``
+bit.  ``scale_by_whole_multiplier`` is the spectral scale of
+``preconditioner.sylvester_solve`` as it was while the cache held the whole
+n x m multiplier, built here by ``pseudo_inverse_multiplier``; the banded
+scale must match it bit for bit.  ``sylvester_solve_dense``
 is the Sylvester solve with the full DCT-II bases, two dense products each
 way, which the even/odd split must match to round-off.
 
@@ -183,8 +186,16 @@ def spectral_cache_allocating(n, m):
         odd_s=p_s[: n // 2, 1::2],
         even_t=p_t[: (m + 1) // 2, 0::2],
         odd_t=p_t[: m // 2, 1::2],
-        multiplier=even_odd_coefficients(pseudo_inverse_multiplier(lam_s, lam_t)),
     )
+
+
+def scale_by_whole_multiplier(out_e, out_o, cache, p, scratch):
+    """``preconditioner._scale`` as a product with the whole flat multiplier, then with tau."""
+    mult = even_odd_coefficients(pseudo_inverse_multiplier(cache.lambda_s, cache.lambda_t))
+    for block, part in ((out_e, mult[: out_e.size]), (out_o, mult[out_e.size :])):
+        coef = block.reshape(-1)
+        coef *= part
+        coef *= p.tau
 
 
 def sylvester_solve_dense(r, tau):

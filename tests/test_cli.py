@@ -1,6 +1,7 @@
 import errno
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -120,6 +121,26 @@ class TestUnwrapCommand:
         assert records[0]["delta_rel"] is None
         h = [r["h_delta"] for r in records]
         assert all(b <= a * (1 + 1e-12) for a, b in zip(h, h[1:]))
+
+    def test_non_square_plateau_peak_is_the_loop_grids(self, tmp_path):
+        # the plateau benchmark's CLI path on NPY files, at a quarter of its
+        # sides: the peak is the loop's 13 grids, the input, its gradients, the
+        # half bases and numpy's iterator buffers (17.55 grids measured; 18.55
+        # while the spectral cache held a multiplier grid)
+        truth = generate_scene(SceneSpec("plateau-discontinuity", 512, 256, 3.0, 16.0, 2))
+        wrapped, out = tmp_path / "wrapped.npy", tmp_path / "unwrapped.npy"
+        save_grid(wrapped, wrap_scene(truth))
+        tracemalloc.start()
+        try:
+            code = run(
+                "unwrap", "--input", wrapped, "--output", out, "--trace", tmp_path / "t.jsonl"
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert shift_error(load_grid(out), truth).rmse <= 1e-6
+        assert peak <= 17.6 * truth.nbytes, f"peak of {peak / truth.nbytes:.2f} grids"
 
     def test_missing_input_exits_2(self, tmp_path):
         assert run(

@@ -438,6 +438,7 @@ class TestUnwrap:
 
     def test_outer_loop_peak_memory(self):
         # the loop's buffers are allocated once; the peak is the PCG solve's
+        # (16.25 grids measured, 17.25 while the spectral cache held a multiplier grid)
         spec = SceneSpec("gaussian-bumps", 256, 256, amplitude=10.0, feature_scale=28.0, seed=1)
         x = add_phase_noise(wrap_scene(generate_scene(spec)), 0.3, seed=1001)
         tracemalloc.start()
@@ -446,13 +447,14 @@ class TestUnwrap:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 19 * x.nbytes, f"peak of {peak / x.nbytes:.2f} grids"
+        assert peak <= 18 * x.nbytes, f"peak of {peak / x.nbytes:.2f} grids"
 
     def test_solve_runs_in_the_loop_buffers(self):
         # PCG iterates in the state's u, the right-hand side grid and the
         # direction grid, and the Sylvester transform runs in the state's
-        # slacks, so the peak is the loop's 13 grids plus the input, its
-        # gradients and the spectral cache (17.24 grids measured)
+        # slacks, and the spectral scale in bands of the Sylvester scratch, so
+        # the peak is the loop's 13 grids plus the input, its gradients and the
+        # half bases (16.24 grids measured, 17.24 with a multiplier grid)
         spec = SceneSpec("gaussian-bumps", 256, 256, amplitude=10.0, feature_scale=28.0, seed=1)
         x = add_phase_noise(wrap_scene(generate_scene(spec)), 0.3, seed=7)
         tracemalloc.start()
@@ -461,7 +463,7 @@ class TestUnwrap:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 18 * x.nbytes, f"peak of {peak / x.nbytes:.2f} grids"
+        assert peak <= 17 * x.nbytes, f"peak of {peak / x.nbytes:.2f} grids"
 
     def test_outer_loop_allocates_no_grid(self, monkeypatch):
         # every loop buffer exists by the first gradient step; from there to

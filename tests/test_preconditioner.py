@@ -1,23 +1,38 @@
 """Tests of ``preconditioner``: the closed-form spectral cache and the Sylvester solve."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from phaseirls import preconditioner
 from phaseirls.irls import unwrap
 from phaseirls.objective import ModelParams
-from phaseirls.preconditioner import build_spectral_cache, sylvester_solve
+from phaseirls.preconditioner import BAND_ROWS, build_spectral_cache, sylvester_solve
 from phaseirls.synth import SceneSpec, generate_scene, wrap_scene
 
 from oracles import (
     dense_s,
     dense_t,
     eig_neumann_allocating,
-    even_odd_coefficients,
+    scale_by_whole_multiplier,
     spectral_cache_allocating,
     sylvester_solve_dense,
 )
 
-CACHE_ARRAYS = ("lambda_s", "lambda_t", "even_s", "odd_s", "even_t", "odd_t", "multiplier")
+CACHE_ARRAYS = ("lambda_s", "lambda_t", "even_s", "odd_s", "even_t", "odd_t")
+
+# The scale runs over each column block's even row modes (ceil(n/2) rows), then
+# its odd ones (floor(n/2) rows), in bands of BAND_ROWS: row counts whose halves
+# sit one below, at and one above a band boundary, and past two full bands.
+BAND_EDGE_ROWS = {
+    "halves-one-below": 2 * BAND_ROWS - 2,
+    "even-half-at": 2 * BAND_ROWS - 1,
+    "halves-at": 2 * BAND_ROWS,
+    "even-half-one-above": 2 * BAND_ROWS + 1,
+    "halves-one-above": 2 * BAND_ROWS + 2,
+    "two-bands-and-a-remainder": 4 * BAND_ROWS + 11,
+}
 
 
 def full_basis(even, odd):
@@ -89,7 +104,7 @@ class TestSpectralCache:
         n, m = shape
         cache = build_spectral_cache(n, m)
         total = sum(getattr(cache, name).size for name in CACHE_ARRAYS)
-        bound = (n * n + 1) // 2 + (m * m + 1) // 2 + n * m + n + m
+        bound = (n * n + 1) // 2 + (m * m + 1) // 2 + n + m
         assert total <= bound
 
     @pytest.mark.parametrize("n", [2, 3, 9, 33, 2048])
@@ -231,12 +246,69 @@ class TestOutArguments:
         want = (np.linalg.pinv(kron_sum) @ (p.tau * r.ravel(order="F"))).reshape((n, m), order="F")
         assert np.max(np.abs(got - want)) < 1e-10
 
-    def test_multiplier_pins_the_constant_mode(self):
-        # 1 / (lambda_s + lambda_t) in the cache's even-then-odd order, constant mode first
-        for n, m in [(5, 3), (1, 1), (1, 6), (5, 1), (4, 6), (33, 16)]:
-            cache = build_spectral_cache(n, m)
-            assert cache.multiplier.shape == (n * m,)
-            assert cache.multiplier[0] == 0.0
-            assert np.count_nonzero(cache.multiplier == 0.0) == 1
-            denom = even_odd_coefficients(cache.lambda_s[:, None] + cache.lambda_t[None, :])
-            assert np.array_equal(cache.multiplier[1:], 1.0 / denom[1:])
+
+class TestBandedScale:
+    """The multiplier formed band by band in scratch scales as the whole one did."""
+
+    @staticmethod
+    def assert_equals_the_whole_multiplier(rng, monkeypatch, shape):
+        cache = build_spectral_cache(*shape)
+        for p in (ModelParams(tau=0.37), ModelParams()):
+            r = rng.standard_normal(shape)
+            got = sylvester_solve(
+                r, p, cache, out=np.full(shape, np.nan), scratch=np.full(shape, np.nan)
+            )
+            with monkeypatch.context() as patch:
+                patch.setattr(preconditioner, "_scale", scale_by_whole_multiplier)
+                want = sylvester_solve(r, p, cache, out=np.empty(shape), scratch=np.empty(shape))
+            assert got.tobytes() == want.tobytes(), shape
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (3, 4), (33, 17)])
+    def test_equals_the_whole_multiplier_byte_for_byte(self, rng, monkeypatch, shape):
+        self.assert_equals_the_whole_multiplier(rng, monkeypatch, shape)
+
+    @pytest.mark.parametrize("rows", BAND_EDGE_ROWS.values(), ids=BAND_EDGE_ROWS.keys())
+    def test_equals_the_whole_multiplier_at_band_boundaries(self, rng, monkeypatch, rows):
+        assert BAND_EDGE_ROWS["two-bands-and-a-remainder"] // 2 % BAND_ROWS > 0
+        assert BAND_EDGE_ROWS["two-bands-and-a-remainder"] // 2 > 2 * BAND_ROWS
+        for m in (1, 2, 7):
+            self.assert_equals_the_whole_multiplier(rng, monkeypatch, (rows, m))
+
+    @pytest.mark.parametrize("band_rows", [1, 2, 3])
+    def test_equals_the_whole_multiplier_in_narrow_bands(self, rng, monkeypatch, band_rows):
+        # many bands per half, and a first band of one row holding the constant mode
+        monkeypatch.setattr(preconditioner, "BAND_ROWS", band_rows)
+        for shape in [(1, 1), (9, 1), (1, 9), (33, 17), (16, 5)]:
+            self.assert_equals_the_whole_multiplier(rng, monkeypatch, shape)
+
+    def test_bands_are_carved_from_scratch(self, rng):
+        # a band of this wide grid is an eighth of it; an apply allocates only
+        # numpy's fixed-size iterator buffers (about 130 KiB of a 4.2 MB grid)
+        shape = (4 * BAND_ROWS + 2, 2048)
+        cache = build_spectral_cache(*shape)
+        r, out, scratch = rng.standard_normal(shape), np.empty(shape), np.empty(shape)
+        sylvester_solve(r, ModelParams(), cache, out=out, scratch=scratch)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            sylvester_solve(r, ModelParams(), cache, out=out, scratch=scratch)
+            grown = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert grown <= r.nbytes / 16, f"an apply allocated {grown / r.nbytes:.3f} grids"
+
+    @pytest.mark.parametrize("shape", [(1, 1), (2, 2), (1, 2), (1, 9), (9, 1), (3, 4), (33, 17)])
+    def test_constant_input_has_its_constant_mode_zeroed(self, shape):
+        # the one nonzero coefficient of a constant is the constant mode's, which
+        # the scale zeroes: no division by zero, and what is left is the transforms'
+        # round-off, exactly zero where they are exact (the 1 x 1 and 2-point ones)
+        cache = build_spectral_cache(*shape)
+        for c in (3.7, -1e6):
+            z = sylvester_solve(
+                np.full(shape, c), ModelParams(tau=0.37), cache, out=np.full(shape, np.nan),
+                scratch=np.full(shape, np.nan),
+            )
+            if max(shape) <= 2:
+                assert np.all(z == 0.0)
+            else:
+                assert np.max(np.abs(z)) <= 1e-13 * abs(c)
