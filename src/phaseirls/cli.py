@@ -162,8 +162,17 @@ def _solver_params(args, weights):
 
 
 def _cmd_unwrap(args):
-    x = wrap_to_principal(_load_image(args.input, "input"), 0.0)
-    n, m = x.shape
+    """The ``unwrap`` command.
+
+    The wrapped input is held only in a dict, not by a name, so that without
+    ``--congruent``, which reads it after the solve, it is popped as
+    ``unwrap``'s argument: ``unwrap`` drops it once the gradients exist, and
+    the input is freed before the loop allocates its grids.  That rests on
+    CPython 3.11 and later moving call arguments into the callee's frame; an
+    older interpreter keeps the caller's reference through the call.
+    """
+    held = {"x": wrap_to_principal(_load_image(args.input, "input"), 0.0)}
+    n, m = held["x"].shape
     weights = None
     if (args.cv is None) != (args.ch is None):
         _fail(EXIT_BAD_INPUT, "weights require both --cv and --ch")
@@ -173,7 +182,7 @@ def _cmd_unwrap(args):
         if cv.shape != (n - 1, m) or ch.shape != (n, m - 1):
             _fail(
                 EXIT_DIM_MISMATCH,
-                f"weight shapes {cv.shape}/{ch.shape} do not match image {x.shape}",
+                f"weight shapes {cv.shape}/{ch.shape} do not match image {(n, m)}",
             )
         try:
             weights = WeightField(cv, ch)
@@ -183,13 +192,14 @@ def _cmd_unwrap(args):
     model, params = _solver_params(args, weights)
 
     try:
-        result = unwrap(x, weights, model, params)
+        # a pop leaves no reference here: the call's argument is the last one
+        result = unwrap(held["x"] if args.congruent else held.pop("x"), weights, model, params)
     except NumericalBreakdown as exc:
         _fail(EXIT_NUMERIC, f"solver breakdown: {exc}")
 
     out = result.u
     if args.congruent:
-        out = congruent_round(out, x)
+        out = congruent_round(out, held["x"])
     with _writing(args.output):
         save_grid(args.output, out)
 

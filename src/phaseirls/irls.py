@@ -208,7 +208,9 @@ def unwrap(x, c: WeightField | None = None, model: ModelParams | None = None,
     ----------
     x : ndarray
         Wrapped phase grid with values in [0, 2*pi).  Its neighbor
-        differences are reduced into [-pi, pi).
+        differences are reduced into [-pi, pi); ``x`` is only read, and
+        ``unwrap`` drops its reference once they exist, so an input that the
+        caller does not keep is freed before the loop allocates its grids.
     c : WeightField, optional
         Arc weights; ``WeightField.uniform`` when omitted.
     model : ModelParams, optional
@@ -223,8 +225,11 @@ def unwrap(x, c: WeightField | None = None, model: ModelParams | None = None,
                               ("params", params, IrlsParams)):
         if value is not None and not isinstance(value, kind):
             raise TypeError(f"{name} must be {kind.__name__} or None, got {type(value).__name__}")
-    # validates x: a finite, non-empty 2-D grid with values in [0, 2*pi)
+    # validates x: a finite, non-empty 2-D grid with values in [0, 2*pi).  The
+    # loop reads only the gradients, so x is dropped: a caller that keeps no
+    # reference of its own frees the input before the loop's grids exist
     g = wrapped_gradients(x)
+    del x
     n, m = g.shape
     if model is None:
         model = ModelParams()

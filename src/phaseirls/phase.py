@@ -13,6 +13,9 @@ import numpy as np
 from . import kernels
 
 TWO_PI = 2.0 * np.pi
+# elements of arc differences reduced per band by ``wrapped_gradients``: 2^15
+# doubles, 256 KiB, which stay cache-resident
+BAND_ELEMENTS = 2**15
 
 __all__ = [
     "TWO_PI",
@@ -61,15 +64,23 @@ class ArcField:
 
 
 class WeightField(ArcField):
-    """Nonnegative, finite arc weights with at least one positive."""
+    """Nonnegative, finite arc weights with at least one positive.
+
+    The checks read each non-empty field's minimum and maximum alone, so
+    validating builds no boolean grid.  An axis of zero stride repeats one
+    slice, so it is reduced at its first index alone: the read-only views of
+    ``uniform`` validate in O(1).
+    """
 
     def __post_init__(self):
         super().__post_init__()
-        if not (np.all(np.isfinite(self.v)) and np.all(np.isfinite(self.h))):
+        distinct = (c[tuple(slice(None) if s else slice(1) for s in c.strides)] for c in self)
+        ranges = [(c.min(), c.max()) for c in distinct if c.size]
+        if not all(_finite(lo, hi) for lo, hi in ranges):
             raise ValueError("weights must be finite")
-        if np.any(self.v < 0) or np.any(self.h < 0):
+        if any(lo < 0 for lo, _ in ranges):
             raise ValueError("weights must be nonnegative")
-        if (self.v.size or self.h.size) and not (np.any(self.v > 0) or np.any(self.h > 0)):
+        if ranges and not any(hi > 0 for _, hi in ranges):
             raise ValueError("at least one weight must be positive")
 
     @classmethod
@@ -97,20 +108,35 @@ class ErrorReport:
     congruent_fraction: float
 
 
-def as_phase_grid(values):
-    """Coerce to a finite 2-D float64 array, raising ValueError otherwise."""
+def _finite(lo, hi):
+    """Whether an array whose minimum is ``lo`` and maximum ``hi`` is finite.
+
+    A NaN propagates through both reductions and an infinity reaches one, so
+    the two decide finiteness without a boolean array.
+    """
+    return bool(np.isfinite(lo) and np.isfinite(hi))
+
+
+def _phase_grid_range(values):
+    """``as_phase_grid``'s array with its minimum and maximum."""
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
         raise ValueError(f"phase grid must be 2-D and non-empty, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    lo, hi = arr.min(), arr.max()
+    if not _finite(lo, hi):
         raise ValueError("phase grid contains non-finite values")
-    return arr
+    return arr, lo, hi
+
+
+def as_phase_grid(values):
+    """Coerce to a finite 2-D float64 array, raising ValueError otherwise."""
+    return _phase_grid_range(values)[0]
 
 
 def validate_wrapped(x):
     """Check that every value of ``x`` lies in [0, 2*pi)."""
-    arr = as_phase_grid(x)
-    if arr.min() < 0.0 or arr.max() >= TWO_PI:
+    arr, lo, hi = _phase_grid_range(x)
+    if lo < 0.0 or hi >= TWO_PI:
         raise ValueError("wrapped phase values must lie in [0, 2*pi)")
     return arr
 
@@ -125,28 +151,63 @@ def wrap_to_principal(x, lo=-np.pi):
     if lo not in (0.0, 0, -np.pi):
         raise ValueError(f"lo must be 0 or -pi, got {lo!r}")
     arr = np.asarray(x, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
+    if arr.size and not _finite(arr.min(), arr.max()):
         raise ValueError("cannot wrap non-finite values")
-    # y = arr - 2*pi * floor((arr - lo) / 2*pi), each step in the one buffer y
-    y = np.subtract(arr, lo, out=np.empty_like(arr))
-    y /= TWO_PI
-    np.floor(y, out=y)
-    y *= TWO_PI
-    np.subtract(arr, y, out=y)
-    # floor may land one period off when (x - lo) sits on a multiple of 2*pi.
-    # Moving up first: a tiny negative below lo = 0 gains 2*pi and rounds to
-    # exactly 2*pi, which the move down then brings to 0
-    np.add(y, TWO_PI, out=y, where=y < lo)
-    np.subtract(y, TWO_PI, out=y, where=y >= lo + TWO_PI)
+    y = np.empty_like(arr)
+    _reduce(arr, lo, y, y, np.empty(arr.shape, dtype=bool))
     if np.isscalar(x) or arr.ndim == 0:
         return float(y)
     return y
 
 
+def _reduce(arr, lo, t, out, mask):
+    """out = ``arr`` reduced into [lo, lo + 2*pi), the one pass of ``wrap_to_principal``.
+
+    ``t`` holds the multiple of 2*pi and may be ``out``; ``out`` may be ``arr``.
+    ``mask`` is boolean scratch of ``arr``'s shape and may share ``t``'s
+    memory, which is dead once ``out`` is written.  ``arr`` must be finite.
+    """
+    # out = arr - 2*pi * floor((arr - lo) / 2*pi), the multiple formed in t
+    np.subtract(arr, lo, out=t)
+    t /= TWO_PI
+    np.floor(t, out=t)
+    t *= TWO_PI
+    np.subtract(arr, t, out=out)
+    # floor may land one period off when (x - lo) sits on a multiple of 2*pi.
+    # Moving up first: a tiny negative below lo = 0 gains 2*pi and rounds to
+    # exactly 2*pi, which the move down then brings to 0
+    np.add(out, TWO_PI, out=out, where=np.less(out, lo, out=mask))
+    np.subtract(out, TWO_PI, out=out, where=np.greater_equal(out, lo + TWO_PI, out=mask))
+
+
 def wrapped_gradients(x):
-    """Neighbor differences of a wrapped grid, reduced into [-pi, pi)."""
+    """Neighbor differences of a wrapped grid, reduced into [-pi, pi).
+
+    Returns the two arc grids of ``x`` and allocates nothing else of grid
+    size: the differences of the validated (so finite) grid are reduced in
+    place, by ``wrap_to_principal``'s steps, a band of at most
+    ``BAND_ELEMENTS`` elements at a time (one row where a row is longer),
+    whose multiple of 2*pi and mask share one band-sized buffer.  The result
+    equals ``wrap_to_principal(kernels.diffs(x, ...))`` byte for byte.
+    """
     arr = validate_wrapped(x)
-    return ArcField(*map(wrap_to_principal, kernels.diffs(arr, *ArcField.empty(*arr.shape))))
+    g = ArcField(*kernels.diffs(arr, *ArcField.empty(*arr.shape)))
+    for f in g:
+        _reduce_in_bands(f)
+    return g
+
+
+def _reduce_in_bands(f):
+    """Reduce the finite 2-D grid ``f`` into [-pi, pi) in place, band by band of rows."""
+    if not f.size:
+        return
+    rows = max(1, BAND_ELEMENTS // f.shape[1])
+    buf = np.empty(min(rows, len(f)) * f.shape[1])
+    for a in range(0, len(f), rows):
+        band = f[a : a + rows]
+        t = buf[: band.size].reshape(band.shape)
+        mask = buf.view(bool)[: band.size].reshape(band.shape)
+        _reduce(band, -np.pi, t, band, mask)
 
 
 def shift_error(u, x_u):

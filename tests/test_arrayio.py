@@ -79,6 +79,23 @@ class TestValidation:
         with pytest.raises(ArrayFileError):
             load_grid(path)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_any_non_finite_value_is_refused(self, tmp_path, bad):
+        path = tmp_path / "bad.npy"
+        grid = np.zeros((3, 4))
+        grid[2, 1] = bad
+        with open(path, "wb") as fh:
+            np.save(fh, grid)
+        with pytest.raises(ArrayFileError, match="non-finite"):
+            load_grid(path)
+
+    @pytest.mark.parametrize("shape", [(0, 4), (3, 0)])
+    def test_empty_grid_loads(self, tmp_path, shape):
+        # the arc weights of a single row or column
+        path = tmp_path / "empty.npy"
+        save_grid(path, np.zeros(shape))
+        assert load_grid(path).shape == shape
+
     def test_save_refuses_a_1d_array_and_creates_no_file(self, tmp_path):
         path = tmp_path / "one_d.npy"
         with pytest.raises(ValueError, match="2-D"):

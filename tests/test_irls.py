@@ -436,6 +436,16 @@ class TestUnwrap:
             else:
                 assert got[1] is None
 
+    @pytest.mark.parametrize("shape", [(33, 17), (1, 9), (9, 1), (1, 1)])
+    def test_leaves_its_input_unchanged(self, shape):
+        # the gradients are reduced in place beside the input, never in it
+        spec = SceneSpec("plateau-discontinuity", *shape, amplitude=3.0, feature_scale=8.0, seed=3)
+        x = wrap_scene(generate_scene(spec))
+        for given in (x, np.asfortranarray(x)):
+            before = given.tobytes()
+            unwrap(given)
+            assert given.tobytes() == before
+
     def test_outer_loop_peak_memory(self):
         # the loop's buffers are allocated once; the peak is the PCG solve's
         # (16.25 grids measured, 17.25 while the spectral cache held a multiplier grid)

@@ -1,13 +1,18 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from phaseirls import kernels, phase
 from phaseirls.phase import (
+    BAND_ELEMENTS,
     TWO_PI,
     ArcField,
     WeightField,
     congruent_round,
     as_phase_grid,
     shift_error,
+    validate_wrapped,
     wrap_to_principal,
     wrapped_gradients,
 )
@@ -128,6 +133,92 @@ class TestWrappedGradients:
             wrapped_gradients(np.array([[0.0, 7.0]]))
 
 
+def wrap_each_difference(x):
+    """``wrapped_gradients`` composed of its parts: the differences, then each field wrapped."""
+    return [wrap_to_principal(f) for f in kernels.diffs(x, *ArcField.empty(*x.shape))]
+
+
+def edge_values():
+    """Wrapped values a few ulp either side of 0, pi/2, pi, 3 pi/2 and 2 pi, and tiny ones.
+
+    Their differences sit at and beside +-pi and +-2 pi, where the floor of the
+    reduction lands one period off.
+    """
+    values = [5e-324, np.finfo(float).tiny, 1e-300]
+    for base in (0.0, np.pi / 2, np.pi, 1.5 * np.pi, TWO_PI):
+        v = base
+        for _ in range(3):
+            values += [v, 2 * base - v]
+            v = np.nextafter(v, np.inf)
+    values = np.array(values)
+    return np.unique(values[(values >= 0.0) & (values < TWO_PI)])
+
+
+class TestWrappedGradientsInPlace:
+    """The banded in-place reduction equals wrapping each difference field whole."""
+
+    @staticmethod
+    def assert_equals_wrapping_each_field(x):
+        got = wrapped_gradients(x)
+        for g, want in zip(got, wrap_each_difference(x)):
+            assert g.shape == want.shape
+            assert g.tobytes() == want.tobytes(), x.shape
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (2, 2), (33, 17)])
+    def test_equals_wrapping_each_field_at_the_edges(self, rng, shape):
+        hit_up = False
+        for _ in range(20):
+            x = rng.choice(edge_values(), shape)
+            self.assert_equals_wrapping_each_field(x)
+            for d in kernels.diffs(x, *ArcField.empty(*shape)):
+                # the floor lands one period low just under pi, and y < -pi is
+                # moved up.  It never lands high: below -pi, d + pi and d + 2 pi
+                # are exact (Sterbenz), so the move down has no input here
+                y = d - TWO_PI * np.floor((d + np.pi) / TWO_PI)
+                hit_up |= bool(np.any(y < -np.pi))
+        if shape == (33, 17):
+            assert hit_up
+
+    def test_differences_of_plus_and_minus_pi_reduce_to_minus_pi(self):
+        g = wrapped_gradients(np.array([[0.0, np.pi, 0.0], [np.pi, 0.0, np.pi]]))
+        assert np.all(g.v == -np.pi) and np.all(g.h == -np.pi)
+
+    @pytest.mark.parametrize("m", [1, 2, 64])
+    def test_equals_wrapping_each_field_at_band_boundaries(self, rng, m):
+        # heights one below, at and one above a band of either field, and two
+        # bands and a remainder; the vertical field has n - 1 rows of m, the
+        # horizontal one n rows of m - 1
+        heights = set()
+        for cols, lag in ((m, 1), (m - 1, 0)):
+            if cols:
+                band = BAND_ELEMENTS // cols
+                heights |= {band + lag - 1, band + lag, band + lag + 1, 2 * band + lag + 3}
+        for n in sorted(heights):
+            self.assert_equals_wrapping_each_field(rng.uniform(0.0, TWO_PI, (n, m)))
+
+    def test_equals_wrapping_each_field_on_rows_longer_than_a_band(self, rng):
+        self.assert_equals_wrapping_each_field(rng.uniform(0.0, TWO_PI, (3, BAND_ELEMENTS + 3)))
+
+    @pytest.mark.parametrize("band", [1, 5, 16])
+    def test_equals_wrapping_each_field_in_narrow_bands(self, rng, monkeypatch, band):
+        monkeypatch.setattr(phase, "BAND_ELEMENTS", band)
+        for shape in [(1, 1), (9, 1), (1, 9), (33, 17), (16, 5)]:
+            self.assert_equals_wrapping_each_field(rng.choice(edge_values(), shape))
+
+    def test_peak_is_the_two_arc_grids_and_one_band(self, rng):
+        # the differences reduce in place; a band of BAND_ELEMENTS doubles holds
+        # the multiple of 2 pi and the masks (2.6 KB of objects past it measured)
+        x = rng.uniform(0.0, TWO_PI, (512, 256))
+        tracemalloc.start()
+        try:
+            g = wrapped_gradients(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        arcs = g.v.nbytes + g.h.nbytes
+        assert peak <= arcs + 8 * BAND_ELEMENTS + 16 * 1024, f"{peak - arcs} bytes past the arcs"
+
+
 class TestShiftError:
     def test_identity(self, rng):
         x = rng.standard_normal((5, 6))
@@ -209,25 +300,68 @@ class TestAsPhaseGrid:
             as_phase_grid(np.zeros(shape))
 
     def test_rejects_non_finite_values(self):
-        grid = np.zeros((3, 3))
-        grid[1, 2] = np.nan
-        with pytest.raises(ValueError, match="non-finite"):
-            as_phase_grid(grid)
+        for bad in (np.nan, np.inf, -np.inf):
+            grid = np.zeros((3, 3))
+            grid[1, 2] = bad
+            with pytest.raises(ValueError, match="non-finite"):
+                as_phase_grid(grid)
+            with pytest.raises(ValueError, match="non-finite"):
+                validate_wrapped(grid)
+
+
+def test_validation_builds_no_boolean_grid(rng):
+    # finiteness, sign and range come from min and max reductions alone; a
+    # boolean grid of either check would be 128 KiB
+    x = rng.uniform(0.0, TWO_PI, (512, 256))
+    for check in (lambda: WeightField.uniform(512, 256), lambda: validate_wrapped(x)):
+        tracemalloc.start()
+        try:
+            check()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024, peak
+
+
+def broadcast_weights(n, m, value):
+    """Every arc weight of an (n, m) grid ``value``, as zero-stride views."""
+    return np.broadcast_to(value, (n - 1, m)), np.broadcast_to(value, (n, m - 1))
 
 
 class TestWeightField:
     def test_rejects_negative(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="nonnegative"):
             WeightField(-np.ones((1, 2)), np.ones((2, 1)))
+        # broadcast weights, and grids whose other arc field is empty
+        for n, m in [(3, 4), (1, 4), (4, 1)]:
+            with pytest.raises(ValueError, match="nonnegative"):
+                WeightField(*broadcast_weights(n, m, -1.0))
+        with pytest.raises(ValueError, match="nonnegative"):
+            WeightField(np.empty((0, 3)), np.array([[1.0, -0.5]]))
+        # a row repeated down the rows: one stride is zero, the other not
+        with pytest.raises(ValueError, match="nonnegative"):
+            WeightField(np.broadcast_to([1.0, -1.0, 1.0], (2, 3)), np.ones((3, 2)))
 
     def test_rejects_all_zero(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="positive"):
             WeightField(np.zeros((1, 2)), np.zeros((2, 1)))
+        for n, m in [(3, 4), (1, 4), (4, 1)]:
+            with pytest.raises(ValueError, match="positive"):
+                WeightField(*broadcast_weights(n, m, 0.0))
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite(self, bad):
         with pytest.raises(ValueError, match="finite"):
             WeightField(np.array([[1.0, bad]]), np.ones((2, 1)))
+        for n, m in [(3, 4), (1, 4), (4, 1)]:
+            with pytest.raises(ValueError, match="finite"):
+                WeightField(*broadcast_weights(n, m, bad))
+
+    @pytest.mark.parametrize("n, m", [(1, 1), (1, 4), (4, 1)])
+    def test_accepts_degenerate_grids(self, n, m):
+        # a 1 x 1 grid has no arcs, so no weight need be positive
+        c = WeightField(*broadcast_weights(n, m, 2.0))
+        assert c.max_weight == (0.0 if n == m == 1 else 2.0)
 
     def test_max_weight(self):
         w = WeightField(np.array([[1.0, 3.0]]), np.array([[0.5], [2.0]]))
